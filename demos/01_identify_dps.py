@@ -5,7 +5,9 @@ A DPS is rho = (1-p) 1/D + p |psi><psi| with -1/(D-1) <= p <= 1.  Its
 coherence vector n has norm |p|, is a fixed direction of the symmetric
 star product (n*n = p n), and generates the whole ladder of invariants
 ([n*]^r n) . n = p^(r+2).  The identification test below uses nothing
-but those facts, so it works without knowing psi or p in advance.
+but those facts, so it works without knowing psi or p in advance.  It
+evaluates them on the traceless operator n.lambda, so it needs no basis;
+the basis here only serves to print coherence-vector components.
 """
 
 import numpy as np
@@ -43,7 +45,7 @@ print(f"  |n*n - p n|     : {np.linalg.norm(nn.n - p * n.n):.2e}")
 print(f"  ladder          : {[f'{v:.8f}' for v in invariant_ladder(n, basis, 3)]}")
 print(f"  expected        : {[f'{p**r:.8f}' for r in (2, 3, 4, 5)]}")
 
-verdict = dps_test(rho, basis)
+verdict = dps_test(rho)
 print(f"  dps_test        : p = {verdict:.12f}")
 
 # a generic mixture of two pure states is not in the family unless the
@@ -51,16 +53,15 @@ print(f"  dps_test        : p = {verdict:.12f}")
 phi = haar_state(D, rng)
 w = 0.7
 mix = DensityMatrix(w * np.outer(psi, psi.conj()) + (1 - w) * np.outer(phi, phi.conj()))
-print(f"\n0.7/0.3 two-state mixture: dps_test -> {dps_test(mix, basis)}")
+print(f"\n0.7/0.3 two-state mixture: dps_test -> {dps_test(mix)}")
 
 full = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
 generic = DensityMatrix((g := full @ full.conj().T) / np.trace(g).real)
-print(f"generic full-rank state  : dps_test -> {dps_test(generic, basis)}")
+print(f"generic full-rank state  : dps_test -> {dps_test(generic)}")
 
 # at D=2 the star product does not exist and +p/-p share a spectrum,
 # so only the magnitude is identifiable
-b2 = generate_basis(2)
 two = make_dps(haar_state(2, rng), -0.6)
-print(f"\nD=2 with p=-0.6          : dps_test -> {dps_test(two.to_matrix(), b2):.12f} (magnitude only)")
+print(f"\nD=2 with p=-0.6          : dps_test -> {dps_test(two.to_matrix()):.12f} (magnitude only)")
 
 print(f"\nstar normalization c_D at D=3..6: {[round(c_norm(d), 6) for d in range(3, 7)]}")

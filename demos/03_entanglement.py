@@ -21,7 +21,6 @@ from dpstates import (
     pt_spectrum_closed,
     schmidt_dps,
     schmidt_pure,
-    generate_basis,
     two_qubit_canonical,
 )
 
@@ -39,7 +38,7 @@ print(f"PT spectrum at p={p}: closed vs brute agree to {np.max(np.abs(np.sort(cl
 
 # the DPS itself still knows its purification: recover both from the
 # density matrix alone
-p_rec, form_rec = schmidt_dps(make_dps(psi, p).to_matrix(), dA, dB, generate_basis(dA * dB))
+p_rec, form_rec = schmidt_dps(make_dps(psi, p).to_matrix(), dA, dB)
 print(f"recovered from the matrix: p={p_rec:.12f}, coefficient error "
       f"{np.max(np.abs(form_rec.b - form.b)):.1e}")
 

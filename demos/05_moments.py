@@ -56,10 +56,10 @@ got, resolved = dps_p_from_moments(t2, t3, D, tol=5e-3)
 print(f"\nfrom 2M simulated shots per moment at D={D}: p = {got:+.5f}"
       f" (true {p:+.2f}, sign_resolved={resolved})")
 
-# counting signs without diagonalizing: Descartes' rule on the
-# characteristic polynomial of a Hermitian matrix is exact as long as
-# no root sits numerically at zero
-print("\nnegative-eigenvalue counting via characteristic polynomial")
+# counting signs without diagonalizing: by Sylvester's law of inertia
+# the positive LDL^T pivots of the Householder tridiagonal form count the
+# positive eigenvalues, as long as none sits numerically at zero
+print("\nnegative-eigenvalue counting via LDL^T inertia")
 b = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
 psi = np.zeros(9, dtype=complex)
 psi[[0, 4, 8]] = b
@@ -67,5 +67,5 @@ for p in (0.2, 0.5):
     pt = partial_transpose(make_dps(psi, p).to_matrix().matrix, 3, 3)
     positive = count_positive_charpoly(pt)
     eigen = int(np.sum(np.linalg.eigvalsh(pt) > 0))
-    print(f"  PT of uniform 3x3 DPS at p={p}: charpoly says {positive} positive,"
+    print(f"  PT of uniform 3x3 DPS at p={p}: inertia says {positive} positive,"
           f" eigensolver says {eigen}, so {9 - positive} negative")

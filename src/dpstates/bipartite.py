@@ -107,12 +107,12 @@ def schmidt_pure(psi, dA: int, dB: int) -> SchmidtForm:
 
 
 def schmidt_dps(
-    rho_d: DensityMatrix, dA: int, dB: int, basis: SuBasis, p_tol: float = 1e-8
+    rho_d: DensityMatrix, dA: int, dB: int, basis: SuBasis | None = None, p_tol: float = 1e-8
 ) -> tuple[float, SchmidtForm]:
     """Recover (p, Schmidt form) of a DPS from its density matrix.
 
-    For p != 0 the purification is the eigenvector of the single
-    non-degenerate eigenvalue: the maximum for p > 0, the minimum for
+    ``basis`` is optional, as in :func:`dps_test`.  For p != 0 the
+    purification is the eigenvector of the single non-degenerate eigenvalue: the maximum for p > 0, the minimum for
     p < 0.
 
     Raises:
@@ -349,9 +349,9 @@ def two_qubit_canonical(p: float, omega: float) -> tuple[DensityMatrix, tuple[fl
         PolarizationOutOfRangeError: p outside [-1/3, 1].
         DomainError: omega outside [0, pi/2].
     """
-    if p < -1.0 / 3.0 - 1e-12 or p > 1.0 + 1e-12:
+    if not -1.0 / 3.0 - 1e-12 <= p <= 1.0 + 1e-12:
         raise PolarizationOutOfRangeError(f"p={p:.15g} outside [-1/3, 1]")
-    if omega < -1e-12 or omega > math.pi / 2.0 + 1e-12:
+    if not -1e-12 <= omega <= math.pi / 2.0 + 1e-12:
         raise DomainError(f"omega={omega:.15g} outside [0, pi/2]")
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     sy = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -388,7 +388,7 @@ def isotropic(dA: int, F: float) -> tuple[DpsState, bool]:
     """
     if dA < 2:
         raise InvalidDimensionError(f"isotropic states need dA >= 2, got {dA}")
-    if F < -1e-12 or F > 1.0 + 1e-12:
+    if not -1e-12 <= F <= 1.0 + 1e-12:
         raise FOutOfRangeError(f"F={F:.15g} outside [0, 1]")
     F = min(max(F, 0.0), 1.0)
     phi = np.zeros(dA * dA, dtype=complex)

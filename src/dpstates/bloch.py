@@ -2,10 +2,11 @@
 
 A density matrix is expanded as ``rho = (1/D)(1 + c_D n.lambda)`` with
 ``c_D = sqrt(D(D-1)/2)``; the real vector ``n`` of length D^2-1 is the
-coherence vector.  The symmetric structure tensor d gives the star
-product, whose fixed points are exactly the pure-state vectors, and a
-depolarized pure state is characterized by ``n.n = p^2`` together with
-``n*n = p n``.
+coherence vector.  The symmetric star product, whose fixed points are
+exactly the pure-state vectors, and the DPS conditions ``n.n = p^2``,
+``n*n = p n`` are evaluated on the operator A = n.lambda through
+sum_ij d_ijk a_i b_j = (1/4) Tr({A, B} lambda_k), so no basis is needed;
+the structure tensors of :func:`generate_basis` are the tests' oracle.
 """
 
 from __future__ import annotations
@@ -43,11 +44,12 @@ class SuBasis:
     pair blocks run lexicographically in (row, col).
 
     ``c`` and ``d`` hold the nonzero tensor entries as (i, j, k, value)
-    tuples; dense D=8 tensors would waste 63^3 mostly-zero slots.
-    Instances are immutable; build them with :func:`generate_basis`.
+    tuples; dense D=8 tensors would waste 63^3 mostly-zero slots.  They
+    serve as an oracle only.  Instances are immutable; build them with
+    :func:`generate_basis`.
     """
 
-    __slots__ = ("dim", "generators", "c", "d", "_d_ijk", "_d_val", "_stack")
+    __slots__ = ("dim", "generators", "c", "d", "_stack")
 
     def __init__(self, dim, generators, c, d):
         self.dim = dim
@@ -57,25 +59,10 @@ class SuBasis:
         stack = np.stack(generators)
         stack.setflags(write=False)
         self._stack = stack
-        if d:
-            arr = np.array([(i, j, k) for i, j, k, _ in d], dtype=np.intp)
-            val = np.array([v for _, _, _, v in d])
-        else:
-            arr = np.zeros((0, 3), dtype=np.intp)
-            val = np.zeros(0)
-        self._d_ijk = arr
-        self._d_val = val
 
     @property
     def size(self) -> int:
         return self.dim * self.dim - 1
-
-    def d_contract(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(sum_ij d_ijk a_i b_j)_k via the sparse entry list."""
-        if self._d_val.size == 0:
-            return np.zeros(self.size)
-        w = self._d_val * a[self._d_ijk[:, 0]] * b[self._d_ijk[:, 1]]
-        return np.bincount(self._d_ijk[:, 2], weights=w, minlength=self.size)
 
     def __repr__(self) -> str:
         return f"SuBasis(dim={self.dim}, generators={self.size})"
@@ -124,23 +111,16 @@ def generate_basis(D: int) -> SuBasis:
         raise InvalidDimensionError(f"basis requires integer D >= 2, got {D!r}")
     D = int(D)
     gens: list[np.ndarray] = []
-    for j in range(D):
-        for k in range(j + 1, D):
-            M = np.zeros((D, D), dtype=complex)
-            M[j, k] = 1.0
-            M[k, j] = 1.0
-            gens.append(M)
-    for j in range(D):
-        for k in range(j + 1, D):
-            M = np.zeros((D, D), dtype=complex)
-            M[j, k] = -1.0j
-            M[k, j] = 1.0j
-            gens.append(M)
+    for upper in (1.0, -1.0j):
+        for j in range(D):
+            for k in range(j + 1, D):
+                M = np.zeros((D, D), dtype=complex)
+                M[j, k], M[k, j] = upper, np.conj(upper)
+                gens.append(M)
     for l in range(1, D):
-        M = np.zeros((D, D), dtype=complex)
         scale = math.sqrt(2.0 / (l * (l + 1)))
-        for j in range(l):
-            M[j, j] = scale
+        M = np.zeros((D, D), dtype=complex)
+        M[np.arange(l), np.arange(l)] = scale
         M[l, l] = -l * scale
         gens.append(M)
 
@@ -173,6 +153,10 @@ def to_coherence(rho: DensityMatrix, basis: SuBasis) -> CoherenceVector:
     return CoherenceVector(dim=D, n=n)
 
 
+def _operator(v: CoherenceVector, basis: SuBasis) -> np.ndarray:
+    return np.tensordot(v.n, basis._stack, axes=(0, 0))
+
+
 def from_coherence(n: CoherenceVector, basis: SuBasis) -> DensityMatrix:
     """Synthesize rho = (1/D)(1 + c_D n.lambda).
 
@@ -184,27 +168,46 @@ def from_coherence(n: CoherenceVector, basis: SuBasis) -> DensityMatrix:
     """
     _check_dims(n.dim, basis)
     D = basis.dim
-    M = np.tensordot(n.n, basis._stack, axes=(0, 0))
-    rho = (np.eye(D, dtype=complex) + c_norm(D) * M) / D
+    rho = (np.eye(D, dtype=complex) + c_norm(D) * _operator(n, basis)) / D
     return DensityMatrix(rho)
+
+
+def _star_operator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """c_D/(D-2) ({A, B}/2 - Tr(AB)/D 1), the operator of the star product.
+
+    Completeness of the generators turns sum_k (1/4) Tr({A, B} l_k) l_k
+    into {A, B}/2 - Tr(AB)/D 1; BA = (AB)^dag for Hermitian A and B.
+    """
+    D = A.shape[0]
+    if D == 2:
+        raise UndefinedForDim2Error("the star product carries a 1/(D-2) factor; undefined at D=2")
+    AB = A @ B
+    S = (AB + AB.conj().T) / 2.0 - (np.trace(AB).real / D) * np.eye(D)
+    return (c_norm(D) / (D - 2)) * S
 
 
 def star(a: CoherenceVector, b: CoherenceVector, basis: SuBasis) -> CoherenceVector:
     """Symmetric star product (a*b)_k = c_D/(D-2) sum d_ijk a_i b_j.
 
-    Pure-state vectors are its fixed points: n*n = n.
+    Pure-state vectors are its fixed points: n*n = n.  Evaluated on the
+    operators a.lambda and b.lambda, then expanded back over the basis.
 
     Raises:
         UndefinedForDim2Error: the 1/(D-2) factor is singular at D=2.
         DimensionMismatchError.
     """
-    if basis.dim == 2:
-        raise UndefinedForDim2Error("the star product carries a 1/(D-2) factor; undefined at D=2")
     _check_dims(a.dim, basis)
     _check_dims(b.dim, basis)
-    D = basis.dim
-    out = (c_norm(D) / (D - 2)) * basis.d_contract(a.n, b.n)
-    return CoherenceVector(dim=D, n=out)
+    S = _star_operator(_operator(a, basis), _operator(b, basis))
+    return CoherenceVector(dim=basis.dim, n=0.5 * np.real(np.einsum("ab,iba->i", S, basis._stack)))
+
+
+def _ladder(A: np.ndarray, r_max: int) -> list[float]:
+    out, V = [], A
+    for _ in range(r_max + 1):
+        out.append(0.5 * float(np.vdot(V, A).real))  # v.n = Tr(V A)/2
+        V = _star_operator(A, V)
+    return out
 
 
 def invariant_ladder(n: CoherenceVector, basis: SuBasis, r_max: int) -> list[float]:
@@ -216,26 +219,67 @@ def invariant_ladder(n: CoherenceVector, basis: SuBasis, r_max: int) -> list[flo
     Raises:
         UndefinedForDim2Error.
     """
-    if basis.dim == 2:
-        raise UndefinedForDim2Error("invariant ladder uses the star product; undefined at D=2")
     _check_dims(n.dim, basis)
-    out = []
-    v = n
-    for _ in range(r_max + 1):
-        out.append(v.dot(n))
-        v = star(n, v, basis)
-    return out
+    return _ladder(_operator(n, basis), r_max)
 
 
-def _dps_spectrum(D: int, p: float) -> np.ndarray:
-    vals = np.full(D, (1.0 - p) / D)
-    vals[-1] += p
-    return np.sort(vals)
+@dataclass(frozen=True)
+class DpsMeasurement:
+    """What the DPS test compares with its tolerances.
+
+    ``operator`` is A = n.lambda = (D rho - 1)/c_D, ``norm`` ||n||, ``p``
+    ||n|| signed like (n*n).n and ``star_residual`` ||n*n - p n||; at D = 2
+    (no star product, and +-n both pure) p = ||n||, residual None.
+    ``spectrum_deviation`` is the largest distance of the ascending
+    ``eigenvalues`` of rho from {(1-p)/D + p, (1-p)/D x(D-1)}.
+    """
+
+    operator: np.ndarray
+    eigenvalues: np.ndarray
+    norm: float
+    p: float
+    star_residual: float | None
+    spectrum_deviation: float
+
+    def ladder(self, r_max: int) -> list[float]:
+        """:func:`invariant_ladder` of this state, without a basis."""
+        return _ladder(self.operator, r_max)
+
+    def verdict(self, tol_star: float = STAR_TOL, tol_spectrum: float = SPECTRUM_TOL) -> float | None:
+        """p when rho is positive, n*n = p n and the spectrum fits, else None."""
+        if self.eigenvalues[0] >= -tol_spectrum and self.spectrum_deviation <= tol_spectrum:
+            if self.star_residual is None or self.star_residual <= tol_star:
+                return self.p
+        return None
+
+
+def measure_dps(rho: DensityMatrix) -> DpsMeasurement:
+    """:class:`DpsMeasurement` of ``rho``: a few D x D products, one eigensolve.
+
+    Raises:
+        InvalidDimensionError: D < 2.
+    """
+    D = rho.dim
+    if D < 2:
+        raise InvalidDimensionError(f"coherence vectors need D >= 2, got {D}")
+    A = (D * rho.matrix - np.eye(D)) / c_norm(D)
+    A.setflags(write=False)
+    norm = float(np.linalg.norm(A)) / math.sqrt(2.0)
+    p, residual = norm, None
+    if D > 2:
+        S = _star_operator(A, A)
+        p = norm if np.vdot(S, A).real >= 0.0 else -norm  # (n*n).n = Tr(S A)/2
+        residual = float(np.linalg.norm(S - p * A)) / math.sqrt(2.0)
+    vals = np.linalg.eigvalsh(rho.matrix)
+    expected = np.full(D, (1.0 - p) / D)
+    expected[-1] += p
+    deviation = float(np.max(np.abs(vals - np.sort(expected))))
+    return DpsMeasurement(A, vals, norm, p, residual, deviation)
 
 
 def dps_test(
     rho: DensityMatrix,
-    basis: SuBasis,
+    basis: SuBasis | None = None,
     tol: float | None = None,
     *,
     tol_star: float = STAR_TOL,
@@ -243,37 +287,20 @@ def dps_test(
 ) -> float | None:
     """Decide whether ``rho`` is a depolarized pure state; return its p.
 
-    Checks, in order: positivity, |p| = sqrt(n.n), the star condition
-    n*n = p n (D >= 3, with the sign of p read off n*n.n = p^3), and the
-    spectrum pattern {(1-p)/D + p, (1-p)/D x(D-1)}.  Returns None the
-    moment any check fails.
-
-    For D = 2 the star product is unavailable and the +-n ambiguity is
-    unresolvable (both signs are pure states), so the convention is
-    p = ||n|| >= 0.
+    Checks positivity, |p| = sqrt(n.n), the star condition n*n = p n
+    (D >= 3, with the sign of p read off n*n.n = p^3) and the spectrum
+    pattern {(1-p)/D + p, (1-p)/D x(D-1)}; returns None if any fails.
+    At D = 2 the sign is unresolvable and p = ||n|| >= 0.
 
     Args:
+        basis: optional; only its dimension is checked against ``rho``.
         tol: sets both tolerances at once when given.
+
+    Raises:
+        DimensionMismatchError, InvalidDimensionError.
     """
     if tol is not None:
-        tol_star = tol
-        tol_spectrum = tol
-    _check_dims(rho.dim, basis)
-    D = basis.dim
-    if not rho.is_positive(tol_spectrum):
-        return None
-    n = to_coherence(rho, basis)
-    p_abs = n.norm
-
-    if D == 2:
-        p = p_abs
-    else:
-        nn = star(n, n, basis)
-        p = p_abs if nn.dot(n) >= 0.0 else -p_abs
-        if float(np.linalg.norm(nn.n - p * n.n)) > tol_star:
-            return None
-
-    vals = np.linalg.eigvalsh(rho.matrix)
-    if float(np.max(np.abs(vals - _dps_spectrum(D, p)))) > tol_spectrum:
-        return None
-    return p
+        tol_star = tol_spectrum = tol
+    if basis is not None:
+        _check_dims(rho.dim, basis)
+    return measure_dps(rho).verdict(tol_star, tol_spectrum)

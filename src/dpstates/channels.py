@@ -20,7 +20,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -58,7 +57,7 @@ class KrausChannel:
             K.setflags(write=False)
         total = sum(K.conj().T @ K for K in ops)
         dev = float(np.max(np.abs(total - np.eye(self.dim))))
-        if dev > TP_TOL:
+        if not dev <= TP_TOL:
             raise NotTracePreservingError(
                 f"sum K^dag K deviates from identity by {dev:.3e} (> {TP_TOL:.1e})"
             )
@@ -156,7 +155,7 @@ def chi_from_beta2(D: int, beta2: float) -> ChiState:
         DomainError: beta2 outside that range.
     """
     limit = D * D / (D * D - 1.0)
-    if beta2 < -1e-12 or beta2 > limit + 1e-12:
+    if not -1e-12 <= beta2 <= limit + 1e-12:
         raise DomainError(f"beta2={beta2:.15g} outside [0, {limit:.15g}]")
     beta2 = min(max(beta2, 0.0), limit)
     beta = math.sqrt(beta2)
@@ -180,7 +179,7 @@ def apply_depolarizing(rho: DensityMatrix, p: float) -> DepolarizedOutput:
         PolarizationOutOfRangeError: p outside the positivity range.
     """
     D = rho.dim
-    if p < p_min(D) - 1e-12 or p > 1.0 + 1e-12:
+    if not p_min(D) - 1e-12 <= p <= 1.0 + 1e-12:
         raise PolarizationOutOfRangeError(f"p={p:.15g} outside [{p_min(D):.15g}, 1] for D={D}")
     out = DensityMatrix((1.0 - p) * np.eye(D) / D + p * rho.matrix)
     return DepolarizedOutput(state=out, physically_realizable=p >= p_min_cp(D) - 1e-12)
@@ -195,7 +194,7 @@ def depolarizing_kraus(D: int, p: float) -> KrausChannel:
     Raises:
         PolarizationOutOfRangeError: p outside the CP range.
     """
-    if p < p_min_cp(D) - 1e-12 or p > 1.0 + 1e-12:
+    if not p_min_cp(D) - 1e-12 <= p <= 1.0 + 1e-12:
         raise PolarizationOutOfRangeError(
             f"p={p:.15g} outside CP range [{p_min_cp(D):.15g}, 1] for D={D}"
         )
@@ -224,7 +223,8 @@ def _protocol_unitary(D: int) -> np.ndarray:
     mixed.  Both source and target pairs share the Gram matrix
     [[1, 1/D], [1/D, 1]], so the map extends to a unitary; the
     orthogonal complement is completed by a null-space basis (its action
-    never touches legal inputs psi (x) chi).
+    never touches legal inputs psi (x) chi).  The complement has the known
+    dimension D^3 - 2D: the trailing right singular vectors, no rank cutoff.
     """
     n = D**3
     src = np.zeros((n, 2 * D), dtype=complex)
@@ -243,8 +243,8 @@ def _protocol_unitary(D: int) -> np.ndarray:
         src[:, 2 * m + 1] = off * (s2 - s1 / D)
         tgt[:, 2 * m] = s1
         tgt[:, 2 * m + 1] = off * (t2 - s1 / D)
-    ns = scipy.linalg.null_space(src.conj().T)
-    nt = scipy.linalg.null_space(tgt.conj().T)
+    ns = np.linalg.svd(src.conj().T)[2][2 * D :].conj().T
+    nt = np.linalg.svd(tgt.conj().T)[2][2 * D :].conj().T
     U = tgt @ src.conj().T + nt @ ns.conj().T
     if np.max(np.abs(U.conj().T @ U - np.eye(n))) > 1e-10:
         raise InternalCheckError("protocol unitary failed its unitarity check")
@@ -423,6 +423,19 @@ def _kraus_from_choi(C: np.ndarray, D: int) -> tuple:
     return tuple(ops)
 
 
+def _conjugation_average(S: np.ndarray, unitaries) -> np.ndarray:
+    """Mean of the superoperators U^dag . S . U over the given unitaries."""
+    acc = np.zeros_like(S)
+    for U in unitaries:
+        acc += np.kron(U.conj().T, U.T) @ S @ np.kron(U, U.conj())
+    return acc / len(unitaries)
+
+
+def _twirl_result(acc: np.ndarray, D: int, p_hat: float, dev: float) -> TwirlResult:
+    kraus = _kraus_from_choi(_superop_to_choi(acc, D), D)
+    return TwirlResult(channel=KrausChannel(dim=D, kraus=kraus), p_hat=p_hat, depolarizing_deviation=dev)
+
+
 def _depolarizing_deviation(S: np.ndarray, D: int, p_hat: float) -> float:
     """Max deviation of the superoperator from the depolarizing map on a basis."""
     dev = 0.0
@@ -472,24 +485,14 @@ def twirl(
             raise UnsupportedDimensionError(f"exact-clifford twirl needs D in {{2, 3}}, got {D}")
         group = clifford_group(D)
         # the closure seeds from the identity, so group[0] is always 1
-        members = group[1:] if exclude_identity else group
-        acc = np.zeros_like(S)
-        for U in members:
-            left = np.kron(U.conj().T, U.T)
-            right = np.kron(U, U.conj())
-            acc += left @ S @ right
-        acc /= len(members)
+        acc = _conjugation_average(S, group[1:] if exclude_identity else group)
         p_hat = twirl_p(D, f)
         dev = _depolarizing_deviation(acc, D, p_hat)
         if not exclude_identity and dev > TWIRL_CHECK_TOL:
             raise InternalCheckError(
                 f"full-group Clifford twirl deviates from depolarizing by {dev:.3e}"
             )
-        return TwirlResult(
-            channel=KrausChannel(dim=D, kraus=_kraus_from_choi(_superop_to_choi(acc, D), D)),
-            p_hat=p_hat,
-            depolarizing_deviation=dev,
-        )
+        return _twirl_result(acc, D, p_hat, dev)
 
     if mode == "haar-sample":
         if D > 6:
@@ -498,23 +501,12 @@ def twirl(
             raise DomainError("haar-sample twirl needs samples >= 1")
         if seed is None:
             raise DomainError("haar-sample twirl needs an explicit seed")
-        rng = np.random.default_rng(seed)
-        acc = np.zeros_like(S)
-        for U in haar_unitaries(D, samples, rng):
-            left = np.kron(U.conj().T, U.T)
-            right = np.kron(U, U.conj())
-            acc += left @ S @ right
-        acc /= samples
+        acc = _conjugation_average(S, haar_unitaries(D, samples, np.random.default_rng(seed)))
         e00 = np.zeros((D, D), dtype=complex)
         e00[0, 0] = 1.0
         out00 = (acc @ e00.reshape(-1)).reshape(D, D)
         p_hat = float((np.real(out00[0, 0]) - 1.0 / D) / (1.0 - 1.0 / D))
-        dev = _depolarizing_deviation(acc, D, p_hat)
-        return TwirlResult(
-            channel=KrausChannel(dim=D, kraus=_kraus_from_choi(_superop_to_choi(acc, D), D)),
-            p_hat=p_hat,
-            depolarizing_deviation=dev,
-        )
+        return _twirl_result(acc, D, p_hat, _depolarizing_deviation(acc, D, p_hat))
 
     raise DomainError(f"unknown twirl mode {mode!r}")
 
@@ -535,7 +527,7 @@ def pdps_recipe(psi, f: float, seed: int, trials: int) -> DensityMatrix:
         FOutOfRangeError: f outside [0, 1].
         NonUnitVectorError.
     """
-    if f < -1e-12 or f > 1.0 + 1e-12:
+    if not -1e-12 <= f <= 1.0 + 1e-12:
         raise FOutOfRangeError(f"f={f:.15g} outside [0, 1]")
     f = min(max(f, 0.0), 1.0)
     v = np.asarray(psi, dtype=complex).reshape(-1)
@@ -570,7 +562,7 @@ def local_depolarize(
     if rho.dim != dA * dB:
         raise DimensionMismatchError(f"state dim {rho.dim} != dA*dB = {dA * dB}")
     for d, p, name in ((dA, pA, "pA"), (dB, pB, "pB")):
-        if p < p_min_cp(d) - 1e-12 or p > 1.0 + 1e-12:
+        if not p_min_cp(d) - 1e-12 <= p <= 1.0 + 1e-12:
             raise PolarizationOutOfRangeError(
                 f"{name}={p:.15g} outside CP range [{p_min_cp(d):.15g}, 1]"
             )

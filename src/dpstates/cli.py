@@ -28,7 +28,7 @@ from .bipartite import (
     schmidt_dps,
     two_qubit_canonical,
 )
-from .bloch import dps_test, generate_basis, invariant_ladder, star, to_coherence
+from .bloch import dps_test, measure_dps
 from .channels import (
     KrausChannel,
     apply_depolarizing,
@@ -124,6 +124,15 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+def _report(report: dict, out: str | None = None, state=None, dims=None) -> int:
+    """Write ``state`` to ``out`` when one is given, then print ``report``."""
+    if out:
+        _emit(render_json(state_document(state, dims=dims)), out)
+        report["results"]["out"] = out
+    sys.stdout.write(render_json(report))
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # state / channel file handling
 
@@ -143,10 +152,26 @@ def _parse_matrix(entry, dim: int, what: str) -> np.ndarray:
 
 
 def _matrix_to_pairs(M: np.ndarray) -> list:
-    out = []
-    for row in M:
-        out.append([[float(z.real), float(z.imag)] for z in row])
-    return out
+    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+
+
+def _read_doc(path: str, kind: str, key: str) -> tuple[dict, int, bytes]:
+    """(document, dim, raw bytes) of a JSON object with "dim" >= 2 and ``key``, or CliInputError."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise CliInputError(f"cannot read {kind} file {path}: {exc}")
+    try:
+        doc = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise CliInputError(f"{path}: not valid JSON: {exc}")
+    if not isinstance(doc, dict) or "dim" not in doc or key not in doc:
+        raise CliInputError(f'{path}: a {kind} file needs "dim" and "{key}" keys')
+    dim = doc["dim"]
+    if not isinstance(dim, int) or dim < 2:
+        raise CliInputError(f'{path}: "dim" must be an integer >= 2, got {dim!r}')
+    return doc, dim, raw
 
 
 def load_state(path: str) -> tuple[DensityMatrix, list | None, str]:
@@ -156,19 +181,7 @@ def load_state(path: str) -> tuple[DensityMatrix, list | None, str]:
         CliInputError: schema or invariant violations, with the violated
             check and its residual in the message.
     """
-    try:
-        raw = open(path, "rb").read()
-    except OSError as exc:
-        raise CliInputError(f"cannot read state file {path}: {exc}")
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise CliInputError(f"{path}: not valid JSON: {exc}")
-    if not isinstance(doc, dict) or "dim" not in doc or "matrix" not in doc:
-        raise CliInputError(f'{path}: a state file needs "dim" and "matrix" keys')
-    dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 2:
-        raise CliInputError(f'{path}: "dim" must be an integer >= 2, got {dim!r}')
+    doc, dim, raw = _read_doc(path, "state", "matrix")
     dims = doc.get("dims")
     if dims is not None:
         if (
@@ -192,19 +205,7 @@ def load_channel(path: str) -> tuple[KrausChannel, str]:
     Raises:
         CliInputError.
     """
-    try:
-        raw = open(path, "rb").read()
-    except OSError as exc:
-        raise CliInputError(f"cannot read channel file {path}: {exc}")
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise CliInputError(f"{path}: not valid JSON: {exc}")
-    if not isinstance(doc, dict) or "dim" not in doc or "kraus" not in doc:
-        raise CliInputError(f'{path}: a channel file needs "dim" and "kraus" keys')
-    dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 2:
-        raise CliInputError(f'{path}: "dim" must be an integer >= 2, got {dim!r}')
+    doc, dim, raw = _read_doc(path, "channel", "kraus")
     if not isinstance(doc["kraus"], list) or not doc["kraus"]:
         raise CliInputError(f'{path}: "kraus" must be a nonempty list of matrices')
     ops = [_parse_matrix(entry, dim, path) for entry in doc["kraus"]]
@@ -240,13 +241,10 @@ def _pure_vector(state: DensityMatrix, what: str) -> np.ndarray:
 
 def _as_dps(state: DensityMatrix, what: str) -> DpsState:
     """Identify a DPS and rebuild its (p, purification) pair, or exit 3."""
-    basis = generate_basis(state.dim)
-    p = dps_test(state, basis)
+    p = dps_test(state)
     if p is None:
         raise NotDPSError(f"{what}: input is not a depolarized pure state within tolerance")
-    spec = eig_hermitian(state.matrix)
-    psi = spec.eigenvectors[:, -1 if p >= 0 else 0]
-    return make_dps(psi, p)
+    return make_dps(eig_hermitian(state.matrix).eigenvectors[:, -1 if p >= 0 else 0], p)
 
 
 def _require_dims(dims_flag, dims_file, dim: int) -> tuple[int, int]:
@@ -266,31 +264,15 @@ def _require_dims(dims_flag, dims_file, dim: int) -> tuple[int, int]:
 def cmd_analyze(ns) -> int:
     state, _, digest = load_state(ns.state)
     D = state.dim
-    basis = generate_basis(D)
-    n = to_coherence(state, basis)
-    verdict_p = dps_test(state, basis, tol_star=ns.tol_star, tol_spectrum=ns.tol_spectrum)
-
-    if D >= 3:
-        ladder = invariant_ladder(n, basis, 3)
-        nn = star(n, n, basis)
-        p_fit = n.norm if nn.dot(n) >= 0.0 else -n.norm
-        star_residual = float(np.linalg.norm(nn.n - p_fit * n.n))
-    else:
-        ladder = None
-        p_fit = n.norm
-        star_residual = None
-
-    expected = np.full(D, (1.0 - p_fit) / D)
-    expected[-1] += p_fit
-    spectrum_dev = float(np.max(np.abs(np.linalg.eigvalsh(state.matrix) - np.sort(expected))))
-
+    m = measure_dps(state)
+    verdict_p = m.verdict(ns.tol_star, ns.tol_spectrum)
     results: dict = {
         "dim": D,
-        "coherence_norm": n.norm,
-        "positive": state.is_positive(ns.tol_spectrum),
-        "invariant_ladder": ladder,
-        "star_residual": star_residual,
-        "spectrum_deviation": spectrum_dev,
+        "coherence_norm": m.norm,
+        "positive": bool(m.eigenvalues[0] >= -ns.tol_spectrum),
+        "invariant_ladder": m.ladder(3) if D >= 3 else None,
+        "star_residual": m.star_residual,
+        "spectrum_deviation": m.spectrum_deviation,
         "verdict": "DPS" if verdict_p is not None else "NOT_DPS",
         "p": verdict_p,
     }
@@ -302,8 +284,7 @@ def cmd_analyze(ns) -> int:
         "tolerances": {"tol_star": ns.tol_star, "tol_spectrum": ns.tol_spectrum},
         "results": results,
     }
-    sys.stdout.write(render_json(report))
-    return 0
+    return _report(report)
 
 
 def cmd_distance(ns) -> int:
@@ -334,10 +315,7 @@ def cmd_distance(ns) -> int:
         }
     if ns.method == "both":
         results["delta"] = {
-            "fidelity": abs(results["closed"]["fidelity"] - results["oracle"]["fidelity"]),
-            "trace_distance": abs(
-                results["closed"]["trace_distance"] - results["oracle"]["trace_distance"]
-            ),
+            k: abs(results["closed"][k] - results["oracle"][k]) for k in ("fidelity", "trace_distance")
         }
     report = {
         "command": "distance",
@@ -348,15 +326,13 @@ def cmd_distance(ns) -> int:
         "parameters": {"method": ns.method},
         "results": results,
     }
-    sys.stdout.write(render_json(report))
-    return 0
+    return _report(report)
 
 
 def cmd_schmidt(ns) -> int:
     state, dims_file, digest = load_state(ns.state)
     dA, dB = _require_dims(ns.dims, dims_file, state.dim)
-    basis = generate_basis(state.dim)
-    p, form = schmidt_dps(state, dA, dB, basis, p_tol=ns.p_tol)
+    p, form = schmidt_dps(state, dA, dB, p_tol=ns.p_tol)
     specA_closed = reduced_spectrum_dps(p, form.b, dA)
     specB_closed = reduced_spectrum_dps(p, form.b, dB)
     specA = np.linalg.eigvalsh(partial_trace(state.matrix, dA, dB, keep="A"))
@@ -375,15 +351,13 @@ def cmd_schmidt(ns) -> int:
             "closed_form_deviation_b": float(np.max(np.abs(specB - specB_closed))),
         },
     }
-    sys.stdout.write(render_json(report))
-    return 0
+    return _report(report)
 
 
 def cmd_entanglement(ns) -> int:
     state, dims_file, digest = load_state(ns.state)
     dA, dB = _require_dims(ns.dims, dims_file, state.dim)
-    basis = generate_basis(state.dim)
-    p, form = schmidt_dps(state, dA, dB, basis)
+    p, form = schmidt_dps(state, dA, dB)
     rep = negativity(p, form.b[:dA], dA, dB, neg_tol=ns.neg_tol)
     pair = pair_threshold(form.b[:dA], dA, dB)
     report = {
@@ -404,8 +378,7 @@ def cmd_entanglement(ns) -> int:
             "caveat": rep.caveat,
         },
     }
-    sys.stdout.write(render_json(report))
-    return 0
+    return _report(report)
 
 
 def cmd_werner2q(ns) -> int:
@@ -421,11 +394,7 @@ def cmd_werner2q(ns) -> int:
             "sin_omega_threshold": sin_threshold,
         },
     }
-    if ns.out:
-        _emit(render_json(state_document(state, dims=[2, 2])), ns.out)
-        report["results"]["out"] = ns.out
-    sys.stdout.write(render_json(report))
-    return 0
+    return _report(report, ns.out, state, [2, 2])
 
 
 def cmd_isotropic(ns) -> int:
@@ -444,11 +413,7 @@ def cmd_isotropic(ns) -> int:
             "threshold_p": 1.0 / (ns.da + 1.0),
         },
     }
-    if ns.out:
-        _emit(render_json(state_document(dps.to_matrix(), dims=[ns.da, ns.da])), ns.out)
-        report["results"]["out"] = ns.out
-    sys.stdout.write(render_json(report))
-    return 0
+    return _report(report, ns.out, dps.to_matrix(), [ns.da, ns.da])
 
 
 def cmd_channel_depolarize(ns) -> int:
@@ -468,11 +433,7 @@ def cmd_channel_depolarize(ns) -> int:
             "purity": result.state.purity(),
         },
     }
-    if ns.out:
-        _emit(render_json(state_document(result.state, dims=dims)), ns.out)
-        report["results"]["out"] = ns.out
-    sys.stdout.write(render_json(report))
-    return 0
+    return _report(report, ns.out, result.state, dims)
 
 
 def cmd_channel_protocol1(ns) -> int:
@@ -494,11 +455,7 @@ def cmd_channel_protocol1(ns) -> int:
             "formula_delta": delta,
         },
     }
-    if ns.out:
-        _emit(render_json(state_document(out)), ns.out)
-        report["results"]["out"] = ns.out
-    sys.stdout.write(render_json(report))
-    return 0
+    return _report(report, ns.out, out)
 
 
 def cmd_channel_twirl(ns) -> int:
@@ -527,12 +484,8 @@ def cmd_channel_twirl(ns) -> int:
             "depolarizing_deviation": result.depolarizing_deviation,
         },
     }
-    if ns.out:
-        choi = jamiolkowski_state(result.channel)
-        _emit(render_json(state_document(choi, dims=[ch.dim, ch.dim])), ns.out)
-        report["results"]["out"] = ns.out
-    sys.stdout.write(render_json(report))
-    return 0
+    choi = jamiolkowski_state(result.channel) if ns.out else None
+    return _report(report, ns.out, choi, [ch.dim, ch.dim])
 
 
 def cmd_channel_recipe(ns) -> int:
@@ -549,19 +502,14 @@ def cmd_channel_recipe(ns) -> int:
         "seed": ns.seed,
         "results": {"p_target": twirl_p(D, ns.f), "p_hat": p_hat},
     }
-    if ns.out:
-        _emit(render_json(state_document(out)), ns.out)
-        report["results"]["out"] = ns.out
-    sys.stdout.write(render_json(report))
-    return 0
+    return _report(report, ns.out, out)
 
 
 def cmd_channel_local(ns) -> int:
     state, dims_file, digest = load_state(ns.state)
     dA, dB = _require_dims(ns.dims, dims_file, state.dim)
     out = local_depolarize(state, dA, dB, ns.pa, ns.pb)
-    basis = generate_basis(state.dim)
-    p = dps_test(out, basis)
+    p = dps_test(out)
     report = {
         "command": "channel local",
         "inputs": {"state": _state_input(ns.state, digest)},
@@ -571,11 +519,7 @@ def cmd_channel_local(ns) -> int:
             "p": p,
         },
     }
-    if ns.out:
-        _emit(render_json(state_document(out, dims=[dA, dB])), ns.out)
-        report["results"]["out"] = ns.out
-    sys.stdout.write(render_json(report))
-    return 0
+    return _report(report, ns.out, out, [dA, dB])
 
 
 def cmd_moments(ns) -> int:
@@ -630,12 +574,13 @@ def cmd_moments(ns) -> int:
     }
     if ns.mode == "mc":
         report["seed"] = ns.seed
-    sys.stdout.write(render_json(report))
-    return 0
+    return _report(report)
 
 
 def cmd_fig1(ns) -> int:
     D = ns.dim
+    if D < 2:
+        raise DomainError("--dim must be >= 2")
     if ns.grid < 2:
         raise DomainError("--grid must be >= 2")
     lines = ["p,f,bures,trace_distance,sqrt_one_minus_F"]

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    DomainError,
     NonHermitianError,
     NonSquareError,
     NotPSDError,
@@ -41,7 +42,7 @@ def _require_square(M: np.ndarray) -> int:
 
 def _require_hermitian(M: np.ndarray, tol: float) -> None:
     dev = np.max(np.abs(M - M.conj().T)) if M.size else 0.0
-    if dev > tol:
+    if not dev <= tol:  # NaN fails too
         raise NonHermitianError(f"Hermiticity deviation {dev:.3e} exceeds {tol:.1e}")
 
 
@@ -53,11 +54,12 @@ class DensityMatrix:
     :meth:`is_positive` when positivity matters.
 
     Args:
-        matrix: square complex array, Hermitian within 1e-12, trace 1
-            within 1e-12.
+        matrix: square complex array, finite, Hermitian within 1e-12,
+            trace 1 within 1e-12.
 
     Raises:
         NonSquareError, NonHermitianError, DimensionMismatchError.
+        DomainError: a NaN or infinite entry.
     """
 
     __slots__ = ("_matrix",)
@@ -65,6 +67,8 @@ class DensityMatrix:
     def __init__(self, matrix) -> None:
         M = np.array(matrix, dtype=complex)
         _require_square(M)
+        if not np.all(np.isfinite(M)):
+            raise DomainError("matrix has NaN or infinite entries")
         _require_hermitian(M, HERM_TOL)
         tr = np.trace(M)
         if abs(tr - 1.0) > TRACE_TOL:
@@ -133,8 +137,8 @@ def eig_hermitian(M, tol: float = 1e-10) -> Spectrum:
 def sqrt_psd(M, clip_tol: float = PSD_CLIP_TOL) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
-    Eigenvalues in ``(-clip_tol, 0)`` are clipped to zero; anything below
-    ``-clip_tol`` raises.
+    Eigenvalues in ``(-clip_tol, 0)`` and positive ones at roundoff level
+    (see :func:`psd_roots`) count as zero; anything below ``-clip_tol`` raises.
 
     Raises:
         NotPSDError: if an eigenvalue lies below ``-clip_tol``.
@@ -144,10 +148,14 @@ def sqrt_psd(M, clip_tol: float = PSD_CLIP_TOL) -> np.ndarray:
     vals = spec.eigenvalues
     if np.min(vals) < -clip_tol:
         raise NotPSDError(f"minimum eigenvalue {np.min(vals):.3e} below -{clip_tol:.1e}")
-    root = np.sqrt(np.clip(vals, 0.0, None))
     V = spec.eigenvectors
-    S = (V * root) @ V.conj().T
+    S = (V * psd_roots(vals, float(np.max(np.abs(vals))))) @ V.conj().T
     return (S + S.conj().T) / 2.0
+
+
+def psd_roots(vals: np.ndarray, scale: float) -> np.ndarray:
+    """Roots of the eigenvalues of a matrix of norm <= scale; those <= D eps scale give 0."""
+    return np.sqrt(np.where(vals > vals.size * np.finfo(float).eps * scale, vals, 0.0))
 
 
 def trace_norm(M) -> float:

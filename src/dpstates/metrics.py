@@ -27,7 +27,7 @@ from .errors import (
     NotPSDError,
     PolarizationOutOfRangeError,
 )
-from .linalg import DensityMatrix, sqrt_psd, trace_norm
+from .linalg import DensityMatrix, psd_roots, sqrt_psd, trace_norm
 
 UNIT_TOL = 1e-12
 RANGE_SLACK = 1e-12
@@ -82,7 +82,7 @@ def make_dps(pure, p: float) -> DpsState:
         raise NonUnitVectorError(f"norm {nrm:.15g} differs from 1 beyond {UNIT_TOL:.1e}")
     p = float(p)
     lo = p_min(D)
-    if p < lo - RANGE_SLACK or p > 1.0 + RANGE_SLACK:
+    if not lo - RANGE_SLACK <= p <= 1.0 + RANGE_SLACK:
         raise PolarizationOutOfRangeError(f"p={p:.15g} outside [{lo:.15g}, 1] for D={D}")
     v = v.copy()
     v.setflags(write=False)
@@ -109,6 +109,10 @@ def fidelity_closed(rho: DpsState, sigma: DpsState) -> float:
     squares it.  Oracle-gated in the test suite at 1e-8 over the full
     (D, p, q, f) range.
 
+    On span{psi, phi} the eigenvalues half +- sqrt(disc) multiply to
+    a (1 + (D-1)p)(1 + (D-1)q)/D^2; the smaller is taken as that over the
+    larger, since the difference cancels to ~eps and its root to ~sqrt(eps).
+
     Raises:
         DimensionMismatchError.
     """
@@ -125,10 +129,10 @@ def fidelity_closed(rho: DpsState, sigma: DpsState) -> float:
 
     half = (2.0 * a + (b + 2.0 * c) * f + d + b * (1.0 - f)) / 2.0
     disc = ((b + 2.0 * c) * f + d - b * (1.0 - f)) ** 2 / 4.0 + (b + c) ** 2 * (1.0 - f) * f
-    disc_root = math.sqrt(max(disc, 0.0))
-    sqrt_f = (D - 2.0) * math.sqrt(max(a, 0.0))
-    for sign in (+1.0, -1.0):
-        sqrt_f += math.sqrt(max(half + sign * disc_root, 0.0))
+    upper = max(half + math.sqrt(max(disc, 0.0)), 0.0)
+    det = a * (1.0 + (D - 1.0) * p) * (1.0 + (D - 1.0) * q) / (D * D)
+    lower = det / upper if upper > 0.0 else 0.0
+    sqrt_f = (D - 2.0) * math.sqrt(max(a, 0.0)) + math.sqrt(upper) + math.sqrt(max(lower, 0.0))
     return _clip(sqrt_f * sqrt_f, 0.0, 1.0, "fidelity")
 
 
@@ -146,7 +150,8 @@ def fidelity_oracle(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
     if float(np.min(vals)) < -1e-10:
         raise NotPSDError(f"inner matrix eigenvalue {np.min(vals):.3e} below -1e-10")
-    return _clip(float(np.sum(np.sqrt(np.clip(vals, 0.0, None))) ** 2), 0.0, 1.0, "fidelity")
+    # unit-trace inputs bound ||inner|| by 1, and so its roundoff by ~eps
+    return _clip(float(np.sum(psd_roots(vals, 1.0))) ** 2, 0.0, 1.0, "fidelity")
 
 
 def trace_distance_closed(rho: DpsState, sigma: DpsState) -> float:

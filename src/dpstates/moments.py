@@ -15,6 +15,7 @@ For a DPS the first two nontrivial moments determine the polarization:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from string import ascii_lowercase
 
@@ -25,10 +26,8 @@ from .errors import (
     DomainError,
     InconsistentMomentsError,
     IndeterminateSignCountError,
-    NonHermitianError,
-    NonSquareError,
 )
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, _as_matrix, _require_hermitian, _require_square
 from .metrics import p_min
 
 CONTRACT_GUARD = 4096
@@ -189,41 +188,63 @@ def dps_p_from_moments(t2: float, t3: float, D: int, tol: float = 1e-8) -> tuple
     return fits[0], True
 
 
-def count_positive_charpoly(M) -> int:
-    """Positive-eigenvalue count from characteristic-polynomial signs.
+def _tridiagonalize(A: np.ndarray) -> tuple[list[float], list[float]]:
+    """Diagonal a_k and |b_k|^2 of a Householder tridiagonal form of A.
 
-    Faddeev-LeVerrier builds the coefficients of det(x 1 - M); for a
-    real-rooted polynomial the number of Descartes sign changes (zero
-    coefficients skipped) equals the number of positive roots, with no
-    eigensolve involved.
+    Step k reflects the column x below a_k onto e_1 (so |b_k| = ||x||)
+    and takes the trailing block B to H B H = B - v w^dag - w v^dag.
+    """
+    B, n = A, A.shape[0]
+    diag, off2 = [], []
+    for k in range(n - 1):
+        diag.append(float(B[0, 0].real))
+        x = B[1:, 0]
+        off2.append(float(np.vdot(x, x).real))
+        B = B[1:, 1:]
+        if k < n - 2 and off2[-1] > 0.0:
+            v = x.copy()  # x + e^{i arg x_0} ||x|| e_1: no cancellation in v_0
+            v[0] += (x[0] / abs(x[0]) if x[0] != 0 else 1.0) * math.sqrt(off2[-1])
+            tau = 2.0 / np.vdot(v, v).real
+            q = tau * (B @ v)
+            X = np.outer(v, (q - (0.5 * tau * np.vdot(v, q)) * v).conj())
+            B = B - X - X.conj().T
+    diag.append(float(B[0, 0].real))
+    return diag, off2
+
+
+def _count_above(diag: list[float], off2: list[float], shift: float) -> int:
+    # positive LDL^T pivots of T - shift 1; a vanishing pivot becomes a
+    # tiny negative one, as in Sturm-sequence bisection
+    pivmin = sys.float_info.min * max([1.0, *off2])
+    count, d = 0, 1.0
+    for k, a in enumerate(diag):
+        d = a - shift - (off2[k - 1] / d if k else 0.0)
+        d = d if abs(d) >= pivmin else -pivmin
+        count += d > 0.0
+    return count
+
+
+def count_positive_charpoly(M) -> int:
+    """Positive-eigenvalue count by Sylvester's law of inertia.
+
+    Householder-reduces M to Hermitian tridiagonal form and counts the
+    positive pivots d_k = a_k - |b_(k-1)|^2 / d_(k-1) of its LDL^T
+    factorization; no eigensolve is involved.  (The name is historical:
+    no characteristic polynomial is formed.)
 
     Raises:
         NonHermitianError, NonSquareError.
-        IndeterminateSignCountError: an eigenvalue sits at zero within
-            roundoff (the constant coefficient vanishes), so the count
-            is ill-defined at tolerance 1e-10.
+        IndeterminateSignCountError: an eigenvalue lies within 1e-10
+            ||M||_F of zero, so the count is ill-defined at that tolerance.
     """
-    A = M.matrix if isinstance(M, DensityMatrix) else np.asarray(M, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise NonSquareError(f"expected a square matrix, got shape {A.shape}")
-    if float(np.max(np.abs(A - A.conj().T))) > 1e-10:
-        raise NonHermitianError("charpoly sign counting needs a Hermitian matrix")
-    n = A.shape[0]
-    coeffs = [1.0]
-    work = np.zeros_like(A)
-    eye = np.eye(n, dtype=complex)
-    for k in range(1, n + 1):
-        work = A @ (work + coeffs[-1] * eye) if k > 1 else A.copy()
-        coeffs.append(float(-np.trace(work).real / k))
-    scale = max(abs(c) for c in coeffs[:-1])
-    if abs(coeffs[-1]) <= 1e-10 * scale:
+    A = _as_matrix(M)
+    _require_square(A)
+    _require_hermitian(A, 1e-10)
+    diag, off2 = _tridiagonalize((A + A.conj().T) / 2.0)
+    gap = 1e-10 * float(np.linalg.norm(A))
+    above = _count_above(diag, off2, gap)
+    if gap == 0.0 or _count_above(diag, off2, -gap) != above:
         raise IndeterminateSignCountError(
-            "constant coefficient vanishes within tolerance: an eigenvalue is zero "
-            "at working precision and cannot be counted as positive or not"
+            "an eigenvalue is zero at working precision and cannot be counted as positive or not"
         )
-    signs = [c for c in coeffs if abs(c) > 1e-12 * scale]
-    changes = 0
-    for prev, cur in zip(signs, signs[1:]):
-        if prev * cur < 0:
-            changes += 1
-    return changes
+    return above

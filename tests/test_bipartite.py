@@ -6,6 +6,7 @@ import pytest
 from dpstates import (
     AmbiguousAtPZeroError,
     DensityMatrix,
+    DimensionMismatchError,
     FOutOfRangeError,
     InvalidSchmidtVectorError,
     NonUnitVectorError,
@@ -67,12 +68,11 @@ class TestSchmidtDps:
     @pytest.mark.parametrize("dA,dB", DIM_PAIRS)
     def test_recovers_p_and_coefficients(self, dA, dB):
         rng = rng_for(52, dA, dB)
-        basis = generate_basis(dA * dB)
         psi = bipartite_pure(dA, dB, rng)
         direct = schmidt_pure(psi, dA, dB)
         for p in (0.7, -0.05):
             dps = make_dps(psi, p)
-            got_p, form = schmidt_dps(dps.to_matrix(), dA, dB, basis)
+            got_p, form = schmidt_dps(dps.to_matrix(), dA, dB)
             assert got_p == pytest.approx(p, abs=1e-10)
             assert np.max(np.abs(form.b - direct.b)) < 1e-9
 
@@ -80,6 +80,11 @@ class TestSchmidtDps:
         basis = generate_basis(4)
         with pytest.raises(NotDPSError):
             schmidt_dps(random_non_dps(4, rng_for(53)), 2, 2, basis)
+
+    def test_checks_basis_dimension(self):
+        dps = make_dps(bipartite_pure(2, 2, rng_for(55)), 0.5)
+        with pytest.raises(DimensionMismatchError):
+            schmidt_dps(dps.to_matrix(), 2, 2, generate_basis(3))
 
     def test_ambiguous_at_p_zero(self):
         basis = generate_basis(4)

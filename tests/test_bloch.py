@@ -21,6 +21,7 @@ from dpstates import (
     star,
     to_coherence,
 )
+from dpstates.bloch import measure_dps
 
 from conftest import random_dps, random_mixed, random_non_dps, rng_for
 
@@ -106,6 +107,52 @@ def test_pure_states_are_star_fixed_points(D):
     assert np.max(np.abs(star(n, n, basis).n - n.n)) < 1e-12
 
 
+def _d_tensor(basis):
+    n = basis.size
+    d = np.zeros((n, n, n))
+    for i, j, k, v in basis.d:
+        d[i, j, k] = v
+    return d
+
+
+@pytest.mark.parametrize("D", [3, 4, 5, 6])
+def test_star_matches_structure_tensor_oracle(D):
+    # the operator route against (c_D/(D-2)) sum_ij d_ijk a_i b_j
+    rng = rng_for(27, D)
+    basis = generate_basis(D)
+    d = _d_tensor(basis)
+    scale = c_norm(D) / (D - 2)
+    for _ in range(5):
+        a = CoherenceVector(dim=D, n=rng.standard_normal(D * D - 1))
+        b = CoherenceVector(dim=D, n=rng.standard_normal(D * D - 1))
+        oracle = scale * np.einsum("ijk,i,j->k", d, a.n, b.n)
+        assert np.max(np.abs(star(a, b, basis).n - oracle)) < 1e-12
+        ladder, v = [], a.n
+        for _ in range(4):
+            ladder.append(float(v @ a.n))
+            v = scale * np.einsum("ijk,i,j->k", d, a.n, v)
+        assert np.allclose(invariant_ladder(a, basis, 3), ladder, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("D", [2, 3, 4, 5])
+def test_measurement_matches_component_route(D):
+    rng = rng_for(28, D)
+    basis = generate_basis(D)
+    for state in (random_dps(D, rng).to_matrix(), random_non_dps(D, rng), random_mixed(D, rng)):
+        m = measure_dps(state)
+        n = to_coherence(state, basis)
+        assert m.norm == pytest.approx(n.norm, abs=1e-13)
+        assert np.max(np.abs(m.eigenvalues - np.linalg.eigvalsh(state.matrix))) == 0.0
+        if D == 2:
+            assert m.p == m.norm and m.star_residual is None
+            continue
+        nn = star(n, n, basis)
+        p = n.norm if nn.dot(n) >= 0.0 else -n.norm
+        assert m.p == pytest.approx(p, abs=1e-13)
+        assert m.star_residual == pytest.approx(float(np.linalg.norm(nn.n - p * n.n)), abs=1e-13)
+        assert np.allclose(m.ladder(3), invariant_ladder(n, basis, 3), rtol=1e-12, atol=1e-13)
+
+
 def test_star_rejects_dim2():
     basis = generate_basis(2)
     n = CoherenceVector(dim=2, n=np.array([0.0, 0.0, 1.0]))
@@ -113,6 +160,8 @@ def test_star_rejects_dim2():
         star(n, n, basis)
     with pytest.raises(UndefinedForDim2Error):
         invariant_ladder(n, basis, 2)
+    with pytest.raises(UndefinedForDim2Error):
+        measure_dps(DensityMatrix(np.eye(2) / 2.0)).ladder(2)
 
 
 def test_c_norm_values():
@@ -138,46 +187,64 @@ def test_dps_star_and_ladder_invariants(D, t, seed):
         assert value == pytest.approx(p ** (r + 2), abs=1e-10)
 
 
+def _bases(D):
+    # the basis is optional: every case runs with it and without it
+    return (generate_basis(D), None)
+
+
 class TestDpsTest:
     @pytest.mark.parametrize("D", [3, 4, 5])
     def test_recovers_signed_p(self, D):
-        rng = rng_for(23, D)
-        basis = generate_basis(D)
-        for p in (p_min(D) + 1e-6, -0.1, 0.0, 0.3, 1.0):
-            dps = random_dps(D, rng, p=p)
-            got = dps_test(dps.to_matrix(), basis)
-            assert got is not None
-            assert got == pytest.approx(p, abs=1e-10)
+        for basis in _bases(D):
+            rng = rng_for(23, D)
+            for p in (p_min(D) + 1e-6, -0.1, 0.0, 0.3, 1.0):
+                dps = random_dps(D, rng, p=p)
+                got = dps_test(dps.to_matrix(), basis)
+                assert got is not None
+                assert got == pytest.approx(p, abs=1e-10)
 
     def test_dim2_returns_magnitude(self):
-        rng = rng_for(24)
-        basis = generate_basis(2)
-        dps = random_dps(2, rng, p=-0.6)
-        got = dps_test(dps.to_matrix(), basis)
-        assert got == pytest.approx(0.6, abs=1e-12)
+        for basis in _bases(2):
+            dps = random_dps(2, rng_for(24), p=-0.6)
+            got = dps_test(dps.to_matrix(), basis)
+            assert got == pytest.approx(0.6, abs=1e-12)
 
     @pytest.mark.parametrize("D", [3, 4, 5])
     def test_rejects_generic_mixtures(self, D):
-        rng = rng_for(25, D)
-        basis = generate_basis(D)
-        for _ in range(10):
-            assert dps_test(random_non_dps(D, rng), basis) is None
-            assert dps_test(random_mixed(D, rng), basis) is None
+        for basis in _bases(D):
+            rng = rng_for(25, D)
+            for _ in range(10):
+                assert dps_test(random_non_dps(D, rng), basis) is None
+                assert dps_test(random_mixed(D, rng), basis) is None
 
     def test_rejects_non_positive(self):
-        basis = generate_basis(3)
         M = np.diag([0.6, 0.6, -0.2])
-        assert dps_test(DensityMatrix(M), basis) is None
+        for basis in _bases(3):
+            assert dps_test(DensityMatrix(M), basis) is None
 
     def test_equal_orthogonal_mixture_d3_is_a_dps(self):
         # not a rejection case: (|0><0| + |1><1|)/2 at D=3 sits in the
         # family at p = -1/2, with |2> as the purification
-        basis = generate_basis(3)
-        got = dps_test(DensityMatrix(np.diag([0.5, 0.5, 0.0])), basis)
-        assert got == pytest.approx(-0.5, abs=1e-12)
+        for basis in _bases(3):
+            got = dps_test(DensityMatrix(np.diag([0.5, 0.5, 0.0])), basis)
+            assert got == pytest.approx(-0.5, abs=1e-12)
 
     def test_shared_tolerance_argument(self):
-        rng = rng_for(26)
-        basis = generate_basis(3)
-        dps = random_dps(3, rng, p=0.4)
-        assert dps_test(dps.to_matrix(), basis, tol=1e-6) == pytest.approx(0.4, abs=1e-10)
+        dps = random_dps(3, rng_for(26), p=0.4)
+        for basis in _bases(3):
+            assert dps_test(dps.to_matrix(), basis, tol=1e-6) == pytest.approx(0.4, abs=1e-10)
+
+
+def test_dps_test_checks_basis_dimension():
+    dps = random_dps(4, rng_for(29), p=0.5)
+    with pytest.raises(DimensionMismatchError):
+        dps_test(dps.to_matrix(), generate_basis(3))
+
+
+def test_dps_test_at_dim16_without_basis():
+    rng = rng_for(30)
+    for p in (p_min(16) + 1e-6, -0.02, 0.35, 1.0):
+        got = dps_test(random_dps(16, rng, p=p).to_matrix())
+        assert got == pytest.approx(p, abs=1e-10)
+    for _ in range(5):
+        assert dps_test(random_non_dps(16, rng)) is None

@@ -296,3 +296,63 @@ class TestDeterminism:
         run(capsys, "gen", "dps", "--dim", "4", "--p", "0.2", "--seed", "56", "--out", str(a))
         run(capsys, "gen", "dps", "--dim", "4", "--p", "0.2", "--seed", "56", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+BOUNDARY_COMMANDS = [
+    ["analyze", "{nan}"],
+    ["distance", "{nan}", "{mm}"],
+    ["moments", "{nan}"],
+    ["moments", "{nan}", "--mode", "perm"],
+    ["werner2q", "--p", "nan", "--omega", "0.5"],
+    ["isotropic", "--da", "2", "--F", "nan"],
+    ["channel", "depolarize", "{mm}", "--p", "nan"],
+    ["fig1", "--dim", "1", "--grid", "10"],
+]
+
+
+@pytest.mark.parametrize("argv", BOUNDARY_COMMANDS, ids=lambda a: " ".join(a))
+def test_non_finite_and_out_of_range_input_is_refused(argv, capsys, tmp_path):
+    nan = np.eye(4) / 4.0
+    nan[0, 1] = nan[1, 0] = np.nan
+    paths = {
+        "nan": write_state(tmp_path / "nan.json", nan),
+        "mm": write_state(tmp_path / "mm.json", np.eye(4) / 4.0),
+    }
+    code = main([a.format(**paths) for a in argv])
+    captured = capsys.readouterr()
+    assert code in (2, 3)
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_identifying_commands_build_no_basis(capsys, tmp_path):
+    from dpstates.bloch import generate_basis
+
+    state = str(tmp_path / "s.json")
+    other = str(tmp_path / "o.json")
+    run_json(capsys, "gen", "dps", "--dim", "6", "--p", "0.4", "--seed", "61", "--out", state)
+    run_json(capsys, "gen", "dps", "--dim", "6", "--p", "-0.1", "--seed", "62", "--out", other)
+    generate_basis.cache_clear()
+    for argv in (
+        ["analyze", state],
+        ["distance", state, other, "--method", "both"],
+        ["schmidt", state, "--dims", "2", "3"],
+        ["entanglement", state, "--dims", "2", "3"],
+        ["channel", "local", state, "--dims", "2", "3", "--pa", "0.8", "--pb", "0.6"],
+    ):
+        run_json(capsys, *argv)
+    assert generate_basis.cache_info().misses == 0
+
+
+def test_cli_import_loads_no_scipy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, dpstates.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
