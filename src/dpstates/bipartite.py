@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import SuBasis, dps_test
+from .bloch import SuBasis, _check_dims, measure_dps
+from .channels import maximally_entangled
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -29,7 +30,7 @@ from .errors import (
     PolarizationOutOfRangeError,
     SubsystemOrderError,
 )
-from .linalg import DensityMatrix, eig_hermitian
+from .linalg import DensityMatrix
 from .metrics import DpsState, make_dps, p_min
 
 NEG_TOL = 1e-9
@@ -112,8 +113,9 @@ def schmidt_dps(
     """Recover (p, Schmidt form) of a DPS from its density matrix.
 
     ``basis`` is optional, as in :func:`dps_test`.  For p != 0 the
-    purification is the eigenvector of the single non-degenerate eigenvalue: the maximum for p > 0, the minimum for
-    p < 0.
+    purification is the eigenvector of the single non-degenerate
+    eigenvalue (:attr:`DpsMeasurement.purification`), read from the
+    eigendecomposition the membership test already made.
 
     Raises:
         NotDPSError: input fails the DPS membership test.
@@ -124,16 +126,16 @@ def schmidt_dps(
     _check_bipartite_dims(dA, dB)
     if rho_d.dim != dA * dB:
         raise DimensionMismatchError(f"state dim {rho_d.dim} != dA*dB = {dA * dB}")
-    p = dps_test(rho_d, basis)
+    if basis is not None:
+        _check_dims(rho_d.dim, basis)
+    m = measure_dps(rho_d)
+    p = m.verdict()
     if p is None:
         raise NotDPSError("input is not a depolarized pure state within tolerance")
     if abs(p) < p_tol:
         raise AmbiguousAtPZeroError(f"|p| = {abs(p):.3e} < {p_tol:.1e}: purification not unique")
-    spec = eig_hermitian(rho_d.matrix)
-    column = -1 if p > 0 else 0
-    psi = spec.eigenvectors[:, column]
-    psi = psi / np.linalg.norm(psi)
-    return p, schmidt_pure(psi, dA, dB)
+    psi = m.purification
+    return p, schmidt_pure(psi / np.linalg.norm(psi), dA, dB)
 
 
 def _check_schmidt_vector(b, n_slots: int, n_nonzero: int | None = None) -> np.ndarray:
@@ -391,8 +393,6 @@ def isotropic(dA: int, F: float) -> tuple[DpsState, bool]:
     if not -1e-12 <= F <= 1.0 + 1e-12:
         raise FOutOfRangeError(f"F={F:.15g} outside [0, 1]")
     F = min(max(F, 0.0), 1.0)
-    phi = np.zeros(dA * dA, dtype=complex)
-    for j in range(dA):
-        phi[j * dA + j] = 1.0 / math.sqrt(dA)
+    phi = maximally_entangled(dA)
     p = (dA * dA * F - 1.0) / (dA * dA - 1.0)
     return make_dps(phi, p), F <= 1.0 / dA + 1e-12

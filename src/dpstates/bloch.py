@@ -22,7 +22,7 @@ from .errors import (
     InvalidDimensionError,
     UndefinedForDim2Error,
 )
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, eig_hermitian
 
 SPARSE_CUTOFF = 1e-12
 STAR_TOL = 1e-8
@@ -231,15 +231,22 @@ class DpsMeasurement:
     ||n|| signed like (n*n).n and ``star_residual`` ||n*n - p n||; at D = 2
     (no star product, and +-n both pure) p = ||n||, residual None.
     ``spectrum_deviation`` is the largest distance of the ascending
-    ``eigenvalues`` of rho from {(1-p)/D + p, (1-p)/D x(D-1)}.
+    ``eigenvalues`` of rho from {(1-p)/D + p, (1-p)/D x(D-1)};
+    ``eigenvectors`` holds the matching columns.
     """
 
     operator: np.ndarray
     eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
     norm: float
     p: float
     star_residual: float | None
     spectrum_deviation: float
+
+    @property
+    def purification(self) -> np.ndarray:
+        """The eigenvector of the non-degenerate eigenvalue: the top one for p >= 0, else the bottom."""
+        return self.eigenvectors[:, -1 if self.p >= 0 else 0]
 
     def ladder(self, r_max: int) -> list[float]:
         """:func:`invariant_ladder` of this state, without a basis."""
@@ -254,7 +261,7 @@ class DpsMeasurement:
 
 
 def measure_dps(rho: DensityMatrix) -> DpsMeasurement:
-    """:class:`DpsMeasurement` of ``rho``: a few D x D products, one eigensolve.
+    """:class:`DpsMeasurement` of ``rho``: a few D x D products, one eigendecomposition.
 
     Raises:
         InvalidDimensionError: D < 2.
@@ -270,11 +277,12 @@ def measure_dps(rho: DensityMatrix) -> DpsMeasurement:
         S = _star_operator(A, A)
         p = norm if np.vdot(S, A).real >= 0.0 else -norm  # (n*n).n = Tr(S A)/2
         residual = float(np.linalg.norm(S - p * A)) / math.sqrt(2.0)
-    vals = np.linalg.eigvalsh(rho.matrix)
+    spec = eig_hermitian(rho.matrix)
+    vals = spec.eigenvalues
     expected = np.full(D, (1.0 - p) / D)
     expected[-1] += p
     deviation = float(np.max(np.abs(vals - np.sort(expected))))
-    return DpsMeasurement(A, vals, norm, p, residual, deviation)
+    return DpsMeasurement(A, vals, spec.eigenvectors, norm, p, residual, deviation)
 
 
 def dps_test(

@@ -4,9 +4,10 @@ Two constructions take an unknown pure state to a depolarized pure
 state: an ancilla-assisted unitary whose residual system state is
 (1-|beta|^2) rho + |beta|^2 1/D, and twirling, which averages unitary
 conjugations of an arbitrary channel into a depolarizing one with
-p = (D^2 f - 1)/(D^2 - 1) where f is the Jamiolkowski fidelity.  Both
-are simulated explicitly and checked against their closed forms rather
-than assumed.
+p = (D^2 f - 1)/(D^2 - 1) where f is the Jamiolkowski fidelity.  The
+protocol output comes from the unitary's closed action on legal inputs,
+which the tests check against the dense D^3 x D^3 unitary; twirls are
+simulated explicitly and checked against their closed form.
 
 All Monte-Carlo entry points take explicit integer seeds; there is no
 hidden global randomness.
@@ -213,52 +214,15 @@ def depolarizing_kraus(D: int, p: float) -> KrausChannel:
 # ancilla protocol
 
 
-@lru_cache(maxsize=None)
-def _protocol_unitary(D: int) -> np.ndarray:
-    """The fixed D^3-dimensional unitary of the ancilla protocol.
-
-    Acts on system (x) ancilla-1 (x) ancilla-2.  For every system basis
-    state |m> it leaves |m>|Phi+> alone and sends |m>|0>|uniform> to
-    (1/sqrt(D)) sum_l |l>|m>|l>, whose system marginal is maximally
-    mixed.  Both source and target pairs share the Gram matrix
-    [[1, 1/D], [1/D, 1]], so the map extends to a unitary; the
-    orthogonal complement is completed by a null-space basis (its action
-    never touches legal inputs psi (x) chi).  The complement has the known
-    dimension D^3 - 2D: the trailing right singular vectors, no rank cutoff.
-    """
-    n = D**3
-    src = np.zeros((n, 2 * D), dtype=complex)
-    tgt = np.zeros((n, 2 * D), dtype=complex)
-    phi = maximally_entangled(D)
-    off = 1.0 / math.sqrt(1.0 - 1.0 / (D * D))
-    for m in range(D):
-        s1 = np.zeros(n, dtype=complex)
-        s1[m * D * D : (m + 1) * D * D] = phi
-        s2 = np.zeros(n, dtype=complex)
-        s2[m * D * D : m * D * D + D] = 1.0 / math.sqrt(D)
-        t2 = np.zeros(n, dtype=complex)
-        for l in range(D):
-            t2[(l * D + m) * D + l] = 1.0 / math.sqrt(D)
-        src[:, 2 * m] = s1
-        src[:, 2 * m + 1] = off * (s2 - s1 / D)
-        tgt[:, 2 * m] = s1
-        tgt[:, 2 * m + 1] = off * (t2 - s1 / D)
-    ns = np.linalg.svd(src.conj().T)[2][2 * D :].conj().T
-    nt = np.linalg.svd(tgt.conj().T)[2][2 * D :].conj().T
-    U = tgt @ src.conj().T + nt @ ns.conj().T
-    if np.max(np.abs(U.conj().T @ U - np.eye(n))) > 1e-10:
-        raise InternalCheckError("protocol unitary failed its unitarity check")
-    U.setflags(write=False)
-    return U
-
-
 def protocol1(psi, chi: ChiState) -> DensityMatrix:
     """Depolarize an unknown pure state with one fixed unitary + ancillas.
 
-    Applies the cached protocol unitary to psi (x) chi and traces out
-    both ancillas.  The output equals (1-|beta|^2)|psi><psi| +
-    |beta|^2 1/D; that identity is verified in tests against this very
-    simulation, not assumed.
+    The protocol unitary U on system (x) ancilla-1 (x) ancilla-2 leaves
+    every |m>|Phi+> alone and sends |m>|0>|uniform> to
+    (1/sqrt(D)) sum_l |l>|m>|l>.  The system marginal of U(psi (x) chi)
+    is computed from that closed action in O(D^4) time and O(D^3)
+    memory; the tests check it against the dense D^3 x D^3 unitary.
+    The output equals (1-|beta|^2)|psi><psi| + |beta|^2 1/D.
 
     Raises:
         DimensionMismatchError: len(psi) != chi.dim.
@@ -270,11 +234,13 @@ def protocol1(psi, chi: ChiState) -> DensityMatrix:
         raise DimensionMismatchError(f"state length {v.shape[0]} != chi dimension {D}")
     if abs(float(np.linalg.norm(v)) - 1.0) > 1e-12:
         raise NonUnitVectorError("psi must be a unit vector")
-    full = np.kron(v, chi.vector())
-    out = _protocol_unitary(D) @ full
-    joint = np.outer(out, out.conj())
-    reduced = partial_trace(joint, D, D * D, keep="A")
-    return DensityMatrix(reduced)
+    # every legal input psi (x) chi lies in the span of the |m>|Phi+> and
+    # |m>|0>|uniform> on which U is fixed, so U(psi (x) chi) is
+    # O[s, a1, a2] = (alpha psi_s delta_{a1 a2} + beta psi_{a1} delta_{s a2}) / sqrt(D)
+    eye = np.eye(D)
+    out = (chi.alpha * v[:, None, None] * eye + chi.beta * eye[:, None, :] * v[:, None]) / math.sqrt(D)
+    out = out.reshape(D, D * D)
+    return DensityMatrix(out @ out.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +341,8 @@ def clifford_group(D: int) -> tuple:
 
 
 def haar_unitary(D: int, rng: np.random.Generator) -> np.ndarray:
-    """One Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    Z = (rng.standard_normal((D, D)) + 1.0j * rng.standard_normal((D, D))) / math.sqrt(2.0)
-    Q, R = np.linalg.qr(Z)
-    d = np.diagonal(R)
-    return Q * (d / np.abs(d))
+    """One Haar-distributed unitary; draws as ``haar_unitaries(D, 1, rng)``."""
+    return haar_unitaries(D, 1, rng)[0]
 
 
 def haar_unitaries(D: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -437,17 +400,13 @@ def _twirl_result(acc: np.ndarray, D: int, p_hat: float, dev: float) -> TwirlRes
 
 
 def _depolarizing_deviation(S: np.ndarray, D: int, p_hat: float) -> float:
-    """Max deviation of the superoperator from the depolarizing map on a basis."""
-    dev = 0.0
-    eye = np.eye(D, dtype=complex)
-    for i in range(D):
-        for j in range(D):
-            E = np.zeros((D, D), dtype=complex)
-            E[i, j] = 1.0
-            got = (S @ E.reshape(-1)).reshape(D, D)
-            want = (1.0 - p_hat) * (eye[i, j] / D) * eye + p_hat * E
-            dev = max(dev, float(np.max(np.abs(got - want))))
-    return dev
+    """Max entry deviation of S from the depolarizing superoperator at p_hat.
+
+    That superoperator is (1-p)/D |vec 1><vec 1| + p 1 on row-major vec(rho).
+    """
+    vec1 = np.eye(D).reshape(-1)
+    want = ((1.0 - p_hat) / D) * np.outer(vec1, vec1) + p_hat * np.eye(D * D)
+    return float(np.max(np.abs(S - want)))
 
 
 def twirl(
@@ -540,8 +499,8 @@ def pdps_recipe(psi, f: float, seed: int, trials: int) -> DensityMatrix:
     X = WeylBasis(D).X
     rng = np.random.default_rng(seed)
     Us = haar_unitaries(D, trials, rng)
-    W = np.einsum("tji,jk,tkl->til", Us.conj(), X, Us)
-    flipped = np.einsum("tij,jk,tlk->til", W, rho, W.conj())
+    W = Us.conj().transpose(0, 2, 1) @ X @ Us
+    flipped = W @ rho @ W.conj().transpose(0, 2, 1)
     avg = f * rho + (1.0 - f) * flipped.mean(axis=0)
     return DensityMatrix(avg)
 

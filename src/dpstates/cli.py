@@ -241,10 +241,11 @@ def _pure_vector(state: DensityMatrix, what: str) -> np.ndarray:
 
 def _as_dps(state: DensityMatrix, what: str) -> DpsState:
     """Identify a DPS and rebuild its (p, purification) pair, or exit 3."""
-    p = dps_test(state)
+    m = measure_dps(state)
+    p = m.verdict()
     if p is None:
         raise NotDPSError(f"{what}: input is not a depolarized pure state within tolerance")
-    return make_dps(eig_hermitian(state.matrix).eigenvectors[:, -1 if p >= 0 else 0], p)
+    return make_dps(m.purification, p)
 
 
 def _require_dims(dims_flag, dims_file, dim: int) -> tuple[int, int]:
@@ -763,6 +764,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
+        for name, value in vars(ns).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DomainError(f"--{name.replace('_', '-')} must be finite, got {value}")
         return ns.func(ns)
     except CliInputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

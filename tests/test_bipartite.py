@@ -76,6 +76,24 @@ class TestSchmidtDps:
             assert got_p == pytest.approx(p, abs=1e-10)
             assert np.max(np.abs(form.b - direct.b)) < 1e-9
 
+    @pytest.mark.parametrize("p", [0.6, -0.1])
+    def test_diagonalizes_once(self, p, monkeypatch):
+        calls = []
+
+        def counted(solver):
+            def call(*args, **kwargs):
+                calls.append(solver.__name__)
+                return solver(*args, **kwargs)
+
+            return call
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+        dps = make_dps(bipartite_pure(2, 3, rng_for(56)), p)
+        got_p, _ = schmidt_dps(dps.to_matrix(), 2, 3)
+        assert got_p == pytest.approx(p, abs=1e-10)
+        assert len(calls) == 1
+
     def test_rejects_non_dps(self):
         basis = generate_basis(4)
         with pytest.raises(NotDPSError):

@@ -142,7 +142,9 @@ def test_measurement_matches_component_route(D):
         m = measure_dps(state)
         n = to_coherence(state, basis)
         assert m.norm == pytest.approx(n.norm, abs=1e-13)
-        assert np.max(np.abs(m.eigenvalues - np.linalg.eigvalsh(state.matrix))) == 0.0
+        vals, vecs = np.linalg.eigh(state.matrix)
+        assert np.max(np.abs(m.eigenvalues - vals)) == 0.0
+        assert np.max(np.abs(m.eigenvectors - vecs)) == 0.0
         if D == 2:
             assert m.p == m.norm and m.star_residual is None
             continue

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from dpstates import (
     ChiState,
     DensityMatrix,
+    DimensionMismatchError,
     DomainError,
     FOutOfRangeError,
     KrausChannel,
@@ -27,6 +30,7 @@ from dpstates import (
     maximally_entangled,
     p_min,
     p_min_cp,
+    partial_trace,
     pdps_recipe,
     protocol1,
     random_channel,
@@ -139,7 +143,83 @@ class TestDepolarizingKraus:
             depolarizing_kraus(3, p_min_cp(3) - 1e-6)
 
 
+def protocol_sources_and_targets(D: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns |m>|Phi+>, |m>|0>|uniform> and the images the protocol assigns them.
+
+    The pair for system state m sits in columns 2m and 2m + 1, on
+    system (x) ancilla-1 (x) ancilla-2 with row-major composite indices.
+    """
+    n = D**3
+    src = np.zeros((n, 2 * D), dtype=complex)
+    tgt = np.zeros((n, 2 * D), dtype=complex)
+    phi = maximally_entangled(D)
+    for m in range(D):
+        src[m * D * D : (m + 1) * D * D, 2 * m] = phi
+        src[m * D * D : m * D * D + D, 2 * m + 1] = 1.0 / math.sqrt(D)
+        tgt[:, 2 * m] = src[:, 2 * m]
+        for l in range(D):
+            tgt[(l * D + m) * D + l, 2 * m + 1] = 1.0 / math.sqrt(D)
+    return src, tgt
+
+
+@lru_cache(maxsize=None)
+def dense_protocol_unitary(D: int) -> np.ndarray:
+    """The protocol's D^3 x D^3 unitary, built densely as an oracle for small D.
+
+    Source and target pairs share the Gram matrix [[1, 1/D], [1/D, 1]],
+    so after orthonormalizing each pair the same way the map extends to
+    a unitary; the orthogonal complements, of known dimension D^3 - 2D,
+    are matched by their trailing right singular vectors.
+    """
+    src, tgt = protocol_sources_and_targets(D)
+    off = 1.0 / math.sqrt(1.0 - 1.0 / (D * D))
+    src[:, 1::2] = off * (src[:, 1::2] - src[:, 0::2] / D)
+    tgt[:, 1::2] = off * (tgt[:, 1::2] - tgt[:, 0::2] / D)
+    ns = np.linalg.svd(src.conj().T)[2][2 * D :].conj().T
+    nt = np.linalg.svd(tgt.conj().T)[2][2 * D :].conj().T
+    U = tgt @ src.conj().T + nt @ ns.conj().T
+    assert np.max(np.abs(U.conj().T @ U - np.eye(D**3))) < 1e-10
+    return U
+
+
 class TestProtocol1:
+    @pytest.mark.parametrize("D", [2, 3, 4, 5])
+    def test_dense_unitary_oracle(self, D):
+        U = dense_protocol_unitary(D)
+        assert np.max(np.abs(U @ U.conj().T - np.eye(D**3))) < 1e-10
+        src, tgt = protocol_sources_and_targets(D)
+        assert np.max(np.abs(U @ src - tgt)) < 1e-10
+        rng = rng_for(92, D)
+        for beta2 in (0.0, 0.3, 1.0, D * D / (D * D - 1.0)):
+            psi = haar_state(D, rng)
+            chi = chi_from_beta2(D, beta2)
+            out = U @ np.kron(psi, chi.vector())
+            oracle = partial_trace(np.outer(out, out.conj()), D, D * D, keep="A")
+            assert np.max(np.abs(protocol1(psi, chi).matrix - oracle)) < 1e-12
+
+    def test_complex_amplitudes_match_oracle(self):
+        D = 3
+        rng = rng_for(93)
+        chi0 = chi_from_beta2(D, 0.4)
+        phase = np.exp(0.7j)
+        chi = ChiState(dim=D, alpha=chi0.alpha * phase, beta=chi0.beta * phase)
+        psi = haar_state(D, rng)
+        out = dense_protocol_unitary(D) @ np.kron(psi, chi.vector())
+        oracle = partial_trace(np.outer(out, out.conj()), D, D * D, keep="A")
+        assert np.max(np.abs(protocol1(psi, chi).matrix - oracle)) < 1e-12
+
+    def test_memory_stays_cubic(self):
+        D = 12
+        psi = haar_state(D, rng_for(94))
+        chi = chi_from_beta2(D, 0.5)
+        tracemalloc.start()
+        try:
+            protocol1(psi, chi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     @pytest.mark.parametrize("D", [2, 3, 4])
     def test_residual_formula(self, D):
         rng = rng_for(67, D)
@@ -162,6 +242,8 @@ class TestProtocol1:
         chi = chi_from_beta2(2, 0.1)
         with pytest.raises(NonUnitVectorError):
             protocol1(np.array([1.0, 1.0]), chi)
+        with pytest.raises(DimensionMismatchError):
+            protocol1(np.array([1.0, 0.0, 0.0]), chi)
 
 
 def test_jamiolkowski_state_of_identity():

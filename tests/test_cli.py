@@ -307,6 +307,10 @@ BOUNDARY_COMMANDS = [
     ["isotropic", "--da", "2", "--F", "nan"],
     ["channel", "depolarize", "{mm}", "--p", "nan"],
     ["fig1", "--dim", "1", "--grid", "10"],
+    ["analyze", "{dps}", "--tol-star", "nan"],
+    ["schmidt", "{dps}", "--p-tol", "nan"],
+    ["entanglement", "{dps}", "--neg-tol", "nan"],
+    ["moments", "{dps}", "--assume-dps", "--recovery-tol", "nan"],
 ]
 
 
@@ -317,6 +321,7 @@ def test_non_finite_and_out_of_range_input_is_refused(argv, capsys, tmp_path):
     paths = {
         "nan": write_state(tmp_path / "nan.json", nan),
         "mm": write_state(tmp_path / "mm.json", np.eye(4) / 4.0),
+        "dps": write_state(tmp_path / "dps.json", np.diag([0.625, 0.125, 0.125, 0.125]), dims=(2, 2)),
     }
     code = main([a.format(**paths) for a in argv])
     captured = capsys.readouterr()
