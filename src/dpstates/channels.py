@@ -7,7 +7,9 @@ conjugations of an arbitrary channel into a depolarizing one with
 p = (D^2 f - 1)/(D^2 - 1) where f is the Jamiolkowski fidelity.  The
 protocol output comes from the unitary's closed action on legal inputs,
 which the tests check against the dense D^3 x D^3 unitary; twirls are
-simulated explicitly and checked against their closed form.
+simulated explicitly, as Gram products over the conjugated Kraus
+operators (checked in the tests against the dense Kronecker-product
+average), and checked against their closed form.
 
 All Monte-Carlo entry points take explicit integer seeds; there is no
 hidden global randomness.
@@ -37,6 +39,7 @@ from .metrics import p_min, p_min_cp
 
 TP_TOL = 1e-10
 TWIRL_CHECK_TOL = 1e-10
+GRAM_ROWS = 1024  # conjugated Kraus operators per block of a twirl average
 
 
 @dataclass(frozen=True)
@@ -73,10 +76,20 @@ class KrausChannel:
 
     def superoperator(self) -> np.ndarray:
         """D^2 x D^2 matrix acting on row-major vec(rho)."""
-        S = np.zeros((self.dim**2, self.dim**2), dtype=complex)
-        for K in self.kraus:
-            S += np.kron(K, K.conj())
-        return S
+        return _superop_sum(np.stack(self.kraus))
+
+
+def _superop_sum(ops: np.ndarray) -> np.ndarray:
+    """sum_n kron(A_n, A_n^*) over a (..., D, D) stack, as one Gram product.
+
+    With M the stack flattened to rows vec(A_n), M^T M^* holds
+    A_n[i, k] A_n[j, l]^* summed over n at ((i, k), (j, l)); reordering
+    the axes to ((i, j), (k, l)) gives the kron sum.
+    """
+    D = ops.shape[-1]
+    M = ops.reshape(-1, D * D)
+    G = M.T @ M.conj()
+    return G.reshape(D, D, D, D).transpose(0, 2, 1, 3).reshape(D * D, D * D)
 
 
 class WeylBasis:
@@ -386,11 +399,19 @@ def _kraus_from_choi(C: np.ndarray, D: int) -> tuple:
     return tuple(ops)
 
 
-def _conjugation_average(S: np.ndarray, unitaries) -> np.ndarray:
-    """Mean of the superoperators U^dag . S . U over the given unitaries."""
-    acc = np.zeros_like(S)
-    for U in unitaries:
-        acc += np.kron(U.conj().T, U.T) @ S @ np.kron(U, U.conj())
+def _conjugation_average(kraus: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
+    """Mean over U of the superoperator of the channel {U^dag K U}.
+
+    Accumulated as Gram products over blocks of unitaries, so the
+    conjugated Kraus stack held at once stays at about GRAM_ROWS
+    operators whatever the number of unitaries.
+    """
+    D = kraus.shape[-1]
+    step = max(1, GRAM_ROWS // len(kraus))
+    acc = np.zeros((D * D, D * D), dtype=complex)
+    for start in range(0, len(unitaries), step):
+        U = unitaries[start : start + step, None]
+        acc += _superop_sum(U.conj().swapaxes(-1, -2) @ kraus @ U)
     return acc / len(unitaries)
 
 
@@ -427,6 +448,13 @@ def twirl(
     conjugation-invariant, so it carries no Monte-Carlo information);
     standard error scales as 1/sqrt(samples).
 
+    Both modes average superoperators without forming one per unitary:
+    with A = U^dag K U over every (U, K) and M the stack of rows vec(A),
+    the mean is M^T M^* reordered to act on vec(rho), divided by the
+    number of unitaries and accumulated over blocks of unitaries.  The
+    tests check it against the dense average of
+    kron(U^dag, U^T) S kron(U, U^*).
+
     ``exclude_identity`` averages over the group minus the identity, for
     measuring how far that deficient average is from depolarizing; the
     deviation is reported, never assumed zero.
@@ -437,14 +465,14 @@ def twirl(
     """
     D = ch.dim
     f = jamiolkowski_fidelity(ch)
-    S = ch.superoperator()
+    kraus = np.stack(ch.kraus)
 
     if mode == "exact-clifford":
         if D not in (2, 3):
             raise UnsupportedDimensionError(f"exact-clifford twirl needs D in {{2, 3}}, got {D}")
         group = clifford_group(D)
         # the closure seeds from the identity, so group[0] is always 1
-        acc = _conjugation_average(S, group[1:] if exclude_identity else group)
+        acc = _conjugation_average(kraus, np.stack(group[1:] if exclude_identity else group))
         p_hat = twirl_p(D, f)
         dev = _depolarizing_deviation(acc, D, p_hat)
         if not exclude_identity and dev > TWIRL_CHECK_TOL:
@@ -460,7 +488,7 @@ def twirl(
             raise DomainError("haar-sample twirl needs samples >= 1")
         if seed is None:
             raise DomainError("haar-sample twirl needs an explicit seed")
-        acc = _conjugation_average(S, haar_unitaries(D, samples, np.random.default_rng(seed)))
+        acc = _conjugation_average(kraus, haar_unitaries(D, samples, np.random.default_rng(seed)))
         e00 = np.zeros((D, D), dtype=complex)
         e00[0, 0] = 1.0
         out00 = (acc @ e00.reshape(-1)).reshape(D, D)
@@ -482,6 +510,12 @@ def pdps_recipe(psi, f: float, seed: int, trials: int) -> DensityMatrix:
     (the average over its outcomes), so all sampling noise comes from U.
     The trial average converges to the DPS with p = (D^2 f - 1)/(D^2-1).
 
+    Since rho = psi psi^dag, each flipped state W rho W^dag with
+    W = U^dag X U is y y^dag for y = U^dag X U psi, so their mean is one
+    D x trials product Y^T Y^* / trials: no per-trial matrix is formed
+    beyond the Haar stack itself.  The tests check it against the
+    per-trial sum over the same draws.
+
     Raises:
         FOutOfRangeError: f outside [0, 1].
         NonUnitVectorError.
@@ -497,12 +531,13 @@ def pdps_recipe(psi, f: float, seed: int, trials: int) -> DensityMatrix:
     D = v.shape[0]
     rho = np.outer(v, v.conj())
     X = WeylBasis(D).X
-    rng = np.random.default_rng(seed)
-    Us = haar_unitaries(D, trials, rng)
-    W = Us.conj().transpose(0, 2, 1) @ X @ Us
-    flipped = W @ rho @ W.conj().transpose(0, 2, 1)
-    avg = f * rho + (1.0 - f) * flipped.mean(axis=0)
-    return DensityMatrix(avg)
+    Us = haar_unitaries(D, trials, np.random.default_rng(seed))
+    # W rho W^dag = y y^dag with y = U^dag X U psi, so the trial mean of
+    # the flipped states is Y^T Y^* / trials; the rows of Yc = Y^* are
+    # formed as (X U psi)^* U, which needs no conjugated copy of the stack
+    Yc = (((Us @ v) @ X.T).conj()[:, None, :] @ Us)[:, 0, :]
+    flipped = Yc.T.conj() @ Yc / trials
+    return DensityMatrix(f * rho + (1.0 - f) * flipped)
 
 
 def local_depolarize(

@@ -46,6 +46,7 @@ from .errors import DomainError, InternalCheckError, NotDPSError
 from .linalg import DensityMatrix, eig_hermitian, partial_trace
 from .metrics import (
     DpsState,
+    distance_arrays,
     distance_report,
     fidelity_oracle,
     make_dps,
@@ -584,27 +585,22 @@ def cmd_fig1(ns) -> int:
         raise DomainError("--dim must be >= 2")
     if ns.grid < 2:
         raise DomainError("--grid must be >= 2")
+    p = np.linspace(p_min_cp(D), 1.0, ns.grid)
+    f = np.linspace(0.0, 1.0, ns.grid)
+    # pure_overlap of e0 and sqrt(f) e0 + sqrt(1-f) e1 is sqrt(f)^2, not f
+    amp = np.sqrt(f)
+    rep = distance_arrays(D, p[:, None], p[:, None], amp * amp)
+    cols = (rep.bures, rep.trace_distance, np.sqrt(np.maximum(1.0 - rep.fidelity, 0.0)))
+    if not all(np.isfinite(c).all() for c in cols):
+        raise InternalCheckError("non-finite value reached the report serializer")
+    f_txt = [_f17(x) for x in f]
+    bures, dist, gap = (c.tolist() for c in cols)
     lines = ["p,f,bures,trace_distance,sqrt_one_minus_F"]
-    e0 = np.zeros(D, dtype=complex)
-    e0[0] = 1.0
-    e1 = np.zeros(D, dtype=complex)
-    e1[1] = 1.0
-    for p in np.linspace(p_min_cp(D), 1.0, ns.grid):
-        for f in np.linspace(0.0, 1.0, ns.grid):
-            phi = math.sqrt(f) * e0 + math.sqrt(1.0 - f) * e1
-            rep = distance_report(make_dps(e0, p), make_dps(phi, p))
-            lines.append(
-                ",".join(
-                    _f17(v)
-                    for v in (
-                        p,
-                        f,
-                        rep.bures,
-                        rep.trace_distance,
-                        math.sqrt(max(1.0 - rep.fidelity, 0.0)),
-                    )
-                )
-            )
+    for i, p_txt in enumerate(_f17(x) for x in p):
+        lines.extend(
+            f"{p_txt},{ft},{b:.17g},{t:.17g},{s:.17g}"
+            for ft, b, t, s in zip(f_txt, bures[i], dist[i], gap[i])
+        )
     _emit("\n".join(lines) + "\n", ns.out)
     return 0
 

@@ -6,6 +6,13 @@ admit closed forms in (D, p, q, f) where f = |<psi|phi>|^2; both are
 implemented exactly as derived and every public entry point is paired
 with a brute-force oracle so a formula can never drift silently.
 
+Each closed form is written once, as a kernel of (D, p, q, f) whose
+expression text evaluates on Python floats (the per-pair entry points)
+and, element by element with the same roundings, on numpy arrays:
+``distance_arrays`` evaluates a whole grid of (p, q, f) at once and
+applies the per-pair range checks and the Fuchs-van de Graaf chain
+check to every element.
+
 Note on the equal-polarization case: the general trace-distance formula
 reduces at p = q to |p| sqrt(1-f) (the eigenvalues of a projector
 difference are +-sqrt(1-f)), not (1-f)|p|; the latter shorthand is a
@@ -21,6 +28,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    FOutOfRangeError,
     InequalityViolationError,
     InvalidDimensionError,
     NonUnitVectorError,
@@ -65,6 +73,76 @@ class DpsState:
         return np.sort(vals)
 
 
+# ---------------------------------------------------------------------------
+# float-or-array helpers: the math route on floats, the numpy route on
+# arrays, with the same rounding element by element
+
+
+def _pos(x):
+    """max(x, 0)."""
+    if type(x) is float:
+        return 0.0 if x < 0.0 else x
+    return np.maximum(x, 0.0)
+
+
+def _root(x):
+    """sqrt(max(x, 0))."""
+    if type(x) is float:
+        return 0.0 if x < 0.0 else math.sqrt(x)
+    return np.sqrt(np.maximum(x, 0.0))
+
+
+def _ratio(num, den):
+    """num / den where den > 0, else 0."""
+    if type(den) is float:
+        return num / den if den > 0.0 else 0.0
+    return np.divide(num, den, out=np.zeros(np.shape(den)), where=den > 0.0)
+
+
+def _acos(x):
+    if type(x) is float:
+        return math.acos(x)
+    # numpy's vectorized arccos differs from libm's acos in the last bit on
+    # some inputs, so arrays map math.acos to match the per-pair route
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.acos, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _limit(x, lo: float, hi: float):
+    """min(max(x, lo), hi)."""
+    if type(x) is float:
+        return lo if x < lo else hi if x > hi else x
+    return np.minimum(np.maximum(x, lo), hi)
+
+
+def _first_failure(ok, *values):
+    """None where `ok` holds everywhere, else each value at the first failing element."""
+    if ok is True:
+        return None
+    if not isinstance(ok, np.ndarray):
+        return None if ok else values
+    if ok.all():
+        return None
+    i = int(np.argmin(ok))
+    return tuple(float(np.broadcast_to(v, ok.shape).flat[i]) for v in values)
+
+
+def _polarization(p, D: int):
+    """Check p against [-1/(D-1), 1] with RANGE_SLACK (NaN fails) and clamp it there."""
+    lo = p_min(D)
+    bad = _first_failure((p >= lo - RANGE_SLACK) & (p <= 1.0 + RANGE_SLACK), p)
+    if bad is not None:
+        raise PolarizationOutOfRangeError(f"p={bad[0]:.15g} outside [{lo:.15g}, 1] for D={D}")
+    return _limit(p, lo, 1.0)
+
+
+def _clip(x, lo: float, hi: float, what: str):
+    bad = _first_failure((x >= lo - RANGE_SLACK) & (x <= hi + RANGE_SLACK), x)
+    if bad is not None:
+        raise InequalityViolationError(f"{what}={bad[0]:.17g} outside [{lo:g}, {hi:g}] beyond slack")
+    return _limit(x, lo, hi)
+
+
 def make_dps(pure, p: float) -> DpsState:
     """Validate and build a DpsState.
 
@@ -80,26 +158,37 @@ def make_dps(pure, p: float) -> DpsState:
     nrm = float(np.linalg.norm(v))
     if abs(nrm - 1.0) > UNIT_TOL:
         raise NonUnitVectorError(f"norm {nrm:.15g} differs from 1 beyond {UNIT_TOL:.1e}")
-    p = float(p)
-    lo = p_min(D)
-    if not lo - RANGE_SLACK <= p <= 1.0 + RANGE_SLACK:
-        raise PolarizationOutOfRangeError(f"p={p:.15g} outside [{lo:.15g}, 1] for D={D}")
+    p = _polarization(float(p), D)
     v = v.copy()
     v.setflags(write=False)
-    return DpsState(dim=D, pure=v, p=min(max(p, lo), 1.0))
+    return DpsState(dim=D, pure=v, p=p)
 
 
 def pure_overlap(rho: DpsState, sigma: DpsState) -> float:
     """f = |<psi|phi>|^2, recomputed from the stored purifications."""
     if rho.dim != sigma.dim:
         raise DimensionMismatchError(f"dims {rho.dim} and {sigma.dim} differ")
-    return float(abs(np.vdot(rho.pure, sigma.pure)) ** 2)
+    amp = float(abs(np.vdot(rho.pure, sigma.pure)))
+    return amp * amp
 
 
-def _clip(x: float, lo: float, hi: float, what: str) -> float:
-    if x < lo - RANGE_SLACK or x > hi + RANGE_SLACK:
-        raise InequalityViolationError(f"{what}={x:.17g} outside [{lo:g}, {hi:g}] beyond slack")
-    return min(max(x, lo), hi)
+def _fidelity(D: int, p, q, f):
+    """Closed-form fidelity of (D, p, q, f), before the range check."""
+    a = (1.0 - p) * (1.0 - q) / (D * D)
+    b = (1.0 - p) * q / D
+    root = _root(((D - 1.0) * p + 1.0) * (1.0 - p))
+    c = (q / D) * (root - (1.0 - p))
+    d = ((1.0 - q + D * q * f) / (D * D)) * ((D - 2.0) * p + 2.0 - 2.0 * root) + (
+        2.0 * (1.0 - q) / (D * D)
+    ) * (root - (1.0 - p))
+
+    half = (2.0 * a + (b + 2.0 * c) * f + d + b * (1.0 - f)) / 2.0
+    gap = (b + 2.0 * c) * f + d - b * (1.0 - f)
+    disc = gap * gap / 4.0 + (b + c) * (b + c) * (1.0 - f) * f
+    upper = _pos(half + _root(disc))
+    det = a * (1.0 + (D - 1.0) * p) * (1.0 + (D - 1.0) * q) / (D * D)
+    sqrt_f = (D - 2.0) * _root(a) + _root(upper) + _root(_ratio(det, upper))
+    return sqrt_f * sqrt_f
 
 
 def fidelity_closed(rho: DpsState, sigma: DpsState) -> float:
@@ -117,23 +206,7 @@ def fidelity_closed(rho: DpsState, sigma: DpsState) -> float:
         DimensionMismatchError.
     """
     f = pure_overlap(rho, sigma)
-    D, p, q = rho.dim, rho.p, sigma.p
-
-    a = (1.0 - p) * (1.0 - q) / (D * D)
-    b = (1.0 - p) * q / D
-    root = math.sqrt(max(((D - 1.0) * p + 1.0) * (1.0 - p), 0.0))
-    c = (q / D) * (root - (1.0 - p))
-    d = ((1.0 - q + D * q * f) / (D * D)) * ((D - 2.0) * p + 2.0 - 2.0 * root) + (
-        2.0 * (1.0 - q) / (D * D)
-    ) * (root - (1.0 - p))
-
-    half = (2.0 * a + (b + 2.0 * c) * f + d + b * (1.0 - f)) / 2.0
-    disc = ((b + 2.0 * c) * f + d - b * (1.0 - f)) ** 2 / 4.0 + (b + c) ** 2 * (1.0 - f) * f
-    upper = max(half + math.sqrt(max(disc, 0.0)), 0.0)
-    det = a * (1.0 + (D - 1.0) * p) * (1.0 + (D - 1.0) * q) / (D * D)
-    lower = det / upper if upper > 0.0 else 0.0
-    sqrt_f = (D - 2.0) * math.sqrt(max(a, 0.0)) + math.sqrt(upper) + math.sqrt(max(lower, 0.0))
-    return _clip(sqrt_f * sqrt_f, 0.0, 1.0, "fidelity")
+    return _clip(_fidelity(rho.dim, rho.p, sigma.p, f), 0.0, 1.0, "fidelity")
 
 
 def fidelity_oracle(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -154,6 +227,14 @@ def fidelity_oracle(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return _clip(float(np.sum(psd_roots(vals, 1.0))) ** 2, 0.0, 1.0, "fidelity")
 
 
+def _trace_distance(D: int, p, q, f):
+    """Closed-form trace distance of (D, p, q, f), before the range check."""
+    u = (q - p) * (1.0 - D / 2.0) / D
+    h = (p + q - 2.0 * q * f) / 2.0
+    r = _root(h * h + q * q * (1.0 - f) * f)
+    return 0.5 * ((D - 2.0) * abs(q - p) / D + abs(u + r) + abs(u - r))
+
+
 def trace_distance_closed(rho: DpsState, sigma: DpsState) -> float:
     """Closed-form trace distance between two DPS.
 
@@ -166,11 +247,7 @@ def trace_distance_closed(rho: DpsState, sigma: DpsState) -> float:
         DimensionMismatchError.
     """
     f = pure_overlap(rho, sigma)
-    D, p, q = rho.dim, rho.p, sigma.p
-    u = (q - p) * (1.0 - D / 2.0) / D
-    r = math.sqrt(max(((p + q - 2.0 * q * f) / 2.0) ** 2 + q * q * (1.0 - f) * f, 0.0))
-    dist = 0.5 * ((D - 2.0) * abs(q - p) / D + abs(u + r) + abs(u - r))
-    return _clip(dist, 0.0, 1.0, "trace distance")
+    return _clip(_trace_distance(rho.dim, rho.p, sigma.p, f), 0.0, 1.0, "trace distance")
 
 
 def trace_distance_oracle(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -186,7 +263,8 @@ def trace_distance_oracle(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 @dataclass(frozen=True)
 class DistanceReport:
-    """All four measures between one pair of DPS."""
+    """All four measures between one pair of DPS; from ``distance_arrays``,
+    each field is an array over the pairs."""
 
     fidelity: float
     trace_distance: float
@@ -194,29 +272,71 @@ class DistanceReport:
     angle: float
 
 
+def _report(D: int, p, q, f) -> DistanceReport:
+    """All four measures of (D, p, q, f), after the range and chain checks.
+
+    Raises:
+        InequalityViolationError: F or T outside [0, 1], or
+        B^2/2 <= T <= sqrt(1-F) broken beyond 1e-9, at some element.
+    """
+    F = _clip(_fidelity(D, p, q, f), 0.0, 1.0, "fidelity")
+    dist = _clip(_trace_distance(D, p, q, f), 0.0, 1.0, "trace distance")
+    sqrt_F = _root(F)
+    bures = _root(2.0 - 2.0 * sqrt_F)
+    lower = bures * bures / 2.0
+    # upper bound tested as T^2 <= 1-F: near F = 1 the sqrt turns one
+    # ulp of rounding in F into ~1e-8 and would flag phantom violations
+    # for near-identical states; squaring keeps the check exact
+    bad = _first_failure((dist >= lower - CHAIN_TOL) & (dist * dist <= 1.0 - F + CHAIN_TOL), lower, dist, F)
+    if bad is not None:
+        low, d, fid = bad
+        raise InequalityViolationError(
+            f"Fuchs chain broken: B^2/2={low:.17g}, D={d:.17g}, sqrt(1-F)={_root(1.0 - fid):.17g}"
+        )
+    # F lies in [0, 1], so sqrt_F does too
+    return DistanceReport(fidelity=F, trace_distance=dist, bures=bures, angle=_acos(sqrt_F))
+
+
 def distance_report(rho: DpsState, sigma: DpsState) -> DistanceReport:
     """Fidelity, trace distance, Bures metric and Bures angle.
 
-    Verifies the Fuchs-van-de-Graaf chain B^2/2 <= D <= sqrt(1-F)
-    before returning; a violation beyond 1e-9 means an implementation
-    bug, not bad input.
+    The closed forms of ``fidelity_closed`` and ``trace_distance_closed``
+    on one overlap f.  Verifies the Fuchs-van-de-Graaf chain
+    B^2/2 <= D <= sqrt(1-F) before returning; a violation beyond 1e-9
+    means an implementation bug, not bad input.
 
     Raises:
         InequalityViolationError: chain broken beyond tolerance.
         DimensionMismatchError.
     """
-    F = fidelity_closed(rho, sigma)
-    dist = trace_distance_closed(rho, sigma)
-    sqrt_F = math.sqrt(F)
-    bures = math.sqrt(max(2.0 - 2.0 * sqrt_F, 0.0))
-    angle = math.acos(min(max(sqrt_F, 0.0), 1.0))
-    lower = bures * bures / 2.0
-    upper = math.sqrt(max(1.0 - F, 0.0))
-    # upper bound tested as D^2 <= 1-F: near F = 1 the sqrt turns one
-    # ulp of rounding in F into ~1e-8 and would flag phantom violations
-    # for near-identical states; squaring keeps the check exact
-    if dist < lower - CHAIN_TOL or dist * dist > 1.0 - F + CHAIN_TOL:
-        raise InequalityViolationError(
-            f"Fuchs chain broken: B^2/2={lower:.17g}, D={dist:.17g}, sqrt(1-F)={upper:.17g}"
-        )
-    return DistanceReport(fidelity=F, trace_distance=dist, bures=bures, angle=angle)
+    return _report(rho.dim, rho.p, sigma.p, pure_overlap(rho, sigma))
+
+
+def distance_arrays(D: int, p, q, f) -> DistanceReport:
+    """``distance_report`` over arrays of (p, q, f) at one dimension D.
+
+    p and q are the two polarizations and f = |<psi|phi>|^2; the three
+    broadcast against each other and every field of the report is a
+    float array of the broadcast shape (at least one-dimensional).  Each
+    element equals, bit for
+    bit, ``distance_report`` on ``make_dps`` states with that p, q and
+    overlap, and passes the same checks: p and q in [-1/(D-1), 1] and f
+    in [0, 1] (each within 1e-12, NaN rejected), F and T in [0, 1], and
+    the Fuchs-van de Graaf chain.  One failing element raises for the
+    whole call.
+
+    Raises:
+        InvalidDimensionError: D < 2.
+        PolarizationOutOfRangeError: some p or q outside its range.
+        FOutOfRangeError: some f outside [0, 1].
+        InequalityViolationError: some element leaves [0, 1] or breaks the chain.
+    """
+    if D < 2:
+        raise InvalidDimensionError(f"dimension must be >= 2, got {D}")
+    p, q, f = np.broadcast_arrays(*(np.array(x, dtype=float, ndmin=1) for x in (p, q, f)))
+    p, q = _polarization(p, D), _polarization(q, D)
+    # f is used as given, as the per-pair route uses pure_overlap's value
+    bad = _first_failure((f >= -RANGE_SLACK) & (f <= 1.0 + RANGE_SLACK), f)
+    if bad is not None:
+        raise FOutOfRangeError(f"f={bad[0]:.15g} outside [0, 1]")
+    return _report(D, p, q, f)

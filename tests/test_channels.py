@@ -40,7 +40,22 @@ from dpstates import (
     twirl_p,
 )
 
+from dpstates import channels
 from conftest import random_mixed, rng_for
+
+
+def kron_superoperator(kraus) -> np.ndarray:
+    """Dense oracle: sum_K kron(K, K^*), acting on row-major vec(rho)."""
+    return sum(np.kron(K, K.conj()) for K in kraus)
+
+
+def kron_twirl_average(kraus, unitaries) -> np.ndarray:
+    """Dense oracle: mean over U of kron(U^dag, U^T) . S . kron(U, U^*)."""
+    S = kron_superoperator(kraus)
+    acc = np.zeros_like(S)
+    for U in unitaries:
+        acc += np.kron(U.conj().T, U.T) @ S @ np.kron(U, U.conj())
+    return acc / len(unitaries)
 
 
 class TestKrausChannel:
@@ -56,6 +71,11 @@ class TestKrausChannel:
         direct = ch.apply(dm.matrix)
         via_superop = (ch.superoperator() @ dm.matrix.reshape(-1)).reshape(3, 3)
         assert np.max(np.abs(direct - via_superop)) < 1e-13
+
+    @pytest.mark.parametrize("D, count", [(2, 1), (3, 4), (5, 3)])
+    def test_superoperator_matches_kron_oracle(self, D, count):
+        ch = random_channel(D, count, seed=63 + D)
+        assert np.max(np.abs(ch.superoperator() - kron_superoperator(ch.kraus))) < 1e-14
 
     def test_random_channel_is_deterministic(self):
         a = random_channel(2, 3, seed=62)
@@ -316,10 +336,34 @@ class TestTwirl:
         assert est.p_hat == pytest.approx(exact, abs=0.05)
 
     def test_haar_sample_is_deterministic(self):
+        # 1100 samples span three blocks of the Gram accumulation
         ch = random_channel(3, 2, seed=77)
-        a = twirl(ch, mode="haar-sample", samples=50, seed=78)
-        b = twirl(ch, mode="haar-sample", samples=50, seed=78)
+        a = twirl(ch, mode="haar-sample", samples=1100, seed=78)
+        b = twirl(ch, mode="haar-sample", samples=1100, seed=78)
         assert a.p_hat == b.p_hat
+        assert a.depolarizing_deviation == b.depolarizing_deviation
+        assert all(np.array_equal(Ka, Kb) for Ka, Kb in zip(a.channel.kraus, b.channel.kraus))
+
+    @pytest.mark.parametrize("D, exclude", [(2, False), (2, True), (3, False), (3, True)])
+    def test_clifford_average_matches_kron_oracle(self, D, exclude):
+        ch = random_channel(D, 3, seed=95 + D)
+        group = clifford_group(D)[1:] if exclude else clifford_group(D)
+        got = channels._conjugation_average(np.stack(ch.kraus), np.stack(group))
+        assert np.max(np.abs(got - kron_twirl_average(ch.kraus, group))) < 1e-13
+
+    @pytest.mark.parametrize("D, samples", [(4, 300), (6, 1100)])
+    def test_haar_average_matches_kron_oracle(self, D, samples):
+        ch = random_channel(D, 2, seed=97 + D)
+        Us = channels.haar_unitaries(D, samples, np.random.default_rng(98))
+        want = kron_twirl_average(ch.kraus, Us)
+        assert np.max(np.abs(channels._conjugation_average(np.stack(ch.kraus), Us) - want)) < 1e-13
+        # twirl draws the same unitaries from the same seed
+        result = twirl(ch, mode="haar-sample", samples=samples, seed=98)
+        p_hat = (want[0, 0].real - 1.0 / D) / (1.0 - 1.0 / D)
+        assert result.p_hat == pytest.approx(p_hat, abs=1e-13)
+        assert result.depolarizing_deviation == pytest.approx(
+            channels._depolarizing_deviation(want, D, p_hat), abs=1e-13
+        )
 
 
 class TestHaar:
@@ -354,6 +398,28 @@ class TestPdpsRecipe:
         psi = haar_state(4, rng_for(87))
         out = pdps_recipe(psi, 1.0, seed=88, trials=3)
         assert np.max(np.abs(out.matrix - np.outer(psi, psi.conj()))) < 1e-13
+
+    @pytest.mark.parametrize("D", [2, 3, 5])
+    def test_matches_per_trial_oracle(self, D):
+        # mean of the flipped states W rho W^dag, W = U^dag X U, over the same draws
+        psi = haar_state(D, rng_for(89, D))
+        rho = np.outer(psi, psi.conj())
+        X = WeylBasis(D).X
+        Us = channels.haar_unitaries(D, 400, np.random.default_rng(90))
+        flipped = sum(U.conj().T @ X @ U @ rho @ U.conj().T @ X.conj().T @ U for U in Us) / len(Us)
+        out = pdps_recipe(psi, 0.3, seed=90, trials=400)
+        assert np.max(np.abs(out.matrix - (0.3 * rho + 0.7 * flipped))) < 1e-14
+
+    def test_memory_holds_no_per_trial_states(self):
+        # the (trials, D, D) Haar stack and its QR set the peak, about 85 MB
+        psi = haar_state(8, rng_for(91))
+        tracemalloc.start()
+        try:
+            pdps_recipe(psi, 0.6, seed=92, trials=20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 90_000_000
 
 
 class TestLocalDepolarize:

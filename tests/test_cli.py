@@ -262,6 +262,36 @@ class TestFig1:
         assert last[1] == 1.0
         assert last[2] == last[3] == last[4] == 0.0
 
+    def test_rows_match_per_point_loop(self, capsys):
+        from dpstates import distance_report, make_dps, p_min_cp
+
+        D, grid = 4, 7
+        code, out = run(capsys, "fig1", "--dim", str(D), "--grid", str(grid))
+        assert code == 0
+        e0, e1 = np.eye(D)[0], np.eye(D)[1]
+        want = ["p,f,bures,trace_distance,sqrt_one_minus_F"]
+        for p in np.linspace(p_min_cp(D), 1.0, grid):
+            for f in np.linspace(0.0, 1.0, grid):
+                phi = math.sqrt(f) * e0 + math.sqrt(1.0 - f) * e1
+                rep = distance_report(make_dps(e0, p), make_dps(phi, p))
+                row = (p, f, rep.bures, rep.trace_distance, math.sqrt(max(1.0 - rep.fidelity, 0.0)))
+                want.append(",".join(format(float(v), ".17g") for v in row))
+        assert out.splitlines() == want
+
+    def test_writes_nothing_when_one_point_fails(self, capsys, tmp_path, monkeypatch):
+        from dpstates import metrics
+
+        exact = metrics._trace_distance
+        # T = 0 at one f of the grid breaks the Fuchs chain there alone
+        monkeypatch.setattr(
+            metrics, "_trace_distance", lambda D, p, q, f: exact(D, p, q, f) * (np.abs(f - 0.5) > 0.1)
+        )
+        path = tmp_path / "surf.csv"
+        code, out = run(capsys, "fig1", "--dim", "3", "--grid", "5", "--out", str(path))
+        assert code == 4
+        assert out == ""
+        assert not path.exists()
+
     def test_writes_file_with_lf(self, capsys, tmp_path):
         path = tmp_path / "surf.csv"
         code, _ = run(capsys, "fig1", "--dim", "2", "--grid", "3", "--out", str(path))

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpstates import (
+    FOutOfRangeError,
     InequalityViolationError,
     NonUnitVectorError,
     PolarizationOutOfRangeError,
+    distance_arrays,
     distance_report,
     fidelity_closed,
     fidelity_oracle,
@@ -20,6 +22,7 @@ from dpstates import (
     trace_distance_oracle,
 )
 
+from dpstates import metrics
 from conftest import random_dps, rng_for
 
 
@@ -189,3 +192,89 @@ def test_clip_guards_against_silent_violations():
     assert _clip(1.0 + 1e-13, 0.0, 1.0, "x") == 1.0
     with pytest.raises(InequalityViolationError):
         _clip(1.1, 0.0, 1.0, "x")
+
+
+def overlap_pair(D, p, q, f):
+    """make_dps states e0 (at p) and sqrt(f) e0 + sqrt(1-f) e1 (at q)."""
+    e0, e1 = np.eye(D)[0], np.eye(D)[1]
+    return make_dps(e0, p), make_dps(math.sqrt(f) * e0 + math.sqrt(1.0 - f) * e1, q)
+
+
+class TestDistanceArrays:
+    @pytest.mark.parametrize("D", [2, 3, 5, 9])
+    def test_bitwise_equal_to_per_pair_report(self, D):
+        ps = np.concatenate([[p_min(D), p_min_cp(D), 0.0, 1.0], np.linspace(p_min(D), 1.0, 7)])
+        fs = np.concatenate([[0.0, 1.0, 1e-15, 1.0 - 1e-15], np.linspace(0.0, 1.0, 6)])
+        P, Q, F = (x.ravel() for x in np.meshgrid(ps, ps, fs, indexing="ij"))
+        pairs = [overlap_pair(D, p, q, f) for p, q, f in zip(P, Q, F)]
+        overlaps = np.array([pure_overlap(a, b) for a, b in pairs])
+        reports = [distance_report(a, b) for a, b in pairs]
+        got = distance_arrays(D, P, Q, overlaps)
+        for field in ("fidelity", "trace_distance", "bures", "angle"):
+            want = np.array([getattr(r, field) for r in reports])
+            assert np.array_equal(getattr(got, field).view(np.uint64), want.view(np.uint64)), field
+
+    @pytest.mark.parametrize("D", [2, 3, 5])
+    def test_matches_oracles(self, D):
+        # tolerances of test_closed_forms_match_oracles: 1e-9, and 1e-7 for
+        # the Uhlmann oracle within 1e-6 of the singular end p = p_min
+        rng = rng_for(43, D)
+        t = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 30)])
+        p = p_min(D) + t * (1.0 - p_min(D))
+        q = p_min(D) + rng.permutation(t) * (1.0 - p_min(D))
+        pairs = [(random_dps(D, rng, p=a), random_dps(D, rng, p=b)) for a, b in zip(p, q)]
+        rep = distance_arrays(D, p, q, [pure_overlap(a, b) for a, b in pairs])
+        for i, (a, b) in enumerate(pairs):
+            tol = 1e-9 if min(p[i], q[i]) - p_min(D) > 1e-6 * (1.0 - p_min(D)) else 1e-7
+            rho, sigma = a.to_matrix(), b.to_matrix()
+            assert rep.fidelity[i] == pytest.approx(fidelity_oracle(rho, sigma), abs=tol)
+            assert rep.trace_distance[i] == pytest.approx(trace_distance_oracle(rho, sigma), abs=1e-9)
+
+    def test_broadcasts_and_keeps_scalar_inputs_arrays(self):
+        rep = distance_arrays(4, np.array([[0.1], [0.5]]), 0.3, np.linspace(0.0, 1.0, 3))
+        assert rep.fidelity.shape == rep.angle.shape == (2, 3)
+        assert distance_arrays(4, 0.1, 0.3, 0.5).bures.shape == (1,)
+
+    @pytest.mark.parametrize(
+        "p, q, f, error",
+        [
+            ([0.2, p_min(5) - 1e-9, 0.4], 0.3, 0.5, PolarizationOutOfRangeError),
+            (0.3, [0.2, 1.0 + 1e-9], 0.5, PolarizationOutOfRangeError),
+            ([0.2, math.nan, 0.4], 0.3, 0.5, PolarizationOutOfRangeError),
+            (0.3, 0.2, [0.5, math.nan], FOutOfRangeError),
+            (0.3, 0.2, [0.5, 1.0 + 1e-9], FOutOfRangeError),
+            (0.3, 0.2, [-1e-9, 0.5], FOutOfRangeError),
+        ],
+    )
+    def test_one_bad_element_raises(self, p, q, f, error):
+        with pytest.raises(error):
+            distance_arrays(5, p, q, f)
+
+    def test_clamps_range_roundoff_like_make_dps(self):
+        pairs = [overlap_pair(3, p, 0.5, 0.5) for p in (1.0, p_min(3))]
+        got = distance_arrays(3, [1.0 + 1e-13, p_min(3) - 1e-13], 0.5, pure_overlap(*pairs[0]))
+        assert got.fidelity.tolist() == [distance_report(a, b).fidelity for a, b in pairs]
+
+    def test_rejects_dimension_below_two(self):
+        from dpstates import InvalidDimensionError
+
+        with pytest.raises(InvalidDimensionError):
+            distance_arrays(1, 0.5, 0.5, 0.5)
+
+    @pytest.mark.parametrize(
+        "kernel, breaks",
+        [
+            # T = 0 for distinct states falls below B^2/2: the chain check fires
+            ("_trace_distance", lambda T, f: T * ((f < 0.4) | (f > 0.6))),
+            # F past 1 + slack: the range check fires
+            ("_fidelity", lambda F, f: F + 0.5 * ((f > 0.4) & (f < 0.6))),
+        ],
+    )
+    def test_checks_run_per_element(self, monkeypatch, kernel, breaks):
+        exact = getattr(metrics, kernel)
+        monkeypatch.setattr(metrics, kernel, lambda D, p, q, f: breaks(exact(D, p, q, f), f))
+        assert distance_arrays(4, 0.5, 0.5, [0.0, 0.3, 0.8, 1.0]).fidelity.shape == (4,)
+        with pytest.raises(InequalityViolationError):
+            distance_arrays(4, 0.5, 0.5, [0.0, 0.3, 0.5, 0.8, 1.0])
+        with pytest.raises(InequalityViolationError):
+            distance_report(*overlap_pair(4, 0.5, 0.5, 0.5))
