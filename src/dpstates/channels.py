@@ -29,6 +29,7 @@ from .errors import (
     DomainError,
     FOutOfRangeError,
     InternalCheckError,
+    InvalidDimensionError,
     NonUnitVectorError,
     NotTracePreservingError,
     PolarizationOutOfRangeError,
@@ -369,7 +370,13 @@ def haar_unitaries(D: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def haar_state(D: int, rng: np.random.Generator) -> np.ndarray:
-    """One Haar-random pure state vector."""
+    """One Haar-random pure state vector.
+
+    Raises:
+        InvalidDimensionError: D < 1.
+    """
+    if D < 1:
+        raise InvalidDimensionError(f"a Haar state needs dimension >= 1, got {D}")
     v = rng.standard_normal(D) + 1.0j * rng.standard_normal(D)
     return v / np.linalg.norm(v)
 
@@ -550,9 +557,12 @@ def local_depolarize(
     which is why the protocols above need the global map instead.
 
     Raises:
+        InvalidDimensionError: dA or dB below 2.
         PolarizationOutOfRangeError: either local p outside its CP range.
         DimensionMismatchError.
     """
+    if dA < 2 or dB < 2:
+        raise InvalidDimensionError(f"subsystem dims must be >= 2, got ({dA}, {dB})")
     if rho.dim != dA * dB:
         raise DimensionMismatchError(f"state dim {rho.dim} != dA*dB = {dA * dB}")
     for d, p, name in ((dA, pA, "pA"), (dB, pB, "pB")):

@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,21 +126,58 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _report(report: dict, out: str | None = None, state=None, dims=None) -> int:
-    """Write ``state`` to ``out`` when one is given, then print ``report``."""
+_NO_SEED = object()
+
+
+@dataclass
+class Report:
+    """What one report command computed; :func:`_publish` adds the envelope.
+
+    ``state``, with its bipartition ``dims``, is what ``--out`` writes.
+    ``seed`` stays ``_NO_SEED`` for a report without a "seed" key.
+    """
+
+    results: dict
+    parameters: dict | None = None
+    seed: object = _NO_SEED
+    state: DensityMatrix | None = None
+    dims: list | None = None
+
+
+def _is_tolerance(dest: str) -> bool:
+    return "tol" in dest.split("_")
+
+
+def _publish(ns, rep: Report) -> None:
+    """Write ``rep.state`` to ``--out`` if given, then print the report.
+
+    Keys, in order: "command" (the subcommand path); "inputs" (each file
+    that load_state / load_channel read; absent for gen, which reads
+    none); "parameters" and "seed" when the command returns them;
+    "tolerances" (every flag whose dest has the word "tol") when there
+    are any; "results".
+    """
+    command = " ".join(filter(None, (ns.subcommand, getattr(ns, "channel_cmd", None))))
+    report: dict = {"command": command}
+    if ns.inputs is not None:
+        report["inputs"] = ns.inputs
+    if rep.parameters is not None:
+        report["parameters"] = rep.parameters
+    tolerances = {dest: value for dest, value in vars(ns).items() if _is_tolerance(dest)}
+    if tolerances:
+        report["tolerances"] = tolerances
+    if rep.seed is not _NO_SEED:
+        report["seed"] = rep.seed
+    out = getattr(ns, "out", None)
     if out:
-        _emit(render_json(state_document(state, dims=dims)), out)
-        report["results"]["out"] = out
+        _emit(render_json(state_document(rep.state, dims=rep.dims)), out)
+        rep.results["out"] = out
+    report["results"] = rep.results
     sys.stdout.write(render_json(report))
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # state / channel file handling
-
-
-def _sha256(raw: bytes) -> str:
-    return hashlib.sha256(raw).hexdigest()
 
 
 def _parse_matrix(entry, dim: int, what: str) -> np.ndarray:
@@ -156,8 +194,13 @@ def _matrix_to_pairs(M: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in M]
 
 
-def _read_doc(path: str, kind: str, key: str) -> tuple[dict, int, bytes]:
-    """(document, dim, raw bytes) of a JSON object with "dim" >= 2 and ``key``, or CliInputError."""
+def _read_doc(ns, arg: str, kind: str, key: str) -> tuple[dict, int, str]:
+    """(document, dim, path) of the JSON object named by ``ns.<arg>``, or CliInputError.
+
+    The document needs "dim" >= 2 and ``key``; the file's path and
+    sha256 go into ``ns.inputs[arg]`` for the report envelope.
+    """
+    path = getattr(ns, arg)
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -172,17 +215,18 @@ def _read_doc(path: str, kind: str, key: str) -> tuple[dict, int, bytes]:
     dim = doc["dim"]
     if not isinstance(dim, int) or dim < 2:
         raise CliInputError(f'{path}: "dim" must be an integer >= 2, got {dim!r}')
-    return doc, dim, raw
+    ns.inputs[arg] = {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
+    return doc, dim, path
 
 
-def load_state(path: str) -> tuple[DensityMatrix, list | None, str]:
-    """Parse a StateFile; returns (state, dims-or-None, sha256 digest).
+def load_state(ns, arg: str = "state") -> tuple[DensityMatrix, list | None]:
+    """Parse the StateFile named by ``ns.<arg>``; returns (state, dims-or-None).
 
     Raises:
         CliInputError: schema or invariant violations, with the violated
             check and its residual in the message.
     """
-    doc, dim, raw = _read_doc(path, "state", "matrix")
+    doc, dim, path = _read_doc(ns, arg, "state", "matrix")
     dims = doc.get("dims")
     if dims is not None:
         if (
@@ -197,16 +241,16 @@ def load_state(path: str) -> tuple[DensityMatrix, list | None, str]:
         state = DensityMatrix(M)
     except DomainError as exc:
         raise CliInputError(f"{path}: {exc}")
-    return state, dims, _sha256(raw)
+    return state, dims
 
 
-def load_channel(path: str) -> tuple[KrausChannel, str]:
-    """Parse a channel file {"dim": D, "kraus": [matrix, ...]}.
+def load_channel(ns, arg: str = "channel") -> KrausChannel:
+    """Parse the channel file {"dim": D, "kraus": [matrix, ...]} named by ``ns.<arg>``.
 
     Raises:
         CliInputError.
     """
-    doc, dim, raw = _read_doc(path, "channel", "kraus")
+    doc, dim, path = _read_doc(ns, arg, "channel", "kraus")
     if not isinstance(doc["kraus"], list) or not doc["kraus"]:
         raise CliInputError(f'{path}: "kraus" must be a nonempty list of matrices')
     ops = [_parse_matrix(entry, dim, path) for entry in doc["kraus"]]
@@ -214,7 +258,7 @@ def load_channel(path: str) -> tuple[KrausChannel, str]:
         ch = KrausChannel(dim=dim, kraus=tuple(ops))
     except DomainError as exc:
         raise CliInputError(f"{path}: {exc}")
-    return ch, _sha256(raw)
+    return ch
 
 
 def state_document(state: DensityMatrix, dims: list | None = None) -> dict:
@@ -223,10 +267,6 @@ def state_document(state: DensityMatrix, dims: list | None = None) -> dict:
         doc["dims"] = [int(dims[0]), int(dims[1])]
     doc["matrix"] = _matrix_to_pairs(state.matrix)
     return doc
-
-
-def _state_input(path: str, digest: str) -> dict:
-    return {"path": path, "sha256": digest}
 
 
 def _pure_vector(state: DensityMatrix, what: str) -> np.ndarray:
@@ -263,8 +303,8 @@ def _require_dims(dims_flag, dims_file, dim: int) -> tuple[int, int]:
 # subcommands
 
 
-def cmd_analyze(ns) -> int:
-    state, _, digest = load_state(ns.state)
+def cmd_analyze(ns) -> Report:
+    state, _ = load_state(ns)
     D = state.dim
     m = measure_dps(state)
     verdict_p = m.verdict(ns.tol_star, ns.tol_spectrum)
@@ -280,18 +320,12 @@ def cmd_analyze(ns) -> int:
     }
     if D == 2:
         results["sign_convention"] = "p >= 0 at D=2: both signs share one spectrum"
-    report = {
-        "command": "analyze",
-        "inputs": {"state": _state_input(ns.state, digest)},
-        "tolerances": {"tol_star": ns.tol_star, "tol_spectrum": ns.tol_spectrum},
-        "results": results,
-    }
-    return _report(report)
+    return Report(results)
 
 
-def cmd_distance(ns) -> int:
-    a, _, dig_a = load_state(ns.state_a)
-    b, _, dig_b = load_state(ns.state_b)
+def cmd_distance(ns) -> Report:
+    a, _ = load_state(ns, "state_a")
+    b, _ = load_state(ns, "state_b")
     results: dict = {}
     if ns.method in ("closed", "both"):
         da = _as_dps(a, "closed-form distance")
@@ -319,127 +353,91 @@ def cmd_distance(ns) -> int:
         results["delta"] = {
             k: abs(results["closed"][k] - results["oracle"][k]) for k in ("fidelity", "trace_distance")
         }
-    report = {
-        "command": "distance",
-        "inputs": {
-            "state_a": _state_input(ns.state_a, dig_a),
-            "state_b": _state_input(ns.state_b, dig_b),
-        },
-        "parameters": {"method": ns.method},
-        "results": results,
-    }
-    return _report(report)
+    return Report(results, {"method": ns.method})
 
 
-def cmd_schmidt(ns) -> int:
-    state, dims_file, digest = load_state(ns.state)
+def cmd_schmidt(ns) -> Report:
+    state, dims_file = load_state(ns)
     dA, dB = _require_dims(ns.dims, dims_file, state.dim)
     p, form = schmidt_dps(state, dA, dB, p_tol=ns.p_tol)
     specA_closed = reduced_spectrum_dps(p, form.b, dA)
     specB_closed = reduced_spectrum_dps(p, form.b, dB)
     specA = np.linalg.eigvalsh(partial_trace(state.matrix, dA, dB, keep="A"))
     specB = np.linalg.eigvalsh(partial_trace(state.matrix, dA, dB, keep="B"))
-    report = {
-        "command": "schmidt",
-        "inputs": {"state": _state_input(ns.state, digest)},
-        "parameters": {"dims": [dA, dB]},
-        "tolerances": {"p_tol": ns.p_tol},
-        "results": {
-            "p": p,
-            "schmidt_coefficients": form.b,
-            "marginal_spectrum_a": specA,
-            "marginal_spectrum_b": specB,
-            "closed_form_deviation_a": float(np.max(np.abs(specA - specA_closed))),
-            "closed_form_deviation_b": float(np.max(np.abs(specB - specB_closed))),
-        },
+    results = {
+        "p": p,
+        "schmidt_coefficients": form.b,
+        "marginal_spectrum_a": specA,
+        "marginal_spectrum_b": specB,
+        "closed_form_deviation_a": float(np.max(np.abs(specA - specA_closed))),
+        "closed_form_deviation_b": float(np.max(np.abs(specB - specB_closed))),
     }
-    return _report(report)
+    return Report(results, {"dims": [dA, dB]})
 
 
-def cmd_entanglement(ns) -> int:
-    state, dims_file, digest = load_state(ns.state)
+def cmd_entanglement(ns) -> Report:
+    state, dims_file = load_state(ns)
     dA, dB = _require_dims(ns.dims, dims_file, state.dim)
     p, form = schmidt_dps(state, dA, dB)
     rep = negativity(p, form.b[:dA], dA, dB, neg_tol=ns.neg_tol)
     pair = pair_threshold(form.b[:dA], dA, dB)
-    report = {
-        "command": "entanglement",
-        "inputs": {"state": _state_input(ns.state, digest)},
-        "parameters": {"dims": [dA, dB]},
-        "tolerances": {"neg_tol": ns.neg_tol},
-        "results": {
-            "p": p,
-            "schmidt_coefficients": form.b[:dA],
-            "pt_spectrum": rep.pt_spectrum,
-            "negativity": rep.negativity,
-            "negative_count": rep.negative_count,
-            "bound": rep.bound,
-            "entangled": rep.entangled,
-            "threshold_pair": None if math.isinf(pair) else pair,
-            "threshold_flat": 1.0 / (dA * dB / 2.0 + 1.0),
-            "caveat": rep.caveat,
-        },
+    results = {
+        "p": p,
+        "schmidt_coefficients": form.b[:dA],
+        "pt_spectrum": rep.pt_spectrum,
+        "negativity": rep.negativity,
+        "negative_count": rep.negative_count,
+        "bound": rep.bound,
+        "entangled": rep.entangled,
+        "threshold_pair": None if math.isinf(pair) else pair,
+        "threshold_flat": 1.0 / (dA * dB / 2.0 + 1.0),
+        "caveat": rep.caveat,
     }
-    return _report(report)
+    return Report(results, {"dims": [dA, dB]})
 
 
-def cmd_werner2q(ns) -> int:
+def cmd_werner2q(ns) -> Report:
     state, mu = two_qubit_canonical(ns.p, ns.omega)
     sin_threshold = (1.0 - ns.p) / (2.0 * ns.p) if ns.p > 1.0 / 3.0 else None
-    report = {
-        "command": "werner2q",
-        "inputs": {},
-        "parameters": {"p": ns.p, "omega": ns.omega},
-        "results": {
-            "pt_eigenvalues": list(mu),
-            "entangled": mu[3] < -1e-9,
-            "sin_omega_threshold": sin_threshold,
-        },
+    results = {
+        "pt_eigenvalues": list(mu),
+        "entangled": mu[3] < -1e-9,
+        "sin_omega_threshold": sin_threshold,
     }
-    return _report(report, ns.out, state, [2, 2])
+    return Report(results, {"p": ns.p, "omega": ns.omega}, state=state, dims=[2, 2])
 
 
-def cmd_isotropic(ns) -> int:
+def cmd_isotropic(ns) -> Report:
     dps, separable = isotropic(ns.da, ns.F)
     b = np.full(ns.da, 1.0 / math.sqrt(ns.da))
     rep = negativity(dps.p, b, ns.da, ns.da)
-    report = {
-        "command": "isotropic",
-        "inputs": {},
-        "parameters": {"da": ns.da, "F": ns.F},
-        "results": {
-            "p": dps.p,
-            "separable": separable,
-            "negativity": rep.negativity,
-            "entangled": rep.entangled,
-            "threshold_p": 1.0 / (ns.da + 1.0),
-        },
+    results = {
+        "p": dps.p,
+        "separable": separable,
+        "negativity": rep.negativity,
+        "entangled": rep.entangled,
+        "threshold_p": 1.0 / (ns.da + 1.0),
     }
-    return _report(report, ns.out, dps.to_matrix(), [ns.da, ns.da])
+    return Report(results, {"da": ns.da, "F": ns.F}, state=dps.to_matrix(), dims=[ns.da, ns.da])
 
 
-def cmd_channel_depolarize(ns) -> int:
-    state, dims, digest = load_state(ns.state)
+def cmd_channel_depolarize(ns) -> Report:
+    state, dims = load_state(ns)
     result = apply_depolarizing(state, ns.p)
     if ns.require_cp and not result.physically_realizable:
         raise DomainError(
             f"p={ns.p:.15g} is below the CP bound {p_min_cp(state.dim):.15g}; "
             "no physical map realizes it (--require-cp)"
         )
-    report = {
-        "command": "channel depolarize",
-        "inputs": {"state": _state_input(ns.state, digest)},
-        "parameters": {"p": ns.p, "require_cp": bool(ns.require_cp)},
-        "results": {
-            "physically_realizable": result.physically_realizable,
-            "purity": result.state.purity(),
-        },
+    results = {
+        "physically_realizable": result.physically_realizable,
+        "purity": result.state.purity(),
     }
-    return _report(report, ns.out, result.state, dims)
+    return Report(results, {"p": ns.p, "require_cp": bool(ns.require_cp)}, state=result.state, dims=dims)
 
 
-def cmd_channel_protocol1(ns) -> int:
-    state, _, digest = load_state(ns.state)
+def cmd_channel_protocol1(ns) -> Report:
+    state, _ = load_state(ns)
     psi = _pure_vector(state, "protocol1")
     chi = chi_from_beta2(state.dim, ns.beta2)
     out = protocol1(psi, chi)
@@ -447,21 +445,16 @@ def cmd_channel_protocol1(ns) -> int:
     p_equiv = 1.0 - ns.beta2
     formula = apply_depolarizing(state, p_equiv)
     delta = trace_distance_oracle(out, formula.state)
-    report = {
-        "command": "channel protocol1",
-        "inputs": {"state": _state_input(ns.state, digest)},
-        "parameters": {"beta2": ns.beta2},
-        "results": {
-            "alpha": float(chi.alpha.real),
-            "p_equivalent": p_equiv,
-            "formula_delta": delta,
-        },
+    results = {
+        "alpha": float(chi.alpha.real),
+        "p_equivalent": p_equiv,
+        "formula_delta": delta,
     }
-    return _report(report, ns.out, out)
+    return Report(results, {"beta2": ns.beta2}, state=out)
 
 
-def cmd_channel_twirl(ns) -> int:
-    ch, digest = load_channel(ns.channel)
+def cmd_channel_twirl(ns) -> Report:
+    ch = load_channel(ns)
     result = twirl(
         ch,
         mode=ns.mode,
@@ -470,62 +463,46 @@ def cmd_channel_twirl(ns) -> int:
         exclude_identity=ns.exclude_identity,
     )
     f = jamiolkowski_fidelity(ch)
-    report = {
-        "command": "channel twirl",
-        "inputs": {"channel": _state_input(ns.channel, digest)},
-        "parameters": {
-            "mode": ns.mode,
-            "samples": ns.samples,
-            "exclude_identity": bool(ns.exclude_identity),
-        },
-        "seed": ns.seed,
-        "results": {
-            "f": f,
-            "p_hat": result.p_hat,
-            "p_exact": twirl_p(ch.dim, f),
-            "depolarizing_deviation": result.depolarizing_deviation,
-        },
+    results = {
+        "f": f,
+        "p_hat": result.p_hat,
+        "p_exact": twirl_p(ch.dim, f),
+        "depolarizing_deviation": result.depolarizing_deviation,
+    }
+    parameters = {
+        "mode": ns.mode,
+        "samples": ns.samples,
+        "exclude_identity": bool(ns.exclude_identity),
     }
     choi = jamiolkowski_state(result.channel) if ns.out else None
-    return _report(report, ns.out, choi, [ch.dim, ch.dim])
+    return Report(results, parameters, seed=ns.seed, state=choi, dims=[ch.dim, ch.dim])
 
 
-def cmd_channel_recipe(ns) -> int:
-    state, _, digest = load_state(ns.state)
+def cmd_channel_recipe(ns) -> Report:
+    state, _ = load_state(ns)
     psi = _pure_vector(state, "recipe")
     out = pdps_recipe(psi, ns.f, ns.seed, ns.trials)
     D = state.dim
     proj = float(np.real(np.vdot(psi, out.matrix @ psi)))
     p_hat = (proj - 1.0 / D) / (1.0 - 1.0 / D)
-    report = {
-        "command": "channel recipe",
-        "inputs": {"state": _state_input(ns.state, digest)},
-        "parameters": {"f": ns.f, "trials": ns.trials},
-        "seed": ns.seed,
-        "results": {"p_target": twirl_p(D, ns.f), "p_hat": p_hat},
-    }
-    return _report(report, ns.out, out)
+    results = {"p_target": twirl_p(D, ns.f), "p_hat": p_hat}
+    return Report(results, {"f": ns.f, "trials": ns.trials}, seed=ns.seed, state=out)
 
 
-def cmd_channel_local(ns) -> int:
-    state, dims_file, digest = load_state(ns.state)
+def cmd_channel_local(ns) -> Report:
+    state, dims_file = load_state(ns)
     dA, dB = _require_dims(ns.dims, dims_file, state.dim)
     out = local_depolarize(state, dA, dB, ns.pa, ns.pb)
     p = dps_test(out)
-    report = {
-        "command": "channel local",
-        "inputs": {"state": _state_input(ns.state, digest)},
-        "parameters": {"dims": [dA, dB], "pa": ns.pa, "pb": ns.pb},
-        "results": {
-            "dps_verdict": "DPS" if p is not None else "NOT_DPS",
-            "p": p,
-        },
+    results = {
+        "dps_verdict": "DPS" if p is not None else "NOT_DPS",
+        "p": p,
     }
-    return _report(report, ns.out, out, [dA, dB])
+    return Report(results, {"dims": [dA, dB], "pa": ns.pa, "pb": ns.pb}, state=out, dims=[dA, dB])
 
 
-def cmd_moments(ns) -> int:
-    state, _, digest = load_state(ns.state)
+def cmd_moments(ns) -> Report:
+    state, _ = load_state(ns)
     orders = list(dict.fromkeys(ns.m))
     if ns.assume_dps:
         for needed in (2, 3):
@@ -562,24 +539,16 @@ def cmd_moments(ns) -> int:
             results["recovered"] = {"p": p, "sign_resolved": resolved}
         except DomainError as exc:
             results["recovered"] = {"p": None, "reason": str(exc)}
-    report = {
-        "command": "moments",
-        "inputs": {"state": _state_input(ns.state, digest)},
-        "parameters": {
-            "m": sorted(orders),
-            "mode": ns.mode,
-            "shots": ns.shots if ns.mode == "mc" else 0,
-            "assume_dps": bool(ns.assume_dps),
-        },
-        "tolerances": {"recovery_tol": ns.recovery_tol},
-        "results": results,
+    parameters = {
+        "m": sorted(orders),
+        "mode": ns.mode,
+        "shots": ns.shots if ns.mode == "mc" else 0,
+        "assume_dps": bool(ns.assume_dps),
     }
-    if ns.mode == "mc":
-        report["seed"] = ns.seed
-    return _report(report)
+    return Report(results, parameters, seed=ns.seed if ns.mode == "mc" else _NO_SEED)
 
 
-def cmd_fig1(ns) -> int:
+def cmd_fig1(ns) -> None:
     D = ns.dim
     if D < 2:
         raise DomainError("--dim must be >= 2")
@@ -602,17 +571,16 @@ def cmd_fig1(ns) -> int:
             for ft, b, t, s in zip(f_txt, bures[i], dist[i], gap[i])
         )
     _emit("\n".join(lines) + "\n", ns.out)
-    return 0
 
 
-def cmd_gen(ns) -> int:
+def cmd_gen(ns) -> Report | None:
+    dims = None
     if ns.kind == "dps":
         if ns.p is None or ns.seed is None:
             raise DomainError("gen dps needs --p and --seed")
         rng = np.random.default_rng(ns.seed)
         psi = haar_state(ns.dim, rng)
         state = make_dps(psi, ns.p).to_matrix()
-        doc = state_document(state)
         meta = {"kind": "dps", "dim": ns.dim, "p": ns.p, "seed": ns.seed}
     elif ns.kind == "haar-pure":
         if ns.seed is None:
@@ -620,22 +588,17 @@ def cmd_gen(ns) -> int:
         rng = np.random.default_rng(ns.seed)
         psi = haar_state(ns.dim, rng)
         state = make_dps(psi, 1.0).to_matrix()
-        doc = state_document(state)
         meta = {"kind": "haar-pure", "dim": ns.dim, "seed": ns.seed}
     else:
         if ns.F is None:
             raise DomainError("gen isotropic needs --F")
         dps, _ = isotropic(ns.da, ns.F)
-        doc = state_document(dps.to_matrix(), dims=[ns.da, ns.da])
+        state, dims = dps.to_matrix(), [ns.da, ns.da]
         meta = {"kind": "isotropic", "da": ns.da, "F": ns.F, "p": dps.p}
-    text = render_json(doc)
-    if ns.out:
-        _emit(text, ns.out)
-        report = {"command": "gen", "parameters": meta, "results": {"out": ns.out}}
-        sys.stdout.write(render_json(report))
-    else:
-        sys.stdout.write(text)
-    return 0
+    if not ns.out:
+        sys.stdout.write(render_json(state_document(state, dims=dims)))
+        return None
+    return Report({}, meta, state=state, dims=dims)
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +611,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Analyze depolarized pure states: identification, distances, "
         "entanglement, physical depolarization protocols, trace moments.",
     )
+    # load_state / load_channel record each file they read here
+    parser.set_defaults(inputs={})
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_an = sub.add_parser("analyze", help="coherence vector, invariants, DPS verdict")
@@ -751,7 +716,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ge.add_argument("--F", type=float)
     p_ge.add_argument("--seed", type=int)
     p_ge.add_argument("--out")
-    p_ge.set_defaults(func=cmd_gen)
+    # gen reads no file, and its report has no "inputs" key
+    p_ge.set_defaults(func=cmd_gen, inputs=None)
 
     return parser
 
@@ -761,9 +727,15 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         for name, value in vars(ns).items():
+            flag = "--" + name.replace("_", "-")
             if isinstance(value, float) and not math.isfinite(value):
-                raise DomainError(f"--{name.replace('_', '-')} must be finite, got {value}")
-        return ns.func(ns)
+                raise DomainError(f"{flag} must be finite, got {value}")
+            if (name == "seed" or _is_tolerance(name)) and value is not None and value < 0:
+                raise DomainError(f"{flag} must be >= 0, got {value}")
+        rep = ns.func(ns)
+        if rep is not None:
+            _publish(ns, rep)
+        return 0
     except CliInputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,7 @@ from dpstates import (
     DimensionMismatchError,
     DomainError,
     FOutOfRangeError,
+    InvalidDimensionError,
     KrausChannel,
     NonUnitVectorError,
     NotTracePreservingError,
@@ -375,6 +376,11 @@ class TestHaar:
         v = haar_state(6, rng_for(80))
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("D", [0, -3])
+    def test_state_rejects_empty_or_negative_dimension(self, D):
+        with pytest.raises(InvalidDimensionError):
+            haar_state(D, rng_for(80))
+
 
 class TestPdpsRecipe:
     def test_output_is_valid_state(self):
@@ -463,3 +469,10 @@ class TestLocalDepolarize:
             local_depolarize(dm, 2, 3, p_min_cp(2) - 1e-6, 0.5)
         with pytest.raises(PolarizationOutOfRangeError):
             local_depolarize(dm, 2, 3, 0.5, p_min_cp(3) - 1e-6)
+
+    @pytest.mark.parametrize("dA, dB", [(1, 4), (4, 1), (-2, -2)])
+    def test_rejects_trivial_or_negative_subsystem(self, dA, dB):
+        # p_min_cp(1) would divide by zero
+        dm = random_mixed(4, rng_for(92))
+        with pytest.raises(InvalidDimensionError):
+            local_depolarize(dm, dA, dB, 0.5, 0.5)

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dpstates.cli import main, render_json
+from dpstates.cli import build_parser, main, render_json
 
 
 def run(capsys, *argv):
@@ -341,21 +345,47 @@ BOUNDARY_COMMANDS = [
     ["schmidt", "{dps}", "--p-tol", "nan"],
     ["entanglement", "{dps}", "--neg-tol", "nan"],
     ["moments", "{dps}", "--assume-dps", "--recovery-tol", "nan"],
+    ["gen", "dps", "--p", "0.5", "--seed", "-1"],
+    ["gen", "haar-pure", "--seed", "-1"],
+    ["moments", "{dps}", "--mode", "mc", "--seed", "-5"],
+    ["channel", "recipe", "{pure}", "--f", "0.5", "--trials", "10", "--seed", "-1"],
+    ["channel", "twirl", "{ch}", "--mode", "haar-sample", "--samples", "10", "--seed", "-1"],
+    ["entanglement", "{dps}", "--neg-tol", "-1"],
+    ["analyze", "{dps}", "--tol-star", "-1"],
+    ["schmidt", "{dps}", "--p-tol", "-1"],
+    ["moments", "{dps}", "--assume-dps", "--recovery-tol", "-1"],
+    ["gen", "dps", "--dim", "-3", "--p", "0.5", "--seed", "1"],
+    ["channel", "local", "{dps}", "--dims", "1", "4", "--pa", "0.5", "--pb", "0.5"],
+    ["channel", "local", "{dps}", "--dims", "4", "1", "--pa", "0.5", "--pb", "0.5"],
 ]
+
+
+def write_inputs(tmp_path) -> dict:
+    """State and channel files for the boundary and fuzz tests, by name."""
+    nan = np.eye(4) / 4.0
+    nan[0, 1] = nan[1, 0] = np.nan
+    ch = tmp_path / "ch.json"
+    ch.write_text(json.dumps({"dim": 2, "kraus": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}))
+    bad = tmp_path / "bad.json"
+    bad.write_text("{nope")
+    return {
+        "nan": write_state(tmp_path / "nan.json", nan),
+        "mm": write_state(tmp_path / "mm.json", np.eye(4) / 4.0),
+        "dps": write_state(tmp_path / "dps.json", np.diag([0.625, 0.125, 0.125, 0.125]), dims=(2, 2)),
+        "pure": write_state(tmp_path / "pure.json", np.diag([1.0, 0.0, 0.0])),
+        "ch": str(ch),
+        "bad": str(bad),
+        "missing": str(tmp_path / "missing.json"),
+    }
 
 
 @pytest.mark.parametrize("argv", BOUNDARY_COMMANDS, ids=lambda a: " ".join(a))
 def test_non_finite_and_out_of_range_input_is_refused(argv, capsys, tmp_path):
-    nan = np.eye(4) / 4.0
-    nan[0, 1] = nan[1, 0] = np.nan
-    paths = {
-        "nan": write_state(tmp_path / "nan.json", nan),
-        "mm": write_state(tmp_path / "mm.json", np.eye(4) / 4.0),
-        "dps": write_state(tmp_path / "dps.json", np.diag([0.625, 0.125, 0.125, 0.125]), dims=(2, 2)),
-    }
+    paths = write_inputs(tmp_path)
     code = main([a.format(**paths) for a in argv])
     captured = capsys.readouterr()
-    assert code in (2, 3)
+    # a malformed file is exit 2; every flag or dimension out of its domain is exit 3
+    assert code == (2 if "{nan}" in argv else 3)
     assert len(captured.err.strip().splitlines()) == 1
     assert "Traceback" not in captured.err
     assert captured.out == ""
@@ -391,3 +421,135 @@ def test_cli_import_loads_no_scipy():
     probe = "import sys, dpstates.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every drawn command line is answered or refused with a documented code
+
+INTS = st.integers(-3, 8).map(str)
+COUNTS = st.integers(-3, 50).map(str)
+FLOATS = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "0.5", "1", "2"])
+SWITCH = st.just(None)
+STATES = st.sampled_from(["dps", "pure", "mm", "nan", "bad", "missing"])
+CHANNELS = st.sampled_from(["ch", "dps", "bad", "missing"])
+
+
+def _args(flag: str, value) -> list:
+    """argv for one flag: a None value is a switch, a list spans several args.
+
+    A scalar goes as "--flag=value", so that argparse reads "-inf" as a value.
+    """
+    name = "--" + flag.replace("_", "-")
+    if value is None:
+        return [name]
+    if isinstance(value, list):
+        return [name, *value]
+    return [f"{name}={value}"]
+
+
+def cat(*parts):
+    return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+def flags(**drawn):
+    """Each flag present or absent, with a drawn value."""
+    return cat(*(st.one_of(st.just([]), v.map(lambda x, f=f: _args(f, x))) for f, v in drawn.items()))
+
+
+def need(flag, values):
+    return values.map(lambda v: _args(flag, v))
+
+
+def named(files):
+    return files.map(lambda n: ["{" + n + "}"])
+
+
+PAIR = st.lists(st.integers(-3, 8).map(str), min_size=2, max_size=2)
+FUZZ_COMMANDS = {
+    "analyze": cat(st.just(["analyze"]), named(STATES), flags(tol_star=FLOATS, tol_spectrum=FLOATS)),
+    "distance": cat(
+        st.just(["distance"]), named(STATES), named(STATES), flags(method=st.sampled_from(["closed", "oracle", "both"]))
+    ),
+    "schmidt": cat(st.just(["schmidt"]), named(STATES), flags(dims=PAIR, p_tol=FLOATS)),
+    "entanglement": cat(st.just(["entanglement"]), named(STATES), flags(dims=PAIR, neg_tol=FLOATS)),
+    "werner2q": cat(st.just(["werner2q"]), need("p", FLOATS), need("omega", FLOATS)),
+    "isotropic": cat(st.just(["isotropic"]), need("da", INTS), need("F", FLOATS)),
+    "channel depolarize": cat(
+        st.just(["channel", "depolarize"]), named(STATES), need("p", FLOATS), flags(require_cp=SWITCH)
+    ),
+    "channel protocol1": cat(st.just(["channel", "protocol1"]), named(STATES), need("beta2", FLOATS)),
+    "channel twirl": cat(
+        st.just(["channel", "twirl"]),
+        named(CHANNELS),
+        flags(
+            mode=st.sampled_from(["exact-clifford", "haar-sample"]),
+            samples=COUNTS,
+            seed=INTS,
+            exclude_identity=SWITCH,
+        ),
+    ),
+    "channel recipe": cat(
+        st.just(["channel", "recipe"]), named(STATES), need("f", FLOATS), need("seed", INTS), need("trials", COUNTS)
+    ),
+    "channel local": cat(
+        st.just(["channel", "local"]), named(STATES), need("pa", FLOATS), need("pb", FLOATS), flags(dims=PAIR)
+    ),
+    "moments": cat(
+        st.just(["moments"]),
+        named(STATES),
+        flags(
+            m=st.lists(st.integers(-3, 8).map(str), min_size=1, max_size=3),
+            mode=st.sampled_from(["exact", "perm", "mc"]),
+            shots=COUNTS,
+            seed=INTS,
+            assume_dps=SWITCH,
+            recovery_tol=FLOATS,
+        ),
+    ),
+    "fig1": cat(st.just(["fig1"]), flags(dim=INTS, grid=INTS)),
+    "gen": cat(
+        st.just(["gen"]),
+        st.sampled_from(["dps", "isotropic", "haar-pure"]).map(lambda k: [k]),
+        flags(dim=INTS, p=FLOATS, da=INTS, F=FLOATS, seed=INTS),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    return write_inputs(tmp_path_factory.mktemp("fuzz"))
+
+
+def _finite(value) -> bool:
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def test_fuzz_covers_every_subcommand():
+    covered = {name.split()[0] for name in FUZZ_COMMANDS}
+    assert covered == set(build_parser()._subparsers._group_actions[0].choices)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(FUZZ_COMMANDS))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_command_lines_exit_cleanly(name, fuzz_inputs, data):
+    argv = [a.format(**fuzz_inputs) for a in data.draw(FUZZ_COMMANDS[name], label="argv")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    if code:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        return
+    assert err.getvalue() == ""
+    if argv[0] == "fig1":
+        header, *rows = out.getvalue().splitlines()
+        assert rows and all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+    else:
+        assert _finite(json.loads(out.getvalue()))
