@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import SuBasis, _check_dims, measure_dps
-from .channels import maximally_entangled
+from .bloch import measure_dps
+from .channels import maximally_entangled, twirl_p
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -25,16 +25,16 @@ from .errors import (
     InvalidDimensionError,
     InvalidSchmidtVectorError,
     FOutOfRangeError,
-    NonUnitVectorError,
     NotDPSError,
     PolarizationOutOfRangeError,
     SubsystemOrderError,
 )
 from .linalg import DensityMatrix
-from .metrics import DpsState, make_dps, p_min
+from .metrics import DpsState, _in_range, _unit_vector, make_dps, p_min
 
 NEG_TOL = 1e-9
 SCHMIDT_SUM_TOL = 1e-10
+CONSISTENCY_TOL = 1e-8
 
 PPT_CAVEAT = (
     "entangled=False means no negative partial-transpose eigenvalue was found; "
@@ -94,10 +94,7 @@ def schmidt_pure(psi, dA: int, dB: int) -> SchmidtForm:
     v = np.asarray(psi, dtype=complex).reshape(-1)
     if v.shape[0] != dA * dB:
         raise DimensionMismatchError(f"state length {v.shape[0]} != dA*dB = {dA * dB}")
-    nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > 1e-12:
-        raise NonUnitVectorError(f"norm {nrm:.15g} differs from 1 beyond 1e-12")
-    A = v.reshape(dA, dB)
+    A = _unit_vector(v).reshape(dA, dB)
     u, s, vh = np.linalg.svd(A, full_matrices=True)
     U = u.conj().T
     V = vh.conj()
@@ -107,14 +104,13 @@ def schmidt_pure(psi, dA: int, dB: int) -> SchmidtForm:
     return SchmidtForm(dA=dA, dB=dB, b=b, U=U, V=V)
 
 
-def schmidt_dps(
-    rho_d: DensityMatrix, dA: int, dB: int, basis: SuBasis | None = None, p_tol: float = 1e-8
-) -> tuple[float, SchmidtForm]:
+def schmidt_dps(rho_d: DensityMatrix, dA: int, dB: int, *, p_tol: float = 1e-8) -> tuple[float, SchmidtForm]:
     """Recover (p, Schmidt form) of a DPS from its density matrix.
 
-    ``basis`` is optional, as in :func:`dps_test`.  For p != 0 the
-    purification is the eigenvector of the single non-degenerate
-    eigenvalue (:attr:`DpsMeasurement.purification`), read from the
+    Membership is decided by :func:`measure_dps` at its default
+    tolerances, with no basis.  For p != 0 the purification is the
+    eigenvector of the single non-degenerate eigenvalue
+    (:attr:`DpsMeasurement.purification`), read from the
     eigendecomposition the membership test already made.
 
     Raises:
@@ -126,8 +122,6 @@ def schmidt_dps(
     _check_bipartite_dims(dA, dB)
     if rho_d.dim != dA * dB:
         raise DimensionMismatchError(f"state dim {rho_d.dim} != dA*dB = {dA * dB}")
-    if basis is not None:
-        _check_dims(rho_d.dim, basis)
     m = measure_dps(rho_d)
     p = m.verdict()
     if p is None:
@@ -138,7 +132,7 @@ def schmidt_dps(
     return p, schmidt_pure(psi / np.linalg.norm(psi), dA, dB)
 
 
-def _check_schmidt_vector(b, n_slots: int, n_nonzero: int | None = None) -> np.ndarray:
+def _check_schmidt_vector(b, n_slots: int) -> np.ndarray:
     vec = np.asarray(b, dtype=float).reshape(-1)
     if vec.size > n_slots:
         raise InvalidSchmidtVectorError(f"{vec.size} Schmidt coefficients exceed {n_slots} slots")
@@ -147,32 +141,22 @@ def _check_schmidt_vector(b, n_slots: int, n_nonzero: int | None = None) -> np.n
     total = float(np.sum(vec * vec))
     if abs(total - 1.0) > SCHMIDT_SUM_TOL:
         raise InvalidSchmidtVectorError(f"sum of b^2 is {total:.15g}, not 1")
-    if n_nonzero is not None:
-        if n_nonzero > vec.size or float(np.max(np.abs(vec[n_nonzero:]), initial=0.0)) > 1e-12:
-            raise InvalidSchmidtVectorError(
-                f"n_nonzero={n_nonzero} inconsistent with coefficient list of size {vec.size}"
-            )
     out = np.zeros(n_slots)
     out[: vec.size] = np.clip(vec, 0.0, None)
     return out
 
 
-def reduced_spectrum_dps(p: float, b, dX: int, n_nonzero: int | None = None) -> np.ndarray:
+def reduced_spectrum_dps(p: float, b, dX: int) -> np.ndarray:
     """Closed-form marginal spectrum of a DPS, ascending.
 
-    {(1-p)/dX + p b_j^2} over the Schmidt slots plus (dX - n) copies of
-    the flat value (1-p)/dX.
+    {(1-p)/dX + p b_j^2} over the n = len(b) Schmidt coefficients, in
+    any order, plus (dX - n) copies of the flat value (1-p)/dX.
 
     Raises:
         InvalidSchmidtVectorError.
     """
-    if n_nonzero is None:
-        n_nonzero = int(np.sum(np.asarray(b, dtype=float) > 1e-12))
-    vec = _check_schmidt_vector(b, dX, n_nonzero)
-    flat = (1.0 - p) / dX
-    vals = np.full(dX, flat)
-    vals[:n_nonzero] += p * vec[:n_nonzero] ** 2
-    return np.sort(vals)
+    # b comes back padded with zeros to dX slots, which keep the flat value
+    return np.sort((1.0 - p) / dX + p * _check_schmidt_vector(b, dX) ** 2)
 
 
 @dataclass(frozen=True)
@@ -193,9 +177,7 @@ def _rejected(reason: str) -> ConsistencyResult:
     return ConsistencyResult(verdict="REJECTED", reason=reason)
 
 
-def consistency_check(
-    rhoA: DensityMatrix, rhoB: DensityMatrix, tol: float = 1e-8
-) -> ConsistencyResult:
+def consistency_check(rhoA: DensityMatrix, rhoB: DensityMatrix) -> ConsistencyResult:
     """Could these two marginals have come from one DPS?
 
     Necessary-condition screen: full rank on both sides, a (dB - dA)-fold
@@ -221,7 +203,7 @@ def consistency_check(
         need = dB - dA
         best = run = 1
         for k in range(1, dB):
-            run = run + 1 if specB[k] - specB[k - 1] < tol else 1
+            run = run + 1 if specB[k] - specB[k - 1] < CONSISTENCY_TOL else 1
             best = max(best, run)
         if best < need:
             return _rejected(
@@ -239,8 +221,9 @@ def consistency_check(
         if any(abs(p - q) < 1e-10 for q in seen):
             continue
         seen.append(p)
-        if abs(p) < tol:
-            if np.max(np.abs(specA - 1.0 / dA)) < tol and np.max(np.abs(specB - 1.0 / dB)) < tol:
+        if abs(p) < CONSISTENCY_TOL:
+            flat_dev = max(np.max(np.abs(specA - 1.0 / dA)), np.max(np.abs(specB - 1.0 / dB)))
+            if flat_dev < CONSISTENCY_TOL:
                 return ConsistencyResult(
                     verdict="CONSISTENT",
                     reason="both marginals maximally mixed (p = 0)",
@@ -249,15 +232,15 @@ def consistency_check(
                 )
             continue
         b_sq = (specA - (1.0 - p) / dA) / p
-        if float(np.min(b_sq)) < -tol:
+        if float(np.min(b_sq)) < -CONSISTENCY_TOL:
             continue
         b_sq = np.clip(b_sq, 0.0, None)
-        if abs(float(np.sum(b_sq)) - 1.0) > 10 * tol:
+        if abs(float(np.sum(b_sq)) - 1.0) > 10 * CONSISTENCY_TOL:
             continue
         predB = np.sort(
             np.concatenate([(1.0 - p) / dB + p * b_sq, np.full(dB - dA, (1.0 - p) / dB)])
         )
-        if float(np.max(np.abs(predB - specB))) < 10 * tol:
+        if float(np.max(np.abs(predB - specB))) < 10 * CONSISTENCY_TOL:
             b = np.sort(np.sqrt(b_sq))[::-1].copy()
             b.setflags(write=False)
             return ConsistencyResult(
@@ -351,10 +334,8 @@ def two_qubit_canonical(p: float, omega: float) -> tuple[DensityMatrix, tuple[fl
         PolarizationOutOfRangeError: p outside [-1/3, 1].
         DomainError: omega outside [0, pi/2].
     """
-    if not -1.0 / 3.0 - 1e-12 <= p <= 1.0 + 1e-12:
-        raise PolarizationOutOfRangeError(f"p={p:.15g} outside [-1/3, 1]")
-    if not -1e-12 <= omega <= math.pi / 2.0 + 1e-12:
-        raise DomainError(f"omega={omega:.15g} outside [0, pi/2]")
+    _in_range(p, -1.0 / 3.0, 1.0, PolarizationOutOfRangeError, "p")
+    _in_range(omega, 0.0, math.pi / 2.0, DomainError, "omega")
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     sy = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
     sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -390,9 +371,5 @@ def isotropic(dA: int, F: float) -> tuple[DpsState, bool]:
     """
     if dA < 2:
         raise InvalidDimensionError(f"isotropic states need dA >= 2, got {dA}")
-    if not -1e-12 <= F <= 1.0 + 1e-12:
-        raise FOutOfRangeError(f"F={F:.15g} outside [0, 1]")
-    F = min(max(F, 0.0), 1.0)
-    phi = maximally_entangled(dA)
-    p = (dA * dA * F - 1.0) / (dA * dA - 1.0)
-    return make_dps(phi, p), F <= 1.0 / dA + 1e-12
+    F = _in_range(F, 0.0, 1.0, FOutOfRangeError, "F")
+    return make_dps(maximally_entangled(dA), twirl_p(dA, F)), F <= 1.0 / dA + 1e-12

@@ -23,6 +23,7 @@ from .errors import (
     UndefinedForDim2Error,
 )
 from .linalg import DensityMatrix, eig_hermitian
+from .metrics import _dps_spectrum
 
 SPARSE_CUTOFF = 1e-12
 STAR_TOL = 1e-8
@@ -279,36 +280,27 @@ def measure_dps(rho: DensityMatrix) -> DpsMeasurement:
         residual = float(np.linalg.norm(S - p * A)) / math.sqrt(2.0)
     spec = eig_hermitian(rho.matrix)
     vals = spec.eigenvalues
-    expected = np.full(D, (1.0 - p) / D)
-    expected[-1] += p
-    deviation = float(np.max(np.abs(vals - np.sort(expected))))
+    deviation = float(np.max(np.abs(vals - _dps_spectrum(D, p))))
     return DpsMeasurement(A, vals, spec.eigenvectors, norm, p, residual, deviation)
 
 
-def dps_test(
-    rho: DensityMatrix,
-    basis: SuBasis | None = None,
-    tol: float | None = None,
-    *,
-    tol_star: float = STAR_TOL,
-    tol_spectrum: float = SPECTRUM_TOL,
-) -> float | None:
+def dps_test(rho: DensityMatrix, basis: SuBasis | None = None) -> float | None:
     """Decide whether ``rho`` is a depolarized pure state; return its p.
 
     Checks positivity, |p| = sqrt(n.n), the star condition n*n = p n
     (D >= 3, with the sign of p read off n*n.n = p^3) and the spectrum
-    pattern {(1-p)/D + p, (1-p)/D x(D-1)}; returns None if any fails.
-    At D = 2 the sign is unresolvable and p = ||n|| >= 0.
+    pattern {(1-p)/D + p, (1-p)/D x(D-1)} within STAR_TOL and
+    SPECTRUM_TOL; returns None if any fails.  At D = 2 the sign is
+    unresolvable and p = ||n|| >= 0.  Other tolerances go through
+    ``measure_dps(rho).verdict(tol_star, tol_spectrum)``, as
+    ``dps analyze --tol-star/--tol-spectrum`` does.
 
     Args:
         basis: optional; only its dimension is checked against ``rho``.
-        tol: sets both tolerances at once when given.
 
     Raises:
         DimensionMismatchError, InvalidDimensionError.
     """
-    if tol is not None:
-        tol_star = tol_spectrum = tol
     if basis is not None:
         _check_dims(rho.dim, basis)
-    return measure_dps(rho).verdict(tol_star, tol_spectrum)
+    return measure_dps(rho).verdict()

@@ -6,10 +6,15 @@ state: an ancilla-assisted unitary whose residual system state is
 conjugations of an arbitrary channel into a depolarizing one with
 p = (D^2 f - 1)/(D^2 - 1) where f is the Jamiolkowski fidelity.  The
 protocol output comes from the unitary's closed action on legal inputs,
-which the tests check against the dense D^3 x D^3 unitary; twirls are
-simulated explicitly, as Gram products over the conjugated Kraus
-operators (checked in the tests against the dense Kronecker-product
-average), and checked against their closed form.
+which the tests check against the dense D^3 x D^3 unitary.
+
+A channel is held as one matrix: its Choi matrix sum_K vec(K) vec(K)^dag,
+the Gram product M^T M^* over the rows vec(K) of its Kraus operators.
+The Jamiolkowski state is that matrix over D, the superoperator its
+reshuffle, and a twirl accumulates it over conjugated Kraus operators,
+reads p and the deviation from depolarizing off it, and takes the
+averaged channel's Kraus operators from its eigenvectors.  The tests
+check each against the dense Kronecker-product constructions.
 
 All Monte-Carlo entry points take explicit integer seeds; there is no
 hidden global randomness.
@@ -36,7 +41,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .linalg import DensityMatrix, partial_trace
-from .metrics import p_min, p_min_cp
+from .metrics import _in_range, _unit_vector, p_min, p_min_cp
 
 TP_TOL = 1e-10
 TWIRL_CHECK_TOL = 1e-10
@@ -76,21 +81,26 @@ class KrausChannel:
         return out
 
     def superoperator(self) -> np.ndarray:
-        """D^2 x D^2 matrix acting on row-major vec(rho)."""
-        return _superop_sum(np.stack(self.kraus))
+        """D^2 x D^2 matrix acting on row-major vec(rho), sum_K kron(K, K^*).
+
+        The Choi matrix with its axes reordered from ((i, k), (j, l)) to
+        ((i, j), (k, l)).
+        """
+        D = self.dim
+        C = _choi(np.stack(self.kraus))
+        return C.reshape(D, D, D, D).transpose(0, 2, 1, 3).reshape(D * D, D * D)
 
 
-def _superop_sum(ops: np.ndarray) -> np.ndarray:
-    """sum_n kron(A_n, A_n^*) over a (..., D, D) stack, as one Gram product.
+def _choi(ops: np.ndarray) -> np.ndarray:
+    """sum_n vec(A_n) vec(A_n)^dag over a (..., D, D) stack, as one Gram product.
 
     With M the stack flattened to rows vec(A_n), M^T M^* holds
-    A_n[i, k] A_n[j, l]^* summed over n at ((i, k), (j, l)); reordering
-    the axes to ((i, j), (k, l)) gives the kron sum.
+    A_n[i, k] A_n[j, l]^* summed over n at ((i, k), (j, l)).  For Kraus
+    operators this is the Choi matrix, (channel (x) 1)(|vec 1><vec 1|).
     """
     D = ops.shape[-1]
     M = ops.reshape(-1, D * D)
-    G = M.T @ M.conj()
-    return G.reshape(D, D, D, D).transpose(0, 2, 1, 3).reshape(D * D, D * D)
+    return M.T @ M.conj()
 
 
 class WeylBasis:
@@ -141,11 +151,8 @@ class ChiState:
         D = self.dim
         a, b = complex(self.alpha), complex(self.beta)
         norm_sq = abs(a) ** 2 + abs(b) ** 2 + 2.0 * (a * b.conjugate()).real / D
-        if abs(norm_sq - 1.0) > 1e-12:
-            raise NonUnitVectorError(f"chi norm^2 = {norm_sq:.15g} differs from 1 beyond 1e-12")
-        limit = D * D / (D * D - 1.0)
-        if abs(b) ** 2 > limit + 1e-12:
-            raise DomainError(f"|beta|^2 = {abs(b)**2:.15g} exceeds D^2/(D^2-1) = {limit:.15g}")
+        _in_range(norm_sq, 1.0, 1.0, NonUnitVectorError, "chi norm^2")
+        _in_range(abs(b) ** 2, 0.0, D * D / (D * D - 1.0), DomainError, "|beta|^2")
 
     def vector(self) -> np.ndarray:
         """The length-D^2 amplitude vector over the two ancillas."""
@@ -169,10 +176,7 @@ def chi_from_beta2(D: int, beta2: float) -> ChiState:
     Raises:
         DomainError: beta2 outside that range.
     """
-    limit = D * D / (D * D - 1.0)
-    if not -1e-12 <= beta2 <= limit + 1e-12:
-        raise DomainError(f"beta2={beta2:.15g} outside [0, {limit:.15g}]")
-    beta2 = min(max(beta2, 0.0), limit)
+    beta2 = _in_range(beta2, 0.0, D * D / (D * D - 1.0), DomainError, "beta2")
     beta = math.sqrt(beta2)
     alpha = -beta / D + math.sqrt(max(1.0 - beta2 * (1.0 - 1.0 / (D * D)), 0.0))
     return ChiState(dim=D, alpha=alpha, beta=beta)
@@ -194,8 +198,7 @@ def apply_depolarizing(rho: DensityMatrix, p: float) -> DepolarizedOutput:
         PolarizationOutOfRangeError: p outside the positivity range.
     """
     D = rho.dim
-    if not p_min(D) - 1e-12 <= p <= 1.0 + 1e-12:
-        raise PolarizationOutOfRangeError(f"p={p:.15g} outside [{p_min(D):.15g}, 1] for D={D}")
+    _in_range(p, p_min(D), 1.0, PolarizationOutOfRangeError, "p")
     out = DensityMatrix((1.0 - p) * np.eye(D) / D + p * rho.matrix)
     return DepolarizedOutput(state=out, physically_realizable=p >= p_min_cp(D) - 1e-12)
 
@@ -209,10 +212,7 @@ def depolarizing_kraus(D: int, p: float) -> KrausChannel:
     Raises:
         PolarizationOutOfRangeError: p outside the CP range.
     """
-    if not p_min_cp(D) - 1e-12 <= p <= 1.0 + 1e-12:
-        raise PolarizationOutOfRangeError(
-            f"p={p:.15g} outside CP range [{p_min_cp(D):.15g}, 1] for D={D}"
-        )
+    _in_range(p, p_min_cp(D), 1.0, PolarizationOutOfRangeError, "p")
     w = WeylBasis(D)
     rest = max(1.0 - p, 0.0) / (D * D)
     ops = [math.sqrt(max(p + rest, 0.0)) * np.eye(D, dtype=complex)]
@@ -246,8 +246,7 @@ def protocol1(psi, chi: ChiState) -> DensityMatrix:
     D = chi.dim
     if v.shape[0] != D:
         raise DimensionMismatchError(f"state length {v.shape[0]} != chi dimension {D}")
-    if abs(float(np.linalg.norm(v)) - 1.0) > 1e-12:
-        raise NonUnitVectorError("psi must be a unit vector")
+    v = _unit_vector(v)
     # every legal input psi (x) chi lies in the span of the |m>|Phi+> and
     # |m>|0>|uniform> on which U is fixed, so U(psi (x) chi) is
     # O[s, a1, a2] = (alpha psi_s delta_{a1 a2} + beta psi_{a1} delta_{s a2}) / sqrt(D)
@@ -262,23 +261,14 @@ def protocol1(psi, chi: ChiState) -> DensityMatrix:
 
 
 def jamiolkowski_state(ch: KrausChannel) -> DensityMatrix:
-    """(channel (x) identity) applied to |Phi+><Phi+|."""
-    D = ch.dim
-    phi = maximally_entangled(D)
-    proj = np.outer(phi, phi.conj())
-    out = np.zeros((D * D, D * D), dtype=complex)
-    eye = np.eye(D, dtype=complex)
-    for K in ch.kraus:
-        big = np.kron(K, eye)
-        out += big @ proj @ big.conj().T
-    return DensityMatrix(out)
+    """(channel (x) identity) applied to |Phi+><Phi+|: the Choi matrix over D."""
+    return DensityMatrix(_choi(np.stack(ch.kraus)) / ch.dim)
 
 
 def jamiolkowski_fidelity(ch: KrausChannel) -> float:
-    """f = <Phi+| E_channel |Phi+>, equal to sum_m |Tr K_m|^2 / D^2."""
-    phi = maximally_entangled(ch.dim)
-    E = jamiolkowski_state(ch).matrix
-    f = float(np.real(np.vdot(phi, E @ phi)))
+    """f = <Phi+| E_channel |Phi+> = sum_m |Tr K_m|^2 / D^2."""
+    tr = np.trace(np.stack(ch.kraus), axis1=1, axis2=2)
+    f = float(np.vdot(tr, tr).real) / (ch.dim * ch.dim)
     return min(max(f, 0.0), 1.0)
 
 
@@ -391,10 +381,6 @@ class TwirlResult(NamedTuple):
     depolarizing_deviation: float
 
 
-def _superop_to_choi(S: np.ndarray, D: int) -> np.ndarray:
-    return S.reshape(D, D, D, D).transpose(0, 2, 1, 3).reshape(D * D, D * D)
-
-
 def _kraus_from_choi(C: np.ndarray, D: int) -> tuple:
     vals, vecs = np.linalg.eigh((C + C.conj().T) / 2.0)
     if float(vals[0]) < -1e-10:
@@ -407,7 +393,7 @@ def _kraus_from_choi(C: np.ndarray, D: int) -> tuple:
 
 
 def _conjugation_average(kraus: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
-    """Mean over U of the superoperator of the channel {U^dag K U}.
+    """Mean over U of the Choi matrix of the channel {U^dag K U}.
 
     Accumulated as Gram products over blocks of unitaries, so the
     conjugated Kraus stack held at once stays at about GRAM_ROWS
@@ -418,23 +404,23 @@ def _conjugation_average(kraus: np.ndarray, unitaries: np.ndarray) -> np.ndarray
     acc = np.zeros((D * D, D * D), dtype=complex)
     for start in range(0, len(unitaries), step):
         U = unitaries[start : start + step, None]
-        acc += _superop_sum(U.conj().swapaxes(-1, -2) @ kraus @ U)
+        acc += _choi(U.conj().swapaxes(-1, -2) @ kraus @ U)
     return acc / len(unitaries)
 
 
 def _twirl_result(acc: np.ndarray, D: int, p_hat: float, dev: float) -> TwirlResult:
-    kraus = _kraus_from_choi(_superop_to_choi(acc, D), D)
+    kraus = _kraus_from_choi(acc, D)
     return TwirlResult(channel=KrausChannel(dim=D, kraus=kraus), p_hat=p_hat, depolarizing_deviation=dev)
 
 
-def _depolarizing_deviation(S: np.ndarray, D: int, p_hat: float) -> float:
-    """Max entry deviation of S from the depolarizing superoperator at p_hat.
+def _depolarizing_deviation(C: np.ndarray, D: int, p_hat: float) -> float:
+    """Max entry deviation of the Choi matrix C from the depolarizing one at p_hat.
 
-    That superoperator is (1-p)/D |vec 1><vec 1| + p 1 on row-major vec(rho).
+    That Choi matrix is (1-p)/D 1 + p |vec 1><vec 1|.
     """
     vec1 = np.eye(D).reshape(-1)
-    want = ((1.0 - p_hat) / D) * np.outer(vec1, vec1) + p_hat * np.eye(D * D)
-    return float(np.max(np.abs(S - want)))
+    want = ((1.0 - p_hat) / D) * np.eye(D * D) + p_hat * np.outer(vec1, vec1)
+    return float(np.max(np.abs(C - want)))
 
 
 def twirl(
@@ -455,12 +441,11 @@ def twirl(
     conjugation-invariant, so it carries no Monte-Carlo information);
     standard error scales as 1/sqrt(samples).
 
-    Both modes average superoperators without forming one per unitary:
+    Both modes average Choi matrices without forming one per unitary:
     with A = U^dag K U over every (U, K) and M the stack of rows vec(A),
-    the mean is M^T M^* reordered to act on vec(rho), divided by the
-    number of unitaries and accumulated over blocks of unitaries.  The
-    tests check it against the dense average of
-    kron(U^dag, U^T) S kron(U, U^*).
+    the mean is M^T M^* divided by the number of unitaries, accumulated
+    over blocks of unitaries.  The tests check its reshuffle against
+    the dense average of kron(U^dag, U^T) S kron(U, U^*).
 
     ``exclude_identity`` averages over the group minus the identity, for
     measuring how far that deficient average is from depolarizing; the
@@ -471,7 +456,6 @@ def twirl(
         DomainError: unknown mode or missing samples/seed.
     """
     D = ch.dim
-    f = jamiolkowski_fidelity(ch)
     kraus = np.stack(ch.kraus)
 
     if mode == "exact-clifford":
@@ -480,7 +464,7 @@ def twirl(
         group = clifford_group(D)
         # the closure seeds from the identity, so group[0] is always 1
         acc = _conjugation_average(kraus, np.stack(group[1:] if exclude_identity else group))
-        p_hat = twirl_p(D, f)
+        p_hat = twirl_p(D, jamiolkowski_fidelity(ch))
         dev = _depolarizing_deviation(acc, D, p_hat)
         if not exclude_identity and dev > TWIRL_CHECK_TOL:
             raise InternalCheckError(
@@ -496,10 +480,8 @@ def twirl(
         if seed is None:
             raise DomainError("haar-sample twirl needs an explicit seed")
         acc = _conjugation_average(kraus, haar_unitaries(D, samples, np.random.default_rng(seed)))
-        e00 = np.zeros((D, D), dtype=complex)
-        e00[0, 0] = 1.0
-        out00 = (acc @ e00.reshape(-1)).reshape(D, D)
-        p_hat = float((np.real(out00[0, 0]) - 1.0 / D) / (1.0 - 1.0 / D))
+        # <0| twirl(|0><0|) |0> is the Choi entry at ((0, 0), (0, 0))
+        p_hat = float((acc[0, 0].real - 1.0 / D) / (1.0 - 1.0 / D))
         return _twirl_result(acc, D, p_hat, _depolarizing_deviation(acc, D, p_hat))
 
     raise DomainError(f"unknown twirl mode {mode!r}")
@@ -527,12 +509,8 @@ def pdps_recipe(psi, f: float, seed: int, trials: int) -> DensityMatrix:
         FOutOfRangeError: f outside [0, 1].
         NonUnitVectorError.
     """
-    if not -1e-12 <= f <= 1.0 + 1e-12:
-        raise FOutOfRangeError(f"f={f:.15g} outside [0, 1]")
-    f = min(max(f, 0.0), 1.0)
-    v = np.asarray(psi, dtype=complex).reshape(-1)
-    if abs(float(np.linalg.norm(v)) - 1.0) > 1e-12:
-        raise NonUnitVectorError("psi must be a unit vector")
+    f = _in_range(f, 0.0, 1.0, FOutOfRangeError, "f")
+    v = _unit_vector(psi)
     if trials < 1:
         raise DomainError("trials must be >= 1")
     D = v.shape[0]
@@ -566,10 +544,7 @@ def local_depolarize(
     if rho.dim != dA * dB:
         raise DimensionMismatchError(f"state dim {rho.dim} != dA*dB = {dA * dB}")
     for d, p, name in ((dA, pA, "pA"), (dB, pB, "pB")):
-        if not p_min_cp(d) - 1e-12 <= p <= 1.0 + 1e-12:
-            raise PolarizationOutOfRangeError(
-                f"{name}={p:.15g} outside CP range [{p_min_cp(d):.15g}, 1]"
-            )
+        _in_range(p, p_min_cp(d), 1.0, PolarizationOutOfRangeError, name)
     M = rho.matrix
     rA = partial_trace(M, dA, dB, keep="A")
     rB = partial_trace(M, dA, dB, keep="B")

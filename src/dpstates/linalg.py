@@ -5,7 +5,8 @@ Conventions fixed here and relied on everywhere else:
 * composite indices are row-major (A-major): the joint index of subsystem
   states ``|i>_A |j>_B`` is ``i * dB + j``, matching ``numpy.kron``;
 * eigenvalues are returned in ascending order;
-* Hermiticity and trace checks use 1e-12, reconstruction checks 1e-10.
+* Hermiticity and trace checks use 1e-12 on density matrices and 1e-10
+  on matrices handed to the eigensolver; reconstruction checks use 1e-10.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import (
 )
 
 HERM_TOL = 1e-12
+EIG_HERM_TOL = 1e-10
 TRACE_TOL = 1e-12
 RECON_TOL = 1e-10
 PSD_CLIP_TOL = 1e-10
@@ -85,9 +87,9 @@ class DensityMatrix:
     def dim(self) -> int:
         return self._matrix.shape[0]
 
-    def is_positive(self, tol: float = PSD_CLIP_TOL) -> bool:
-        """True when every eigenvalue is at least ``-tol``."""
-        return bool(np.min(np.linalg.eigvalsh(self._matrix)) >= -tol)
+    def is_positive(self) -> bool:
+        """True when every eigenvalue is at least -PSD_CLIP_TOL."""
+        return bool(np.min(np.linalg.eigvalsh(self._matrix)) >= -PSD_CLIP_TOL)
 
     def purity(self) -> float:
         """Tr(rho^2)."""
@@ -113,7 +115,7 @@ class Spectrum:
         return (V * self.eigenvalues) @ V.conj().T
 
 
-def eig_hermitian(M, tol: float = 1e-10) -> Spectrum:
+def eig_hermitian(M) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix.
 
     Uses the dense symmetric solver; eigenvalues ascend and the
@@ -121,11 +123,11 @@ def eig_hermitian(M, tol: float = 1e-10) -> Spectrum:
 
     Raises:
         NonSquareError: if ``M`` is not square.
-        NonHermitianError: if symmetry is violated beyond ``tol``.
+        NonHermitianError: if symmetry is violated beyond EIG_HERM_TOL.
     """
     A = _as_matrix(M)
     _require_square(A)
-    _require_hermitian(A, tol)
+    _require_hermitian(A, EIG_HERM_TOL)
     vals, vecs = np.linalg.eigh(A)
     spec = Spectrum(eigenvalues=vals, eigenvectors=vecs)
     scale = max(1.0, float(np.max(np.abs(A))))
@@ -134,20 +136,20 @@ def eig_hermitian(M, tol: float = 1e-10) -> Spectrum:
     return spec
 
 
-def sqrt_psd(M, clip_tol: float = PSD_CLIP_TOL) -> np.ndarray:
+def sqrt_psd(M) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
-    Eigenvalues in ``(-clip_tol, 0)`` and positive ones at roundoff level
-    (see :func:`psd_roots`) count as zero; anything below ``-clip_tol`` raises.
+    Eigenvalues in (-PSD_CLIP_TOL, 0) and positive ones at roundoff level
+    (see :func:`psd_roots`) count as zero; anything below -PSD_CLIP_TOL raises.
 
     Raises:
-        NotPSDError: if an eigenvalue lies below ``-clip_tol``.
+        NotPSDError: if an eigenvalue lies below -PSD_CLIP_TOL.
     """
     A = _as_matrix(M)
     spec = eig_hermitian(A)
     vals = spec.eigenvalues
-    if np.min(vals) < -clip_tol:
-        raise NotPSDError(f"minimum eigenvalue {np.min(vals):.3e} below -{clip_tol:.1e}")
+    if np.min(vals) < -PSD_CLIP_TOL:
+        raise NotPSDError(f"minimum eigenvalue {np.min(vals):.3e} below -{PSD_CLIP_TOL:.1e}")
     V = spec.eigenvectors
     S = (V * psd_roots(vals, float(np.max(np.abs(vals))))) @ V.conj().T
     return (S + S.conj().T) / 2.0

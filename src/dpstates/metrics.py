@@ -68,9 +68,14 @@ class DpsState:
 
     def spectrum(self) -> np.ndarray:
         """Closed-form eigenvalues {(1-p)/D + p, (1-p)/D x(D-1)}, ascending."""
-        vals = np.full(self.dim, (1.0 - self.p) / self.dim)
-        vals[-1] += self.p
-        return np.sort(vals)
+        return _dps_spectrum(self.dim, self.p)
+
+
+def _dps_spectrum(D: int, p: float) -> np.ndarray:
+    """Eigenvalues of a DPS at dimension D and polarization p, ascending."""
+    vals = np.full(D, (1.0 - p) / D)
+    vals[-1] += p
+    return np.sort(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -127,27 +132,45 @@ def _first_failure(ok, *values):
     return tuple(float(np.broadcast_to(v, ok.shape).flat[i]) for v in values)
 
 
-def _polarization(p, D: int):
-    """Check p against [-1/(D-1), 1] with RANGE_SLACK (NaN fails) and clamp it there."""
-    lo = p_min(D)
-    bad = _first_failure((p >= lo - RANGE_SLACK) & (p <= 1.0 + RANGE_SLACK), p)
-    if bad is not None:
-        raise PolarizationOutOfRangeError(f"p={bad[0]:.15g} outside [{lo:.15g}, 1] for D={D}")
-    return _limit(p, lo, 1.0)
+def _in_range(x, lo: float, hi: float, error: type, what: str):
+    """x clamped into [lo, hi] after a check against [lo, hi] widened by RANGE_SLACK.
 
-
-def _clip(x, lo: float, hi: float, what: str):
+    A scalar is checked and returned as a float; an array is checked
+    element by element.  NaN fails, and ``error`` names the first
+    failing value.
+    """
+    if not isinstance(x, np.ndarray):
+        x = float(x)
     bad = _first_failure((x >= lo - RANGE_SLACK) & (x <= hi + RANGE_SLACK), x)
     if bad is not None:
-        raise InequalityViolationError(f"{what}={bad[0]:.17g} outside [{lo:g}, {hi:g}] beyond slack")
+        raise error(f"{what}={bad[0]:.17g} outside [{lo:.15g}, {hi:.15g}]")
     return _limit(x, lo, hi)
+
+
+def _unit_vector(v) -> np.ndarray:
+    """v as a flat complex array, checked to have norm 1 within UNIT_TOL (NaN and inf fail)."""
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    nrm = float(np.linalg.norm(v))
+    if not abs(nrm - 1.0) <= UNIT_TOL:
+        raise NonUnitVectorError(f"norm {nrm:.15g} differs from 1 beyond {UNIT_TOL:.1e}")
+    return v
+
+
+def _polarization(p, D: int):
+    """p checked against [-1/(D-1), 1] and clamped there."""
+    return _in_range(p, p_min(D), 1.0, PolarizationOutOfRangeError, "p")
+
+
+def _clip(x, what: str):
+    """x in [0, 1]; outside it beyond slack is a bug in the formula, not bad input."""
+    return _in_range(x, 0.0, 1.0, InequalityViolationError, what)
 
 
 def make_dps(pure, p: float) -> DpsState:
     """Validate and build a DpsState.
 
     Raises:
-        NonUnitVectorError: purification norm off 1 beyond 1e-12.
+        NonUnitVectorError: purification norm off 1 beyond 1e-12, or not finite.
         PolarizationOutOfRangeError: p outside [-1/(D-1), 1].
         InvalidDimensionError: vector shorter than 2.
     """
@@ -155,11 +178,8 @@ def make_dps(pure, p: float) -> DpsState:
     D = v.shape[0]
     if D < 2:
         raise InvalidDimensionError(f"pure state needs dimension >= 2, got {D}")
-    nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > UNIT_TOL:
-        raise NonUnitVectorError(f"norm {nrm:.15g} differs from 1 beyond {UNIT_TOL:.1e}")
+    v = _unit_vector(v).copy()
     p = _polarization(float(p), D)
-    v = v.copy()
     v.setflags(write=False)
     return DpsState(dim=D, pure=v, p=p)
 
@@ -206,7 +226,7 @@ def fidelity_closed(rho: DpsState, sigma: DpsState) -> float:
         DimensionMismatchError.
     """
     f = pure_overlap(rho, sigma)
-    return _clip(_fidelity(rho.dim, rho.p, sigma.p, f), 0.0, 1.0, "fidelity")
+    return _clip(_fidelity(rho.dim, rho.p, sigma.p, f), "fidelity")
 
 
 def fidelity_oracle(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -224,7 +244,7 @@ def fidelity_oracle(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     if float(np.min(vals)) < -1e-10:
         raise NotPSDError(f"inner matrix eigenvalue {np.min(vals):.3e} below -1e-10")
     # unit-trace inputs bound ||inner|| by 1, and so its roundoff by ~eps
-    return _clip(float(np.sum(psd_roots(vals, 1.0))) ** 2, 0.0, 1.0, "fidelity")
+    return _clip(float(np.sum(psd_roots(vals, 1.0))) ** 2, "fidelity")
 
 
 def _trace_distance(D: int, p, q, f):
@@ -247,7 +267,7 @@ def trace_distance_closed(rho: DpsState, sigma: DpsState) -> float:
         DimensionMismatchError.
     """
     f = pure_overlap(rho, sigma)
-    return _clip(_trace_distance(rho.dim, rho.p, sigma.p, f), 0.0, 1.0, "trace distance")
+    return _clip(_trace_distance(rho.dim, rho.p, sigma.p, f), "trace distance")
 
 
 def trace_distance_oracle(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -258,7 +278,7 @@ def trace_distance_oracle(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatchError(f"dims {rho.dim} and {sigma.dim} differ")
-    return _clip(0.5 * trace_norm(rho.matrix - sigma.matrix), 0.0, 1.0, "trace distance")
+    return _clip(0.5 * trace_norm(rho.matrix - sigma.matrix), "trace distance")
 
 
 @dataclass(frozen=True)
@@ -279,8 +299,8 @@ def _report(D: int, p, q, f) -> DistanceReport:
         InequalityViolationError: F or T outside [0, 1], or
         B^2/2 <= T <= sqrt(1-F) broken beyond 1e-9, at some element.
     """
-    F = _clip(_fidelity(D, p, q, f), 0.0, 1.0, "fidelity")
-    dist = _clip(_trace_distance(D, p, q, f), 0.0, 1.0, "trace distance")
+    F = _clip(_fidelity(D, p, q, f), "fidelity")
+    dist = _clip(_trace_distance(D, p, q, f), "trace distance")
     sqrt_F = _root(F)
     bures = _root(2.0 - 2.0 * sqrt_F)
     lower = bures * bures / 2.0
@@ -336,7 +356,5 @@ def distance_arrays(D: int, p, q, f) -> DistanceReport:
     p, q, f = np.broadcast_arrays(*(np.array(x, dtype=float, ndmin=1) for x in (p, q, f)))
     p, q = _polarization(p, D), _polarization(q, D)
     # f is used as given, as the per-pair route uses pure_overlap's value
-    bad = _first_failure((f >= -RANGE_SLACK) & (f <= 1.0 + RANGE_SLACK), f)
-    if bad is not None:
-        raise FOutOfRangeError(f"f={bad[0]:.15g} outside [0, 1]")
+    _in_range(f, 0.0, 1.0, FOutOfRangeError, "f")
     return _report(D, p, q, f)

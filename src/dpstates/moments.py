@@ -27,7 +27,7 @@ from .errors import (
     InconsistentMomentsError,
     IndeterminateSignCountError,
 )
-from .linalg import DensityMatrix, _as_matrix, _require_hermitian, _require_square
+from .linalg import EIG_HERM_TOL, DensityMatrix, _as_matrix, _require_hermitian, _require_square
 from .metrics import p_min
 
 CONTRACT_GUARD = 4096
@@ -53,49 +53,23 @@ def moment_exact(rho: DensityMatrix, m: int) -> MomentEstimate:
     return MomentEstimate(m=m, value=float(np.sum(vals**m)), method="exact")
 
 
-def _cycle_of(perm: tuple[int, ...]) -> None:
-    """Reject permutations with an invariant subspace (more than one cycle)."""
-    m = len(perm)
-    if sorted(perm) != list(range(m)):
-        raise DomainError(f"{perm!r} is not a permutation of 0..{m - 1}")
-    seen, t = 1, perm[0]
-    while t != 0:
-        t = perm[t]
-        seen += 1
-        if seen > m:
-            break
-    if seen != m:
-        raise DomainError(
-            f"permutation {perm!r} splits into several cycles; the contraction then "
-            "yields a product of lower moments, not Tr(rho^m)"
-        )
+def moment_permutation(rho: DensityMatrix, m: int) -> MomentEstimate:
+    """Tr(S_sigma rho^(x m)) for the cyclic shift sigma(t) = t + 1 mod m.
 
-
-def moment_permutation(
-    rho: DensityMatrix, m: int, permutation: tuple[int, ...] | None = None
-) -> MomentEstimate:
-    """Tr(S_sigma rho^(x m)) for a single-cycle permutation sigma.
-
-    Defaults to the cyclic shift sigma(t) = t + 1 mod m.  Any single
-    m-cycle gives the same value; a permutation with an invariant
-    subspace does not and is rejected.
+    Any single m-cycle gives Tr(rho^m); the tests check this one against
+    the dense :func:`permutation_operator` of another.
 
     Raises:
         DimensionTooLargeError: D^m > 4096.
-        DomainError: m not in {2, 3}, or a multi-cycle permutation.
+        DomainError: m not in {2, 3}.
     """
     if m not in (2, 3):
         raise DomainError(f"permutation evaluation is provided for m in {{2, 3}}, got {m}")
     D = rho.dim
     if D**m > CONTRACT_GUARD:
         raise DimensionTooLargeError(f"D^m = {D**m} exceeds the {CONTRACT_GUARD} guard")
-    if permutation is None:
-        permutation = tuple((t + 1) % m for t in range(m))
-    else:
-        permutation = tuple(int(t) for t in permutation)
-        _cycle_of(permutation)
     letters = ascii_lowercase[:m]
-    spec = ",".join(letters[permutation[t]] + letters[t] for t in range(m))
+    spec = ",".join(letters[(t + 1) % m] + letters[t] for t in range(m))
     value = np.einsum(spec, *([rho.matrix] * m))
     return MomentEstimate(m=m, value=float(np.real(value)), method="permutation")
 
@@ -239,7 +213,7 @@ def count_positive_charpoly(M) -> int:
     """
     A = _as_matrix(M)
     _require_square(A)
-    _require_hermitian(A, 1e-10)
+    _require_hermitian(A, EIG_HERM_TOL)
     diag, off2 = _tridiagonalize((A + A.conj().T) / 2.0)
     gap = 1e-10 * float(np.linalg.norm(A))
     above = _count_above(diag, off2, gap)

@@ -6,7 +6,6 @@ import pytest
 from dpstates import (
     AmbiguousAtPZeroError,
     DensityMatrix,
-    DimensionMismatchError,
     FOutOfRangeError,
     InvalidSchmidtVectorError,
     NonUnitVectorError,
@@ -95,20 +94,13 @@ class TestSchmidtDps:
         assert len(calls) == 1
 
     def test_rejects_non_dps(self):
-        basis = generate_basis(4)
         with pytest.raises(NotDPSError):
-            schmidt_dps(random_non_dps(4, rng_for(53)), 2, 2, basis)
-
-    def test_checks_basis_dimension(self):
-        dps = make_dps(bipartite_pure(2, 2, rng_for(55)), 0.5)
-        with pytest.raises(DimensionMismatchError):
-            schmidt_dps(dps.to_matrix(), 2, 2, generate_basis(3))
+            schmidt_dps(random_non_dps(4, rng_for(53)), 2, 2)
 
     def test_ambiguous_at_p_zero(self):
-        basis = generate_basis(4)
         dps = make_dps(bipartite_pure(2, 2, rng_for(54)), 0.0)
         with pytest.raises(AmbiguousAtPZeroError):
-            schmidt_dps(dps.to_matrix(), 2, 2, basis)
+            schmidt_dps(dps.to_matrix(), 2, 2)
 
 
 class TestReducedSpectrum:
@@ -129,6 +121,26 @@ class TestReducedSpectrum:
             reduced_spectrum_dps(0.5, [0.9, 0.9], 2)
         with pytest.raises(InvalidSchmidtVectorError):
             reduced_spectrum_dps(0.5, [1.2, -0.1], 2)
+
+    @pytest.mark.parametrize("dA,dB", [(2, 2), (2, 3), (3, 4)])
+    def test_any_coefficient_order(self, dA, dB):
+        # a Schmidt vector with a zero, in every order: the sorted vector's
+        # spectrum, and the dense partial traces of the state it describes
+        b = np.zeros(dA)
+        b[:2] = (0.8, 0.6)
+        p = 0.45
+        for order in ([1, 0] + list(range(2, dA)), list(range(dA))[::-1]):
+            perm = b[order]
+            diag = np.zeros(dA * dB, dtype=complex)
+            for j in range(dA):
+                diag[j * dB + j] = perm[j]
+            M = make_dps(diag, p).to_matrix().matrix
+            for dX, keep in ((dA, "A"), (dB, "B")):
+                got = reduced_spectrum_dps(p, perm, dX)
+                assert np.array_equal(got, reduced_spectrum_dps(p, b, dX))
+                dense = np.linalg.eigvalsh(partial_trace(M, dA, dB, keep=keep))
+                assert np.max(np.abs(got - dense)) < 1e-12
+        assert np.array_equal(reduced_spectrum_dps(0.5, [0.0, 1.0], 2), [0.25, 0.75])
 
 
 class TestConsistencyCheck:

@@ -232,9 +232,9 @@ class TestDpsTest:
             assert got == pytest.approx(-0.5, abs=1e-12)
 
     def test_shared_tolerance_argument(self):
+        # custom tolerances go through the measurement, as dps analyze's do
         dps = random_dps(3, rng_for(26), p=0.4)
-        for basis in _bases(3):
-            assert dps_test(dps.to_matrix(), basis, tol=1e-6) == pytest.approx(0.4, abs=1e-10)
+        assert measure_dps(dps.to_matrix()).verdict(1e-6, 1e-6) == pytest.approx(0.4, abs=1e-10)
 
 
 def test_dps_test_checks_basis_dimension():

@@ -50,6 +50,23 @@ def kron_superoperator(kraus) -> np.ndarray:
     return sum(np.kron(K, K.conj()) for K in kraus)
 
 
+def kron_jamiolkowski(kraus) -> np.ndarray:
+    """Dense oracle: sum_K kron(K, 1) |Phi+><Phi+| kron(K, 1)^dag."""
+    D = kraus[0].shape[0]
+    phi = maximally_entangled(D)
+    proj = np.outer(phi, phi.conj())
+    out = np.zeros((D * D, D * D), dtype=complex)
+    for K in kraus:
+        big = np.kron(K, np.eye(D))
+        out += big @ proj @ big.conj().T
+    return out
+
+
+def reshuffle(C: np.ndarray, D: int) -> np.ndarray:
+    """Reorder the axes ((i, k), (j, l)) -> ((i, j), (k, l)): Choi <-> superoperator."""
+    return C.reshape(D, D, D, D).transpose(0, 2, 1, 3).reshape(D * D, D * D)
+
+
 def kron_twirl_average(kraus, unitaries) -> np.ndarray:
     """Dense oracle: mean over U of kron(U^dag, U^T) . S . kron(U, U^*)."""
     S = kron_superoperator(kraus)
@@ -275,6 +292,15 @@ def test_jamiolkowski_state_of_identity():
     assert jamiolkowski_fidelity(ch) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("D", [2, 3, 4, 5, 6])
+def test_jamiolkowski_matches_kron_oracle(D):
+    ch = random_channel(D, 3, seed=90 + D)
+    E = kron_jamiolkowski(ch.kraus)
+    assert np.max(np.abs(jamiolkowski_state(ch).matrix - E)) < 1e-14
+    phi = maximally_entangled(D)
+    assert jamiolkowski_fidelity(ch) == pytest.approx(np.vdot(phi, E @ phi).real, abs=1e-14)
+
+
 class TestCliffordGroup:
     @pytest.mark.parametrize("D,size", [(2, 24), (3, 216)])
     def test_enumeration(self, D, size):
@@ -349,7 +375,7 @@ class TestTwirl:
     def test_clifford_average_matches_kron_oracle(self, D, exclude):
         ch = random_channel(D, 3, seed=95 + D)
         group = clifford_group(D)[1:] if exclude else clifford_group(D)
-        got = channels._conjugation_average(np.stack(ch.kraus), np.stack(group))
+        got = reshuffle(channels._conjugation_average(np.stack(ch.kraus), np.stack(group)), D)
         assert np.max(np.abs(got - kron_twirl_average(ch.kraus, group))) < 1e-13
 
     @pytest.mark.parametrize("D, samples", [(4, 300), (6, 1100)])
@@ -357,13 +383,14 @@ class TestTwirl:
         ch = random_channel(D, 2, seed=97 + D)
         Us = channels.haar_unitaries(D, samples, np.random.default_rng(98))
         want = kron_twirl_average(ch.kraus, Us)
-        assert np.max(np.abs(channels._conjugation_average(np.stack(ch.kraus), Us) - want)) < 1e-13
+        got = reshuffle(channels._conjugation_average(np.stack(ch.kraus), Us), D)
+        assert np.max(np.abs(got - want)) < 1e-13
         # twirl draws the same unitaries from the same seed
         result = twirl(ch, mode="haar-sample", samples=samples, seed=98)
         p_hat = (want[0, 0].real - 1.0 / D) / (1.0 - 1.0 / D)
         assert result.p_hat == pytest.approx(p_hat, abs=1e-13)
         assert result.depolarizing_deviation == pytest.approx(
-            channels._depolarizing_deviation(want, D, p_hat), abs=1e-13
+            channels._depolarizing_deviation(reshuffle(want, D), D, p_hat), abs=1e-13
         )
 
 

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpstates import (
+    ChiState,
     FOutOfRangeError,
     InequalityViolationError,
     NonUnitVectorError,
     PolarizationOutOfRangeError,
+    chi_from_beta2,
     distance_arrays,
     distance_report,
     fidelity_closed,
@@ -17,7 +19,10 @@ from dpstates import (
     make_dps,
     p_min,
     p_min_cp,
+    pdps_recipe,
+    protocol1,
     pure_overlap,
+    schmidt_pure,
     trace_distance_closed,
     trace_distance_oracle,
 )
@@ -59,6 +64,24 @@ class TestMakeDps:
     def test_purity(self):
         dps = make_dps(np.array([1.0, 0.0, 0.0, 0.0]), -0.2)
         assert dps.to_matrix().purity() == pytest.approx(0.25 + 0.75 * 0.04)
+
+
+NON_FINITE_ENTRY_POINTS = {
+    "make_dps": lambda v: make_dps(v, 0.5),
+    "schmidt_pure": lambda v: schmidt_pure(v, 2, 2),
+    "protocol1": lambda v: protocol1(v, chi_from_beta2(4, 0.5)),
+    "pdps_recipe": lambda v: pdps_recipe(v, 0.5, seed=1, trials=10),
+    "ChiState": lambda v: ChiState(4, v[0], v[1]),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+@pytest.mark.parametrize("entry", sorted(NON_FINITE_ENTRY_POINTS))
+def test_non_finite_purification_is_not_unit(entry, bad):
+    # NaN compares false with everything, so a norm check must fail it
+    v = np.array([bad, 0.0, 0.0, 0.0], dtype=complex)
+    with pytest.raises(NonUnitVectorError):
+        NON_FINITE_ENTRY_POINTS[entry](v)
 
 
 def test_pure_overlap():
@@ -189,9 +212,11 @@ def test_clip_guards_against_silent_violations():
     # internal failure instead of quietly saturating
     from dpstates.metrics import _clip
 
-    assert _clip(1.0 + 1e-13, 0.0, 1.0, "x") == 1.0
+    assert _clip(1.0 + 1e-13, "x") == 1.0
     with pytest.raises(InequalityViolationError):
-        _clip(1.1, 0.0, 1.0, "x")
+        _clip(1.1, "x")
+    with pytest.raises(InequalityViolationError):
+        _clip(math.nan, "x")
 
 
 def overlap_pair(D, p, q, f):
