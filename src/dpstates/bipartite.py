@@ -30,9 +30,10 @@ from .errors import (
     SubsystemOrderError,
 )
 from .linalg import DensityMatrix
-from .metrics import DpsState, _in_range, _unit_vector, make_dps, p_min
+from .metrics import DpsState, _in_range, _polarization, _unit_vector, make_dps, p_min
 
 NEG_TOL = 1e-9
+P_TOL = 1e-8
 SCHMIDT_SUM_TOL = 1e-10
 CONSISTENCY_TOL = 1e-8
 
@@ -104,7 +105,7 @@ def schmidt_pure(psi, dA: int, dB: int) -> SchmidtForm:
     return SchmidtForm(dA=dA, dB=dB, b=b, U=U, V=V)
 
 
-def schmidt_dps(rho_d: DensityMatrix, dA: int, dB: int, *, p_tol: float = 1e-8) -> tuple[float, SchmidtForm]:
+def schmidt_dps(rho_d: DensityMatrix, dA: int, dB: int, *, p_tol: float = P_TOL) -> tuple[float, SchmidtForm]:
     """Recover (p, Schmidt form) of a DPS from its density matrix.
 
     Membership is decided by :func:`measure_dps` at its default
@@ -152,9 +153,14 @@ def reduced_spectrum_dps(p: float, b, dX: int) -> np.ndarray:
     {(1-p)/dX + p b_j^2} over the n = len(b) Schmidt coefficients, in
     any order, plus (dX - n) copies of the flat value (1-p)/dX.
 
+    p is checked against [-1/(2 dX - 1), 1]: the other factor has
+    dimension at least 2, so this is the widest range dX alone allows.
+
     Raises:
+        PolarizationOutOfRangeError.
         InvalidSchmidtVectorError.
     """
+    _polarization(p, 2 * dX)  # a check only: the caller's p is used unclamped
     # b comes back padded with zeros to dX slots, which keep the flat value
     return np.sort((1.0 - p) / dX + p * _check_schmidt_vector(b, dX) ** 2)
 
@@ -259,10 +265,12 @@ def pt_spectrum_closed(p: float, b, dA: int, dB: int) -> np.ndarray:
     and D - dA^2 copies of flat.
 
     Raises:
+        PolarizationOutOfRangeError: p outside [-1/(D-1), 1].
         InvalidSchmidtVectorError.
         SubsystemOrderError.
     """
     _check_bipartite_dims(dA, dB)
+    _polarization(p, dA * dB)  # a check only: the caller's p is used unclamped
     vec = _check_schmidt_vector(b, dA)
     D = dA * dB
     flat = (1.0 - p) / D
@@ -285,6 +293,7 @@ def negativity(p: float, b, dA: int, dB: int, neg_tol: float = NEG_TOL) -> Entan
     see the caveat field.
 
     Raises:
+        PolarizationOutOfRangeError: p outside [-1/(D-1), 1].
         InvalidSchmidtVectorError.
     """
     spectrum = pt_spectrum_closed(p, b, dA, dB)

@@ -5,8 +5,10 @@ A density matrix is expanded as ``rho = (1/D)(1 + c_D n.lambda)`` with
 coherence vector.  The symmetric star product, whose fixed points are
 exactly the pure-state vectors, and the DPS conditions ``n.n = p^2``,
 ``n*n = p n`` are evaluated on the operator A = n.lambda through
-sum_ij d_ijk a_i b_j = (1/4) Tr({A, B} lambda_k), so no basis is needed;
-the structure tensors of :func:`generate_basis` are the tests' oracle.
+sum_ij d_ijk a_i b_j = (1/4) Tr({A, B} lambda_k), so no basis is needed.
+:func:`generate_basis` builds the generators only; the su(D) structure
+constants c_ijk and d_ijk are computed from them by the tests, as an
+oracle for the operator route.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .errors import (
 from .linalg import DensityMatrix, eig_hermitian
 from .metrics import _dps_spectrum
 
-SPARSE_CUTOFF = 1e-12
 STAR_TOL = 1e-8
 SPECTRUM_TOL = 1e-8
 
@@ -36,30 +37,21 @@ def c_norm(D: int) -> float:
 
 
 class SuBasis:
-    """Orthogonal generator basis of su(D) with its structure tensors.
+    """Orthogonal generator basis of su(D).
 
-    Generators satisfy Tr(lambda_i lambda_j) = 2 delta_ij and the product
-    formula lambda_i lambda_j = (2/D) delta_ij 1 + (i c_ijk + d_ijk)
-    lambda_k.  Ordering: the D(D-1)/2 symmetric pair matrices, then the
-    D(D-1)/2 antisymmetric pair matrices, then the D-1 diagonal ones;
-    pair blocks run lexicographically in (row, col).
-
-    ``c`` and ``d`` hold the nonzero tensor entries as (i, j, k, value)
-    tuples; dense D=8 tensors would waste 63^3 mostly-zero slots.  They
-    serve as an oracle only.  Instances are immutable; build them with
+    Generators satisfy Tr(lambda_i lambda_j) = 2 delta_ij.  Ordering: the
+    D(D-1)/2 symmetric pair matrices, then the D(D-1)/2 antisymmetric
+    pair matrices, then the D-1 diagonal ones; pair blocks run
+    lexicographically in (row, col).  ``generators`` is one read-only
+    (D^2-1, D, D) stack.  Instances are immutable; build them with
     :func:`generate_basis`.
     """
 
-    __slots__ = ("dim", "generators", "c", "d", "_stack")
+    __slots__ = ("dim", "generators")
 
-    def __init__(self, dim, generators, c, d):
+    def __init__(self, dim, generators):
         self.dim = dim
         self.generators = generators
-        self.c = c
-        self.d = d
-        stack = np.stack(generators)
-        stack.setflags(write=False)
-        self._stack = stack
 
     @property
     def size(self) -> int:
@@ -93,17 +85,9 @@ class CoherenceVector:
         return float(self.n @ other.n)
 
 
-def _sparse_entries(T: np.ndarray) -> list[tuple[int, int, int, float]]:
-    idx = np.argwhere(np.abs(T) > SPARSE_CUTOFF)
-    return [(int(i), int(j), int(k), float(T[i, j, k])) for i, j, k in idx]
-
-
 @lru_cache(maxsize=None)
 def generate_basis(D: int) -> SuBasis:
-    """Build the su(D) generator basis and extract its structure tensors.
-
-    Tensors come from the trace formulas c_ijk = -(i/4)Tr([l_i,l_j]l_k)
-    and d_ijk = (1/4)Tr({l_i,l_j}l_k).
+    """Build the generalized Gell-Mann generators of su(D).
 
     Raises:
         InvalidDimensionError: for D < 2.
@@ -111,29 +95,20 @@ def generate_basis(D: int) -> SuBasis:
     if not isinstance(D, (int, np.integer)) or D < 2:
         raise InvalidDimensionError(f"basis requires integer D >= 2, got {D!r}")
     D = int(D)
-    gens: list[np.ndarray] = []
+    G = np.zeros((D * D - 1, D, D), dtype=complex)
+    i = 0
     for upper in (1.0, -1.0j):
         for j in range(D):
             for k in range(j + 1, D):
-                M = np.zeros((D, D), dtype=complex)
-                M[j, k], M[k, j] = upper, np.conj(upper)
-                gens.append(M)
+                G[i, j, k], G[i, k, j] = upper, np.conj(upper)
+                i += 1
     for l in range(1, D):
         scale = math.sqrt(2.0 / (l * (l + 1)))
-        M = np.zeros((D, D), dtype=complex)
-        M[np.arange(l), np.arange(l)] = scale
-        M[l, l] = -l * scale
-        gens.append(M)
-
-    G = np.stack(gens)
-    pair = np.einsum("iab,jbc->ijac", G, G)
-    T = np.einsum("ijab,kba->ijk", pair, G)
-    Tt = T.transpose(1, 0, 2)
-    c = np.real(-0.25j * (T - Tt))
-    d = np.real(0.25 * (T + Tt))
-    for g in gens:
-        g.setflags(write=False)
-    return SuBasis(dim=D, generators=tuple(gens), c=_sparse_entries(c), d=_sparse_entries(d))
+        G[i, np.arange(l), np.arange(l)] = scale
+        G[i, l, l] = -l * scale
+        i += 1
+    G.setflags(write=False)
+    return SuBasis(dim=D, generators=G)
 
 
 def _check_dims(dim: int, basis: SuBasis) -> None:
@@ -150,12 +125,12 @@ def to_coherence(rho: DensityMatrix, basis: SuBasis) -> CoherenceVector:
     _check_dims(rho.dim, basis)
     D = basis.dim
     scale = math.sqrt(D / (2.0 * (D - 1)))
-    n = scale * np.real(np.einsum("ab,iba->i", rho.matrix, basis._stack))
+    n = scale * np.real(np.einsum("ab,iba->i", rho.matrix, basis.generators))
     return CoherenceVector(dim=D, n=n)
 
 
 def _operator(v: CoherenceVector, basis: SuBasis) -> np.ndarray:
-    return np.tensordot(v.n, basis._stack, axes=(0, 0))
+    return np.tensordot(v.n, basis.generators, axes=(0, 0))
 
 
 def from_coherence(n: CoherenceVector, basis: SuBasis) -> DensityMatrix:
@@ -200,7 +175,7 @@ def star(a: CoherenceVector, b: CoherenceVector, basis: SuBasis) -> CoherenceVec
     _check_dims(a.dim, basis)
     _check_dims(b.dim, basis)
     S = _star_operator(_operator(a, basis), _operator(b, basis))
-    return CoherenceVector(dim=basis.dim, n=0.5 * np.real(np.einsum("ab,iba->i", S, basis._stack)))
+    return CoherenceVector(dim=basis.dim, n=0.5 * np.real(np.einsum("ab,iba->i", S, basis.generators)))
 
 
 def _ladder(A: np.ndarray, r_max: int) -> list[float]:

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bipartite import (
+    NEG_TOL,
+    P_TOL,
     isotropic,
     negativity,
     pair_threshold,
@@ -29,7 +31,7 @@ from .bipartite import (
     schmidt_dps,
     two_qubit_canonical,
 )
-from .bloch import dps_test, measure_dps
+from .bloch import SPECTRUM_TOL, STAR_TOL, dps_test, measure_dps
 from .channels import (
     KrausChannel,
     apply_depolarizing,
@@ -44,7 +46,7 @@ from .channels import (
     twirl_p,
 )
 from .errors import DomainError, InternalCheckError, NotDPSError
-from .linalg import DensityMatrix, eig_hermitian, partial_trace
+from .linalg import DensityMatrix, partial_trace
 from .metrics import (
     DpsState,
     distance_arrays,
@@ -56,6 +58,7 @@ from .metrics import (
     trace_distance_oracle,
 )
 from .moments import (
+    RECOVERY_TOL,
     dps_p_from_moments,
     moment_exact,
     moment_montecarlo,
@@ -270,14 +273,18 @@ def state_document(state: DensityMatrix, dims: list | None = None) -> dict:
 
 
 def _pure_vector(state: DensityMatrix, what: str) -> np.ndarray:
-    """Extract |psi> from a pure-state density matrix, or exit 3."""
-    spec = eig_hermitian(state.matrix)
-    top = float(spec.eigenvalues[-1])
-    if abs(top - 1.0) > 1e-10:
+    """Extract |psi> from a pure-state density matrix, or exit 3.
+
+    The state must pass the DPS test, which checks positivity, and have
+    its largest eigenvalue within 1e-10 of 1.
+    """
+    m = measure_dps(state)
+    low, top = float(m.eigenvalues[0]), float(m.eigenvalues[-1])
+    if m.verdict() is None or abs(top - 1.0) > 1e-10:
         raise DomainError(
-            f"{what} requires a pure state; largest eigenvalue is {top:.15g}, not 1"
+            f"{what} requires a pure state; eigenvalues span [{low:.15g}, {top:.15g}], not {{0, 1}}"
         )
-    return spec.eigenvectors[:, -1]
+    return m.purification
 
 
 def _as_dps(state: DensityMatrix, what: str) -> DpsState:
@@ -617,8 +624,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="coherence vector, invariants, DPS verdict")
     p_an.add_argument("state")
-    p_an.add_argument("--tol-star", type=float, default=1e-8)
-    p_an.add_argument("--tol-spectrum", type=float, default=1e-8)
+    p_an.add_argument("--tol-star", type=float, default=STAR_TOL)
+    p_an.add_argument("--tol-spectrum", type=float, default=SPECTRUM_TOL)
     p_an.set_defaults(func=cmd_analyze)
 
     p_di = sub.add_parser("distance", help="fidelity / trace distance / Bures between two states")
@@ -630,13 +637,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc = sub.add_parser("schmidt", help="Schmidt form and marginal spectra of a bipartite DPS")
     p_sc.add_argument("state")
     p_sc.add_argument("--dims", type=int, nargs=2, metavar=("DA", "DB"))
-    p_sc.add_argument("--p-tol", type=float, default=1e-8)
+    p_sc.add_argument("--p-tol", type=float, default=P_TOL)
     p_sc.set_defaults(func=cmd_schmidt)
 
     p_en = sub.add_parser("entanglement", help="partial-transpose spectrum and negativity")
     p_en.add_argument("state")
     p_en.add_argument("--dims", type=int, nargs=2, metavar=("DA", "DB"))
-    p_en.add_argument("--neg-tol", type=float, default=1e-9)
+    p_en.add_argument("--neg-tol", type=float, default=NEG_TOL)
     p_en.set_defaults(func=cmd_entanglement)
 
     p_we = sub.add_parser("werner2q", help="two-qubit canonical family (p, omega)")
@@ -699,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mo.add_argument("--shots", type=int, default=100000)
     p_mo.add_argument("--seed", type=int)
     p_mo.add_argument("--assume-dps", action="store_true")
-    p_mo.add_argument("--recovery-tol", type=float, default=1e-8)
+    p_mo.add_argument("--recovery-tol", type=float, default=RECOVERY_TOL)
     p_mo.set_defaults(func=cmd_moments)
 
     p_f1 = sub.add_parser("fig1", help="CSV distance surfaces over (p, f)")

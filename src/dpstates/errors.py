@@ -71,10 +71,6 @@ class UnsupportedDimensionError(DomainError):
     """Requested dimension not supported by this operation."""
 
 
-class DimensionTooLargeError(DomainError):
-    """Tensor-power dimension exceeds the memory guard."""
-
-
 class InconsistentMomentsError(DomainError):
     """No polarization in the allowed range reproduces the given moments."""
 

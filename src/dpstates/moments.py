@@ -2,7 +2,8 @@
 
 The permutation route evaluates Tr(S_sigma rho^(x m)) by contracting
 matrix elements along the permutation's cycle, never through an
-eigendecomposition, so it is an independent check on the direct route.
+eigendecomposition or the tensor-power operator S_sigma, so it is an
+independent check on the direct route at any D.
 The Monte-Carlo route simulates the interferometric swap test at the
 probability level: one ancilla measurement is a Bernoulli draw with
 success probability (1 + Tr rho^m)/2.
@@ -22,16 +23,15 @@ from string import ascii_lowercase
 import numpy as np
 
 from .errors import (
-    DimensionTooLargeError,
     DomainError,
     InconsistentMomentsError,
     IndeterminateSignCountError,
+    InvalidDimensionError,
 )
 from .linalg import EIG_HERM_TOL, DensityMatrix, _as_matrix, _require_hermitian, _require_square
 from .metrics import p_min
 
-CONTRACT_GUARD = 4096
-OPERATOR_GUARD = 1024
+RECOVERY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -56,49 +56,21 @@ def moment_exact(rho: DensityMatrix, m: int) -> MomentEstimate:
 def moment_permutation(rho: DensityMatrix, m: int) -> MomentEstimate:
     """Tr(S_sigma rho^(x m)) for the cyclic shift sigma(t) = t + 1 mod m.
 
-    Any single m-cycle gives Tr(rho^m); the tests check this one against
-    the dense :func:`permutation_operator` of another.
+    The matrix elements are contracted along the cycle,
+    sum rho[i1, i2] rho[i2, i3] ... rho[im, i1], which costs O(D^3) time
+    and O(D^2) memory for m <= 3; the D^m x D^m operator S_sigma is never
+    formed.  Any single m-cycle gives Tr(rho^m); the tests check this one
+    against the dense tensor-power operator of another.
 
     Raises:
-        DimensionTooLargeError: D^m > 4096.
         DomainError: m not in {2, 3}.
     """
     if m not in (2, 3):
         raise DomainError(f"permutation evaluation is provided for m in {{2, 3}}, got {m}")
-    D = rho.dim
-    if D**m > CONTRACT_GUARD:
-        raise DimensionTooLargeError(f"D^m = {D**m} exceeds the {CONTRACT_GUARD} guard")
     letters = ascii_lowercase[:m]
     spec = ",".join(letters[(t + 1) % m] + letters[t] for t in range(m))
     value = np.einsum(spec, *([rho.matrix] * m))
     return MomentEstimate(m=m, value=float(np.real(value)), method="permutation")
-
-
-def permutation_operator(D: int, permutation: tuple[int, ...]) -> np.ndarray:
-    """Dense S_sigma on the m-fold tensor power, for cross-checks.
-
-    Satisfies Tr(S_sigma rho^(x m)) = the contraction used by
-    moment_permutation.
-
-    Raises:
-        DimensionTooLargeError: D^m > 1024.
-    """
-    m = len(permutation)
-    if D**m > OPERATOR_GUARD:
-        raise DimensionTooLargeError(f"D^m = {D**m} exceeds the {OPERATOR_GUARD} guard")
-    n = D**m
-    S = np.zeros((n, n))
-    digits = np.empty(m, dtype=int)
-    for J in range(n):
-        rest = J
-        for t in range(m - 1, -1, -1):
-            digits[t] = rest % D
-            rest //= D
-        K = 0
-        for t in range(m):
-            K = K * D + digits[permutation[t]]
-        S[J, K] = 1.0
-    return S
 
 
 def moment_montecarlo(rho: DensityMatrix, m: int, shots: int, seed: int) -> MomentEstimate:
@@ -130,7 +102,7 @@ def dps_moment(D: int, p: float, m: int) -> float:
     return (D - 1) * flat**m + (flat + p) ** m
 
 
-def dps_p_from_moments(t2: float, t3: float, D: int, tol: float = 1e-8) -> tuple[float, bool]:
+def dps_p_from_moments(t2: float, t3: float, D: int, tol: float = RECOVERY_TOL) -> tuple[float, bool]:
     """Recover the DPS polarization from its second and third moments.
 
     |p| = sqrt((D t2 - 1)/(D - 1)); the sign is the one whose spectrum
@@ -138,14 +110,18 @@ def dps_p_from_moments(t2: float, t3: float, D: int, tol: float = 1e-8) -> tuple
     spectrum, so the magnitude is returned with sign_resolved = False.
 
     Raises:
-        InconsistentMomentsError: no p in [-1/(D-1), 1] fits both moments.
+        InconsistentMomentsError: no p in [-1/(D-1), 1] fits both moments
+            (a NaN moment fits none).
+        InvalidDimensionError: D < 2.
     """
+    if D < 2:
+        raise InvalidDimensionError(f"moment recovery needs D >= 2, got {D}")
     num = (D * t2 - 1.0) / (D - 1.0)
-    if num < -tol or num > 1.0 + tol:
+    if not -tol <= num <= 1.0 + tol:
         raise InconsistentMomentsError(f"t2={t2:.15g} implies p^2 = {num:.15g} outside [0, 1]")
     p_abs = math.sqrt(min(max(num, 0.0), 1.0))
     if D == 2:
-        if abs(dps_moment(D, p_abs, 3) - t3) > tol:
+        if not abs(dps_moment(D, p_abs, 3) - t3) <= tol:
             raise InconsistentMomentsError(
                 f"t3={t3:.15g} does not match the spectrum prediction for |p|={p_abs:.15g}"
             )

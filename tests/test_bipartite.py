@@ -18,6 +18,7 @@ from dpstates import (
     isotropic,
     make_dps,
     negativity,
+    p_min,
     pair_threshold,
     partial_trace,
     partial_transpose,
@@ -122,6 +123,15 @@ class TestReducedSpectrum:
         with pytest.raises(InvalidSchmidtVectorError):
             reduced_spectrum_dps(0.5, [1.2, -0.1], 2)
 
+    def test_rejects_out_of_range_p(self):
+        # the other factor has dimension >= 2, so p >= p_min(2 dX) is required
+        for p in (math.nan, 5.0, 1.0 + 1e-9, p_min(4) - 1e-9):
+            with pytest.raises(PolarizationOutOfRangeError):
+                reduced_spectrum_dps(p, [1.0, 0.0], 2)
+        assert np.array_equal(reduced_spectrum_dps(1.0, [1.0, 0.0], 2), [0.0, 1.0])
+        low = reduced_spectrum_dps(p_min(4), [1.0, 0.0], 2)
+        assert np.array_equal(low, np.sort((1.0 - p_min(4)) / 2 + p_min(4) * np.array([1.0, 0.0])))
+
     @pytest.mark.parametrize("dA,dB", [(2, 2), (2, 3), (3, 4)])
     def test_any_coefficient_order(self, dA, dB):
         # a Schmidt vector with a zero, in every order: the sorted vector's
@@ -205,6 +215,12 @@ class TestPtSpectrum:
         assert closed.shape == (6,)
         assert np.sum(closed) == pytest.approx(1.0, abs=1e-12)
 
+    def test_rejects_out_of_range_p(self):
+        for p in (math.nan, 2.0, p_min(6) - 1e-9):
+            with pytest.raises(PolarizationOutOfRangeError):
+                pt_spectrum_closed(p, [1.0, 0.0], 2, 3)
+        assert np.min(pt_spectrum_closed(p_min(6), [1.0, 0.0], 2, 3)) == pytest.approx(0.0, abs=1e-15)
+
 
 class TestNegativity:
     def test_ppt_case_is_exact_zero(self):
@@ -229,6 +245,11 @@ class TestNegativity:
         b = [1.0 / math.sqrt(3.0)] * 3
         rep = negativity(0.9, b, 3, 3)
         assert rep.negative_count <= 3
+
+    def test_rejects_out_of_range_p(self):
+        for p in (math.nan, 2.0, p_min(4) - 1e-9):
+            with pytest.raises(PolarizationOutOfRangeError):
+                negativity(p, [1.0, 0.0], 2, 2)
 
 
 class TestPairThreshold:

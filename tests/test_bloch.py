@@ -26,6 +26,17 @@ from dpstates.bloch import measure_dps
 from conftest import random_dps, random_mixed, random_non_dps, rng_for
 
 
+def structure_tensors(basis):
+    """Dense su(D) structure constants, the oracle for the operator route.
+
+    c_ijk = -(i/4) Tr([l_i, l_j] l_k) and d_ijk = (1/4) Tr({l_i, l_j} l_k).
+    """
+    G = basis.generators
+    T = np.einsum("iab,jbc,kca->ijk", G, G, G, optimize=True)
+    Tt = T.transpose(1, 0, 2)
+    return np.real(-0.25j * (T - Tt)), np.real(0.25 * (T + Tt))
+
+
 @pytest.mark.parametrize("D", [2, 3, 4, 5, 6])
 class TestBasis:
     def test_count_and_shape(self, D):
@@ -39,21 +50,16 @@ class TestBasis:
             assert abs(np.trace(g)) < 1e-14
 
     def test_orthogonality(self, D):
-        G = np.stack(generate_basis(D).generators)
+        G = generate_basis(D).generators
         gram = np.real(np.einsum("iab,jba->ij", G, G))
         assert np.max(np.abs(gram - 2.0 * np.eye(D * D - 1))) < 1e-12
 
     def test_product_formula_reconstructs(self, D):
         # lam_i lam_j = (2/D) delta_ij 1 + sum_k (i c_ijk + d_ijk) lam_k
         basis = generate_basis(D)
-        G = np.stack(basis.generators)
+        G = basis.generators
         n = basis.size
-        c = np.zeros((n, n, n))
-        d = np.zeros((n, n, n))
-        for i, j, k, v in basis.c:
-            c[i, j, k] = v
-        for i, j, k, v in basis.d:
-            d[i, j, k] = v
+        c, d = structure_tensors(basis)
         lhs = np.einsum("iab,jbc->ijac", G, G)
         rhs = (2.0 / D) * np.einsum("ij,ac->ijac", np.eye(n), np.eye(D)) + np.einsum(
             "ijk,kac->ijac", 1.0j * c + d, G
@@ -63,9 +69,29 @@ class TestBasis:
 
 def test_d3_diagonal_structure_constant():
     # d_{1,1,8} = 1/sqrt(3) in 1-based labels; indices 0,0,7 here
-    basis = generate_basis(3)
-    entries = {(i, j, k): v for i, j, k, v in basis.d}
-    assert entries[(0, 0, 7)] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-14)
+    _, d = structure_tensors(generate_basis(3))
+    assert d[0, 0, 7] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-14)
+
+
+def test_generators_are_one_read_only_stack():
+    basis = generate_basis(4)
+    assert basis.generators.shape == (15, 4, 4)
+    assert not basis.generators.flags.writeable
+
+
+def test_basis_builds_no_structure_tensors():
+    # the D=12 stack takes 0.33 MB; dense (D^2-1)^3 structure tensors would take 47 MB each
+    import tracemalloc
+
+    generate_basis.cache_clear()
+    tracemalloc.start()
+    try:
+        generate_basis(12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        generate_basis.cache_clear()
+    assert peak < 2 * 1024 * 1024
 
 
 def test_basis_rejects_bad_dimension():
@@ -107,20 +133,12 @@ def test_pure_states_are_star_fixed_points(D):
     assert np.max(np.abs(star(n, n, basis).n - n.n)) < 1e-12
 
 
-def _d_tensor(basis):
-    n = basis.size
-    d = np.zeros((n, n, n))
-    for i, j, k, v in basis.d:
-        d[i, j, k] = v
-    return d
-
-
 @pytest.mark.parametrize("D", [3, 4, 5, 6])
 def test_star_matches_structure_tensor_oracle(D):
     # the operator route against (c_D/(D-2)) sum_ij d_ijk a_i b_j
     rng = rng_for(27, D)
     basis = generate_basis(D)
-    d = _d_tensor(basis)
+    _, d = structure_tensors(basis)
     scale = c_norm(D) / (D - 2)
     for _ in range(5):
         a = CoherenceVector(dim=D, n=rng.standard_normal(D * D - 1))

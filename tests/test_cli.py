@@ -357,6 +357,8 @@ BOUNDARY_COMMANDS = [
     ["gen", "dps", "--dim", "-3", "--p", "0.5", "--seed", "1"],
     ["channel", "local", "{dps}", "--dims", "1", "4", "--pa", "0.5", "--pb", "0.5"],
     ["channel", "local", "{dps}", "--dims", "4", "1", "--pa", "0.5", "--pb", "0.5"],
+    ["channel", "protocol1", "{notpsd}", "--beta2", "0.5"],
+    ["channel", "recipe", "{notpsd}", "--f", "0.5", "--trials", "10", "--seed", "1"],
 ]
 
 
@@ -373,6 +375,8 @@ def write_inputs(tmp_path) -> dict:
         "mm": write_state(tmp_path / "mm.json", np.eye(4) / 4.0),
         "dps": write_state(tmp_path / "dps.json", np.diag([0.625, 0.125, 0.125, 0.125]), dims=(2, 2)),
         "pure": write_state(tmp_path / "pure.json", np.diag([1.0, 0.0, 0.0])),
+        # top eigenvalue 1 and unit trace, but not positive: not a pure state
+        "notpsd": write_state(tmp_path / "notpsd.json", np.diag([1.0, 0.3, -0.3])),
         "ch": str(ch),
         "bad": str(bad),
         "missing": str(tmp_path / "missing.json"),
