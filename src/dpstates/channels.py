@@ -16,6 +16,11 @@ reads p and the deviation from depolarizing off it, and takes the
 averaged channel's Kraus operators from its eigenvectors.  The tests
 check each against the dense Kronecker-product constructions.
 
+Every operator set is one read-only complex (n, D, D) stack: a
+channel's Kraus operators, the Weyl operators X^a Z^b and the Clifford
+group.  Gram products, batched conjugations and membership tests read
+the stacks directly.
+
 All Monte-Carlo entry points take explicit integer seeds; there is no
 hidden global randomness.
 """
@@ -50,13 +55,13 @@ GRAM_ROWS = 1024  # conjugated Kraus operators per block of a twirl average
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Trace-preserving completely positive map in operator-sum form."""
+    """Trace-preserving CP map in operator-sum form; ``kraus`` is one read-only (n, D, D) stack."""
 
     dim: int
-    kraus: tuple
+    kraus: np.ndarray
 
     def __post_init__(self):
-        ops = tuple(np.asarray(K, dtype=complex) for K in self.kraus)
+        ops = [np.asarray(K, dtype=complex) for K in self.kraus]
         if not ops:
             raise NotTracePreservingError("a channel needs at least one Kraus operator")
         for K in ops:
@@ -64,21 +69,20 @@ class KrausChannel:
                 raise DimensionMismatchError(
                     f"Kraus operator shape {K.shape} != ({self.dim}, {self.dim})"
                 )
-            K.setflags(write=False)
-        total = sum(K.conj().T @ K for K in ops)
-        dev = float(np.max(np.abs(total - np.eye(self.dim))))
+        kraus = np.array(ops)
+        kraus.setflags(write=False)
+        # the operators stacked row-wise form an isometry V, and V^dag V = sum K^dag K
+        V = kraus.reshape(-1, self.dim)
+        dev = float(np.max(np.abs(V.conj().T @ V - np.eye(self.dim))))
         if not dev <= TP_TOL:
             raise NotTracePreservingError(
                 f"sum K^dag K deviates from identity by {dev:.3e} (> {TP_TOL:.1e})"
             )
-        object.__setattr__(self, "kraus", ops)
+        object.__setattr__(self, "kraus", kraus)
 
     def apply(self, M: np.ndarray) -> np.ndarray:
         """Operator-sum action sum_m K_m M K_m^dag on a raw matrix."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for K in self.kraus:
-            out += K @ M @ K.conj().T
-        return out
+        return (self.kraus @ M @ self.kraus.conj().swapaxes(-1, -2)).sum(axis=0)
 
     def superoperator(self) -> np.ndarray:
         """D^2 x D^2 matrix acting on row-major vec(rho), sum_K kron(K, K^*).
@@ -87,7 +91,7 @@ class KrausChannel:
         ((i, j), (k, l)).
         """
         D = self.dim
-        C = _choi(np.stack(self.kraus))
+        C = _choi(self.kraus)
         return C.reshape(D, D, D, D).transpose(0, 2, 1, 3).reshape(D * D, D * D)
 
 
@@ -103,27 +107,19 @@ def _choi(ops: np.ndarray) -> np.ndarray:
     return M.T @ M.conj()
 
 
-class WeylBasis:
-    """Shift and clock unitaries generating the generalized Pauli group."""
+def weyl_operators(D: int) -> np.ndarray:
+    """Read-only (D^2, D, D) stack of the Weyl operators; entry a*D + b is X^a Z^b.
 
-    __slots__ = ("dim", "X", "Z")
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        X = np.zeros((dim, dim), dtype=complex)
-        for j in range(dim):
-            X[(j + 1) % dim, j] = 1.0
-        Z = np.diag(np.exp(2.0j * math.pi * np.arange(dim) / dim))
-        X.setflags(write=False)
-        Z.setflags(write=False)
-        self.X = X
-        self.Z = Z
-
-    def element(self, a: int, b: int) -> np.ndarray:
-        """X^a Z^b."""
-        return np.linalg.matrix_power(self.X, a % self.dim) @ np.linalg.matrix_power(
-            self.Z, b % self.dim
-        )
+    X |j> = |j+1 mod D> is the shift and Z |j> = omega^j |j> the clock,
+    so (X^a Z^b)[i, j] is omega^(b j) where i = j + a mod D and 0
+    elsewhere: one broadcast of the shift pattern against the phases.
+    """
+    k = np.arange(D)
+    shifts = k[None, :, None] == (k[None, None, :] + k[:, None, None]) % D  # [a, i, j]
+    phases = np.exp(2.0j * math.pi * (np.outer(k, k) % D) / D)  # [b, j]
+    ops = (shifts[:, None] * phases[None, :, None, :]).reshape(D * D, D, D)
+    ops.setflags(write=False)
+    return ops
 
 
 def maximally_entangled(D: int) -> np.ndarray:
@@ -213,15 +209,10 @@ def depolarizing_kraus(D: int, p: float) -> KrausChannel:
         PolarizationOutOfRangeError: p outside the CP range.
     """
     _in_range(p, p_min_cp(D), 1.0, PolarizationOutOfRangeError, "p")
-    w = WeylBasis(D)
     rest = max(1.0 - p, 0.0) / (D * D)
-    ops = [math.sqrt(max(p + rest, 0.0)) * np.eye(D, dtype=complex)]
-    for a in range(D):
-        for b in range(D):
-            if a == 0 and b == 0:
-                continue
-            ops.append(math.sqrt(rest) * w.element(a, b))
-    return KrausChannel(dim=D, kraus=tuple(ops))
+    ops = math.sqrt(rest) * weyl_operators(D)
+    ops[0] = math.sqrt(max(p + rest, 0.0)) * np.eye(D)
+    return KrausChannel(dim=D, kraus=ops)
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +253,12 @@ def protocol1(psi, chi: ChiState) -> DensityMatrix:
 
 def jamiolkowski_state(ch: KrausChannel) -> DensityMatrix:
     """(channel (x) identity) applied to |Phi+><Phi+|: the Choi matrix over D."""
-    return DensityMatrix(_choi(np.stack(ch.kraus)) / ch.dim)
+    return DensityMatrix(_choi(ch.kraus) / ch.dim)
 
 
 def jamiolkowski_fidelity(ch: KrausChannel) -> float:
     """f = <Phi+| E_channel |Phi+> = sum_m |Tr K_m|^2 / D^2."""
-    tr = np.trace(np.stack(ch.kraus), axis1=1, axis2=2)
+    tr = np.trace(ch.kraus, axis1=1, axis2=2)
     f = float(np.vdot(tr, tr).real) / (ch.dim * ch.dim)
     return min(max(f, 0.0), 1.0)
 
@@ -275,6 +266,11 @@ def jamiolkowski_fidelity(ch: KrausChannel) -> float:
 def twirl_p(D: int, f: float) -> float:
     """The depolarization strength a twirl produces: (D^2 f - 1)/(D^2 - 1)."""
     return (D * D * f - 1.0) / (D * D - 1.0)
+
+
+def p_from_overlap(D: int, overlap: float) -> float:
+    """The p of a DPS from <psi|rho|psi> = (1-p)/D + p: (overlap - 1/D)/(1 - 1/D)."""
+    return (overlap - 1.0 / D) / (1.0 - 1.0 / D)
 
 
 # ---------------------------------------------------------------------------
@@ -289,21 +285,15 @@ def _canonical_phase(U: np.ndarray) -> np.ndarray:
     return U * (abs(pivot) / pivot)
 
 
-def _projectively_in(W: np.ndarray, members, D: int) -> bool:
-    # |Tr(W^dag V)| = D iff V = e^{i theta} W; distinct group elements sit
-    # far below D, so a 1e-6 margin is decisive and roundoff-immune
-    return any(
-        abs(np.einsum("ij,ij->", W.conj(), V)) > D - 1e-6 for V in members
-    )
-
-
 @lru_cache(maxsize=None)
-def clifford_group(D: int) -> tuple:
+def clifford_group(D: int) -> np.ndarray:
     """All Clifford unitaries modulo global phase: 24 at D=2, 216 at D=3.
 
-    Breadth-first closure from {Hadamard/Fourier, diagonal phase gate};
-    every element is verified to conjugate each Weyl operator X^a Z^b
-    into the Pauli group up to phase before the list is returned.
+    Returned as one read-only (n, D, D) stack whose entry 0 is the
+    identity.  Breadth-first closure from {Hadamard/Fourier, diagonal
+    phase gate}; every element is verified to conjugate each Weyl
+    operator X^a Z^b into the Pauli group up to phase before the stack
+    is returned.
 
     Raises:
         UnsupportedDimensionError: D not in {2, 3}.
@@ -314,29 +304,29 @@ def clifford_group(D: int) -> tuple:
     F = np.array([[omega ** (j * k) for k in range(D)] for j in range(D)]) / math.sqrt(D)
     S = np.diag([1.0, 1.0j]) if D == 2 else np.diag([1.0, 1.0, omega])
     gens = [F, S]
-    eye = np.eye(D, dtype=complex)
-    members = [eye]
-    frontier = [eye]
+    group = np.eye(D, dtype=complex)[None]
+    frontier = list(group)
     while frontier:
         nxt = []
         for U in frontier:
             for g in gens:
                 W = g @ U
-                if not _projectively_in(W, members, D):
+                # |Tr(W^dag V)| = D iff V = e^{i theta} W; distinct group elements sit
+                # far below D, so a 1e-6 margin is decisive and roundoff-immune
+                if not np.any(np.abs(np.einsum("ij,nij->n", W.conj(), group)) > D - 1e-6):
                     W = _canonical_phase(W)
-                    members.append(W)
+                    group = np.concatenate([group, W[None]])
                     nxt.append(W)
         frontier = nxt
-    group = tuple(members)
     expected = {2: 24, 3: 216}[D]
     if len(group) != expected:
         raise InternalCheckError(f"Clifford closure found {len(group)} elements, expected {expected}")
-    w = WeylBasis(D)
-    paulis = [w.element(a, b) for a in range(D) for b in range(D)]
-    for U in group:
-        for P in paulis:
-            if not _projectively_in(U @ P @ U.conj().T, paulis, D):
-                raise InternalCheckError("Clifford element fails Pauli conjugation closure")
+    paulis = weyl_operators(D)
+    conjugated = group[:, None] @ paulis @ group.conj().swapaxes(-1, -2)[:, None]
+    overlaps = np.abs(np.einsum("upij,qij->upq", conjugated.conj(), paulis))
+    if not np.all(np.any(overlaps > D - 1e-6, axis=-1)):
+        raise InternalCheckError("Clifford element fails Pauli conjugation closure")
+    group.setflags(write=False)
     return group
 
 
@@ -381,15 +371,12 @@ class TwirlResult(NamedTuple):
     depolarizing_deviation: float
 
 
-def _kraus_from_choi(C: np.ndarray, D: int) -> tuple:
+def _kraus_from_choi(C: np.ndarray, D: int) -> np.ndarray:
     vals, vecs = np.linalg.eigh((C + C.conj().T) / 2.0)
     if float(vals[0]) < -1e-10:
         raise InternalCheckError(f"averaged Choi matrix has eigenvalue {vals[0]:.3e}")
-    ops = []
-    for mu, w in zip(vals, vecs.T):
-        if mu > 1e-12:
-            ops.append(math.sqrt(mu) * w.reshape(D, D))
-    return tuple(ops)
+    keep = vals > 1e-12
+    return (np.sqrt(vals[keep])[:, None] * vecs[:, keep].T).reshape(-1, D, D)
 
 
 def _conjugation_average(kraus: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
@@ -449,21 +436,25 @@ def twirl(
 
     ``exclude_identity`` averages over the group minus the identity, for
     measuring how far that deficient average is from depolarizing; the
-    deviation is reported, never assumed zero.
+    deviation is reported, never assumed zero.  Each mode takes only its
+    own arguments: exact-clifford no samples or seed, haar-sample no
+    ``exclude_identity``.
 
     Raises:
         UnsupportedDimensionError: dimension outside the mode's support.
-        DomainError: unknown mode or missing samples/seed.
+        DomainError: unknown mode, missing samples/seed, or an argument
+            the mode does not use.
     """
     D = ch.dim
-    kraus = np.stack(ch.kraus)
 
     if mode == "exact-clifford":
+        if samples != 0 or seed is not None:
+            raise DomainError("exact-clifford twirl takes no samples or seed")
         if D not in (2, 3):
             raise UnsupportedDimensionError(f"exact-clifford twirl needs D in {{2, 3}}, got {D}")
         group = clifford_group(D)
         # the closure seeds from the identity, so group[0] is always 1
-        acc = _conjugation_average(kraus, np.stack(group[1:] if exclude_identity else group))
+        acc = _conjugation_average(ch.kraus, group[1:] if exclude_identity else group)
         p_hat = twirl_p(D, jamiolkowski_fidelity(ch))
         dev = _depolarizing_deviation(acc, D, p_hat)
         if not exclude_identity and dev > TWIRL_CHECK_TOL:
@@ -473,15 +464,17 @@ def twirl(
         return _twirl_result(acc, D, p_hat, dev)
 
     if mode == "haar-sample":
+        if exclude_identity:
+            raise DomainError("exclude_identity applies to the exact-clifford twirl only")
         if D > 6:
             raise UnsupportedDimensionError(f"haar-sample twirl supports D <= 6, got {D}")
         if samples < 1:
             raise DomainError("haar-sample twirl needs samples >= 1")
         if seed is None:
             raise DomainError("haar-sample twirl needs an explicit seed")
-        acc = _conjugation_average(kraus, haar_unitaries(D, samples, np.random.default_rng(seed)))
+        acc = _conjugation_average(ch.kraus, haar_unitaries(D, samples, np.random.default_rng(seed)))
         # <0| twirl(|0><0|) |0> is the Choi entry at ((0, 0), (0, 0))
-        p_hat = float((acc[0, 0].real - 1.0 / D) / (1.0 - 1.0 / D))
+        p_hat = p_from_overlap(D, float(acc[0, 0].real))
         return _twirl_result(acc, D, p_hat, _depolarizing_deviation(acc, D, p_hat))
 
     raise DomainError(f"unknown twirl mode {mode!r}")
@@ -515,7 +508,7 @@ def pdps_recipe(psi, f: float, seed: int, trials: int) -> DensityMatrix:
         raise DomainError("trials must be >= 1")
     D = v.shape[0]
     rho = np.outer(v, v.conj())
-    X = WeylBasis(D).X
+    X = np.roll(np.eye(D), 1, axis=0)  # the shift X |j> = |j+1 mod D>
     Us = haar_unitaries(D, trials, np.random.default_rng(seed))
     # W rho W^dag = y y^dag with y = U^dag X U psi, so the trial mean of
     # the flipped states is Y^T Y^* / trials; the rows of Yc = Y^* are
@@ -563,6 +556,4 @@ def random_channel(D: int, kraus_count: int, seed: int) -> KrausChannel:
     """Seeded random channel from a Haar isometry (Stinespring cut)."""
     rng = np.random.default_rng(seed)
     U = haar_unitary(D * kraus_count, rng)
-    W = U[:, :D]
-    ops = tuple(W[m * D : (m + 1) * D, :] for m in range(kraus_count))
-    return KrausChannel(dim=D, kraus=ops)
+    return KrausChannel(dim=D, kraus=U[:, :D].reshape(kraus_count, D, D))

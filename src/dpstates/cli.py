@@ -40,6 +40,7 @@ from .channels import (
     jamiolkowski_fidelity,
     jamiolkowski_state,
     local_depolarize,
+    p_from_overlap,
     pdps_recipe,
     protocol1,
     twirl,
@@ -258,7 +259,7 @@ def load_channel(ns, arg: str = "channel") -> KrausChannel:
         raise CliInputError(f'{path}: "kraus" must be a nonempty list of matrices')
     ops = [_parse_matrix(entry, dim, path) for entry in doc["kraus"]]
     try:
-        ch = KrausChannel(dim=dim, kraus=tuple(ops))
+        ch = KrausChannel(dim=dim, kraus=ops)
     except DomainError as exc:
         raise CliInputError(f"{path}: {exc}")
     return ch
@@ -408,7 +409,7 @@ def cmd_werner2q(ns) -> Report:
     sin_threshold = (1.0 - ns.p) / (2.0 * ns.p) if ns.p > 1.0 / 3.0 else None
     results = {
         "pt_eigenvalues": list(mu),
-        "entangled": mu[3] < -1e-9,
+        "entangled": mu[3] < -NEG_TOL,
         "sin_omega_threshold": sin_threshold,
     }
     return Report(results, {"p": ns.p, "omega": ns.omega}, state=state, dims=[2, 2])
@@ -425,7 +426,9 @@ def cmd_isotropic(ns) -> Report:
         "entangled": rep.entangled,
         "threshold_p": 1.0 / (ns.da + 1.0),
     }
-    return Report(results, {"da": ns.da, "F": ns.F}, state=dps.to_matrix(), dims=[ns.da, ns.da])
+    # the (da^2, da^2) matrix is built only for --out; the report needs closed forms alone
+    state = dps.to_matrix() if ns.out else None
+    return Report(results, {"da": ns.da, "F": ns.F}, state=state, dims=[ns.da, ns.da])
 
 
 def cmd_channel_depolarize(ns) -> Report:
@@ -490,8 +493,7 @@ def cmd_channel_recipe(ns) -> Report:
     psi = _pure_vector(state, "recipe")
     out = pdps_recipe(psi, ns.f, ns.seed, ns.trials)
     D = state.dim
-    proj = float(np.real(np.vdot(psi, out.matrix @ psi)))
-    p_hat = (proj - 1.0 / D) / (1.0 - 1.0 / D)
+    p_hat = p_from_overlap(D, float(np.real(np.vdot(psi, out.matrix @ psi))))
     results = {"p_target": twirl_p(D, ns.f), "p_hat": p_hat}
     return Report(results, {"f": ns.f, "trials": ns.trials}, seed=ns.seed, state=out)
 

@@ -17,7 +17,6 @@ from dpstates import (
     NotTracePreservingError,
     PolarizationOutOfRangeError,
     UnsupportedDimensionError,
-    WeylBasis,
     apply_depolarizing,
     chi_from_beta2,
     clifford_group,
@@ -39,6 +38,7 @@ from dpstates import (
     trace_distance_oracle,
     twirl,
     twirl_p,
+    weyl_operators,
 )
 
 from dpstates import channels
@@ -95,6 +95,15 @@ class TestKrausChannel:
         ch = random_channel(D, count, seed=63 + D)
         assert np.max(np.abs(ch.superoperator() - kron_superoperator(ch.kraus))) < 1e-14
 
+    def test_rejects_wrong_shaped_operator(self):
+        with pytest.raises(DimensionMismatchError):
+            KrausChannel(dim=2, kraus=(np.eye(2), np.eye(3)))
+
+    def test_kraus_is_one_read_only_stack(self):
+        ch = KrausChannel(dim=2, kraus=[np.eye(2)])
+        assert ch.kraus.shape == (1, 2, 2)
+        assert not ch.kraus.flags.writeable
+
     def test_random_channel_is_deterministic(self):
         a = random_channel(2, 3, seed=62)
         b = random_channel(2, 3, seed=62)
@@ -102,23 +111,46 @@ class TestKrausChannel:
             assert np.array_equal(Ka, Kb)
 
 
+def shift_and_clock(D: int) -> tuple[np.ndarray, np.ndarray]:
+    """X |j> = |j+1 mod D> and Z |j> = omega^j |j>, written out entry by entry."""
+    X = np.zeros((D, D), dtype=complex)
+    for j in range(D):
+        X[(j + 1) % D, j] = 1.0
+    Z = np.diag(np.exp(2.0j * math.pi * np.arange(D) / D))
+    return X, Z
+
+
 class TestWeylBasis:
+    """The (D^2, D, D) stack from weyl_operators: entry a*D + b is X^a Z^b."""
+
     @pytest.mark.parametrize("D", [2, 3, 5])
     def test_unitary_and_commutation(self, D):
-        w = WeylBasis(D)
+        W = weyl_operators(D)
+        X, Z = W[D], W[1]
         omega = np.exp(2.0j * math.pi / D)
-        assert np.max(np.abs(w.X @ w.X.conj().T - np.eye(D))) < 1e-13
-        assert np.max(np.abs(w.Z @ w.X - omega * w.X @ w.Z)) < 1e-13
+        assert np.max(np.abs(X @ X.conj().T - np.eye(D))) < 1e-13
+        assert np.max(np.abs(Z @ X - omega * X @ Z)) < 1e-13
 
     def test_elements_traceless_except_identity(self):
-        w = WeylBasis(3)
+        W = weyl_operators(3)
         for a in range(3):
             for b in range(3):
-                tr = np.trace(w.element(a, b))
+                tr = np.trace(W[3 * a + b])
                 if a == b == 0:
                     assert tr == pytest.approx(3.0)
                 else:
                     assert abs(tr) < 1e-13
+
+    @pytest.mark.parametrize("D", [2, 3, 5])
+    def test_order_matches_matrix_powers(self, D):
+        W = weyl_operators(D)
+        assert W.shape == (D * D, D, D)
+        assert not W.flags.writeable
+        X, Z = shift_and_clock(D)
+        for a in range(D):
+            for b in range(D):
+                want = np.linalg.matrix_power(X, a) @ np.linalg.matrix_power(Z, b)
+                assert np.max(np.abs(W[a * D + b] - want)) < 1e-13
 
 
 class TestChiState:
@@ -311,15 +343,13 @@ class TestCliffordGroup:
             assert np.max(np.abs(U @ U.conj().T - np.eye(D))) < 1e-12
 
     def test_closed_under_product(self):
-        group = clifford_group(2)
-        rng = rng_for(69)
-        for _ in range(10):
-            i, j = rng.integers(0, len(group), size=2)
-            prod = group[i] @ group[j]
-            hits = sum(
-                1 for V in group if abs(np.einsum("ij,ij->", prod.conj(), V)) > 2.0 - 1e-6
-            )
-            assert hits == 1
+        # every product U V matches exactly one member up to phase
+        for D in (2, 3):
+            group = clifford_group(D)
+            assert not group.flags.writeable
+            for U in group:
+                overlaps = np.abs(np.einsum("vij,wij->vw", (U @ group).conj(), group))
+                assert np.all(np.sum(overlaps > D - 1e-6, axis=1) == 1)
 
     def test_unsupported_dimension(self):
         with pytest.raises(UnsupportedDimensionError):
@@ -356,6 +386,15 @@ class TestTwirl:
         with pytest.raises(DomainError):
             twirl(ch, mode="bogus")
 
+    def test_rejects_arguments_the_mode_ignores(self):
+        ch = random_channel(2, 2, seed=73)
+        with pytest.raises(DomainError):
+            twirl(ch, mode="haar-sample", samples=10, seed=1, exclude_identity=True)
+        with pytest.raises(DomainError):
+            twirl(ch, mode="exact-clifford", samples=10)
+        with pytest.raises(DomainError):
+            twirl(ch, mode="exact-clifford", seed=1)
+
     def test_haar_sample_converges(self):
         ch = random_channel(2, 3, seed=75)
         exact = twirl_p(2, jamiolkowski_fidelity(ch))
@@ -375,7 +414,7 @@ class TestTwirl:
     def test_clifford_average_matches_kron_oracle(self, D, exclude):
         ch = random_channel(D, 3, seed=95 + D)
         group = clifford_group(D)[1:] if exclude else clifford_group(D)
-        got = reshuffle(channels._conjugation_average(np.stack(ch.kraus), np.stack(group)), D)
+        got = reshuffle(channels._conjugation_average(ch.kraus, group), D)
         assert np.max(np.abs(got - kron_twirl_average(ch.kraus, group))) < 1e-13
 
     @pytest.mark.parametrize("D, samples", [(4, 300), (6, 1100)])
@@ -383,7 +422,7 @@ class TestTwirl:
         ch = random_channel(D, 2, seed=97 + D)
         Us = channels.haar_unitaries(D, samples, np.random.default_rng(98))
         want = kron_twirl_average(ch.kraus, Us)
-        got = reshuffle(channels._conjugation_average(np.stack(ch.kraus), Us), D)
+        got = reshuffle(channels._conjugation_average(ch.kraus, Us), D)
         assert np.max(np.abs(got - want)) < 1e-13
         # twirl draws the same unitaries from the same seed
         result = twirl(ch, mode="haar-sample", samples=samples, seed=98)
@@ -437,7 +476,7 @@ class TestPdpsRecipe:
         # mean of the flipped states W rho W^dag, W = U^dag X U, over the same draws
         psi = haar_state(D, rng_for(89, D))
         rho = np.outer(psi, psi.conj())
-        X = WeylBasis(D).X
+        X = shift_and_clock(D)[0]
         Us = channels.haar_unitaries(D, 400, np.random.default_rng(90))
         flipped = sum(U.conj().T @ X @ U @ rho @ U.conj().T @ X.conj().T @ U for U in Us) / len(Us)
         out = pdps_recipe(psi, 0.3, seed=90, trials=400)

@@ -169,6 +169,19 @@ class TestBipartiteCommands:
         assert rep["results"]["separable"]
         assert not rep["results"]["entangled"]
 
+    def test_isotropic_builds_the_state_only_for_out(self, capsys):
+        # the (da^2, da^2) state would be 13 MB at da = 30
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            rep = run_json(capsys, "isotropic", "--da", "30", "--F", "0.5")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep["results"]["entangled"]
+        assert peak < 2_000_000
+
 
 class TestChannelCommands:
     def test_depolarize_require_cp(self, capsys, tmp_path):
@@ -359,6 +372,8 @@ BOUNDARY_COMMANDS = [
     ["channel", "local", "{dps}", "--dims", "4", "1", "--pa", "0.5", "--pb", "0.5"],
     ["channel", "protocol1", "{notpsd}", "--beta2", "0.5"],
     ["channel", "recipe", "{notpsd}", "--f", "0.5", "--trials", "10", "--seed", "1"],
+    ["channel", "twirl", "{ch}", "--mode", "haar-sample", "--samples", "50", "--seed", "1", "--exclude-identity"],
+    ["channel", "twirl", "{ch}", "--samples", "50", "--seed", "1"],
 ]
 
 
