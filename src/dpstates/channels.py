@@ -8,18 +8,14 @@ p = (D^2 f - 1)/(D^2 - 1) where f is the Jamiolkowski fidelity.  The
 protocol output comes from the unitary's closed action on legal inputs,
 which the tests check against the dense D^3 x D^3 unitary.
 
-A channel is held as one matrix: its Choi matrix sum_K vec(K) vec(K)^dag,
-the Gram product M^T M^* over the rows vec(K) of its Kraus operators.
-The Jamiolkowski state is that matrix over D, the superoperator its
-reshuffle, and a twirl accumulates it over conjugated Kraus operators,
-reads p and the deviation from depolarizing off it, and takes the
-averaged channel's Kraus operators from its eigenvectors.  The tests
-check each against the dense Kronecker-product constructions.
-
-Every operator set is one read-only complex (n, D, D) stack: a
-channel's Kraus operators, the Weyl operators X^a Z^b and the Clifford
-group.  Gram products, batched conjugations and membership tests read
-the stacks directly.
+A channel is held as its Choi matrix sum_K vec(K) vec(K)^dag, the Gram
+product M^T M^* over the rows vec(K); the Jamiolkowski state is that
+over D and the superoperator its reshuffle.  Every average over
+unitaries, the Clifford and Haar twirls and the recipe, is one Gram
+mean (``_gram_mean``) over a stream of unitary stacks, formed about
+GRAM_ROWS rows at a time, so memory does not grow with the number of
+unitaries.  Every operator set is one read-only complex (n, D, D)
+stack: Kraus operators, the Weyl operators X^a Z^b, the Clifford group.
 
 All Monte-Carlo entry points take explicit integer seeds; there is no
 hidden global randomness.
@@ -30,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -50,7 +46,7 @@ from .metrics import _in_range, _unit_vector, p_min, p_min_cp
 
 TP_TOL = 1e-10
 TWIRL_CHECK_TOL = 1e-10
-GRAM_ROWS = 1024  # conjugated Kraus operators per block of a twirl average
+GRAM_ROWS = 1024  # rows per block of a Gram mean, and unitaries per Haar draw
 
 
 @dataclass(frozen=True)
@@ -336,17 +332,21 @@ def clifford_group(D: int) -> np.ndarray:
 
 def haar_unitary(D: int, rng: np.random.Generator) -> np.ndarray:
     """One Haar-distributed unitary; draws as ``haar_unitaries(D, 1, rng)``."""
-    return haar_unitaries(D, 1, rng)[0]
+    return next(haar_unitaries(D, 1, rng))[0]
 
 
-def haar_unitaries(D: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """(count, D, D) stack of independent Haar unitaries."""
-    Z = (
-        rng.standard_normal((count, D, D)) + 1.0j * rng.standard_normal((count, D, D))
-    ) / math.sqrt(2.0)
-    Q, R = np.linalg.qr(Z)
-    d = np.diagonal(R, axis1=1, axis2=2)
-    return Q * (d / np.abs(d))[:, None, :]
+def haar_unitaries(D: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """``count`` independent Haar unitaries, as (k, D, D) stacks of k <= GRAM_ROWS.
+
+    Each stack draws its real parts and then its imaginary parts from
+    ``rng``, so up to GRAM_ROWS unitaries draw as one stack would.
+    """
+    for start in range(0, count, GRAM_ROWS):
+        k = min(GRAM_ROWS, count - start)
+        Z = (rng.standard_normal((k, D, D)) + 1.0j * rng.standard_normal((k, D, D))) / math.sqrt(2.0)
+        Q, R = np.linalg.qr(Z)
+        d = np.diagonal(R, axis1=1, axis2=2)
+        yield Q * (d / np.abs(d))[:, None, :]
 
 
 def haar_state(D: int, rng: np.random.Generator) -> np.ndarray:
@@ -379,20 +379,20 @@ def _kraus_from_choi(C: np.ndarray, D: int) -> np.ndarray:
     return (np.sqrt(vals[keep])[:, None] * vecs[:, keep].T).reshape(-1, D, D)
 
 
-def _conjugation_average(kraus: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
-    """Mean over U of the Choi matrix of the channel {U^dag K U}.
+def _gram_mean(stacks: Iterable[np.ndarray], rows: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Mean over unitaries U of M^T M^* with M = rows(U), over a stream of stacks.
 
-    Accumulated as Gram products over blocks of unitaries, so the
-    conjugated Kraus stack held at once stays at about GRAM_ROWS
-    operators whatever the number of unitaries.
+    Formed over sub-stacks of about GRAM_ROWS rows (one unitary's, if it
+    has more), so memory does not grow with the number of unitaries.
     """
-    D = kraus.shape[-1]
-    step = max(1, GRAM_ROWS // len(kraus))
-    acc = np.zeros((D * D, D * D), dtype=complex)
-    for start in range(0, len(unitaries), step):
-        U = unitaries[start : start + step, None]
-        acc += _choi(U.conj().swapaxes(-1, -2) @ kraus @ U)
-    return acc / len(unitaries)
+    total, count = 0.0, 0
+    for Us in stacks:
+        step = max(1, GRAM_ROWS // len(rows(Us[:1])))
+        for start in range(0, len(Us), step):
+            M = rows(Us[start : start + step])
+            total = total + M.T @ M.conj()
+        count += len(Us)
+    return total / count
 
 
 def _twirl_result(acc: np.ndarray, D: int, p_hat: float, dev: float) -> TwirlResult:
@@ -428,11 +428,8 @@ def twirl(
     conjugation-invariant, so it carries no Monte-Carlo information);
     standard error scales as 1/sqrt(samples).
 
-    Both modes average Choi matrices without forming one per unitary:
-    with A = U^dag K U over every (U, K) and M the stack of rows vec(A),
-    the mean is M^T M^* divided by the number of unitaries, accumulated
-    over blocks of unitaries.  The tests check its reshuffle against
-    the dense average of kron(U^dag, U^T) S kron(U, U^*).
+    Both modes average Choi matrices as the ``_gram_mean`` of the rows
+    vec(U^dag K U); the tests check it against kron(U^dag, U^T) S kron(U, U^*).
 
     ``exclude_identity`` averages over the group minus the identity, for
     measuring how far that deficient average is from depolarizing; the
@@ -447,6 +444,10 @@ def twirl(
     """
     D = ch.dim
 
+    def rows(Us):
+        Us = Us[:, None]
+        return (Us.conj().swapaxes(-1, -2) @ ch.kraus @ Us).reshape(-1, D * D)
+
     if mode == "exact-clifford":
         if samples != 0 or seed is not None:
             raise DomainError("exact-clifford twirl takes no samples or seed")
@@ -454,7 +455,7 @@ def twirl(
             raise UnsupportedDimensionError(f"exact-clifford twirl needs D in {{2, 3}}, got {D}")
         group = clifford_group(D)
         # the closure seeds from the identity, so group[0] is always 1
-        acc = _conjugation_average(ch.kraus, group[1:] if exclude_identity else group)
+        acc = _gram_mean([group[1:] if exclude_identity else group], rows)
         p_hat = twirl_p(D, jamiolkowski_fidelity(ch))
         dev = _depolarizing_deviation(acc, D, p_hat)
         if not exclude_identity and dev > TWIRL_CHECK_TOL:
@@ -472,7 +473,7 @@ def twirl(
             raise DomainError("haar-sample twirl needs samples >= 1")
         if seed is None:
             raise DomainError("haar-sample twirl needs an explicit seed")
-        acc = _conjugation_average(ch.kraus, haar_unitaries(D, samples, np.random.default_rng(seed)))
+        acc = _gram_mean(haar_unitaries(D, samples, np.random.default_rng(seed)), rows)
         # <0| twirl(|0><0|) |0> is the Choi entry at ((0, 0), (0, 0))
         p_hat = p_from_overlap(D, float(acc[0, 0].real))
         return _twirl_result(acc, D, p_hat, _depolarizing_deviation(acc, D, p_hat))
@@ -492,11 +493,10 @@ def pdps_recipe(psi, f: float, seed: int, trials: int) -> DensityMatrix:
     (the average over its outcomes), so all sampling noise comes from U.
     The trial average converges to the DPS with p = (D^2 f - 1)/(D^2-1).
 
-    Since rho = psi psi^dag, each flipped state W rho W^dag with
-    W = U^dag X U is y y^dag for y = U^dag X U psi, so their mean is one
-    D x trials product Y^T Y^* / trials: no per-trial matrix is formed
-    beyond the Haar stack itself.  The tests check it against the
-    per-trial sum over the same draws.
+    Each flipped state W rho W^dag, W = U^dag X U, is y y^dag for
+    y = U^dag X U psi, so their mean is the ``_gram_mean`` of the rows y
+    over the Haar draws, whose memory does not grow with ``trials``.
+    The tests check it against the per-trial sum over the same draws.
 
     Raises:
         FOutOfRangeError: f outside [0, 1].
@@ -509,12 +509,12 @@ def pdps_recipe(psi, f: float, seed: int, trials: int) -> DensityMatrix:
     D = v.shape[0]
     rho = np.outer(v, v.conj())
     X = np.roll(np.eye(D), 1, axis=0)  # the shift X |j> = |j+1 mod D>
-    Us = haar_unitaries(D, trials, np.random.default_rng(seed))
-    # W rho W^dag = y y^dag with y = U^dag X U psi, so the trial mean of
-    # the flipped states is Y^T Y^* / trials; the rows of Yc = Y^* are
-    # formed as (X U psi)^* U, which needs no conjugated copy of the stack
-    Yc = (((Us @ v) @ X.T).conj()[:, None, :] @ Us)[:, 0, :]
-    flipped = Yc.T.conj() @ Yc / trials
+
+    def rows(Us):
+        # y^* = (X U psi)^* U needs no conjugated copy of the stack
+        return (((Us @ v) @ X.T).conj()[:, None, :] @ Us)[:, 0, :].conj()
+
+    flipped = _gram_mean(haar_unitaries(D, trials, np.random.default_rng(seed)), rows)
     return DensityMatrix(f * rho + (1.0 - f) * flipped)
 
 

@@ -297,6 +297,13 @@ def _as_dps(state: DensityMatrix, what: str) -> DpsState:
     return make_dps(m.purification, p)
 
 
+def _refuse_unread(ns, what: str, flags) -> None:
+    """Exit 3 if any of ``flags``, which ``what`` does not read, was given."""
+    for name in sorted(flags):
+        if getattr(ns, name) is not None:
+            raise DomainError(f"{what} does not read --{name}")
+
+
 def _require_dims(dims_flag, dims_file, dim: int) -> tuple[int, int]:
     dims = dims_flag if dims_flag is not None else dims_file
     if dims is None:
@@ -512,6 +519,11 @@ def cmd_channel_local(ns) -> Report:
 
 def cmd_moments(ns) -> Report:
     state, _ = load_state(ns)
+    if ns.mode == "mc":
+        shots = 100000 if ns.shots is None else ns.shots
+    else:
+        _refuse_unread(ns, f"moments --mode {ns.mode}", ("seed", "shots"))
+        shots = 0
     orders = list(dict.fromkeys(ns.m))
     if ns.assume_dps:
         for needed in (2, 3):
@@ -525,7 +537,7 @@ def cmd_moments(ns) -> Report:
             return moment_permutation(state, m)
         if ns.seed is None:
             raise DomainError("--mode mc needs --seed")
-        return moment_montecarlo(state, m, ns.shots, ns.seed + m)
+        return moment_montecarlo(state, m, shots, ns.seed + m)
 
     estimates = {m: one(m) for m in sorted(orders)}
     results: dict = {
@@ -551,7 +563,7 @@ def cmd_moments(ns) -> Report:
     parameters = {
         "m": sorted(orders),
         "mode": ns.mode,
-        "shots": ns.shots if ns.mode == "mc" else 0,
+        "shots": shots,
         "assume_dps": bool(ns.assume_dps),
     }
     return Report(results, parameters, seed=ns.seed if ns.mode == "mc" else _NO_SEED)
@@ -583,27 +595,31 @@ def cmd_fig1(ns) -> None:
 
 
 def cmd_gen(ns) -> Report | None:
+    reads = {"dps": {"dim", "p", "seed"}, "haar-pure": {"dim", "seed"}, "isotropic": {"da", "F"}}[ns.kind]
+    _refuse_unread(ns, f"gen {ns.kind}", {"dim", "p", "da", "F", "seed"} - reads)
+    dim = 3 if ns.dim is None else ns.dim
     dims = None
     if ns.kind == "dps":
         if ns.p is None or ns.seed is None:
             raise DomainError("gen dps needs --p and --seed")
         rng = np.random.default_rng(ns.seed)
-        psi = haar_state(ns.dim, rng)
+        psi = haar_state(dim, rng)
         state = make_dps(psi, ns.p).to_matrix()
-        meta = {"kind": "dps", "dim": ns.dim, "p": ns.p, "seed": ns.seed}
+        meta = {"kind": "dps", "dim": dim, "p": ns.p, "seed": ns.seed}
     elif ns.kind == "haar-pure":
         if ns.seed is None:
             raise DomainError("gen haar-pure needs --seed")
         rng = np.random.default_rng(ns.seed)
-        psi = haar_state(ns.dim, rng)
+        psi = haar_state(dim, rng)
         state = make_dps(psi, 1.0).to_matrix()
-        meta = {"kind": "haar-pure", "dim": ns.dim, "seed": ns.seed}
+        meta = {"kind": "haar-pure", "dim": dim, "seed": ns.seed}
     else:
         if ns.F is None:
             raise DomainError("gen isotropic needs --F")
-        dps, _ = isotropic(ns.da, ns.F)
-        state, dims = dps.to_matrix(), [ns.da, ns.da]
-        meta = {"kind": "isotropic", "da": ns.da, "F": ns.F, "p": dps.p}
+        da = 2 if ns.da is None else ns.da
+        dps, _ = isotropic(da, ns.F)
+        state, dims = dps.to_matrix(), [da, da]
+        meta = {"kind": "isotropic", "da": da, "F": ns.F, "p": dps.p}
     if not ns.out:
         sys.stdout.write(render_json(state_document(state, dims=dims)))
         return None
@@ -705,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mo.add_argument("state")
     p_mo.add_argument("--m", type=int, nargs="+", default=[2, 3])
     p_mo.add_argument("--mode", choices=("exact", "perm", "mc"), default="exact")
-    p_mo.add_argument("--shots", type=int, default=100000)
+    p_mo.add_argument("--shots", type=int)
     p_mo.add_argument("--seed", type=int)
     p_mo.add_argument("--assume-dps", action="store_true")
     p_mo.add_argument("--recovery-tol", type=float, default=RECOVERY_TOL)
@@ -719,9 +735,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ge = sub.add_parser("gen", help="write state files: dps | isotropic | haar-pure")
     p_ge.add_argument("kind", choices=("dps", "isotropic", "haar-pure"))
-    p_ge.add_argument("--dim", type=int, default=3)
+    p_ge.add_argument("--dim", type=int)
     p_ge.add_argument("--p", type=float)
-    p_ge.add_argument("--da", type=int, default=2)
+    p_ge.add_argument("--da", type=int)
     p_ge.add_argument("--F", type=float)
     p_ge.add_argument("--seed", type=int)
     p_ge.add_argument("--out")

@@ -67,6 +67,27 @@ def reshuffle(C: np.ndarray, D: int) -> np.ndarray:
     return C.reshape(D, D, D, D).transpose(0, 2, 1, 3).reshape(D * D, D * D)
 
 
+def traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def conjugated_rows(kraus):
+    """The rows vec(U^dag K U) of every (U, K), for ``channels._gram_mean``."""
+    D = kraus.shape[-1]
+    return lambda Us: (Us[:, None].conj().swapaxes(-1, -2) @ kraus @ Us[:, None]).reshape(-1, D * D)
+
+
+def haar_stream(D: int, count: int, seed: int) -> np.ndarray:
+    """The unitaries ``haar_unitaries`` draws from ``default_rng(seed)``, as one stack."""
+    return np.concatenate(list(channels.haar_unitaries(D, count, np.random.default_rng(seed))))
+
+
 def kron_twirl_average(kraus, unitaries) -> np.ndarray:
     """Dense oracle: mean over U of kron(U^dag, U^T) . S . kron(U, U^*)."""
     S = kron_superoperator(kraus)
@@ -282,13 +303,7 @@ class TestProtocol1:
         D = 12
         psi = haar_state(D, rng_for(94))
         chi = chi_from_beta2(D, 0.5)
-        tracemalloc.start()
-        try:
-            protocol1(psi, chi)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
+        assert traced_peak(lambda: protocol1(psi, chi)) < 1_000_000
 
     @pytest.mark.parametrize("D", [2, 3, 4])
     def test_residual_formula(self, D):
@@ -402,7 +417,8 @@ class TestTwirl:
         assert est.p_hat == pytest.approx(exact, abs=0.05)
 
     def test_haar_sample_is_deterministic(self):
-        # 1100 samples span three blocks of the Gram accumulation
+        # 1100 samples span two Haar draws (1024 + 76), which the Gram mean
+        # cuts into three blocks of at most 1024 rows (512 + 512 + 76)
         ch = random_channel(3, 2, seed=77)
         a = twirl(ch, mode="haar-sample", samples=1100, seed=78)
         b = twirl(ch, mode="haar-sample", samples=1100, seed=78)
@@ -410,19 +426,34 @@ class TestTwirl:
         assert a.depolarizing_deviation == b.depolarizing_deviation
         assert all(np.array_equal(Ka, Kb) for Ka, Kb in zip(a.channel.kraus, b.channel.kraus))
 
+    def test_haar_sample_memory_does_not_grow_with_samples(self):
+        # about 4 MB at any sample count; the whole (samples, D, D) stack
+        # and its conjugated Kraus operators here would take 48 MB
+        ch = random_channel(6, 3, seed=96)
+        assert traced_peak(lambda: twirl(ch, mode="haar-sample", samples=20_000, seed=1)) < 16_000_000
+
+    def test_gram_mean_bounds_rows_of_many_kraus_operators(self):
+        # 1500 redundant Kraus operators give 1500 rows per unitary: one
+        # unitary per block, and the mean still matches the dense oracle
+        kraus = random_channel(2, 3, seed=93).kraus / math.sqrt(500)
+        ch = KrausChannel(dim=2, kraus=np.repeat(kraus, 500, axis=0))
+        Us = haar_stream(2, 5, 94)
+        got = reshuffle(channels._gram_mean([Us], conjugated_rows(ch.kraus)), 2)
+        assert np.max(np.abs(got - kron_twirl_average(ch.kraus, Us))) < 1e-13
+
     @pytest.mark.parametrize("D, exclude", [(2, False), (2, True), (3, False), (3, True)])
     def test_clifford_average_matches_kron_oracle(self, D, exclude):
         ch = random_channel(D, 3, seed=95 + D)
         group = clifford_group(D)[1:] if exclude else clifford_group(D)
-        got = reshuffle(channels._conjugation_average(ch.kraus, group), D)
+        got = reshuffle(channels._gram_mean([group], conjugated_rows(ch.kraus)), D)
         assert np.max(np.abs(got - kron_twirl_average(ch.kraus, group))) < 1e-13
 
     @pytest.mark.parametrize("D, samples", [(4, 300), (6, 1100)])
     def test_haar_average_matches_kron_oracle(self, D, samples):
         ch = random_channel(D, 2, seed=97 + D)
-        Us = channels.haar_unitaries(D, samples, np.random.default_rng(98))
-        want = kron_twirl_average(ch.kraus, Us)
-        got = reshuffle(channels._conjugation_average(ch.kraus, Us), D)
+        want = kron_twirl_average(ch.kraus, haar_stream(D, samples, 98))
+        stream = channels.haar_unitaries(D, samples, np.random.default_rng(98))
+        got = reshuffle(channels._gram_mean(stream, conjugated_rows(ch.kraus)), D)
         assert np.max(np.abs(got - want)) < 1e-13
         # twirl draws the same unitaries from the same seed
         result = twirl(ch, mode="haar-sample", samples=samples, seed=98)
@@ -434,6 +465,19 @@ class TestTwirl:
 
 
 class TestHaar:
+    def test_stream_is_stacks_of_at_most_gram_rows(self):
+        sizes = [len(Us) for Us in channels.haar_unitaries(3, 2500, rng_for(78))]
+        assert sizes == [channels.GRAM_ROWS, channels.GRAM_ROWS, 2500 - 2 * channels.GRAM_ROWS]
+
+    def test_stream_up_to_gram_rows_is_one_draw(self):
+        # real parts, then imaginary parts, of one (count, D, D) Gaussian stack
+        rng = rng_for(79)
+        Z = (rng.standard_normal((400, 4, 4)) + 1.0j * rng.standard_normal((400, 4, 4))) / math.sqrt(2.0)
+        (Us,) = channels.haar_unitaries(4, 400, rng_for(79))
+        Q, R = np.linalg.qr(Z)
+        d = np.diagonal(R, axis1=1, axis2=2)
+        assert np.array_equal(Us, Q * (d / np.abs(d))[:, None, :])
+
     def test_unitary(self):
         U = haar_unitary(5, rng_for(79))
         assert np.max(np.abs(U @ U.conj().T - np.eye(5))) < 1e-12
@@ -477,21 +521,16 @@ class TestPdpsRecipe:
         psi = haar_state(D, rng_for(89, D))
         rho = np.outer(psi, psi.conj())
         X = shift_and_clock(D)[0]
-        Us = channels.haar_unitaries(D, 400, np.random.default_rng(90))
+        Us = haar_stream(D, 400, 90)
         flipped = sum(U.conj().T @ X @ U @ rho @ U.conj().T @ X.conj().T @ U for U in Us) / len(Us)
         out = pdps_recipe(psi, 0.3, seed=90, trials=400)
         assert np.max(np.abs(out.matrix - (0.3 * rho + 0.7 * flipped))) < 1e-14
 
     def test_memory_holds_no_per_trial_states(self):
-        # the (trials, D, D) Haar stack and its QR set the peak, about 85 MB
+        # Haar draws of GRAM_ROWS unitaries set the peak, about 8 MB at any
+        # trial count; a whole (trials, D, D) stack here would take 420 MB
         psi = haar_state(8, rng_for(91))
-        tracemalloc.start()
-        try:
-            pdps_recipe(psi, 0.6, seed=92, trials=20000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 90_000_000
+        assert traced_peak(lambda: pdps_recipe(psi, 0.6, seed=92, trials=100_000)) < 16_000_000
 
 
 class TestLocalDepolarize:

@@ -374,6 +374,16 @@ BOUNDARY_COMMANDS = [
     ["channel", "recipe", "{notpsd}", "--f", "0.5", "--trials", "10", "--seed", "1"],
     ["channel", "twirl", "{ch}", "--mode", "haar-sample", "--samples", "50", "--seed", "1", "--exclude-identity"],
     ["channel", "twirl", "{ch}", "--samples", "50", "--seed", "1"],
+    ["gen", "haar-pure", "--dim", "3", "--p", "0.3", "--seed", "1"],
+    ["gen", "haar-pure", "--seed", "1", "--da", "2"],
+    ["gen", "dps", "--p", "0.3", "--seed", "1", "--da", "3"],
+    ["gen", "dps", "--p", "0.3", "--seed", "1", "--F", "0.5"],
+    ["gen", "isotropic", "--F", "0.5", "--seed", "1"],
+    ["gen", "isotropic", "--F", "0.5", "--dim", "3"],
+    ["gen", "isotropic", "--F", "0.5", "--p", "0.3"],
+    ["moments", "{dps}", "--mode", "exact", "--seed", "5"],
+    ["moments", "{dps}", "--mode", "exact", "--shots", "10"],
+    ["moments", "{dps}", "--mode", "perm", "--seed", "5", "--shots", "10"],
 ]
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,6 +182,63 @@ def test_closed_forms_match_oracles(D, tp, tq, seed):
     assert trace_distance_closed(a, b) == pytest.approx(
         trace_distance_oracle(a.to_matrix(), b.to_matrix()), abs=1e-9
     )
+
+
+def extended_precision_distances(a, b) -> tuple[float, float]:
+    """Uhlmann fidelity and trace distance of two DPS at 40 digits, built from (psi, p).
+
+    Each psi is normalized in mpmath first: a 1e-16 norm defect alone
+    moves F by 1e-8 at a singular state.  No float matrix is formed, so
+    the rounding of its entries, which moves F by ~1e-9 near a singular
+    edge, never enters.
+    """
+    with mpmath.workdps(40):
+        D = a.dim
+
+        def state(dps):
+            v = mpmath.matrix([mpmath.mpc(complex(x)) for x in dps.pure])
+            v /= mpmath.norm(v)
+            p = mpmath.mpf(dps.p)
+            return (1 - p) / D * mpmath.eye(D) + p * (v * v.H)
+
+        rho, sigma = state(a), state(b)
+        vals, vecs = mpmath.eigh(rho)
+        root = vecs * mpmath.diag([mpmath.sqrt(max(x, 0)) for x in vals]) * vecs.H
+        inner = mpmath.eigh(root * sigma * root, eigvals_only=True)
+        fidelity = mpmath.fsum(mpmath.sqrt(max(x, 0)) for x in inner) ** 2
+        distance = mpmath.fsum(abs(x) for x in mpmath.eigh(rho - sigma, eigvals_only=True)) / 2
+        return float(fidelity), float(distance)
+
+
+def assert_closed_forms_match_extended_precision(a, b):
+    fidelity, distance = extended_precision_distances(a, b)
+    assert fidelity_closed(a, b) == pytest.approx(fidelity, abs=1e-12), (a.p, b.p)
+    assert trace_distance_closed(a, b) == pytest.approx(distance, abs=1e-12), (a.p, b.p)
+
+
+@pytest.mark.parametrize("D", [2, 3, 4, 5, 7])
+def test_closed_forms_match_extended_precision(D):
+    # every (p, q) with a singular or pure edge on at least one side.  p_min
+    # itself only where -1/(D-1) is an exact float: at D = 4 and 7, fl(p_min)
+    # makes (D-1)p + 1 round to 0 while the state's smallest eigenvalue is
+    # ~1e-17, and F, sqrt-conditioned there, moves by ~3e-9 with the input
+    edges = [p_min(D) + 1e-9, 1.0 - 2.0**-52, 1.0] + ([p_min(D)] if D in (2, 3, 5) else [])
+    values = edges + [p_min(D) / 2.0, 0.0, 0.5]
+    rng = rng_for(44, D)
+    for p in values:
+        for q in values:
+            if p in edges or q in edges:
+                a, b = random_dps(D, rng, p=p), random_dps(D, rng, p=q)
+                assert_closed_forms_match_extended_precision(a, b)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fidelity_flake_input_matches_extended_precision(seed):
+    # the input on which test_closed_forms_match_oracles fails now and then:
+    # closed form 0.5000000105, float-matrix oracle 0.5
+    rng = rng_for(45, seed)
+    a, b = random_dps(2, rng, p=0.0), random_dps(2, rng, p=1.0 - 2.0**-52)
+    assert_closed_forms_match_extended_precision(a, b)
 
 
 class TestDistanceReport:
