@@ -273,12 +273,30 @@ def p_from_overlap(D: int, overlap: float) -> float:
 # Clifford groups
 
 
-def _canonical_phase(U: np.ndarray) -> np.ndarray:
-    flat = np.abs(U).ravel()
-    top = float(np.max(flat))
-    idx = int(np.argmax(flat >= top - 1e-9))
-    pivot = U.ravel()[idx]
-    return U * (abs(pivot) / pivot)
+def _xz_keys(Ws: np.ndarray, paulis: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """Exact key (q_X, k_X, q_Z, k_Z) of each Clifford candidate in a (m, D, D) stack.
+
+    W X W^dag = e^{i pi k_X / D} P_{q_X} with P_q = ``paulis[q]`` the
+    Weyl stack, and likewise for Z; one batched conjugation and one
+    contraction with the Weyl stack find every q and k.  X and Z generate
+    the Weyl group, so a W that conjugates both into it is Clifford, and
+    the key fixes W up to global phase.
+
+    Raises:
+        InternalCheckError: |Tr(P_q^dag W A W^dag)| <= D - 1e-6 at its
+            argmax for A = X or Z, so W is not Clifford.
+    """
+    D = Ws.shape[-1]
+    xz = paulis[[D, 1]]  # X = X^1 Z^0 and Z = X^0 Z^1
+    conjugated = (Ws[:, None] @ xz @ Ws.conj().swapaxes(-1, -2)[:, None]).reshape(-1, D * D)
+    overlaps = conjugated @ paulis.reshape(D * D, D * D).conj().T
+    q = np.argmax(np.abs(overlaps), axis=1)
+    top = overlaps[np.arange(len(q)), q]
+    # |Tr(P_q^dag V)| = D iff V = e^{i theta} P_q; a non-Pauli V sits far below D
+    if not np.all(np.abs(top) > D - 1e-6):
+        raise InternalCheckError("Clifford candidate fails to conjugate X and Z into the Pauli group")
+    k = np.rint(np.angle(top) * D / math.pi).astype(int) % (2 * D)
+    return [tuple(row) for row in np.stack([q, k], axis=1).reshape(-1, 4).tolist()]
 
 
 @lru_cache(maxsize=None)
@@ -287,41 +305,48 @@ def clifford_group(D: int) -> np.ndarray:
 
     Returned as one read-only (n, D, D) stack whose entry 0 is the
     identity.  Breadth-first closure from {Hadamard/Fourier, diagonal
-    phase gate}; every element is verified to conjugate each Weyl
-    operator X^a Z^b into the Pauli group up to phase before the stack
-    is returned.
+    phase gate}: each layer forms every product g U of a generator g
+    with the frontier in one batched matmul, in the order (for U, for g).
+    Each candidate is keyed by its action on X and Z (``_xz_keys``),
+    which also certifies it Clifford; a candidate is new when its key
+    is, and it joins with the phase that makes real and positive its
+    first entry within 1e-9 of the largest modulus.
 
     Raises:
+        InvalidDimensionError: D not an integer.
         UnsupportedDimensionError: D not in {2, 3}.
     """
+    if not isinstance(D, (int, np.integer)):
+        raise InvalidDimensionError(f"Clifford enumeration needs an integer D, got {D!r}")
     if D not in (2, 3):
         raise UnsupportedDimensionError(f"Clifford enumeration supports D in {{2, 3}}, got {D}")
     omega = np.exp(2.0j * math.pi / D)
     F = np.array([[omega ** (j * k) for k in range(D)] for j in range(D)]) / math.sqrt(D)
     S = np.diag([1.0, 1.0j]) if D == 2 else np.diag([1.0, 1.0, omega])
-    gens = [F, S]
-    group = np.eye(D, dtype=complex)[None]
-    frontier = list(group)
-    while frontier:
-        nxt = []
-        for U in frontier:
-            for g in gens:
-                W = g @ U
-                # |Tr(W^dag V)| = D iff V = e^{i theta} W; distinct group elements sit
-                # far below D, so a 1e-6 margin is decisive and roundoff-immune
-                if not np.any(np.abs(np.einsum("ij,nij->n", W.conj(), group)) > D - 1e-6):
-                    W = _canonical_phase(W)
-                    group = np.concatenate([group, W[None]])
-                    nxt.append(W)
-        frontier = nxt
+    gens = np.array([F, S])
+    paulis = weyl_operators(D)
+    frontier = np.eye(D, dtype=complex)[None]
+    seen = set(_xz_keys(frontier, paulis))
+    layers = [frontier]
+    while len(frontier):
+        candidates = (gens @ frontier[:, None]).reshape(-1, D, D)
+        flat = candidates.reshape(len(candidates), -1)
+        mags = np.abs(flat)
+        first_top = np.argmax(mags >= mags.max(axis=1, keepdims=True) - 1e-9, axis=1)
+        pivots = flat[np.arange(len(flat)), first_top]
+        fresh, phases = [], []
+        for i, key in enumerate(_xz_keys(candidates, paulis)):
+            if key not in seen:
+                seen.add(key)
+                fresh.append(i)
+                # scalar division: numpy's array division can differ from it in the last bit
+                phases.append(abs(pivots[i]) / pivots[i])
+        frontier = candidates[fresh] * np.array(phases, dtype=complex)[:, None, None]
+        layers.append(frontier)
+    group = np.concatenate(layers)
     expected = {2: 24, 3: 216}[D]
     if len(group) != expected:
         raise InternalCheckError(f"Clifford closure found {len(group)} elements, expected {expected}")
-    paulis = weyl_operators(D)
-    conjugated = group[:, None] @ paulis @ group.conj().swapaxes(-1, -2)[:, None]
-    overlaps = np.abs(np.einsum("upij,qij->upq", conjugated.conj(), paulis))
-    if not np.all(np.any(overlaps > D - 1e-6, axis=-1)):
-        raise InternalCheckError("Clifford element fails Pauli conjugation closure")
     group.setflags(write=False)
     return group
 

@@ -304,6 +304,20 @@ def _refuse_unread(ns, what: str, flags) -> None:
             raise DomainError(f"{what} does not read --{name}")
 
 
+# The (da^2, da^2) isotropic matrix is written as JSON text: peak RSS is
+# about 34 MB + 214 B * da^4 (66 MB at da = 20, 208 MB at 30, 551 MB at
+# 40), which passes 1 GB at da = 46.
+MAX_WRITE_DA = 40
+
+
+def _refuse_large_write(da: int) -> None:
+    """Exit 3 before building an isotropic state matrix too large to write."""
+    if da > MAX_WRITE_DA:
+        raise DomainError(
+            f"writing the isotropic state builds a (da^2, da^2) matrix; --da must be <= {MAX_WRITE_DA}, got {da}"
+        )
+
+
 def _require_dims(dims_flag, dims_file, dim: int) -> tuple[int, int]:
     dims = dims_flag if dims_flag is not None else dims_file
     if dims is None:
@@ -423,6 +437,8 @@ def cmd_werner2q(ns) -> Report:
 
 
 def cmd_isotropic(ns) -> Report:
+    if ns.out:
+        _refuse_large_write(ns.da)
     dps, separable = isotropic(ns.da, ns.F)
     b = np.full(ns.da, 1.0 / math.sqrt(ns.da))
     rep = negativity(dps.p, b, ns.da, ns.da)
@@ -617,6 +633,7 @@ def cmd_gen(ns) -> Report | None:
         if ns.F is None:
             raise DomainError("gen isotropic needs --F")
         da = 2 if ns.da is None else ns.da
+        _refuse_large_write(da)
         dps, _ = isotropic(da, ns.F)
         state, dims = dps.to_matrix(), [da, da]
         meta = {"kind": "isotropic", "da": da, "F": ns.F, "p": dps.p}

@@ -11,6 +11,7 @@ from dpstates import (
     DimensionMismatchError,
     DomainError,
     FOutOfRangeError,
+    InternalCheckError,
     InvalidDimensionError,
     KrausChannel,
     NonUnitVectorError,
@@ -348,14 +349,63 @@ def test_jamiolkowski_matches_kron_oracle(D):
     assert jamiolkowski_fidelity(ch) == pytest.approx(np.vdot(phi, E @ phi).real, abs=1e-14)
 
 
+def clifford_closure_oracle(D: int) -> np.ndarray:
+    """Brute-force Clifford closure: each candidate scanned against every member found.
+
+    The same breadth-first order and canonical phase as ``clifford_group``,
+    with membership by |Tr(W^dag V)| = D over the whole group so far.
+    """
+    omega = np.exp(2.0j * math.pi / D)
+    F = np.array([[omega ** (j * k) for k in range(D)] for j in range(D)]) / math.sqrt(D)
+    S = np.diag([1.0, 1.0j]) if D == 2 else np.diag([1.0, 1.0, omega])
+    group = np.eye(D, dtype=complex)[None]
+    frontier = list(group)
+    while frontier:
+        nxt = []
+        for U in frontier:
+            for g in (F, S):
+                W = g @ U
+                if not np.any(np.abs(np.einsum("ij,nij->n", W.conj(), group)) > D - 1e-6):
+                    flat = np.abs(W).ravel()
+                    pivot = W.ravel()[int(np.argmax(flat >= float(np.max(flat)) - 1e-9))]
+                    W = W * (abs(pivot) / pivot)
+                    group = np.concatenate([group, W[None]])
+                    nxt.append(W)
+        frontier = nxt
+    return group
+
+
 class TestCliffordGroup:
     @pytest.mark.parametrize("D,size", [(2, 24), (3, 216)])
     def test_enumeration(self, D, size):
         group = clifford_group(D)
         assert len(group) == size
         assert np.allclose(group[0], np.eye(D))
-        for U in group[:10]:
+        for U in group:
             assert np.max(np.abs(U @ U.conj().T - np.eye(D))) < 1e-12
+
+    @pytest.mark.parametrize("D", [2, 3])
+    def test_matches_scan_oracle_bit_for_bit(self, D):
+        assert np.array_equal(clifford_group(D), clifford_closure_oracle(D))
+
+    @pytest.mark.parametrize("D", [2, 3])
+    def test_conjugates_every_weyl_operator_into_the_pauli_group(self, D):
+        # the library certifies only X and Z; here every X^a Z^b is checked
+        group, paulis = clifford_group(D), weyl_operators(D)
+        conjugated = group[:, None] @ paulis @ group.conj().swapaxes(-1, -2)[:, None]
+        overlaps = np.abs(np.einsum("upij,qij->upq", conjugated.conj(), paulis))
+        assert np.all(np.sum(overlaps > D - 1e-6, axis=-1) == 1)
+
+    @pytest.mark.parametrize("D", [2, 3])
+    def test_xz_keys_are_pairwise_distinct(self, D):
+        keys = channels._xz_keys(clifford_group(D), weyl_operators(D))
+        assert len(set(keys)) == len(keys)
+        assert keys[0] == (D, 0, 1, 0)  # the identity fixes X and Z
+
+    def test_non_clifford_candidate_is_an_internal_error(self):
+        U = haar_unitary(3, np.random.default_rng(5))
+        with pytest.raises(InternalCheckError):
+            channels._xz_keys(U[None], weyl_operators(3))
 
     def test_closed_under_product(self):
         # every product U V matches exactly one member up to phase
@@ -369,6 +419,11 @@ class TestCliffordGroup:
     def test_unsupported_dimension(self):
         with pytest.raises(UnsupportedDimensionError):
             clifford_group(4)
+
+    @pytest.mark.parametrize("D", [3.0, np.float64(2.0), "3"])
+    def test_non_integer_dimension(self, D):
+        with pytest.raises(InvalidDimensionError):
+            clifford_group(D)
 
 
 class TestTwirl:

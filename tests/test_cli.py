@@ -384,6 +384,9 @@ BOUNDARY_COMMANDS = [
     ["moments", "{dps}", "--mode", "exact", "--seed", "5"],
     ["moments", "{dps}", "--mode", "exact", "--shots", "10"],
     ["moments", "{dps}", "--mode", "perm", "--seed", "5", "--shots", "10"],
+    ["gen", "isotropic", "--F", "0.5", "--da", "41"],
+    ["gen", "isotropic", "--F", "0.5", "--da", "41", "--out", "{missing}"],
+    ["isotropic", "--da", "41", "--F", "0.5", "--out", "{missing}"],
 ]
 
 
@@ -418,6 +421,31 @@ def test_non_finite_and_out_of_range_input_is_refused(argv, capsys, tmp_path):
     assert len(captured.err.strip().splitlines()) == 1
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "isotropic", "--F", "0.5", "--da", "41", "--out"],
+        ["isotropic", "--da", "41", "--F", "0.5", "--out"],
+    ],
+)
+def test_oversized_isotropic_write_is_refused_before_any_state(argv, capsys, tmp_path, monkeypatch):
+    import dpstates.cli as cli
+
+    def built(*args):
+        raise AssertionError("the isotropic state was built")
+
+    monkeypatch.setattr(cli, "isotropic", built)
+    out = tmp_path / "x.json"
+    assert main([*argv, str(out)]) == 3
+    assert f"<= {cli.MAX_WRITE_DA}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_isotropic_report_without_out_has_no_size_limit(capsys):
+    rep = run_json(capsys, "isotropic", "--da", "1000", "--F", "0.5")
+    assert rep["results"]["entangled"] is True
 
 
 def test_identifying_commands_build_no_basis(capsys, tmp_path):

@@ -44,6 +44,8 @@ CASES = {
     "channel-protocol1": ["channel", "protocol1", "pure.json", "--beta2", "1.125", "--out", "p1.json"],
     "channel-twirl-clifford": ["channel", "twirl", "channel.json", "--out", "twirl.json"],
     "channel-twirl-clifford-noid": ["channel", "twirl", "channel.json", "--exclude-identity"],
+    "channel-twirl-clifford3": ["channel", "twirl", "channel3.json", "--out", "twirl.json"],
+    "channel-twirl-clifford3-noid": ["channel", "twirl", "channel3.json", "--exclude-identity"],
     "channel-twirl-haar": [
         "channel", "twirl", "channel.json", "--mode", "haar-sample",
         "--samples", "200", "--seed", "3", "--out", "twirl.json",
