@@ -6,8 +6,9 @@ coherence vector n has norm |p|, is a fixed direction of the symmetric
 star product (n*n = p n), and generates the whole ladder of invariants
 ([n*]^r n) . n = p^(r+2).  The identification test below uses nothing
 but those facts, so it works without knowing psi or p in advance.  It
-evaluates them on the traceless operator n.lambda, so it needs no basis;
-the basis here only serves to print coherence-vector components.
+evaluates them on the traceless operator n.lambda, so it needs no basis.
+The coherence-vector functions read the su(D) generators for the
+state's own D, so none of them takes a basis either.
 """
 
 import numpy as np
@@ -15,7 +16,6 @@ import numpy as np
 from dpstates import (
     c_norm,
     dps_test,
-    generate_basis,
     haar_state,
     invariant_ladder,
     make_dps,
@@ -31,18 +31,17 @@ p = -0.21
 psi = haar_state(D, rng)
 state = make_dps(psi, p)
 rho = state.to_matrix()
-basis = generate_basis(D)
 
 print(f"DPS at D={D}, p={p}")
 print(f"  spectrum        : {np.round(state.spectrum(), 6)}")
 print(f"  purity          : {rho.purity():.6f}  (1/D + (D-1)p^2/D = {1/D + (D-1)*p**2/D:.6f})")
 
-n = to_coherence(rho, basis)
+n = to_coherence(rho)
 print(f"  |n|             : {n.norm:.12f}  (should be |p| = {abs(p)})")
 
-nn = star(n, n, basis)
+nn = star(n, n)
 print(f"  |n*n - p n|     : {np.linalg.norm(nn.n - p * n.n):.2e}")
-print(f"  ladder          : {[f'{v:.8f}' for v in invariant_ladder(n, basis, 3)]}")
+print(f"  ladder          : {[f'{v:.8f}' for v in invariant_ladder(n, 3)]}")
 print(f"  expected        : {[f'{p**r:.8f}' for r in (2, 3, 4, 5)]}")
 
 verdict = dps_test(rho)

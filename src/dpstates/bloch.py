@@ -6,9 +6,12 @@ coherence vector.  The symmetric star product, whose fixed points are
 exactly the pure-state vectors, and the DPS conditions ``n.n = p^2``,
 ``n*n = p n`` are evaluated on the operator A = n.lambda through
 sum_ij d_ijk a_i b_j = (1/4) Tr({A, B} lambda_k), so no basis is needed.
-:func:`generate_basis` builds the generators only; the su(D) structure
-constants c_ijk and d_ijk are computed from them by the tests, as an
-oracle for the operator route.
+The basis is fixed by D: :func:`to_coherence`, :func:`from_coherence`,
+:func:`star` and :func:`invariant_ladder` take only their state or
+vectors and read the cached :func:`generate_basis` stack for its
+dimension.  :func:`generate_basis` builds the generators only; the su(D)
+structure constants c_ijk and d_ijk are computed from them by the tests,
+as an oracle for the operator route.
 """
 
 from __future__ import annotations
@@ -36,34 +39,9 @@ def c_norm(D: int) -> float:
     return math.sqrt(D * (D - 1) / 2.0)
 
 
-class SuBasis:
-    """Orthogonal generator basis of su(D).
-
-    Generators satisfy Tr(lambda_i lambda_j) = 2 delta_ij.  Ordering: the
-    D(D-1)/2 symmetric pair matrices, then the D(D-1)/2 antisymmetric
-    pair matrices, then the D-1 diagonal ones; pair blocks run
-    lexicographically in (row, col).  ``generators`` is one read-only
-    (D^2-1, D, D) stack.  Instances are immutable; build them with
-    :func:`generate_basis`.
-    """
-
-    __slots__ = ("dim", "generators")
-
-    def __init__(self, dim, generators):
-        self.dim = dim
-        self.generators = generators
-
-    @property
-    def size(self) -> int:
-        return self.dim * self.dim - 1
-
-    def __repr__(self) -> str:
-        return f"SuBasis(dim={self.dim}, generators={self.size})"
-
-
 @dataclass(frozen=True)
 class CoherenceVector:
-    """Real expansion vector of a state over an su(D) basis."""
+    """Real expansion vector of a state over the :func:`generate_basis` generators of su(D)."""
 
     dim: int
     n: np.ndarray
@@ -86,8 +64,14 @@ class CoherenceVector:
 
 
 @lru_cache(maxsize=None)
-def generate_basis(D: int) -> SuBasis:
-    """Build the generalized Gell-Mann generators of su(D).
+def generate_basis(D: int) -> np.ndarray:
+    """The generalized Gell-Mann generators of su(D), one read-only (D^2-1, D, D) stack.
+
+    Generators satisfy Tr(lambda_i lambda_j) = 2 delta_ij.  Ordering: the
+    D(D-1)/2 symmetric pair matrices, then the D(D-1)/2 antisymmetric
+    pair matrices, then the D-1 diagonal ones; pair blocks run
+    lexicographically in (row, col).  Cached per D; the coherence-vector
+    functions read it for the dimension of their input.
 
     Raises:
         InvalidDimensionError: for D < 2.
@@ -108,43 +92,33 @@ def generate_basis(D: int) -> SuBasis:
         G[i, l, l] = -l * scale
         i += 1
     G.setflags(write=False)
-    return SuBasis(dim=D, generators=G)
+    return G
 
 
-def _check_dims(dim: int, basis: SuBasis) -> None:
-    if basis.dim != dim:
-        raise DimensionMismatchError(f"basis dim {basis.dim} does not match state dim {dim}")
-
-
-def to_coherence(rho: DensityMatrix, basis: SuBasis) -> CoherenceVector:
+def to_coherence(rho: DensityMatrix) -> CoherenceVector:
     """Extract n_i = sqrt(D/(2(D-1))) Tr(rho lambda_i).
 
     Raises:
-        DimensionMismatchError.
+        InvalidDimensionError: D < 2.
     """
-    _check_dims(rho.dim, basis)
-    D = basis.dim
-    scale = math.sqrt(D / (2.0 * (D - 1)))
-    n = scale * np.real(np.einsum("ab,iba->i", rho.matrix, basis.generators))
+    D = rho.dim
+    G = generate_basis(D)  # first: it raises InvalidDimensionError for D < 2
+    n = math.sqrt(D / (2.0 * (D - 1))) * np.real(np.einsum("ab,iba->i", rho.matrix, G))
     return CoherenceVector(dim=D, n=n)
 
 
-def _operator(v: CoherenceVector, basis: SuBasis) -> np.ndarray:
-    return np.tensordot(v.n, basis.generators, axes=(0, 0))
+def _operator(v: CoherenceVector) -> np.ndarray:
+    return np.tensordot(v.n, generate_basis(v.dim), axes=(0, 0))
 
 
-def from_coherence(n: CoherenceVector, basis: SuBasis) -> DensityMatrix:
+def from_coherence(n: CoherenceVector) -> DensityMatrix:
     """Synthesize rho = (1/D)(1 + c_D n.lambda).
 
     Hermitian with unit trace by construction; positivity is not
     guaranteed for arbitrary n.
-
-    Raises:
-        DimensionMismatchError.
     """
-    _check_dims(n.dim, basis)
-    D = basis.dim
-    rho = (np.eye(D, dtype=complex) + c_norm(D) * _operator(n, basis)) / D
+    D = n.dim
+    rho = (np.eye(D, dtype=complex) + c_norm(D) * _operator(n)) / D
     return DensityMatrix(rho)
 
 
@@ -162,7 +136,7 @@ def _star_operator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (c_norm(D) / (D - 2)) * S
 
 
-def star(a: CoherenceVector, b: CoherenceVector, basis: SuBasis) -> CoherenceVector:
+def star(a: CoherenceVector, b: CoherenceVector) -> CoherenceVector:
     """Symmetric star product (a*b)_k = c_D/(D-2) sum d_ijk a_i b_j.
 
     Pure-state vectors are its fixed points: n*n = n.  Evaluated on the
@@ -170,12 +144,12 @@ def star(a: CoherenceVector, b: CoherenceVector, basis: SuBasis) -> CoherenceVec
 
     Raises:
         UndefinedForDim2Error: the 1/(D-2) factor is singular at D=2.
-        DimensionMismatchError.
+        DimensionMismatchError: a and b differ in dimension.
     """
-    _check_dims(a.dim, basis)
-    _check_dims(b.dim, basis)
-    S = _star_operator(_operator(a, basis), _operator(b, basis))
-    return CoherenceVector(dim=basis.dim, n=0.5 * np.real(np.einsum("ab,iba->i", S, basis.generators)))
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"star product of dim {a.dim} and dim {b.dim} vectors")
+    S = _star_operator(_operator(a), _operator(b))
+    return CoherenceVector(dim=a.dim, n=0.5 * np.real(np.einsum("ab,iba->i", S, generate_basis(a.dim))))
 
 
 def _ladder(A: np.ndarray, r_max: int) -> list[float]:
@@ -186,7 +160,7 @@ def _ladder(A: np.ndarray, r_max: int) -> list[float]:
     return out
 
 
-def invariant_ladder(n: CoherenceVector, basis: SuBasis, r_max: int) -> list[float]:
+def invariant_ladder(n: CoherenceVector, r_max: int) -> list[float]:
     """Unitary invariants ([n*]^r n).n for r = 0..r_max.
 
     For a depolarized pure state with polarization p the r-th entry is
@@ -195,8 +169,7 @@ def invariant_ladder(n: CoherenceVector, basis: SuBasis, r_max: int) -> list[flo
     Raises:
         UndefinedForDim2Error.
     """
-    _check_dims(n.dim, basis)
-    return _ladder(_operator(n, basis), r_max)
+    return _ladder(_operator(n), r_max)
 
 
 @dataclass(frozen=True)
@@ -225,7 +198,7 @@ class DpsMeasurement:
         return self.eigenvectors[:, -1 if self.p >= 0 else 0]
 
     def ladder(self, r_max: int) -> list[float]:
-        """:func:`invariant_ladder` of this state, without a basis."""
+        """:func:`invariant_ladder` of this state, from its operator."""
         return _ladder(self.operator, r_max)
 
     def verdict(self, tol_star: float = STAR_TOL, tol_spectrum: float = SPECTRUM_TOL) -> float | None:
@@ -259,7 +232,7 @@ def measure_dps(rho: DensityMatrix) -> DpsMeasurement:
     return DpsMeasurement(A, vals, spec.eigenvectors, norm, p, residual, deviation)
 
 
-def dps_test(rho: DensityMatrix, basis: SuBasis | None = None) -> float | None:
+def dps_test(rho: DensityMatrix, basis: np.ndarray | None = None) -> float | None:
     """Decide whether ``rho`` is a depolarized pure state; return its p.
 
     Checks positivity, |p| = sqrt(n.n), the star condition n*n = p n
@@ -271,11 +244,12 @@ def dps_test(rho: DensityMatrix, basis: SuBasis | None = None) -> float | None:
     ``dps analyze --tol-star/--tol-spectrum`` does.
 
     Args:
-        basis: optional; only its dimension is checked against ``rho``.
+        basis: optional :func:`generate_basis` stack; only its dimension
+            is checked against ``rho``.
 
     Raises:
         DimensionMismatchError, InvalidDimensionError.
     """
-    if basis is not None:
-        _check_dims(rho.dim, basis)
+    if basis is not None and basis.shape[-1] != rho.dim:
+        raise DimensionMismatchError(f"basis dim {basis.shape[-1]} does not match state dim {rho.dim}")
     return measure_dps(rho).verdict()

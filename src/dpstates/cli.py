@@ -50,6 +50,7 @@ from .errors import DomainError, InternalCheckError, NotDPSError
 from .linalg import DensityMatrix, partial_trace
 from .metrics import (
     DpsState,
+    bures_from_fidelity,
     distance_arrays,
     distance_report,
     fidelity_oracle,
@@ -122,12 +123,13 @@ def render_json(obj) -> str:
     return _render(obj, 0) + "\n"
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(chunks, path: str | None) -> None:
+    """Write the strings of ``chunks`` in turn to ``path``, or to stdout when it is None or "-"."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 _NO_SEED = object()
@@ -174,7 +176,7 @@ def _publish(ns, rep: Report) -> None:
         report["seed"] = rep.seed
     out = getattr(ns, "out", None)
     if out:
-        _emit(render_json(state_document(rep.state, dims=rep.dims)), out)
+        _emit([render_json(state_document(rep.state, dims=rep.dims))], out)
         rep.results["out"] = out
     report["results"] = rep.results
     sys.stdout.write(render_json(report))
@@ -304,17 +306,20 @@ def _refuse_unread(ns, what: str, flags) -> None:
             raise DomainError(f"{what} does not read --{name}")
 
 
-# The (da^2, da^2) isotropic matrix is written as JSON text: peak RSS is
-# about 34 MB + 214 B * da^4 (66 MB at da = 20, 208 MB at 30, 551 MB at
-# 40), which passes 1 GB at da = 46.
+# A written state is a dense matrix in JSON text.  Peak RSS, measured with
+# fork and wait4: the complex (dim, dim) matrix of gen dps / haar-pure takes
+# about 36 MB + 0.37 KB * dim^2 (171 MB at dim = 600, 536-578 MB at 1200,
+# 1 GB near 1600); the real, mostly zero (da^2, da^2) isotropic matrix about
+# 34 MB + 214 B * da^4 (208 MB at da = 30, 551 MB at 40, 1 GB at 46).
+MAX_WRITE_DIM = 1200
 MAX_WRITE_DA = 40
 
 
-def _refuse_large_write(da: int) -> None:
-    """Exit 3 before building an isotropic state matrix too large to write."""
-    if da > MAX_WRITE_DA:
+def _refuse_large_write(flag: str, value: int, limit: int) -> None:
+    """Exit 3 before building a state matrix too large to write: ``--flag value`` above ``limit``."""
+    if value > limit:
         raise DomainError(
-            f"writing the isotropic state builds a (da^2, da^2) matrix; --da must be <= {MAX_WRITE_DA}, got {da}"
+            f"writing the state builds its dense matrix; --{flag} must be <= {limit}, got {value}"
         )
 
 
@@ -372,11 +377,12 @@ def cmd_distance(ns) -> Report:
         }
     if ns.method in ("oracle", "both"):
         F = fidelity_oracle(a, b)
+        bures, angle = bures_from_fidelity(F)
         results["oracle"] = {
             "fidelity": F,
             "trace_distance": trace_distance_oracle(a, b),
-            "bures": math.sqrt(max(2.0 - 2.0 * math.sqrt(F), 0.0)),
-            "angle": math.acos(min(max(math.sqrt(F), 0.0), 1.0)),
+            "bures": bures,
+            "angle": angle,
         }
     if ns.method == "both":
         results["delta"] = {
@@ -438,7 +444,7 @@ def cmd_werner2q(ns) -> Report:
 
 def cmd_isotropic(ns) -> Report:
     if ns.out:
-        _refuse_large_write(ns.da)
+        _refuse_large_write("da", ns.da, MAX_WRITE_DA)
     dps, separable = isotropic(ns.da, ns.F)
     b = np.full(ns.da, 1.0 / math.sqrt(ns.da))
     rep = negativity(dps.p, b, ns.da, ns.da)
@@ -585,6 +591,11 @@ def cmd_moments(ns) -> Report:
     return Report(results, parameters, seed=ns.seed if ns.mode == "mc" else _NO_SEED)
 
 
+# fig1 evaluates its (p, f) grid in blocks of whole p rows, about this many
+# points each, so its working set does not grow with --grid
+FIG1_BLOCK_POINTS = 32768
+
+
 def cmd_fig1(ns) -> None:
     D = ns.dim
     if D < 2:
@@ -595,25 +606,41 @@ def cmd_fig1(ns) -> None:
     f = np.linspace(0.0, 1.0, ns.grid)
     # pure_overlap of e0 and sqrt(f) e0 + sqrt(1-f) e1 is sqrt(f)^2, not f
     amp = np.sqrt(f)
-    rep = distance_arrays(D, p[:, None], p[:, None], amp * amp)
-    cols = (rep.bures, rep.trace_distance, np.sqrt(np.maximum(1.0 - rep.fidelity, 0.0)))
-    if not all(np.isfinite(c).all() for c in cols):
-        raise InternalCheckError("non-finite value reached the report serializer")
+    overlap = amp * amp
+    rows = max(1, FIG1_BLOCK_POINTS // ns.grid)
+    starts = range(0, ns.grid, rows)
+
+    def block(i: int):
+        """Bures, trace distance and sqrt(1-F) over p rows i to i + rows."""
+        pb = p[i : i + rows, None]
+        rep = distance_arrays(D, pb, pb, overlap)
+        cols = (rep.bures, rep.trace_distance, np.sqrt(np.maximum(1.0 - rep.fidelity, 0.0)))
+        if not all(np.isfinite(c).all() for c in cols):
+            raise InternalCheckError("non-finite value reached the report serializer")
+        return cols
+
+    # nothing is written unless every point passes: a check pass, then an emit pass
+    for i in starts:
+        block(i)
+    p_txt = [_f17(x) for x in p]
     f_txt = [_f17(x) for x in f]
-    bures, dist, gap = (c.tolist() for c in cols)
-    lines = ["p,f,bures,trace_distance,sqrt_one_minus_F"]
-    for i, p_txt in enumerate(_f17(x) for x in p):
-        lines.extend(
-            f"{p_txt},{ft},{b:.17g},{t:.17g},{s:.17g}"
-            for ft, b, t, s in zip(f_txt, bures[i], dist[i], gap[i])
-        )
-    _emit("\n".join(lines) + "\n", ns.out)
+
+    def csv():
+        yield "p,f,bures,trace_distance,sqrt_one_minus_F\n"
+        for i in starts:
+            for pt, *cols in zip(p_txt[i : i + rows], *(c.tolist() for c in block(i))):
+                row = pt + ",%s,%.17g,%.17g,%.17g\n"  # pt, a formatted float, holds no "%"
+                yield "".join([row % point for point in zip(f_txt, *cols)])
+
+    _emit(csv(), ns.out)
 
 
 def cmd_gen(ns) -> Report | None:
     reads = {"dps": {"dim", "p", "seed"}, "haar-pure": {"dim", "seed"}, "isotropic": {"da", "F"}}[ns.kind]
     _refuse_unread(ns, f"gen {ns.kind}", {"dim", "p", "da", "F", "seed"} - reads)
     dim = 3 if ns.dim is None else ns.dim
+    if ns.kind != "isotropic":
+        _refuse_large_write("dim", dim, MAX_WRITE_DIM)
     dims = None
     if ns.kind == "dps":
         if ns.p is None or ns.seed is None:
@@ -633,7 +660,7 @@ def cmd_gen(ns) -> Report | None:
         if ns.F is None:
             raise DomainError("gen isotropic needs --F")
         da = 2 if ns.da is None else ns.da
-        _refuse_large_write(da)
+        _refuse_large_write("da", da, MAX_WRITE_DA)
         dps, _ = isotropic(da, ns.F)
         state, dims = dps.to_matrix(), [da, da]
         meta = {"kind": "isotropic", "da": da, "F": ns.F, "p": dps.p}

@@ -292,6 +292,16 @@ class DistanceReport:
     angle: float
 
 
+def bures_from_fidelity(F):
+    """(Bures metric sqrt(2 - 2 sqrt F), Bures angle acos sqrt F) of a fidelity F in [0, 1].
+
+    F is a float or an array; the closed-form reports and the CLI's
+    oracle report both take their two values from here.
+    """
+    sqrt_F = _root(F)
+    return _root(2.0 - 2.0 * sqrt_F), _acos(sqrt_F)
+
+
 def _report(D: int, p, q, f) -> DistanceReport:
     """All four measures of (D, p, q, f), after the range and chain checks.
 
@@ -301,8 +311,7 @@ def _report(D: int, p, q, f) -> DistanceReport:
     """
     F = _clip(_fidelity(D, p, q, f), "fidelity")
     dist = _clip(_trace_distance(D, p, q, f), "trace distance")
-    sqrt_F = _root(F)
-    bures = _root(2.0 - 2.0 * sqrt_F)
+    bures, angle = bures_from_fidelity(F)
     lower = bures * bures / 2.0
     # upper bound tested as T^2 <= 1-F: near F = 1 the sqrt turns one
     # ulp of rounding in F into ~1e-8 and would flag phantom violations
@@ -313,8 +322,7 @@ def _report(D: int, p, q, f) -> DistanceReport:
         raise InequalityViolationError(
             f"Fuchs chain broken: B^2/2={low:.17g}, D={d:.17g}, sqrt(1-F)={_root(1.0 - fid):.17g}"
         )
-    # F lies in [0, 1], so sqrt_F does too
-    return DistanceReport(fidelity=F, trace_distance=dist, bures=bures, angle=_acos(sqrt_F))
+    return DistanceReport(fidelity=F, trace_distance=dist, bures=bures, angle=angle)
 
 
 def distance_report(rho: DpsState, sigma: DpsState) -> DistanceReport:

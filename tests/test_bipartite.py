@@ -181,6 +181,20 @@ class TestConsistencyCheck:
         rhoB = DensityMatrix(np.eye(3) / 3.0)
         assert not consistency_check(rhoA, rhoB).consistent
 
+    def test_rejects_rank_deficient_rho_b(self):
+        res = consistency_check(DensityMatrix(np.eye(2) / 2.0), DensityMatrix(np.diag([0.5, 0.5, 0.0])))
+        assert res.verdict == "REJECTED"
+        assert res.reason.startswith("rho_B rank-deficient")
+        assert res.p is None and res.b is None
+
+    @pytest.mark.parametrize("dB", [3, 4])
+    def test_maximally_mixed_marginals_are_consistent_at_p_zero(self, dB):
+        res = consistency_check(DensityMatrix(np.eye(2) / 2.0), DensityMatrix(np.eye(dB) / dB))
+        assert res.verdict == "CONSISTENT"
+        assert res.reason == "both marginals maximally mixed (p = 0)"
+        assert res.p == 0.0
+        assert res.b is None
+
     def test_rejects_missing_cluster(self):
         # dB >= dA + 2 forces a (dB-dA)-fold degenerate level in rho_B
         rhoA = DensityMatrix(np.diag([0.6, 0.4]))

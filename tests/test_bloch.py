@@ -26,12 +26,11 @@ from dpstates.bloch import measure_dps
 from conftest import random_dps, random_mixed, random_non_dps, rng_for
 
 
-def structure_tensors(basis):
+def structure_tensors(G):
     """Dense su(D) structure constants, the oracle for the operator route.
 
     c_ijk = -(i/4) Tr([l_i, l_j] l_k) and d_ijk = (1/4) Tr({l_i, l_j} l_k).
     """
-    G = basis.generators
     T = np.einsum("iab,jbc,kca->ijk", G, G, G, optimize=True)
     Tt = T.transpose(1, 0, 2)
     return np.real(-0.25j * (T - Tt)), np.real(0.25 * (T + Tt))
@@ -41,25 +40,24 @@ def structure_tensors(basis):
 class TestBasis:
     def test_count_and_shape(self, D):
         basis = generate_basis(D)
-        assert len(basis.generators) == D * D - 1
-        assert basis.size == D * D - 1
+        assert len(basis) == D * D - 1
+        assert basis.shape == (D * D - 1, D, D)
 
     def test_hermitian_traceless(self, D):
-        for g in generate_basis(D).generators:
+        for g in generate_basis(D):
             assert np.max(np.abs(g - g.conj().T)) < 1e-14
             assert abs(np.trace(g)) < 1e-14
 
     def test_orthogonality(self, D):
-        G = generate_basis(D).generators
+        G = generate_basis(D)
         gram = np.real(np.einsum("iab,jba->ij", G, G))
         assert np.max(np.abs(gram - 2.0 * np.eye(D * D - 1))) < 1e-12
 
     def test_product_formula_reconstructs(self, D):
         # lam_i lam_j = (2/D) delta_ij 1 + sum_k (i c_ijk + d_ijk) lam_k
-        basis = generate_basis(D)
-        G = basis.generators
-        n = basis.size
-        c, d = structure_tensors(basis)
+        G = generate_basis(D)
+        n = len(G)
+        c, d = structure_tensors(G)
         lhs = np.einsum("iab,jbc->ijac", G, G)
         rhs = (2.0 / D) * np.einsum("ij,ac->ijac", np.eye(n), np.eye(D)) + np.einsum(
             "ijk,kac->ijac", 1.0j * c + d, G
@@ -75,8 +73,8 @@ def test_d3_diagonal_structure_constant():
 
 def test_generators_are_one_read_only_stack():
     basis = generate_basis(4)
-    assert basis.generators.shape == (15, 4, 4)
-    assert not basis.generators.flags.writeable
+    assert basis.shape == (15, 4, 4)
+    assert not basis.flags.writeable
 
 
 def test_basis_builds_no_structure_tensors():
@@ -100,65 +98,63 @@ def test_basis_rejects_bad_dimension():
 
 
 def test_ground_state_qubit_vector():
-    basis = generate_basis(2)
     dm = DensityMatrix(np.diag([1.0, 0.0]))
-    n = to_coherence(dm, basis)
+    n = to_coherence(dm)
     assert np.allclose(n.n, [0.0, 0.0, 1.0], atol=1e-14)
 
 
 @pytest.mark.parametrize("D", [2, 3, 5])
 def test_coherence_round_trip(D):
     rng = rng_for(20, D)
-    basis = generate_basis(D)
     dm = random_mixed(D, rng)
-    back = from_coherence(to_coherence(dm, basis), basis)
+    back = from_coherence(to_coherence(dm))
     assert np.max(np.abs(back.matrix - dm.matrix)) < 1e-12
 
 
 def test_coherence_vector_length_checked():
     with pytest.raises(DimensionMismatchError):
         CoherenceVector(dim=3, n=np.zeros(5))
-    basis = generate_basis(3)
+    a = CoherenceVector(dim=3, n=np.zeros(8))
+    b = CoherenceVector(dim=4, n=np.zeros(15))
     with pytest.raises(DimensionMismatchError):
-        to_coherence(DensityMatrix(np.eye(2) / 2.0), basis)
+        star(a, b)
+    with pytest.raises(DimensionMismatchError):
+        star(b, a)
 
 
 @pytest.mark.parametrize("D", [3, 4, 6])
 def test_pure_states_are_star_fixed_points(D):
     rng = rng_for(21, D)
-    basis = generate_basis(D)
     pure = random_dps(D, rng, p=1.0)
-    n = to_coherence(pure.to_matrix(), basis)
+    n = to_coherence(pure.to_matrix())
     assert n.norm == pytest.approx(1.0, abs=1e-12)
-    assert np.max(np.abs(star(n, n, basis).n - n.n)) < 1e-12
+    assert np.max(np.abs(star(n, n).n - n.n)) < 1e-12
 
 
 @pytest.mark.parametrize("D", [3, 4, 5, 6])
 def test_star_matches_structure_tensor_oracle(D):
     # the operator route against (c_D/(D-2)) sum_ij d_ijk a_i b_j
     rng = rng_for(27, D)
-    basis = generate_basis(D)
-    _, d = structure_tensors(basis)
+    _, d = structure_tensors(generate_basis(D))
     scale = c_norm(D) / (D - 2)
     for _ in range(5):
         a = CoherenceVector(dim=D, n=rng.standard_normal(D * D - 1))
         b = CoherenceVector(dim=D, n=rng.standard_normal(D * D - 1))
         oracle = scale * np.einsum("ijk,i,j->k", d, a.n, b.n)
-        assert np.max(np.abs(star(a, b, basis).n - oracle)) < 1e-12
+        assert np.max(np.abs(star(a, b).n - oracle)) < 1e-12
         ladder, v = [], a.n
         for _ in range(4):
             ladder.append(float(v @ a.n))
             v = scale * np.einsum("ijk,i,j->k", d, a.n, v)
-        assert np.allclose(invariant_ladder(a, basis, 3), ladder, rtol=1e-12, atol=1e-12)
+        assert np.allclose(invariant_ladder(a, 3), ladder, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("D", [2, 3, 4, 5])
 def test_measurement_matches_component_route(D):
     rng = rng_for(28, D)
-    basis = generate_basis(D)
     for state in (random_dps(D, rng).to_matrix(), random_non_dps(D, rng), random_mixed(D, rng)):
         m = measure_dps(state)
-        n = to_coherence(state, basis)
+        n = to_coherence(state)
         assert m.norm == pytest.approx(n.norm, abs=1e-13)
         vals, vecs = np.linalg.eigh(state.matrix)
         assert np.max(np.abs(m.eigenvalues - vals)) == 0.0
@@ -166,20 +162,19 @@ def test_measurement_matches_component_route(D):
         if D == 2:
             assert m.p == m.norm and m.star_residual is None
             continue
-        nn = star(n, n, basis)
+        nn = star(n, n)
         p = n.norm if nn.dot(n) >= 0.0 else -n.norm
         assert m.p == pytest.approx(p, abs=1e-13)
         assert m.star_residual == pytest.approx(float(np.linalg.norm(nn.n - p * n.n)), abs=1e-13)
-        assert np.allclose(m.ladder(3), invariant_ladder(n, basis, 3), rtol=1e-12, atol=1e-13)
+        assert np.allclose(m.ladder(3), invariant_ladder(n, 3), rtol=1e-12, atol=1e-13)
 
 
 def test_star_rejects_dim2():
-    basis = generate_basis(2)
     n = CoherenceVector(dim=2, n=np.array([0.0, 0.0, 1.0]))
     with pytest.raises(UndefinedForDim2Error):
-        star(n, n, basis)
+        star(n, n)
     with pytest.raises(UndefinedForDim2Error):
-        invariant_ladder(n, basis, 2)
+        invariant_ladder(n, 2)
     with pytest.raises(UndefinedForDim2Error):
         measure_dps(DensityMatrix(np.eye(2) / 2.0)).ladder(2)
 
@@ -198,11 +193,10 @@ def test_c_norm_values():
 def test_dps_star_and_ladder_invariants(D, t, seed):
     p = p_min(D) + t * (1.0 - p_min(D))
     dps = random_dps(D, rng_for(22, seed), p=p)
-    basis = generate_basis(D)
-    n = to_coherence(dps.to_matrix(), basis)
-    nn = star(n, n, basis)
+    n = to_coherence(dps.to_matrix())
+    nn = star(n, n)
     assert np.max(np.abs(nn.n - p * n.n)) < 1e-10
-    ladder = invariant_ladder(n, basis, 3)
+    ladder = invariant_ladder(n, 3)
     for r, value in enumerate(ladder):
         assert value == pytest.approx(p ** (r + 2), abs=1e-10)
 

@@ -309,6 +309,54 @@ class TestFig1:
         assert out == ""
         assert not path.exists()
 
+    @pytest.mark.parametrize("grid, block_points", [(9, 18), (400, None)])
+    def test_blocks_match_a_whole_grid_evaluation(self, grid, block_points, capsys, monkeypatch):
+        from dpstates import cli, distance_arrays, p_min_cp
+
+        if block_points is not None:
+            monkeypatch.setattr(cli, "FIG1_BLOCK_POINTS", block_points)
+        assert grid / (cli.FIG1_BLOCK_POINTS // grid) >= 3
+        D = 9
+        code, out = run(capsys, "fig1", "--dim", str(D), "--grid", str(grid))
+        assert code == 0
+        p = np.linspace(p_min_cp(D), 1.0, grid)
+        f = np.linspace(0.0, 1.0, grid)
+        amp = np.sqrt(f)
+        rep = distance_arrays(D, p[:, None], p[:, None], amp * amp)
+        cols = (rep.bures, rep.trace_distance, np.sqrt(np.maximum(1.0 - rep.fidelity, 0.0)))
+        want = ["p,f,bures,trace_distance,sqrt_one_minus_F"]
+        for i, pv in enumerate(p):
+            for j, fv in enumerate(f):
+                want.append(",".join(format(float(v), ".17g") for v in (pv, fv, *(c[i, j] for c in cols))))
+        assert out == "\n".join(want) + "\n"
+
+    def test_failure_in_the_last_block_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        from dpstates import cli, metrics
+
+        grid = 9
+        # blocks of 2 p rows: the last block is the p = 1 row alone
+        monkeypatch.setattr(cli, "FIG1_BLOCK_POINTS", 2 * grid)
+        exact = metrics._trace_distance
+        monkeypatch.setattr(metrics, "_trace_distance", lambda D, p, q, f: exact(D, p, q, f) * (p < 1.0))
+        path = tmp_path / "surf.csv"
+        for out in ([], ["--out", str(path)]):
+            assert run(capsys, "fig1", "--dim", "3", "--grid", str(grid), *out) == (4, "")
+        assert not path.exists()
+
+    def test_peak_memory_does_not_grow_with_grid(self, tmp_path):
+        import tracemalloc
+
+        peaks = []
+        for grid in (200, 400):
+            tracemalloc.start()
+            try:
+                assert main(["fig1", "--dim", "9", "--grid", str(grid), "--out", str(tmp_path / "f.csv")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # a whole-grid evaluation holds about 490 B a point: 20 MB at grid 200, 79 MB at 400
+        assert max(peaks) < 8 * 2**20
+
     def test_writes_file_with_lf(self, capsys, tmp_path):
         path = tmp_path / "surf.csv"
         code, _ = run(capsys, "fig1", "--dim", "2", "--grid", "3", "--out", str(path))
@@ -387,7 +435,18 @@ BOUNDARY_COMMANDS = [
     ["gen", "isotropic", "--F", "0.5", "--da", "41"],
     ["gen", "isotropic", "--F", "0.5", "--da", "41", "--out", "{missing}"],
     ["isotropic", "--da", "41", "--F", "0.5", "--out", "{missing}"],
+    ["gen", "dps", "--dim", "1201", "--p", "0.5", "--seed", "1"],
+    ["gen", "haar-pure", "--dim", "1201", "--seed", "1", "--out", "{missing}"],
+    ["analyze", "{nonnumeric}"],
+    ["analyze", "{misshapen}"],
+    ["analyze", "{floatdim}"],
+    ["analyze", "{dim1}"],
+    ["schmidt", "{baddims}"],
+    ["channel", "twirl", "{nokraus}"],
 ]
+
+# inputs whose file breaks the schema, so that they are refused with exit 2
+MALFORMED = {"{nan}", "{nonnumeric}", "{misshapen}", "{floatdim}", "{dim1}", "{baddims}", "{nokraus}"}
 
 
 def write_inputs(tmp_path) -> dict:
@@ -398,8 +457,20 @@ def write_inputs(tmp_path) -> dict:
     ch.write_text(json.dumps({"dim": 2, "kraus": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}))
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
+    # files that each break one rule of the schema
+    docs = {
+        "nonnumeric": {"dim": 2, "matrix": [[["x", 0], [0, 0]], [[0, 0], [1, 0]]]},
+        "misshapen": {"dim": 2, "matrix": [[[1, 0]]]},
+        "floatdim": {"dim": 2.0, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]},
+        "dim1": {"dim": 1, "matrix": [[[1, 0]]]},
+        "nokraus": {"dim": 2, "kraus": []},
+    }
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     return {
+        **{name: str(tmp_path / f"{name}.json") for name in docs},
         "nan": write_state(tmp_path / "nan.json", nan),
+        "baddims": write_state(tmp_path / "baddims.json", np.eye(4) / 4.0, dims=(2, 3)),
         "mm": write_state(tmp_path / "mm.json", np.eye(4) / 4.0),
         "dps": write_state(tmp_path / "dps.json", np.diag([0.625, 0.125, 0.125, 0.125]), dims=(2, 2)),
         "pure": write_state(tmp_path / "pure.json", np.diag([1.0, 0.0, 0.0])),
@@ -417,7 +488,7 @@ def test_non_finite_and_out_of_range_input_is_refused(argv, capsys, tmp_path):
     code = main([a.format(**paths) for a in argv])
     captured = capsys.readouterr()
     # a malformed file is exit 2; every flag or dimension out of its domain is exit 3
-    assert code == (2 if "{nan}" in argv else 3)
+    assert code == (2 if MALFORMED.intersection(argv) else 3)
     assert len(captured.err.strip().splitlines()) == 1
     assert "Traceback" not in captured.err
     assert captured.out == ""
@@ -428,19 +499,31 @@ def test_non_finite_and_out_of_range_input_is_refused(argv, capsys, tmp_path):
     [
         ["gen", "isotropic", "--F", "0.5", "--da", "41", "--out"],
         ["isotropic", "--da", "41", "--F", "0.5", "--out"],
+        ["gen", "dps", "--dim", "1201", "--p", "0.5", "--seed", "1", "--out"],
+        ["gen", "haar-pure", "--dim", "1201", "--seed", "1", "--out"],
     ],
 )
 def test_oversized_isotropic_write_is_refused_before_any_state(argv, capsys, tmp_path, monkeypatch):
     import dpstates.cli as cli
 
     def built(*args):
-        raise AssertionError("the isotropic state was built")
+        raise AssertionError("the state was built")
 
-    monkeypatch.setattr(cli, "isotropic", built)
+    for name in ("isotropic", "haar_state", "make_dps"):
+        monkeypatch.setattr(cli, name, built)
     out = tmp_path / "x.json"
     assert main([*argv, str(out)]) == 3
-    assert f"<= {cli.MAX_WRITE_DA}" in capsys.readouterr().err
+    limit = cli.MAX_WRITE_DIM if "--dim" in argv else cli.MAX_WRITE_DA
+    assert f"<= {limit}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_gen_writes_up_to_the_dimension_limit(capsys, monkeypatch):
+    import dpstates.cli as cli
+
+    monkeypatch.setattr(cli, "MAX_WRITE_DIM", 5)
+    assert len(run_json(capsys, "gen", "haar-pure", "--dim", "5", "--seed", "1")["matrix"]) == 5
+    assert run(capsys, "gen", "haar-pure", "--dim", "6", "--seed", "1") == (3, "")
 
 
 def test_isotropic_report_without_out_has_no_size_limit(capsys):

@@ -265,6 +265,17 @@ class TestDistanceReport:
             fidelity_closed(random_dps(2, rng), random_dps(3, rng))
 
 
+def test_bures_from_fidelity_floats_and_arrays_agree():
+    # one helper serves the closed-form reports and the CLI's oracle report
+    F = np.linspace(0.0, 1.0, 101)
+    bures, angle = metrics.bures_from_fidelity(F)
+    for i, x in enumerate(F.tolist()):
+        b, a = metrics.bures_from_fidelity(x)
+        assert b == bures[i] and a == angle[i]
+        assert b == math.sqrt(max(2.0 - 2.0 * math.sqrt(x), 0.0))
+        assert a == math.acos(min(max(math.sqrt(x), 0.0), 1.0))
+
+
 def test_clip_guards_against_silent_violations():
     # the clip helper converts out-of-range intermediates into a loud
     # internal failure instead of quietly saturating
