@@ -19,6 +19,7 @@ from dpstates import (
     moment_exact,
     moment_montecarlo,
     moment_permutation,
+    negativity,
     partial_transpose,
 )
 from dpstates.linalg import DensityMatrix
@@ -56,16 +57,17 @@ got, resolved = dps_p_from_moments(t2, t3, D, tol=5e-3)
 print(f"\nfrom 2M simulated shots per moment at D={D}: p = {got:+.5f}"
       f" (true {p:+.2f}, sign_resolved={resolved})")
 
-# counting signs without diagonalizing: by Sylvester's law of inertia
-# the positive LDL^T pivots of the Householder tridiagonal form count the
-# positive eigenvalues, as long as none sits numerically at zero
-print("\nnegative-eigenvalue counting via LDL^T inertia")
+# the paper reads entanglement off the number of negative eigenvalues of
+# the partial transpose; the library counts signs with one eigvalsh and
+# refuses an eigenvalue within 1e-10 ||PT||_F of zero, so here it must
+# agree with the closed-form PT spectrum of the DPS
+print("\nnegative partial-transpose eigenvalues: sign count vs closed form")
 b = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
 psi = np.zeros(9, dtype=complex)
 psi[[0, 4, 8]] = b
-for p in (0.2, 0.5):
+for p in (0.2, 0.5, 0.9):
     pt = partial_transpose(make_dps(psi, p).to_matrix().matrix, 3, 3)
-    positive = count_positive_charpoly(pt)
-    eigen = int(np.sum(np.linalg.eigvalsh(pt) > 0))
-    print(f"  PT of uniform 3x3 DPS at p={p}: inertia says {positive} positive,"
-          f" eigensolver says {eigen}, so {9 - positive} negative")
+    counted = 9 - count_positive_charpoly(pt)
+    closed = negativity(p, b, 3, 3).negative_count
+    print(f"  PT of uniform 3x3 DPS at p={p}: sign count says {counted} negative,"
+          f" closed form says {closed}")

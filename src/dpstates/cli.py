@@ -50,8 +50,8 @@ from .errors import DomainError, InternalCheckError, NotDPSError
 from .linalg import DensityMatrix, partial_trace
 from .metrics import (
     DpsState,
+    _array_measures,
     bures_from_fidelity,
-    distance_arrays,
     distance_report,
     fidelity_oracle,
     make_dps,
@@ -613,8 +613,8 @@ def cmd_fig1(ns) -> None:
     def block(i: int):
         """Bures, trace distance and sqrt(1-F) over p rows i to i + rows."""
         pb = p[i : i + rows, None]
-        rep = distance_arrays(D, pb, pb, overlap)
-        cols = (rep.bures, rep.trace_distance, np.sqrt(np.maximum(1.0 - rep.fidelity, 0.0)))
+        F, dist, bures = _array_measures(D, pb, pb, overlap)  # the angle is never printed
+        cols = (bures, dist, np.sqrt(np.maximum(1.0 - F, 0.0)))
         if not all(np.isfinite(c).all() for c in cols):
             raise InternalCheckError("non-finite value reached the report serializer")
         return cols

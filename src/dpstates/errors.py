@@ -75,13 +75,13 @@ class InconsistentMomentsError(DomainError):
     """No polarization in the allowed range reproduces the given moments."""
 
 
+class IndeterminateSignCountError(DomainError):
+    """A matrix has an eigenvalue too close to zero to count as positive or not."""
+
+
 class InternalCheckError(RuntimeError):
     """A mathematical self-check failed; indicates an implementation bug."""
 
 
 class InequalityViolationError(InternalCheckError):
     """A distance-measure inequality chain failed beyond tolerance."""
-
-
-class IndeterminateSignCountError(InternalCheckError):
-    """Characteristic polynomial indicates an eigenvalue too close to zero to classify."""

@@ -292,18 +292,23 @@ class DistanceReport:
     angle: float
 
 
+def _bures(F):
+    """Bures metric sqrt(2 - 2 sqrt F) of a fidelity F in [0, 1]."""
+    return _root(2.0 - 2.0 * _root(F))
+
+
 def bures_from_fidelity(F):
     """(Bures metric sqrt(2 - 2 sqrt F), Bures angle acos sqrt F) of a fidelity F in [0, 1].
 
-    F is a float or an array; the closed-form reports and the CLI's
-    oracle report both take their two values from here.
+    F is a float or an array.  The CLI's oracle report takes its two
+    values from here; the closed-form reports use the same two
+    expressions, and fig1 only the first.
     """
-    sqrt_F = _root(F)
-    return _root(2.0 - 2.0 * sqrt_F), _acos(sqrt_F)
+    return _bures(F), _acos(_root(F))
 
 
-def _report(D: int, p, q, f) -> DistanceReport:
-    """All four measures of (D, p, q, f), after the range and chain checks.
+def _measures(D: int, p, q, f):
+    """(F, T, Bures metric) of (D, p, q, f), after the range and chain checks.
 
     Raises:
         InequalityViolationError: F or T outside [0, 1], or
@@ -311,7 +316,7 @@ def _report(D: int, p, q, f) -> DistanceReport:
     """
     F = _clip(_fidelity(D, p, q, f), "fidelity")
     dist = _clip(_trace_distance(D, p, q, f), "trace distance")
-    bures, angle = bures_from_fidelity(F)
+    bures = _bures(F)
     lower = bures * bures / 2.0
     # upper bound tested as T^2 <= 1-F: near F = 1 the sqrt turns one
     # ulp of rounding in F into ~1e-8 and would flag phantom violations
@@ -322,7 +327,12 @@ def _report(D: int, p, q, f) -> DistanceReport:
         raise InequalityViolationError(
             f"Fuchs chain broken: B^2/2={low:.17g}, D={d:.17g}, sqrt(1-F)={_root(1.0 - fid):.17g}"
         )
-    return DistanceReport(fidelity=F, trace_distance=dist, bures=bures, angle=angle)
+    return F, dist, bures
+
+
+def _report(F, dist, bures) -> DistanceReport:
+    """The checked measures with the Bures angle acos sqrt F."""
+    return DistanceReport(fidelity=F, trace_distance=dist, bures=bures, angle=_acos(_root(F)))
 
 
 def distance_report(rho: DpsState, sigma: DpsState) -> DistanceReport:
@@ -337,7 +347,7 @@ def distance_report(rho: DpsState, sigma: DpsState) -> DistanceReport:
         InequalityViolationError: chain broken beyond tolerance.
         DimensionMismatchError.
     """
-    return _report(rho.dim, rho.p, sigma.p, pure_overlap(rho, sigma))
+    return _report(*_measures(rho.dim, rho.p, sigma.p, pure_overlap(rho, sigma)))
 
 
 def distance_arrays(D: int, p, q, f) -> DistanceReport:
@@ -359,10 +369,15 @@ def distance_arrays(D: int, p, q, f) -> DistanceReport:
         FOutOfRangeError: some f outside [0, 1].
         InequalityViolationError: some element leaves [0, 1] or breaks the chain.
     """
+    return _report(*_array_measures(D, p, q, f))
+
+
+def _array_measures(D: int, p, q, f):
+    """(F, T, Bures metric) arrays of ``distance_arrays``, after its checks, without the angle."""
     if D < 2:
         raise InvalidDimensionError(f"dimension must be >= 2, got {D}")
     p, q, f = np.broadcast_arrays(*(np.array(x, dtype=float, ndmin=1) for x in (p, q, f)))
     p, q = _polarization(p, D), _polarization(q, D)
     # f is used as given, as the per-pair route uses pure_overlap's value
     _in_range(f, 0.0, 1.0, FOutOfRangeError, "f")
-    return _report(D, p, q, f)
+    return _measures(D, p, q, f)

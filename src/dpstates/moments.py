@@ -16,7 +16,6 @@ For a DPS the first two nontrivial moments determine the polarization:
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from string import ascii_lowercase
 
@@ -138,63 +137,44 @@ def dps_p_from_moments(t2: float, t3: float, D: int, tol: float = RECOVERY_TOL) 
     return fits[0], True
 
 
-def _tridiagonalize(A: np.ndarray) -> tuple[list[float], list[float]]:
-    """Diagonal a_k and |b_k|^2 of a Householder tridiagonal form of A.
-
-    Step k reflects the column x below a_k onto e_1 (so |b_k| = ||x||)
-    and takes the trailing block B to H B H = B - v w^dag - w v^dag.
-    """
-    B, n = A, A.shape[0]
-    diag, off2 = [], []
-    for k in range(n - 1):
-        diag.append(float(B[0, 0].real))
-        x = B[1:, 0]
-        off2.append(float(np.vdot(x, x).real))
-        B = B[1:, 1:]
-        if k < n - 2 and off2[-1] > 0.0:
-            v = x.copy()  # x + e^{i arg x_0} ||x|| e_1: no cancellation in v_0
-            v[0] += (x[0] / abs(x[0]) if x[0] != 0 else 1.0) * math.sqrt(off2[-1])
-            tau = 2.0 / np.vdot(v, v).real
-            q = tau * (B @ v)
-            X = np.outer(v, (q - (0.5 * tau * np.vdot(v, q)) * v).conj())
-            B = B - X - X.conj().T
-    diag.append(float(B[0, 0].real))
-    return diag, off2
-
-
-def _count_above(diag: list[float], off2: list[float], shift: float) -> int:
-    # positive LDL^T pivots of T - shift 1; a vanishing pivot becomes a
-    # tiny negative one, as in Sturm-sequence bisection
-    pivmin = sys.float_info.min * max([1.0, *off2])
-    count, d = 0, 1.0
-    for k, a in enumerate(diag):
-        d = a - shift - (off2[k - 1] / d if k else 0.0)
-        d = d if abs(d) >= pivmin else -pivmin
-        count += d > 0.0
-    return count
-
-
 def count_positive_charpoly(M) -> int:
-    """Positive-eigenvalue count by Sylvester's law of inertia.
+    """Number of eigenvalues of the Hermitian matrix M above 1e-10 ||M||_F.
 
-    Householder-reduces M to Hermitian tridiagonal form and counts the
-    positive pivots d_k = a_k - |b_(k-1)|^2 / d_(k-1) of its LDL^T
-    factorization; no eigensolve is involved.  (The name is historical:
-    no characteristic polynomial is formed.)
+    One LAPACK ``eigvalsh`` of the symmetrised (M + M^dag)/2 gives the
+    eigenvalues, and those above gap = 1e-10 ||M||_F are counted.  An
+    eigenvalue in [-gap, gap] has no sign at that tolerance, so the count
+    is refused; so is the zero matrix, whose gap is 0.  A 0 x 0 matrix
+    has no eigenvalues and counts 0.
+
+    M is first scaled by the smallest power of two above max |m_ij|, which
+    is exact.  Its entries are then at most 1 in modulus, so neither the
+    norm nor the symmetrisation can overflow, and the gap of a nonzero M
+    is never 0.  Wherever no square of an entry of M over- or underflows,
+    the band is bit for bit the unscaled 1e-10 ||M||_F.  The tests
+    check every count against an eigensolve-free one, the positive LDL^T
+    pivots of a Householder tridiagonal form (Sylvester's law of
+    inertia).  (The name is historical: no characteristic polynomial is
+    formed.)
 
     Raises:
-        NonHermitianError, NonSquareError.
+        NonSquareError.
+        DomainError: an entry is NaN or infinite.
+        NonHermitianError: M deviates from M^dag by more than 1e-10.
         IndeterminateSignCountError: an eigenvalue lies within 1e-10
             ||M||_F of zero, so the count is ill-defined at that tolerance.
     """
     A = _as_matrix(M)
     _require_square(A)
+    top = float(np.abs(A).max(initial=0.0))
+    if not math.isfinite(top):
+        raise DomainError("matrix has NaN or infinite entries")
     _require_hermitian(A, EIG_HERM_TOL)
-    diag, off2 = _tridiagonalize((A + A.conj().T) / 2.0)
+    # the factor 2^-e is exact; e stays >= -1000 so that it is finite
+    A = A * math.ldexp(1.0, -max(math.frexp(top)[1], -1000))
+    vals = np.linalg.eigvalsh((A + A.conj().T) / 2.0)
     gap = 1e-10 * float(np.linalg.norm(A))
-    above = _count_above(diag, off2, gap)
-    if gap == 0.0 or _count_above(diag, off2, -gap) != above:
+    if np.abs(vals).min(initial=math.inf) <= gap:
         raise IndeterminateSignCountError(
             "an eigenvalue is zero at working precision and cannot be counted as positive or not"
         )
-    return above
+    return int(np.count_nonzero(vals > gap))

@@ -184,6 +184,14 @@ def test_closed_forms_match_oracles(D, tp, tq, seed):
     )
 
 
+def mp_fidelity(rho, sigma):
+    """Uhlmann fidelity of two mpmath matrices by mp.eigh, at the working precision."""
+    vals, vecs = mpmath.eigh(rho)
+    root = vecs * mpmath.diag([mpmath.sqrt(max(x, 0)) for x in vals]) * vecs.H
+    inner = mpmath.eigh(root * sigma * root, eigvals_only=True)
+    return mpmath.fsum(mpmath.sqrt(max(x, 0)) for x in inner) ** 2
+
+
 def extended_precision_distances(a, b) -> tuple[float, float]:
     """Uhlmann fidelity and trace distance of two DPS at 40 digits, built from (psi, p).
 
@@ -202,10 +210,7 @@ def extended_precision_distances(a, b) -> tuple[float, float]:
             return (1 - p) / D * mpmath.eye(D) + p * (v * v.H)
 
         rho, sigma = state(a), state(b)
-        vals, vecs = mpmath.eigh(rho)
-        root = vecs * mpmath.diag([mpmath.sqrt(max(x, 0)) for x in vals]) * vecs.H
-        inner = mpmath.eigh(root * sigma * root, eigvals_only=True)
-        fidelity = mpmath.fsum(mpmath.sqrt(max(x, 0)) for x in inner) ** 2
+        fidelity = mp_fidelity(rho, sigma)
         distance = mpmath.fsum(abs(x) for x in mpmath.eigh(rho - sigma, eigvals_only=True)) / 2
         return float(fidelity), float(distance)
 
@@ -216,20 +221,45 @@ def assert_closed_forms_match_extended_precision(a, b):
     assert trace_distance_closed(a, b) == pytest.approx(distance, abs=1e-12), (a.p, b.p)
 
 
-@pytest.mark.parametrize("D", [2, 3, 4, 5, 7])
-def test_closed_forms_match_extended_precision(D):
-    # every (p, q) with a singular or pure edge on at least one side.  p_min
-    # itself only where -1/(D-1) is an exact float: at D = 4 and 7, fl(p_min)
-    # makes (D-1)p + 1 round to 0 while the state's smallest eigenvalue is
-    # ~1e-17, and F, sqrt-conditioned there, moves by ~3e-9 with the input
+def edge_pairs(D: int):
+    """Random DPS pairs, each with a singular or pure edge on at least one side.
+
+    p_min itself only where -1/(D-1) is an exact float: at D = 4 and 7,
+    fl(p_min) makes (D-1)p + 1 round to 0 while the state's smallest
+    eigenvalue is ~1e-17, and F, sqrt-conditioned there, moves by ~3e-9
+    with the input.
+    """
     edges = [p_min(D) + 1e-9, 1.0 - 2.0**-52, 1.0] + ([p_min(D)] if D in (2, 3, 5) else [])
     values = edges + [p_min(D) / 2.0, 0.0, 0.5]
     rng = rng_for(44, D)
     for p in values:
         for q in values:
             if p in edges or q in edges:
-                a, b = random_dps(D, rng, p=p), random_dps(D, rng, p=q)
-                assert_closed_forms_match_extended_precision(a, b)
+                yield random_dps(D, rng, p=p), random_dps(D, rng, p=q)
+
+
+@pytest.mark.parametrize("D", [2, 3, 4, 5, 7])
+def test_closed_forms_match_extended_precision(D):
+    for a, b in edge_pairs(D):
+        assert_closed_forms_match_extended_precision(a, b)
+
+
+# the oracle's own error on a singular state: psd_roots zeroes eigenvalues
+# at the roundoff level D eps, whose roots would count ~sqrt(eps) toward F
+ORACLE_OWN_TOL = 2.0 * math.sqrt(np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("D", [2, 3, 4, 5, 7])
+def test_fidelity_oracle_matches_extended_precision_of_its_input(D):
+    # the 40-digit reference reads the same float matrices as the oracle,
+    # so the rounding of the input cancels and only the oracle's algorithm
+    # is measured (worst on this grid: 1.3e-8, at D = 2 with p = 0 and q = -1,
+    # where sqrt(rho) sigma sqrt(rho) has rank one)
+    for a, b in edge_pairs(D):
+        rho, sigma = a.to_matrix(), b.to_matrix()
+        with mpmath.workdps(40):
+            exact = mp_fidelity(mpmath.matrix(rho.matrix.tolist()), mpmath.matrix(sigma.matrix.tolist()))
+        assert fidelity_oracle(rho, sigma) == pytest.approx(float(exact), abs=ORACLE_OWN_TOL), (a.p, b.p)
 
 
 @pytest.mark.parametrize("seed", range(5))

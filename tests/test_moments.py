@@ -1,3 +1,7 @@
+import math
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +21,7 @@ from dpstates import (
     moment_montecarlo,
     moment_permutation,
     p_min,
+    partial_transpose,
 )
 
 from conftest import random_dps, random_mixed, rng_for
@@ -194,30 +199,165 @@ class TestRecoverP:
             dps_p_from_moments(1.0, 1.0, 1)
 
 
+def _tridiagonalize(A: np.ndarray) -> tuple[list[float], list[float]]:
+    """Diagonal a_k and |b_k|^2 of a Householder tridiagonal form of A.
+
+    Step k reflects the column x below a_k onto e_1 (so |b_k| = ||x||)
+    and takes the trailing block B to H B H = B - v w^dag - w v^dag.
+    """
+    B, n = A, A.shape[0]
+    diag, off2 = [], []
+    for k in range(n - 1):
+        diag.append(float(B[0, 0].real))
+        x = B[1:, 0]
+        off2.append(float(np.vdot(x, x).real))
+        B = B[1:, 1:]
+        if k < n - 2 and off2[-1] > 0.0:
+            v = x.copy()  # x + e^{i arg x_0} ||x|| e_1: no cancellation in v_0
+            v[0] += (x[0] / abs(x[0]) if x[0] != 0 else 1.0) * math.sqrt(off2[-1])
+            tau = 2.0 / np.vdot(v, v).real
+            q = tau * (B @ v)
+            X = np.outer(v, (q - (0.5 * tau * np.vdot(v, q)) * v).conj())
+            B = B - X - X.conj().T
+    diag.append(float(B[0, 0].real))
+    return diag, off2
+
+
+def _count_above(diag: list[float], off2: list[float], shift: float) -> int:
+    # positive LDL^T pivots of T - shift 1; a vanishing pivot becomes a
+    # tiny negative one, as in Sturm-sequence bisection
+    pivmin = sys.float_info.min * max([1.0, *off2])
+    count, d = 0, 1.0
+    for k, a in enumerate(diag):
+        d = a - shift - (off2[k - 1] / d if k else 0.0)
+        d = d if abs(d) >= pivmin else -pivmin
+        count += d > 0.0
+    return count
+
+
+def inertia_count(H: np.ndarray) -> int | None:
+    """Eigensolve-free oracle for count_positive_charpoly, by Sylvester's law of inertia.
+
+    The positive LDL^T pivots of the Householder tridiagonal form of
+    (H + H^dag)/2, shifted by -+gap with gap = 1e-10 ||H||_F, count the
+    eigenvalues above gap and above -gap; None when the two differ (an
+    eigenvalue in the refusal band) or gap is 0.
+    """
+    H = np.asarray(H, dtype=complex)
+    diag, off2 = _tridiagonalize((H + H.conj().T) / 2.0)
+    gap = 1e-10 * float(np.linalg.norm(H))
+    above = _count_above(diag, off2, gap)
+    return None if gap == 0.0 or _count_above(diag, off2, -gap) != above else above
+
+
+def gaussian_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
+    A = rng.standard_normal((n, n)) + 1.0j * rng.standard_normal((n, n))
+    return (A + A.conj().T) / 2.0 + 0.5 * np.eye(n)
+
+
+def with_spectrum(vals, rng: np.random.Generator) -> np.ndarray:
+    """U diag(vals) U^dag for a Haar-random U."""
+    n = len(vals)
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)) + 1.0j * rng.standard_normal((n, n)))
+    U = Q * (np.diag(R) / np.abs(np.diag(R)))
+    return (U * np.asarray(vals)) @ U.conj().T
+
+
+# with test_matches_eigensolver, n = 1 to 128: Gaussian Hermitian matrices
+# of every size to 16 and up to 128, and partial transposes of DPS
+COUNT_SIZES = [*range(1, 17), 64, 96, 128]
+PT_DIMS = [(2, 2), (2, 3), (3, 3), (2, 5), (4, 4), (3, 6), (4, 8), (8, 8), (8, 12), (8, 16)]
+
+
 class TestCountPositive:
     def test_matches_eigensolver(self):
         # Faddeev-LeVerrier coefficient signs went wrong from n = 24 on
         rng = rng_for(123)
         for D in (2, 4, 6, 24, 32, 48):
             for _ in range(20):
-                A = rng.standard_normal((D, D)) + 1.0j * rng.standard_normal((D, D))
-                H = (A + A.conj().T) / 2.0 + 0.5 * np.eye(D)
+                H = gaussian_hermitian(D, rng)
                 vals = np.linalg.eigvalsh(H)
                 if np.min(np.abs(vals)) < 1e-6:
                     continue
-                assert count_positive_charpoly(H) == int(np.sum(vals > 0))
+                assert count_positive_charpoly(H) == inertia_count(H) == int(np.sum(vals > 0))
+
+    @pytest.mark.parametrize(
+        "dims", [(n,) for n in COUNT_SIZES] + PT_DIMS, ids=lambda d: "x".join(map(str, d))
+    )
+    def test_matches_inertia_oracle(self, dims):
+        # (n,) is a Gaussian Hermitian matrix, (dA, dB) the partial transpose of a DPS
+        rng = rng_for(125, *dims)
+        for _ in range(3):
+            if len(dims) == 1:
+                H = gaussian_hermitian(*dims, rng)
+            else:
+                H = partial_transpose(random_dps(dims[0] * dims[1], rng).to_matrix(), *dims)
+            vals = np.linalg.eigvalsh(H)
+            gap = 1e-10 * np.linalg.norm(H)
+            # the data keep clear of the refusal band, so all three must count
+            assert np.min(np.abs(vals)) > 2.0 * gap
+            assert count_positive_charpoly(H) == inertia_count(H) == int(np.sum(vals > gap))
 
     def test_counts_partial_transpose_signature(self):
-        from dpstates import partial_transpose
-
         dps = random_dps(4, rng_for(124), p=0.9)
         pt = partial_transpose(dps.to_matrix(), 2, 2)
         vals = np.linalg.eigvalsh(pt)
-        assert count_positive_charpoly(pt) == int(np.sum(vals > 0))
+        assert count_positive_charpoly(pt) == inertia_count(pt) == int(np.sum(vals > 0))
+
+    @pytest.mark.parametrize("n", [2, 5, 16, 64])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_refusal_band_edges(self, n, sign):
+        # one eigenvalue at sign * factor * gap among ones of size ~1: the
+        # band [-gap, gap] refuses factor 0.5 and counts factor 2
+        rng = rng_for(126, n, sign > 0)
+        rest = rng.uniform(0.5, 2.0, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+        gap = 1e-10 * np.linalg.norm(rest)
+        for factor in (0.5, 2.0):
+            for H in (np.diag([*rest, sign * factor * gap]), with_spectrum([*rest, sign * factor * gap], rng)):
+                if factor == 0.5:
+                    assert inertia_count(H) is None
+                    with pytest.raises(IndeterminateSignCountError):
+                        count_positive_charpoly(H)
+                else:
+                    want = int(np.sum(rest > 0)) + (sign > 0)
+                    assert count_positive_charpoly(H) == inertia_count(H) == want
 
     def test_singular_matrix_raises(self):
-        with pytest.raises(IndeterminateSignCountError):
-            count_positive_charpoly(np.diag([1.0, 0.0]))
+        # a property of the input, refused as a DomainError (exit 3), not an internal bug
+        for M in (np.diag([1.0, 0.0]), np.zeros((3, 3))):
+            with pytest.raises(IndeterminateSignCountError) as info:
+                count_positive_charpoly(M)
+            assert isinstance(info.value, DomainError)
+
+    def test_empty_matrix_counts_zero(self):
+        assert count_positive_charpoly(np.zeros((0, 0))) == 0
+
+    @pytest.mark.parametrize("scale", [1e300, 2.0**1023, 1e-300, 5e-324])
+    def test_extreme_scales_count_without_warnings(self, scale):
+        # the band comes from a scaled norm: ||A||_F itself overflows at 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert count_positive_charpoly(np.diag([scale, -scale])) == 1
+            assert count_positive_charpoly(np.diag([scale, scale, -scale])) == 2
+
+    def test_scaling_keeps_the_band(self):
+        # the band and count of a scaled matrix are those of the matrix itself
+        rng = rng_for(127)
+        rest = rng.uniform(0.5, 2.0, 7) * rng.choice([-1.0, 1.0], 7)
+        gap = 1e-10 * np.linalg.norm(rest)
+        for scale in (2.0**-40, 1e-7, 3.0, 2.0**60):
+            with pytest.raises(IndeterminateSignCountError):
+                count_positive_charpoly(scale * np.diag([*rest, 0.5 * gap]))
+            assert count_positive_charpoly(scale * np.diag([*rest, 2.0 * gap])) == int(np.sum(rest > 0)) + 1
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+    def test_non_finite_entry_is_refused_first(self, bad):
+        M = np.eye(3, dtype=complex)
+        M[0, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="NaN or infinite"):
+                count_positive_charpoly(M)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianError):
