@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -103,13 +104,22 @@ def _choi(ops: np.ndarray) -> np.ndarray:
     return M.T @ M.conj()
 
 
+def _require_dimension(D: int, what: str) -> None:
+    if D < 1:
+        raise InvalidDimensionError(f"{what} needs dimension >= 1, got {D}")
+
+
 def weyl_operators(D: int) -> np.ndarray:
     """Read-only (D^2, D, D) stack of the Weyl operators; entry a*D + b is X^a Z^b.
 
     X |j> = |j+1 mod D> is the shift and Z |j> = omega^j |j> the clock,
     so (X^a Z^b)[i, j] is omega^(b j) where i = j + a mod D and 0
     elsewhere: one broadcast of the shift pattern against the phases.
+
+    Raises:
+        InvalidDimensionError: D < 1.
     """
+    _require_dimension(D, "the Weyl group")
     k = np.arange(D)
     shifts = k[None, :, None] == (k[None, None, :] + k[:, None, None]) % D  # [a, i, j]
     phases = np.exp(2.0j * math.pi * (np.outer(k, k) % D) / D)  # [b, j]
@@ -273,30 +283,64 @@ def p_from_overlap(D: int, overlap: float) -> float:
 # Clifford groups
 
 
-def _xz_keys(Ws: np.ndarray, paulis: np.ndarray) -> list[tuple[int, int, int, int]]:
-    """Exact key (q_X, k_X, q_Z, k_Z) of each Clifford candidate in a (m, D, D) stack.
+def _weyl_images(Ws: np.ndarray, ops: np.ndarray, paulis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer images (q, k) with W A W^dag = e^{i pi k / D} P_q, as two (m, n) arrays.
 
-    W X W^dag = e^{i pi k_X / D} P_{q_X} with P_q = ``paulis[q]`` the
-    Weyl stack, and likewise for Z; one batched conjugation and one
-    contraction with the Weyl stack find every q and k.  X and Z generate
-    the Weyl group, so a W that conjugates both into it is Clifford, and
-    the key fixes W up to global phase.
+    Every operator A in the (n, D, D) stack ``ops`` is conjugated by
+    every W in the (m, D, D) stack ``Ws``: one matrix product forms all
+    W A, and one batched product over the W all W A W^dag.  One
+    contraction with the Weyl stack P_q = ``paulis[q]`` finds each q and k.
 
     Raises:
         InternalCheckError: |Tr(P_q^dag W A W^dag)| <= D - 1e-6 at its
-            argmax for A = X or Z, so W is not Clifford.
+            argmax, so W A W^dag is not a phase times a Weyl operator.
     """
-    D = Ws.shape[-1]
-    xz = paulis[[D, 1]]  # X = X^1 Z^0 and Z = X^0 Z^1
-    conjugated = (Ws[:, None] @ xz @ Ws.conj().swapaxes(-1, -2)[:, None]).reshape(-1, D * D)
-    overlaps = conjugated @ paulis.reshape(D * D, D * D).conj().T
+    m, D, n = len(Ws), Ws.shape[-1], len(ops)
+    WA = Ws.reshape(m * D, D) @ ops.transpose(1, 0, 2).reshape(D, n * D)  # [(W, i), (A, l)]
+    conjugated = (WA.reshape(m, D * n, D) @ Ws.conj().swapaxes(-1, -2)).reshape(m, D, n, D)
+    overlaps = conjugated.swapaxes(1, 2).reshape(m * n, D * D) @ paulis.reshape(D * D, D * D).conj().T
     q = np.argmax(np.abs(overlaps), axis=1)
     top = overlaps[np.arange(len(q)), q]
     # |Tr(P_q^dag V)| = D iff V = e^{i theta} P_q; a non-Pauli V sits far below D
     if not np.all(np.abs(top) > D - 1e-6):
-        raise InternalCheckError("Clifford candidate fails to conjugate X and Z into the Pauli group")
+        raise InternalCheckError("Clifford candidate conjugates a Weyl operator out of the Pauli group")
     k = np.rint(np.angle(top) * D / math.pi).astype(int) % (2 * D)
-    return [tuple(row) for row in np.stack([q, k], axis=1).reshape(-1, 4).tolist()]
+    return q.reshape(m, n), k.reshape(m, n)
+
+
+def _xz_keys(Ws: np.ndarray, paulis: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """Exact key (q_X, k_X, q_Z, k_Z) of each Clifford candidate in a (m, D, D) stack.
+
+    W X W^dag = e^{i pi k_X / D} P_{q_X} with P_q = ``paulis[q]`` the
+    Weyl stack, and likewise for Z (``_weyl_images``).  X and Z generate
+    the Weyl group, so a W that conjugates both into it is Clifford, and
+    the key fixes W up to global phase.  ``clifford_group`` composes its
+    keys in integers and calls this once, on the finished group, to
+    certify every element Clifford and to check the composed keys.
+
+    Raises:
+        InternalCheckError: W does not conjugate X or Z into the Pauli group.
+    """
+    D = Ws.shape[-1]
+    q, k = _weyl_images(Ws, paulis[[D, 1]], paulis)  # X = X^1 Z^0 and Z = X^0 Z^1
+    (qx, qz), (kx, kz) = q.T.tolist(), k.T.tolist()
+    return list(zip(qx, kx, qz, kz))
+
+
+def _generator_table(D: int) -> tuple[np.ndarray, list[list[tuple[int, int]]]]:
+    """The Clifford generators and the image of every Weyl operator under each.
+
+    Returns the (2, D, D) stack of the Fourier (Hadamard) and diagonal
+    phase gates, and ``images[g][j] = (q, k)`` with
+    g P_j g^dag = e^{i pi k / D} P_q, from one certified ``_weyl_images``.
+    """
+    omega = np.exp(2.0j * math.pi / D)
+    F = np.array([[omega ** (j * k) for k in range(D)] for j in range(D)]) / math.sqrt(D)
+    S = np.diag([1.0, 1.0j]) if D == 2 else np.diag([1.0, 1.0, omega])
+    gens = np.array([F, S])
+    paulis = weyl_operators(D)
+    q, k = _weyl_images(gens, paulis, paulis)
+    return gens, [list(zip(qg, kg)) for qg, kg in zip(q.tolist(), k.tolist())]
 
 
 @lru_cache(maxsize=None)
@@ -307,46 +351,58 @@ def clifford_group(D: int) -> np.ndarray:
     identity.  Breadth-first closure from {Hadamard/Fourier, diagonal
     phase gate}: each layer forms every product g U of a generator g
     with the frontier in one batched matmul, in the order (for U, for g).
-    Each candidate is keyed by its action on X and Z (``_xz_keys``),
-    which also certifies it Clifford; a candidate is new when its key
-    is, and it joins with the phase that makes real and positive its
-    first entry within 1e-9 of the largest modulus.
+    Each element is keyed by its action on X and Z, (q_X, k_X, q_Z, k_Z)
+    with U X U^dag = e^{i pi k_X / D} P_{q_X} and likewise for Z, which
+    fixes it up to global phase (Gottesman, quant-ph/9807006).  The
+    images g P_q g^dag = e^{i pi k_g[q] / D} P_{q_g[q]} of every Weyl
+    operator under each generator are tabulated once, so g U gets its
+    key from U's in integers: (q_g[q_X], k_X + k_g[q_X] mod 2D, and
+    likewise for Z).  A candidate is new when its key is, and it joins
+    with the phase that makes real and positive its first entry within
+    1e-9 of the largest modulus.  One ``_xz_keys`` over the finished
+    group then certifies every element Clifford and must reproduce the
+    composed keys exactly.
 
     Raises:
         InvalidDimensionError: D not an integer.
         UnsupportedDimensionError: D not in {2, 3}.
+        InternalCheckError: the group has the wrong order, or the
+            composed keys disagree with the elements' own.
     """
     if not isinstance(D, (int, np.integer)):
         raise InvalidDimensionError(f"Clifford enumeration needs an integer D, got {D!r}")
     if D not in (2, 3):
         raise UnsupportedDimensionError(f"Clifford enumeration supports D in {{2, 3}}, got {D}")
-    omega = np.exp(2.0j * math.pi / D)
-    F = np.array([[omega ** (j * k) for k in range(D)] for j in range(D)]) / math.sqrt(D)
-    S = np.diag([1.0, 1.0j]) if D == 2 else np.diag([1.0, 1.0, omega])
-    gens = np.array([F, S])
-    paulis = weyl_operators(D)
+    gens, images = _generator_table(D)
+    keys = [(D, 0, 1, 0)]  # the identity fixes X = P_D and Z = P_1
+    seen = set(keys)
     frontier = np.eye(D, dtype=complex)[None]
-    seen = set(_xz_keys(frontier, paulis))
     layers = [frontier]
-    while len(frontier):
+    while True:
         candidates = (gens @ frontier[:, None]).reshape(-1, D, D)
-        flat = candidates.reshape(len(candidates), -1)
-        mags = np.abs(flat)
-        first_top = np.argmax(mags >= mags.max(axis=1, keepdims=True) - 1e-9, axis=1)
-        pivots = flat[np.arange(len(flat)), first_top]
-        fresh, phases = [], []
-        for i, key in enumerate(_xz_keys(candidates, paulis)):
+        fresh = []
+        for i, ((qx, kx, qz, kz), image) in enumerate(product(keys[-len(frontier) :], images)):
+            (qx2, kx2), (qz2, kz2) = image[qx], image[qz]
+            key = (qx2, (kx + kx2) % (2 * D), qz2, (kz + kz2) % (2 * D))
             if key not in seen:
                 seen.add(key)
+                keys.append(key)
                 fresh.append(i)
-                # scalar division: numpy's array division can differ from it in the last bit
-                phases.append(abs(pivots[i]) / pivots[i])
-        frontier = candidates[fresh] * np.array(phases, dtype=complex)[:, None, None]
+        if not fresh:
+            break
+        frontier = candidates[fresh]
+        flat = frontier.reshape(len(fresh), D * D)
+        mags = np.abs(flat)
+        first_top = (mags >= mags.max(axis=1, keepdims=True) - 1e-9).argmax(axis=1)
+        # scalar division: numpy's array division can differ from it in the last bit
+        frontier *= np.array([abs(z) / z for z in flat[np.arange(len(fresh)), first_top]])[:, None, None]
         layers.append(frontier)
     group = np.concatenate(layers)
     expected = {2: 24, 3: 216}[D]
     if len(group) != expected:
         raise InternalCheckError(f"Clifford closure found {len(group)} elements, expected {expected}")
+    if _xz_keys(group, weyl_operators(D)) != keys:
+        raise InternalCheckError("Clifford keys composed in integers disagree with the elements' own")
     group.setflags(write=False)
     return group
 
@@ -356,7 +412,11 @@ def clifford_group(D: int) -> np.ndarray:
 
 
 def haar_unitary(D: int, rng: np.random.Generator) -> np.ndarray:
-    """One Haar-distributed unitary; draws as ``haar_unitaries(D, 1, rng)``."""
+    """One Haar-distributed unitary; draws as ``haar_unitaries(D, 1, rng)``.
+
+    Raises:
+        InvalidDimensionError: D < 1.
+    """
     return next(haar_unitaries(D, 1, rng))[0]
 
 
@@ -365,13 +425,21 @@ def haar_unitaries(D: int, count: int, rng: np.random.Generator) -> Iterator[np.
 
     Each stack draws its real parts and then its imaginary parts from
     ``rng``, so up to GRAM_ROWS unitaries draw as one stack would.
+
+    Raises:
+        InvalidDimensionError: D < 1, at the call, before any draw.
     """
-    for start in range(0, count, GRAM_ROWS):
-        k = min(GRAM_ROWS, count - start)
-        Z = (rng.standard_normal((k, D, D)) + 1.0j * rng.standard_normal((k, D, D))) / math.sqrt(2.0)
-        Q, R = np.linalg.qr(Z)
-        d = np.diagonal(R, axis1=1, axis2=2)
-        yield Q * (d / np.abs(d))[:, None, :]
+    _require_dimension(D, "a Haar unitary")
+
+    def stacks():
+        for start in range(0, count, GRAM_ROWS):
+            k = min(GRAM_ROWS, count - start)
+            Z = (rng.standard_normal((k, D, D)) + 1.0j * rng.standard_normal((k, D, D))) / math.sqrt(2.0)
+            Q, R = np.linalg.qr(Z)
+            d = np.diagonal(R, axis1=1, axis2=2)
+            yield Q * (d / np.abs(d))[:, None, :]
+
+    return stacks()
 
 
 def haar_state(D: int, rng: np.random.Generator) -> np.ndarray:
@@ -380,8 +448,7 @@ def haar_state(D: int, rng: np.random.Generator) -> np.ndarray:
     Raises:
         InvalidDimensionError: D < 1.
     """
-    if D < 1:
-        raise InvalidDimensionError(f"a Haar state needs dimension >= 1, got {D}")
+    _require_dimension(D, "a Haar state")
     v = rng.standard_normal(D) + 1.0j * rng.standard_normal(D)
     return v / np.linalg.norm(v)
 
@@ -578,7 +645,15 @@ def local_depolarize(
 
 
 def random_channel(D: int, kraus_count: int, seed: int) -> KrausChannel:
-    """Seeded random channel from a Haar isometry (Stinespring cut)."""
+    """Seeded random channel from a Haar isometry (Stinespring cut).
+
+    Raises:
+        InvalidDimensionError: D < 1.
+        NotTracePreservingError: kraus_count < 1.
+    """
+    _require_dimension(D, "a random channel")
+    if kraus_count < 1:
+        raise NotTracePreservingError("a channel needs at least one Kraus operator")
     rng = np.random.default_rng(seed)
     U = haar_unitary(D * kraus_count, rng)
     return KrausChannel(dim=D, kraus=U[:, :D].reshape(kraus_count, D, D))

@@ -57,7 +57,9 @@ class DensityMatrix:
 
     Args:
         matrix: square complex array, finite, Hermitian within 1e-12,
-            trace 1 within 1e-12.
+            trace 1 within 1e-12.  The Hermitian check is absolute, which
+            is sound because unit trace fixes the scale: a state, and
+            the partial transpose of one, has no entry above 1 in modulus.
 
     Raises:
         NonSquareError, NonHermitianError, DimensionMismatchError.

@@ -150,7 +150,10 @@ def count_positive_charpoly(M) -> int:
     is exact.  Its entries are then at most 1 in modulus, so neither the
     norm nor the symmetrisation can overflow, and the gap of a nonzero M
     is never 0.  Wherever no square of an entry of M over- or underflows,
-    the band is bit for bit the unscaled 1e-10 ||M||_F.  The tests
+    the band is bit for bit the unscaled 1e-10 ||M||_F.  The Hermitian
+    check runs on the scaled matrix, so both it and the band are
+    relative to the size of M, and M and 2^k M get the same verdict
+    wherever the scaling is exact.  The tests
     check every count against an eigensolve-free one, the positive LDL^T
     pivots of a Householder tridiagonal form (Sylvester's law of
     inertia).  (The name is historical: no characteristic polynomial is
@@ -159,7 +162,8 @@ def count_positive_charpoly(M) -> int:
     Raises:
         NonSquareError.
         DomainError: an entry is NaN or infinite.
-        NonHermitianError: M deviates from M^dag by more than 1e-10.
+        NonHermitianError: M deviates from M^dag by more than 1e-10 times
+            that power of two (between max |m_ij| and twice it).
         IndeterminateSignCountError: an eigenvalue lies within 1e-10
             ||M||_F of zero, so the count is ill-defined at that tolerance.
     """
@@ -168,9 +172,10 @@ def count_positive_charpoly(M) -> int:
     top = float(np.abs(A).max(initial=0.0))
     if not math.isfinite(top):
         raise DomainError("matrix has NaN or infinite entries")
-    _require_hermitian(A, EIG_HERM_TOL)
     # the factor 2^-e is exact; e stays >= -1000 so that it is finite
     A = A * math.ldexp(1.0, -max(math.frexp(top)[1], -1000))
+    # checked at the scale of the band, so the verdict does not depend on the scale of M
+    _require_hermitian(A, EIG_HERM_TOL)
     vals = np.linalg.eigvalsh((A + A.conj().T) / 2.0)
     gap = 1e-10 * float(np.linalg.norm(A))
     if np.abs(vals).min(initial=math.inf) <= gap:

@@ -126,6 +126,15 @@ class TestKrausChannel:
         assert ch.kraus.shape == (1, 2, 2)
         assert not ch.kraus.flags.writeable
 
+    @pytest.mark.parametrize("D", [0, -1])
+    def test_random_channel_rejects_empty_or_negative_dimension(self, D):
+        with pytest.raises(InvalidDimensionError):
+            random_channel(D, 1, seed=1)
+
+    def test_random_channel_needs_a_kraus_operator(self):
+        with pytest.raises(NotTracePreservingError):
+            random_channel(2, 0, seed=1)
+
     def test_random_channel_is_deterministic(self):
         a = random_channel(2, 3, seed=62)
         b = random_channel(2, 3, seed=62)
@@ -162,6 +171,11 @@ class TestWeylBasis:
                     assert tr == pytest.approx(3.0)
                 else:
                     assert abs(tr) < 1e-13
+
+    @pytest.mark.parametrize("D", [0, -2])
+    def test_rejects_empty_or_negative_dimension(self, D):
+        with pytest.raises(InvalidDimensionError):
+            weyl_operators(D)
 
     @pytest.mark.parametrize("D", [2, 3, 5])
     def test_order_matches_matrix_powers(self, D):
@@ -349,15 +363,21 @@ def test_jamiolkowski_matches_kron_oracle(D):
     assert jamiolkowski_fidelity(ch) == pytest.approx(np.vdot(phi, E @ phi).real, abs=1e-14)
 
 
+def clifford_generators(D: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Fourier (Hadamard) gate F and the diagonal phase gate S."""
+    omega = np.exp(2.0j * math.pi / D)
+    F = np.array([[omega ** (j * k) for k in range(D)] for j in range(D)]) / math.sqrt(D)
+    S = np.diag([1.0, 1.0j]) if D == 2 else np.diag([1.0, 1.0, omega])
+    return F, S
+
+
 def clifford_closure_oracle(D: int) -> np.ndarray:
     """Brute-force Clifford closure: each candidate scanned against every member found.
 
     The same breadth-first order and canonical phase as ``clifford_group``,
     with membership by |Tr(W^dag V)| = D over the whole group so far.
     """
-    omega = np.exp(2.0j * math.pi / D)
-    F = np.array([[omega ** (j * k) for k in range(D)] for j in range(D)]) / math.sqrt(D)
-    S = np.diag([1.0, 1.0j]) if D == 2 else np.diag([1.0, 1.0, omega])
+    F, S = clifford_generators(D)
     group = np.eye(D, dtype=complex)[None]
     frontier = list(group)
     while frontier:
@@ -401,6 +421,35 @@ class TestCliffordGroup:
         keys = channels._xz_keys(clifford_group(D), weyl_operators(D))
         assert len(set(keys)) == len(keys)
         assert keys[0] == (D, 0, 1, 0)  # the identity fixes X and Z
+
+    @pytest.mark.parametrize("D", [2, 3])
+    def test_generator_table_matches_direct_conjugation(self, D):
+        # images[g][j] = (q, k) says g P_j g^dag = e^{i pi k / D} P_q, for all D^2 P_j
+        gens, images = channels._generator_table(D)
+        paulis = weyl_operators(D)
+        assert len(images) == 2
+        for G, built, image in zip(clifford_generators(D), gens, images):
+            assert np.array_equal(built, G)
+            assert len(image) == D * D
+            for P, (q, k) in zip(paulis, image):
+                want = np.exp(1.0j * math.pi * k / D) * paulis[q]
+                assert np.max(np.abs(G @ P @ G.conj().T - want)) < 1e-12
+
+    @pytest.mark.parametrize("D", [2, 3])
+    def test_corrupted_generator_table_fails_the_final_certification(self, D, monkeypatch):
+        # a wrong phase for S Z S^dag still closes on 24 or 216 keys, so
+        # only the final _xz_keys over the group can catch it
+        table = channels._generator_table
+
+        def corrupted(D):
+            gens, images = table(D)
+            q, k = images[1][1]
+            images[1][1] = (q, (k + 2) % (2 * D))
+            return gens, images
+
+        monkeypatch.setattr(channels, "_generator_table", corrupted)
+        with pytest.raises(InternalCheckError, match="composed in integers"):
+            clifford_group.__wrapped__(D)
 
     def test_non_clifford_candidate_is_an_internal_error(self):
         U = haar_unitary(3, np.random.default_rng(5))
@@ -545,6 +594,14 @@ class TestHaar:
     def test_state_rejects_empty_or_negative_dimension(self, D):
         with pytest.raises(InvalidDimensionError):
             haar_state(D, rng_for(80))
+
+    @pytest.mark.parametrize("D", [0, -3])
+    def test_unitaries_reject_empty_or_negative_dimension(self, D):
+        # refused at the call, before any stack is drawn
+        with pytest.raises(InvalidDimensionError):
+            channels.haar_unitaries(D, 5, rng_for(80))
+        with pytest.raises(InvalidDimensionError):
+            haar_unitary(D, rng_for(80))
 
 
 class TestPdpsRecipe:

@@ -184,6 +184,71 @@ def test_closed_forms_match_oracles(D, tp, tq, seed):
     )
 
 
+def dps_factor(dps) -> np.ndarray:
+    """A with A A^dag = rho for a DPS, built from (psi, p) with no eigensolve.
+
+    A = U diag(sqrt(lambda)) with lambda = ((1 + (D-1)p)/D, (1-p)/D, ...)
+    and U the Householder reflector I - 2 u u^dag / (u^dag u), u = e_0 + w,
+    which maps e_0 to -w, where w is psi with its first entry made real
+    and nonnegative: psi up to phase.  u_0 >= 1, so nothing cancels.
+
+    The top eigenvalue is written as the closed form writes it.  At
+    D = 6 and 7, fl(-1/(D-1)) is not -1/(D-1), and there 1 + (D-1)p
+    rounds to 0 while (1-p)/D + p gives -+2.8e-17; F is sqrt-conditioned
+    at a singular state, so the two roundings of one spectrum move it
+    by ~4e-9.
+    """
+    D, v = dps.dim, np.asarray(dps.pure, dtype=complex)
+    w = v * (np.conj(v[0]) / abs(v[0]) if v[0] != 0 else 1.0)
+    u = w.copy()
+    u[0] += 1.0
+    U = np.eye(D) - (2.0 / np.vdot(u, u).real) * np.outer(u, u.conj())
+    lam = np.array([((D - 1.0) * dps.p + 1.0) / D] + [(1.0 - dps.p) / D] * (D - 1))
+    return U * np.sqrt(np.maximum(lam, 0.0))
+
+
+def factored_fidelity(a, b) -> float:
+    """Uhlmann's F = ||A^dag B||_1^2 over the factors rho = A A^dag, sigma = B B^dag."""
+    return float(np.linalg.svd(dps_factor(a).conj().T @ dps_factor(b), compute_uv=False).sum() ** 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    D=st.integers(min_value=2, max_value=7),
+    tp=st.floats(min_value=0.0, max_value=1.0),
+    tq=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_fidelity_closed_matches_factored_oracle(D, tp, tq, seed):
+    # the domain of test_closed_forms_match_oracles, at 1e-12 everywhere:
+    # the factors never take the root of a singular matrix
+    rng = rng_for(46, seed)
+    p = p_min(D) + tp * (1.0 - p_min(D))
+    q = p_min(D) + tq * (1.0 - p_min(D))
+    a, b = random_dps(D, rng, p=p), random_dps(D, rng, p=q)
+    assert fidelity_closed(a, b) == pytest.approx(factored_fidelity(a, b), abs=1e-12), (a.p, b.p)
+
+
+@pytest.mark.parametrize("D", [2, 3, 8, 16, 64])
+def test_fidelity_closed_matches_factored_oracle_on_a_grid(D):
+    # both edges of the square, p_min and 1, and the interior between them
+    ps = p_min(D) + np.linspace(0.0, 1.0, 9) * (1.0 - p_min(D))
+    rng = rng_for(47, D)
+    for p in ps:
+        for q in ps:
+            a, b = random_dps(D, rng, p=float(p)), random_dps(D, rng, p=float(q))
+            assert fidelity_closed(a, b) == pytest.approx(factored_fidelity(a, b), abs=1e-12), (p, q)
+
+
+def test_dps_factor_reproduces_the_state():
+    rng = rng_for(48)
+    for D in (2, 5, 16):
+        for p in (p_min(D), 0.0, 0.3, 1.0):
+            dps = random_dps(D, rng, p=p)
+            A = dps_factor(dps)
+            assert np.max(np.abs(A @ A.conj().T - dps.to_matrix().matrix)) < 1e-15
+
+
 def mp_fidelity(rho, sigma):
     """Uhlmann fidelity of two mpmath matrices by mp.eigh, at the working precision."""
     vals, vecs = mpmath.eigh(rho)

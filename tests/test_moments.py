@@ -263,6 +263,14 @@ def with_spectrum(vals, rng: np.random.Generator) -> np.ndarray:
     return (U * np.asarray(vals)) @ U.conj().T
 
 
+def sign_verdict(M: np.ndarray) -> int | type:
+    """count_positive_charpoly(M), or the class of the error that refuses M."""
+    try:
+        return count_positive_charpoly(M)
+    except (NonHermitianError, IndeterminateSignCountError) as exc:
+        return type(exc)
+
+
 # with test_matches_eigensolver, n = 1 to 128: Gaussian Hermitian matrices
 # of every size to 16 and up to 128, and partial transposes of DPS
 COUNT_SIZES = [*range(1, 17), 64, 96, 128]
@@ -362,3 +370,28 @@ class TestCountPositive:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianError):
             count_positive_charpoly(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_tiny_non_hermitian_matrix_is_refused(self):
+        # an absolute 1e-10 check would pass this matrix and count 1
+        with pytest.raises(NonHermitianError):
+            count_positive_charpoly(np.array([[0.0, 1e-12], [0.0, 0.0]]))
+
+    def test_huge_hermitian_matrix_is_counted(self):
+        # its rounding leaves |M - M^dag| ~ 1e4, far above an absolute 1e-10
+        H = 1e20 * with_spectrum([1.0, -2.0, 3.0, -4.0], rng_for(128))
+        assert np.max(np.abs(H - H.conj().T)) > 1e-10
+        assert count_positive_charpoly(H) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=6),
+        skew=st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-3]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_verdict_does_not_depend_on_scale(self, n, skew, seed):
+        # a count, or the class of the refusal, is the same at 2^-300 M and 2^300 M
+        rng = rng_for(129, seed)
+        M = gaussian_hermitian(n, rng) + skew * rng.standard_normal((n, n))
+        want = sign_verdict(M)
+        for e in (-300, 300):
+            assert sign_verdict(math.ldexp(1.0, e) * M) == want
