@@ -26,8 +26,9 @@ from .errors import (
     InconsistentMomentsError,
     IndeterminateSignCountError,
     InvalidDimensionError,
+    NonHermitianError,
 )
-from .linalg import EIG_HERM_TOL, DensityMatrix, _as_matrix, _require_hermitian, _require_square
+from .linalg import EIG_HERM_TOL, DensityMatrix, _as_matrix, _require_square
 from .metrics import p_min
 
 RECOVERY_TOL = 1e-8
@@ -172,10 +173,17 @@ def count_positive_charpoly(M) -> int:
     top = float(np.abs(A).max(initial=0.0))
     if not math.isfinite(top):
         raise DomainError("matrix has NaN or infinite entries")
-    # the factor 2^-e is exact; e stays >= -1000 so that it is finite
-    A = A * math.ldexp(1.0, -max(math.frexp(top)[1], -1000))
+    # the factor 2^-e is exact; it is applied in two halves because 2^-e
+    # overflows for a subnormal max |m_ij| (e down to -1073)
+    e = math.frexp(top)[1]
+    A = A * math.ldexp(1.0, -(e // 2)) * math.ldexp(1.0, e // 2 - e)
     # checked at the scale of the band, so the verdict does not depend on the scale of M
-    _require_hermitian(A, EIG_HERM_TOL)
+    dev = float(np.abs(A - A.conj().T).max(initial=0.0))
+    if not dev <= EIG_HERM_TOL:
+        raise NonHermitianError(
+            f"Hermiticity deviation {dev:.3e} of M / 2^{e} exceeds {EIG_HERM_TOL:.1e}, "
+            f"where 2^{e} is the smallest power of two above max |m_ij|"
+        )
     vals = np.linalg.eigvalsh((A + A.conj().T) / 2.0)
     gap = 1e-10 * float(np.linalg.norm(A))
     if np.abs(vals).min(initial=math.inf) <= gap:

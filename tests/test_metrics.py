@@ -196,18 +196,37 @@ def factored_fidelity(a, b) -> float:
     seed=st.integers(min_value=0, max_value=2**31),
 )
 def test_closed_forms_match_oracles(D, tp, tq, seed):
-    # F is held to the factored oracle, which never takes the root of a
-    # singular matrix, so 1e-12 holds at both edges; fidelity_oracle reads
-    # the float matrix and is off by ~sqrt(eps) wherever a state is
-    # singular, e.g. 1e-8 at D = 2, tq = 1 - 2^-52 (see the tests below)
+    # the Uhlmann oracle takes matrix square roots, so its own accuracy
+    # degrades to ~sqrt(eps) when a state goes singular at p = p_min;
+    # tolerance is 1e-9 in the interior, 1e-7 within 1e-6 of the edge
+    rng = rng_for(39, seed)
+    p = p_min(D) + tp * (1.0 - p_min(D))
+    q = p_min(D) + tq * (1.0 - p_min(D))
+    tol = 1e-9 if min(tp, tq) > 1e-6 else 1e-7
+    a, b = random_dps(D, rng, p=p), random_dps(D, rng, p=q)
+    assert fidelity_closed(a, b) == pytest.approx(
+        fidelity_oracle(a.to_matrix(), b.to_matrix()), abs=tol
+    )
+    assert trace_distance_closed(a, b) == pytest.approx(
+        trace_distance_oracle(a.to_matrix(), b.to_matrix()), abs=1e-9
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    D=st.integers(min_value=2, max_value=7),
+    tp=st.floats(min_value=0.0, max_value=1.0),
+    tq=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_fidelity_closed_matches_factored_oracle(D, tp, tq, seed):
+    # the factored oracle never takes the root of a singular matrix, so
+    # 1e-12 holds at both edges, where fidelity_oracle is off by ~sqrt(eps)
     rng = rng_for(39, seed)
     p = p_min(D) + tp * (1.0 - p_min(D))
     q = p_min(D) + tq * (1.0 - p_min(D))
     a, b = random_dps(D, rng, p=p), random_dps(D, rng, p=q)
     assert fidelity_closed(a, b) == pytest.approx(factored_fidelity(a, b), abs=1e-12), (a.p, b.p)
-    assert trace_distance_closed(a, b) == pytest.approx(
-        trace_distance_oracle(a.to_matrix(), b.to_matrix()), abs=1e-9
-    )
 
 
 @pytest.mark.parametrize("D", [2, 3, 8, 16, 64])
@@ -310,8 +329,8 @@ def test_fidelity_oracle_matches_extended_precision_of_its_input(D):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_fidelity_flake_input_matches_extended_precision(seed):
-    # the input on which the float-matrix oracle is furthest off:
-    # closed form 0.5000000105, fidelity_oracle 0.5
+    # the input on which test_closed_forms_match_oracles fails now and then:
+    # closed form 0.5000000105, float-matrix oracle 0.5
     rng = rng_for(45, seed)
     a, b = random_dps(2, rng, p=0.0), random_dps(2, rng, p=1.0 - 2.0**-52)
     assert_closed_forms_match_extended_precision(a, b)
@@ -386,8 +405,8 @@ class TestDistanceArrays:
 
     @pytest.mark.parametrize("D", [2, 3, 5])
     def test_matches_oracles(self, D):
-        # 1e-9, and 1e-7 for the Uhlmann oracle within 1e-6 of the
-        # singular end p = p_min; t = 1 is exactly pure, where it agrees
+        # tolerances of test_closed_forms_match_oracles: 1e-9, and 1e-7 for
+        # the Uhlmann oracle within 1e-6 of the singular end p = p_min
         rng = rng_for(43, D)
         t = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 30)])
         p = p_min(D) + t * (1.0 - p_min(D))

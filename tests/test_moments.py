@@ -376,6 +376,14 @@ class TestCountPositive:
         with pytest.raises(NonHermitianError):
             count_positive_charpoly(np.array([[0.0, 1e-12], [0.0, 0.0]]))
 
+    def test_subnormal_matrix_is_scaled_like_any_other(self):
+        # max |m_ij| = 2^-1060: 2^1059 overflows, so the scaling that
+        # reaches entries near 1 is applied in two halves
+        tiny = math.ldexp(1.0, -1060)
+        with pytest.raises(NonHermitianError, match=r"5\.000e-01 of M / 2\^-1059"):
+            count_positive_charpoly(np.array([[0.0, tiny], [0.0, 0.0]]))
+        assert count_positive_charpoly(tiny * np.diag([1.0, -2.0, 4.0])) == 2
+
     def test_huge_hermitian_matrix_is_counted(self):
         # its rounding leaves |M - M^dag| ~ 1e4, far above an absolute 1e-10
         H = 1e20 * with_spectrum([1.0, -2.0, 3.0, -4.0], rng_for(128))
