@@ -2,8 +2,9 @@
 """Closed-form distances between two DPS, checked against brute force.
 
 Between rho_d(psi, p) and rho_d(phi, q) every common measure reduces to
-a function of (D, p, q, f) with f = |<psi|phi>|^2: fidelity from a
-four-term square root, trace distance from a 2x2 eigenproblem.  The
+a function of (D, p, q, f) with f = |<psi|phi>|^2: the fidelity from
+the two 2x2 blocks on span{psi, phi} and the scalar rest, the trace
+distance from a 2x2 eigenproblem.  The
 brute-force routes (Uhlmann fidelity via matrix square roots, trace
 norm via SVD) know nothing about the family, which is what makes the
 comparison meaningful.

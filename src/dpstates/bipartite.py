@@ -22,7 +22,6 @@ from .errors import (
     DomainError,
     AmbiguousAtPZeroError,
     InternalCheckError,
-    InvalidDimensionError,
     InvalidSchmidtVectorError,
     FOutOfRangeError,
     NotDPSError,
@@ -30,7 +29,7 @@ from .errors import (
     SubsystemOrderError,
 )
 from .linalg import DensityMatrix
-from .metrics import DpsState, _in_range, _polarization, _unit_vector, make_dps, p_min
+from .metrics import DpsState, _in_range, _polarization, _require_dimension, _unit_vector, make_dps, p_min
 
 NEG_TOL = 1e-9
 P_TOL = 1e-8
@@ -73,8 +72,7 @@ class EntanglementReport:
 
 
 def _check_bipartite_dims(dA: int, dB: int) -> None:
-    if dA < 2 or dB < 2:
-        raise InvalidDimensionError(f"subsystem dims must be >= 2, got ({dA}, {dB})")
+    _require_dimension(min(dA, dB), 2, "each subsystem")
     if dA > dB:
         raise SubsystemOrderError(f"requires dA <= dB, got ({dA}, {dB}); swap the subsystems")
 
@@ -378,7 +376,6 @@ def isotropic(dA: int, F: float) -> tuple[DpsState, bool]:
         FOutOfRangeError: F outside [0, 1].
         InvalidDimensionError: dA < 2.
     """
-    if dA < 2:
-        raise InvalidDimensionError(f"isotropic states need dA >= 2, got {dA}")
+    _require_dimension(dA, 2, "an isotropic state")
     F = _in_range(F, 0.0, 1.0, FOutOfRangeError, "F")
     return make_dps(maximally_entangled(dA), twirl_p(dA, F)), F <= 1.0 / dA + 1e-12

@@ -28,7 +28,7 @@ from .errors import (
     UndefinedForDim2Error,
 )
 from .linalg import DensityMatrix, eig_hermitian
-from .metrics import _dps_spectrum
+from .metrics import _dps_spectrum, _require_dimension
 
 STAR_TOL = 1e-8
 SPECTRUM_TOL = 1e-8
@@ -216,8 +216,7 @@ def measure_dps(rho: DensityMatrix) -> DpsMeasurement:
         InvalidDimensionError: D < 2.
     """
     D = rho.dim
-    if D < 2:
-        raise InvalidDimensionError(f"coherence vectors need D >= 2, got {D}")
+    _require_dimension(D, 2, "a coherence vector")
     A = (D * rho.matrix - np.eye(D)) / c_norm(D)
     A.setflags(write=False)
     norm = float(np.linalg.norm(A)) / math.sqrt(2.0)

@@ -43,7 +43,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .linalg import DensityMatrix, partial_trace
-from .metrics import _in_range, _unit_vector, p_min, p_min_cp
+from .metrics import _in_range, _require_dimension, _unit_vector, p_min, p_min_cp
 
 TP_TOL = 1e-10
 TWIRL_CHECK_TOL = 1e-10
@@ -58,6 +58,7 @@ class KrausChannel:
     kraus: np.ndarray
 
     def __post_init__(self):
+        _require_dimension(self.dim, 1, "a channel")
         ops = [np.asarray(K, dtype=complex) for K in self.kraus]
         if not ops:
             raise NotTracePreservingError("a channel needs at least one Kraus operator")
@@ -104,11 +105,6 @@ def _choi(ops: np.ndarray) -> np.ndarray:
     return M.T @ M.conj()
 
 
-def _require_dimension(D: int, what: str) -> None:
-    if D < 1:
-        raise InvalidDimensionError(f"{what} needs dimension >= 1, got {D}")
-
-
 def weyl_operators(D: int) -> np.ndarray:
     """Read-only (D^2, D, D) stack of the Weyl operators; entry a*D + b is X^a Z^b.
 
@@ -119,7 +115,7 @@ def weyl_operators(D: int) -> np.ndarray:
     Raises:
         InvalidDimensionError: D < 1.
     """
-    _require_dimension(D, "the Weyl group")
+    _require_dimension(D, 1, "the Weyl group")
     k = np.arange(D)
     shifts = k[None, :, None] == (k[None, None, :] + k[:, None, None]) % D  # [a, i, j]
     phases = np.exp(2.0j * math.pi * (np.outer(k, k) % D) / D)  # [b, j]
@@ -151,6 +147,7 @@ class ChiState:
 
     def __post_init__(self):
         D = self.dim
+        _require_dimension(D, 2, "a chi state")
         a, b = complex(self.alpha), complex(self.beta)
         norm_sq = abs(a) ** 2 + abs(b) ** 2 + 2.0 * (a * b.conjugate()).real / D
         _in_range(norm_sq, 1.0, 1.0, NonUnitVectorError, "chi norm^2")
@@ -176,8 +173,10 @@ def chi_from_beta2(D: int, beta2: float) -> ChiState:
     range 0 <= beta2 <= D^2/(D^2-1).
 
     Raises:
+        InvalidDimensionError: D < 2.
         DomainError: beta2 outside that range.
     """
+    _require_dimension(D, 2, "a chi state")
     beta2 = _in_range(beta2, 0.0, D * D / (D * D - 1.0), DomainError, "beta2")
     beta = math.sqrt(beta2)
     alpha = -beta / D + math.sqrt(max(1.0 - beta2 * (1.0 - 1.0 / (D * D)), 0.0))
@@ -270,12 +269,14 @@ def jamiolkowski_fidelity(ch: KrausChannel) -> float:
 
 
 def twirl_p(D: int, f: float) -> float:
-    """The depolarization strength a twirl produces: (D^2 f - 1)/(D^2 - 1)."""
+    """The depolarization strength a twirl produces: (D^2 f - 1)/(D^2 - 1); D >= 2."""
+    _require_dimension(D, 2, "a twirl")
     return (D * D * f - 1.0) / (D * D - 1.0)
 
 
 def p_from_overlap(D: int, overlap: float) -> float:
-    """The p of a DPS from <psi|rho|psi> = (1-p)/D + p: (overlap - 1/D)/(1 - 1/D)."""
+    """The p of a DPS from <psi|rho|psi> = (1-p)/D + p: (overlap - 1/D)/(1 - 1/D); D >= 2."""
+    _require_dimension(D, 2, "a polarization")
     return (overlap - 1.0 / D) / (1.0 - 1.0 / D)
 
 
@@ -429,7 +430,7 @@ def haar_unitaries(D: int, count: int, rng: np.random.Generator) -> Iterator[np.
     Raises:
         InvalidDimensionError: D < 1, at the call, before any draw.
     """
-    _require_dimension(D, "a Haar unitary")
+    _require_dimension(D, 1, "a Haar unitary")
 
     def stacks():
         for start in range(0, count, GRAM_ROWS):
@@ -448,7 +449,7 @@ def haar_state(D: int, rng: np.random.Generator) -> np.ndarray:
     Raises:
         InvalidDimensionError: D < 1.
     """
-    _require_dimension(D, "a Haar state")
+    _require_dimension(D, 1, "a Haar state")
     v = rng.standard_normal(D) + 1.0j * rng.standard_normal(D)
     return v / np.linalg.norm(v)
 
@@ -624,8 +625,7 @@ def local_depolarize(
         PolarizationOutOfRangeError: either local p outside its CP range.
         DimensionMismatchError.
     """
-    if dA < 2 or dB < 2:
-        raise InvalidDimensionError(f"subsystem dims must be >= 2, got ({dA}, {dB})")
+    _require_dimension(min(dA, dB), 2, "each subsystem")
     if rho.dim != dA * dB:
         raise DimensionMismatchError(f"state dim {rho.dim} != dA*dB = {dA * dB}")
     for d, p, name in ((dA, pA, "pA"), (dB, pB, "pB")):
@@ -651,7 +651,7 @@ def random_channel(D: int, kraus_count: int, seed: int) -> KrausChannel:
         InvalidDimensionError: D < 1.
         NotTracePreservingError: kraus_count < 1.
     """
-    _require_dimension(D, "a random channel")
+    _require_dimension(D, 1, "a random channel")
     if kraus_count < 1:
         raise NotTracePreservingError("a channel needs at least one Kraus operator")
     rng = np.random.default_rng(seed)

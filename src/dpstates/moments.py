@@ -25,11 +25,10 @@ from .errors import (
     DomainError,
     InconsistentMomentsError,
     IndeterminateSignCountError,
-    InvalidDimensionError,
     NonHermitianError,
 )
 from .linalg import EIG_HERM_TOL, DensityMatrix, _as_matrix, _require_square
-from .metrics import p_min
+from .metrics import _dps_levels, _require_dimension, p_min
 
 RECOVERY_TOL = 1e-8
 
@@ -97,9 +96,10 @@ def moment_montecarlo(rho: DensityMatrix, m: int, shots: int, seed: int) -> Mome
 
 
 def dps_moment(D: int, p: float, m: int) -> float:
-    """Forward moment of the DPS spectrum: (D-1)((1-p)/D)^m + ((1-p)/D + p)^m."""
-    flat = (1.0 - p) / D
-    return (D - 1) * flat**m + (flat + p) ** m
+    """Forward moment of the DPS spectrum, (D-1)((1-p)/D)^m + ((1 + (D-1)p)/D)^m; D >= 2."""
+    _require_dimension(D, 2, "a DPS moment")
+    flat, top = _dps_levels(D, p)
+    return (D - 1) * flat**m + top**m
 
 
 def dps_p_from_moments(t2: float, t3: float, D: int, tol: float = RECOVERY_TOL) -> tuple[float, bool]:
@@ -114,8 +114,7 @@ def dps_p_from_moments(t2: float, t3: float, D: int, tol: float = RECOVERY_TOL) 
             (a NaN moment fits none).
         InvalidDimensionError: D < 2.
     """
-    if D < 2:
-        raise InvalidDimensionError(f"moment recovery needs D >= 2, got {D}")
+    _require_dimension(D, 2, "moment recovery")
     num = (D * t2 - 1.0) / (D - 1.0)
     if not -tol <= num <= 1.0 + tol:
         raise InconsistentMomentsError(f"t2={t2:.15g} implies p^2 = {num:.15g} outside [0, 1]")

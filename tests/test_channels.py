@@ -22,6 +22,7 @@ from dpstates import (
     chi_from_beta2,
     clifford_group,
     depolarizing_kraus,
+    dps_moment,
     haar_state,
     haar_unitary,
     jamiolkowski_fidelity,
@@ -44,6 +45,33 @@ from dpstates import (
 
 from dpstates import channels
 from conftest import random_mixed, rng_for
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: p_min(1),
+        lambda: p_min_cp(1),
+        lambda: apply_depolarizing(DensityMatrix(np.eye(1)), 0.5),
+        lambda: depolarizing_kraus(1, 0.5),
+        lambda: twirl_p(1, 0.5),
+        lambda: channels.p_from_overlap(1, 0.5),
+        lambda: twirl(KrausChannel(dim=1, kraus=[np.eye(1)]), mode="haar-sample", samples=3, seed=1),
+        lambda: ChiState(1, 1.0, 0.0),
+        lambda: chi_from_beta2(1, 0.5),
+        lambda: protocol1([1.0], ChiState(1, 1.0, 0.0)),
+        lambda: dps_moment(0, 0.5, 2),
+        lambda: KrausChannel(dim=0, kraus=[np.zeros((0, 0))]),
+    ],
+    ids=[
+        "p_min", "p_min_cp", "apply_depolarizing", "depolarizing_kraus", "twirl_p", "p_from_overlap",
+        "haar_sample_twirl", "ChiState", "chi_from_beta2", "protocol1", "dps_moment", "KrausChannel",
+    ],
+)
+def test_dimension_below_two_is_an_invalid_dimension(call):
+    # 1/(D-1), 1/(D^2-1) and 1/(1-1/D) are undefined at D = 1; a channel needs only D >= 1
+    with pytest.raises(InvalidDimensionError):
+        call()
 
 
 def kron_superoperator(kraus) -> np.ndarray:

@@ -303,9 +303,24 @@ def edge_pairs(D: int):
                 yield random_dps(D, rng, p=p), random_dps(D, rng, p=q)
 
 
+def nearly_orthogonal_pairs(D: int):
+    """Singular pairs at p = q = p_min with psi = e_0 and phi ~ e_1 + eps e_0.
+
+    f ~ eps^2 runs down to 1e-17, where sqrt(F) moves with sqrt(f).
+    At D = 3 and 5 only, where p_min is an exact float and D > 2.  Not for
+    the float-matrix oracle, which is off by 3.7e-8 at D = 5 and eps = 1e-7.
+    """
+    if D not in (3, 5):
+        return
+    e = np.eye(D)
+    for eps in (3.2e-9, 1e-8, 1e-7):
+        phi = e[1] + eps * e[0]
+        yield make_dps(e[0], p_min(D)), make_dps(phi / np.linalg.norm(phi), p_min(D))
+
+
 @pytest.mark.parametrize("D", [2, 3, 4, 5, 7])
 def test_closed_forms_match_extended_precision(D):
-    for a, b in edge_pairs(D):
+    for a, b in [*edge_pairs(D), *nearly_orthogonal_pairs(D)]:
         assert_closed_forms_match_extended_precision(a, b)
 
 
