@@ -24,7 +24,6 @@ from .errors import (
     InternalCheckError,
     InvalidSchmidtVectorError,
     FOutOfRangeError,
-    NotDPSError,
     PolarizationOutOfRangeError,
     SubsystemOrderError,
 )
@@ -72,7 +71,8 @@ class EntanglementReport:
 
 
 def _check_bipartite_dims(dA: int, dB: int) -> None:
-    _require_dimension(min(dA, dB), 2, "each subsystem")
+    _require_dimension(dA, 2, "each subsystem")
+    _require_dimension(dB, 2, "each subsystem")
     if dA > dB:
         raise SubsystemOrderError(f"requires dA <= dB, got ({dA}, {dB}); swap the subsystems")
 
@@ -106,39 +106,37 @@ def schmidt_pure(psi, dA: int, dB: int) -> SchmidtForm:
 def schmidt_dps(rho_d: DensityMatrix, dA: int, dB: int, *, p_tol: float = P_TOL) -> tuple[float, SchmidtForm]:
     """Recover (p, Schmidt form) of a DPS from its density matrix.
 
-    Membership is decided by :func:`measure_dps` at its default
-    tolerances, with no basis.  For p != 0 the purification is the
-    eigenvector of the single non-degenerate eigenvalue
-    (:attr:`DpsMeasurement.purification`), read from the
-    eigendecomposition the membership test already made.
+    (p, purification) come from ``measure_dps(rho_d).state()``, so
+    membership is decided at the default tolerances and the
+    purification is the eigenvector of the single non-degenerate
+    eigenvalue, read from the eigendecomposition the membership test
+    already made.
 
     Raises:
         NotDPSError: input fails the DPS membership test.
         AmbiguousAtPZeroError: |p| < p_tol, where every purification is
             consistent with the maximally mixed state.
-        DimensionMismatchError.
+        DimensionMismatchError: dA * dB is not the dimension of rho_d.
     """
     _check_bipartite_dims(dA, dB)
     if rho_d.dim != dA * dB:
         raise DimensionMismatchError(f"state dim {rho_d.dim} != dA*dB = {dA * dB}")
-    m = measure_dps(rho_d)
-    p = m.verdict()
-    if p is None:
-        raise NotDPSError("input is not a depolarized pure state within tolerance")
-    if abs(p) < p_tol:
-        raise AmbiguousAtPZeroError(f"|p| = {abs(p):.3e} < {p_tol:.1e}: purification not unique")
-    psi = m.purification
-    return p, schmidt_pure(psi / np.linalg.norm(psi), dA, dB)
+    dps = measure_dps(rho_d).state()
+    if abs(dps.p) < p_tol:
+        raise AmbiguousAtPZeroError(f"|p| = {abs(dps.p):.3e} < {p_tol:.1e}: purification not unique")
+    # renormalized: the eigensolver returns the purification unit only to a few ulp
+    return dps.p, schmidt_pure(dps.pure / np.linalg.norm(dps.pure), dA, dB)
 
 
 def _check_schmidt_vector(b, n_slots: int) -> np.ndarray:
     vec = np.asarray(b, dtype=float).reshape(-1)
     if vec.size > n_slots:
         raise InvalidSchmidtVectorError(f"{vec.size} Schmidt coefficients exceed {n_slots} slots")
-    if np.any(vec < -1e-12):
+    # both tests are negated so that NaN fails them
+    if not np.all(vec >= -1e-12):
         raise InvalidSchmidtVectorError("Schmidt coefficients must be nonnegative")
     total = float(np.sum(vec * vec))
-    if abs(total - 1.0) > SCHMIDT_SUM_TOL:
+    if not abs(total - 1.0) <= SCHMIDT_SUM_TOL:
         raise InvalidSchmidtVectorError(f"sum of b^2 is {total:.15g}, not 1")
     out = np.zeros(n_slots)
     out[: vec.size] = np.clip(vec, 0.0, None)
@@ -320,9 +318,10 @@ def pair_threshold(b, dA: int, dB: int) -> float:
     1/(D max_{j<j'} b_j b_j' + 1); infinity when at most one coefficient
     is nonzero (product direction, never entangled).
     """
+    _check_bipartite_dims(dA, dB)
     vec = _check_schmidt_vector(b, dA)
     sorted_desc = np.sort(vec)[::-1]
-    top = float(sorted_desc[0] * sorted_desc[1]) if dA >= 2 else 0.0
+    top = float(sorted_desc[0] * sorted_desc[1])
     if top <= 0.0:
         return math.inf
     return 1.0 / (dA * dB * top + 1.0)
@@ -374,7 +373,7 @@ def isotropic(dA: int, F: float) -> tuple[DpsState, bool]:
 
     Raises:
         FOutOfRangeError: F outside [0, 1].
-        InvalidDimensionError: dA < 2.
+        InvalidDimensionError: dA not an integer >= 2.
     """
     _require_dimension(dA, 2, "an isotropic state")
     F = _in_range(F, 0.0, 1.0, FOutOfRangeError, "F")

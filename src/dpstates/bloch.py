@@ -22,13 +22,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidDimensionError,
-    UndefinedForDim2Error,
-)
+from .errors import DimensionMismatchError, NotDPSError, UndefinedForDim2Error
 from .linalg import DensityMatrix, eig_hermitian
-from .metrics import _dps_spectrum, _require_dimension
+from .metrics import DpsState, _dps_spectrum, _require_dimension, make_dps
 
 STAR_TOL = 1e-8
 SPECTRUM_TOL = 1e-8
@@ -74,11 +70,9 @@ def generate_basis(D: int) -> np.ndarray:
     functions read it for the dimension of their input.
 
     Raises:
-        InvalidDimensionError: for D < 2.
+        InvalidDimensionError: D not an integer >= 2.
     """
-    if not isinstance(D, (int, np.integer)) or D < 2:
-        raise InvalidDimensionError(f"basis requires integer D >= 2, got {D!r}")
-    D = int(D)
+    _require_dimension(D, 2, "a basis")
     G = np.zeros((D * D - 1, D, D), dtype=complex)
     i = 0
     for upper in (1.0, -1.0j):
@@ -99,7 +93,7 @@ def to_coherence(rho: DensityMatrix) -> CoherenceVector:
     """Extract n_i = sqrt(D/(2(D-1))) Tr(rho lambda_i).
 
     Raises:
-        InvalidDimensionError: D < 2.
+        InvalidDimensionError: D not an integer >= 2.
     """
     D = rho.dim
     G = generate_basis(D)  # first: it raises InvalidDimensionError for D < 2
@@ -181,7 +175,8 @@ class DpsMeasurement:
     (no star product, and +-n both pure) p = ||n||, residual None.
     ``spectrum_deviation`` is the largest distance of the ascending
     ``eigenvalues`` of rho from {(1-p)/D + p, (1-p)/D x(D-1)};
-    ``eigenvectors`` holds the matching columns.
+    ``eigenvectors`` holds the matching columns.  :meth:`verdict` decides
+    membership; :meth:`state` is the one route to the DPS (p, purification).
     """
 
     operator: np.ndarray
@@ -208,12 +203,19 @@ class DpsMeasurement:
                 return self.p
         return None
 
+    def state(self) -> DpsState:
+        """``make_dps(purification, p)`` at the p of the default :meth:`verdict`, or NotDPSError."""
+        p = self.verdict()
+        if p is None:
+            raise NotDPSError("input is not a depolarized pure state within tolerance")
+        return make_dps(self.purification, p)
+
 
 def measure_dps(rho: DensityMatrix) -> DpsMeasurement:
     """:class:`DpsMeasurement` of ``rho``: a few D x D products, one eigendecomposition.
 
     Raises:
-        InvalidDimensionError: D < 2.
+        InvalidDimensionError: D not an integer >= 2.
     """
     D = rho.dim
     _require_dimension(D, 2, "a coherence vector")

@@ -17,8 +17,8 @@ GRAM_ROWS rows at a time, so memory does not grow with the number of
 unitaries.  Every operator set is one read-only complex (n, D, D)
 stack: Kraus operators, the Weyl operators X^a Z^b, the Clifford group.
 
-All Monte-Carlo entry points take explicit integer seeds; there is no
-hidden global randomness.
+All Monte-Carlo entry points take explicit integer seeds >= 0, checked
+by ``metrics._seeded_rng``; there is no hidden global randomness.
 """
 
 from __future__ import annotations
@@ -36,14 +36,13 @@ from .errors import (
     DomainError,
     FOutOfRangeError,
     InternalCheckError,
-    InvalidDimensionError,
     NonUnitVectorError,
     NotTracePreservingError,
     PolarizationOutOfRangeError,
     UnsupportedDimensionError,
 )
 from .linalg import DensityMatrix, partial_trace
-from .metrics import _in_range, _require_dimension, _unit_vector, p_min, p_min_cp
+from .metrics import _in_range, _require_dimension, _seeded_rng, _unit_vector, p_min, p_min_cp
 
 TP_TOL = 1e-10
 TWIRL_CHECK_TOL = 1e-10
@@ -113,7 +112,7 @@ def weyl_operators(D: int) -> np.ndarray:
     elsewhere: one broadcast of the shift pattern against the phases.
 
     Raises:
-        InvalidDimensionError: D < 1.
+        InvalidDimensionError: D not an integer >= 1.
     """
     _require_dimension(D, 1, "the Weyl group")
     k = np.arange(D)
@@ -125,7 +124,8 @@ def weyl_operators(D: int) -> np.ndarray:
 
 
 def maximally_entangled(D: int) -> np.ndarray:
-    """|Phi+> = sum_j |jj>/sqrt(D) as a length-D^2 vector."""
+    """|Phi+> = sum_j |jj>/sqrt(D) as a length-D^2 vector; D not an integer >= 1 raises InvalidDimensionError."""
+    _require_dimension(D, 1, "a maximally entangled state")
     phi = np.zeros(D * D, dtype=complex)
     for j in range(D):
         phi[j * D + j] = 1.0 / math.sqrt(D)
@@ -173,7 +173,7 @@ def chi_from_beta2(D: int, beta2: float) -> ChiState:
     range 0 <= beta2 <= D^2/(D^2-1).
 
     Raises:
-        InvalidDimensionError: D < 2.
+        InvalidDimensionError: D not an integer >= 2.
         DomainError: beta2 outside that range.
     """
     _require_dimension(D, 2, "a chi state")
@@ -365,13 +365,12 @@ def clifford_group(D: int) -> np.ndarray:
     composed keys exactly.
 
     Raises:
-        InvalidDimensionError: D not an integer.
+        InvalidDimensionError: D not an integer >= 2.
         UnsupportedDimensionError: D not in {2, 3}.
         InternalCheckError: the group has the wrong order, or the
             composed keys disagree with the elements' own.
     """
-    if not isinstance(D, (int, np.integer)):
-        raise InvalidDimensionError(f"Clifford enumeration needs an integer D, got {D!r}")
+    _require_dimension(D, 2, "Clifford enumeration")
     if D not in (2, 3):
         raise UnsupportedDimensionError(f"Clifford enumeration supports D in {{2, 3}}, got {D}")
     gens, images = _generator_table(D)
@@ -416,7 +415,7 @@ def haar_unitary(D: int, rng: np.random.Generator) -> np.ndarray:
     """One Haar-distributed unitary; draws as ``haar_unitaries(D, 1, rng)``.
 
     Raises:
-        InvalidDimensionError: D < 1.
+        InvalidDimensionError: D not an integer >= 1.
     """
     return next(haar_unitaries(D, 1, rng))[0]
 
@@ -428,7 +427,7 @@ def haar_unitaries(D: int, count: int, rng: np.random.Generator) -> Iterator[np.
     ``rng``, so up to GRAM_ROWS unitaries draw as one stack would.
 
     Raises:
-        InvalidDimensionError: D < 1, at the call, before any draw.
+        InvalidDimensionError: D not an integer >= 1, at the call, before any draw.
     """
     _require_dimension(D, 1, "a Haar unitary")
 
@@ -447,7 +446,7 @@ def haar_state(D: int, rng: np.random.Generator) -> np.ndarray:
     """One Haar-random pure state vector.
 
     Raises:
-        InvalidDimensionError: D < 1.
+        InvalidDimensionError: D not an integer >= 1.
     """
     _require_dimension(D, 1, "a Haar state")
     v = rng.standard_normal(D) + 1.0j * rng.standard_normal(D)
@@ -532,8 +531,8 @@ def twirl(
 
     Raises:
         UnsupportedDimensionError: dimension outside the mode's support.
-        DomainError: unknown mode, missing samples/seed, or an argument
-            the mode does not use.
+        DomainError: unknown mode, samples < 1 or a seed that is not an
+            integer >= 0 (haar-sample), or an argument the mode does not use.
     """
     D = ch.dim
 
@@ -544,9 +543,7 @@ def twirl(
     if mode == "exact-clifford":
         if samples != 0 or seed is not None:
             raise DomainError("exact-clifford twirl takes no samples or seed")
-        if D not in (2, 3):
-            raise UnsupportedDimensionError(f"exact-clifford twirl needs D in {{2, 3}}, got {D}")
-        group = clifford_group(D)
+        group = clifford_group(D)  # it refuses D outside {2, 3}
         # the closure seeds from the identity, so group[0] is always 1
         acc = _gram_mean([group[1:] if exclude_identity else group], rows)
         p_hat = twirl_p(D, jamiolkowski_fidelity(ch))
@@ -564,9 +561,7 @@ def twirl(
             raise UnsupportedDimensionError(f"haar-sample twirl supports D <= 6, got {D}")
         if samples < 1:
             raise DomainError("haar-sample twirl needs samples >= 1")
-        if seed is None:
-            raise DomainError("haar-sample twirl needs an explicit seed")
-        acc = _gram_mean(haar_unitaries(D, samples, np.random.default_rng(seed)), rows)
+        acc = _gram_mean(haar_unitaries(D, samples, _seeded_rng(seed)), rows)
         # <0| twirl(|0><0|) |0> is the Choi entry at ((0, 0), (0, 0))
         p_hat = p_from_overlap(D, float(acc[0, 0].real))
         return _twirl_result(acc, D, p_hat, _depolarizing_deviation(acc, D, p_hat))
@@ -594,6 +589,7 @@ def pdps_recipe(psi, f: float, seed: int, trials: int) -> DensityMatrix:
     Raises:
         FOutOfRangeError: f outside [0, 1].
         NonUnitVectorError.
+        DomainError: trials < 1, or seed not an integer >= 0.
     """
     f = _in_range(f, 0.0, 1.0, FOutOfRangeError, "f")
     v = _unit_vector(psi)
@@ -607,7 +603,7 @@ def pdps_recipe(psi, f: float, seed: int, trials: int) -> DensityMatrix:
         # y^* = (X U psi)^* U needs no conjugated copy of the stack
         return (((Us @ v) @ X.T).conj()[:, None, :] @ Us)[:, 0, :].conj()
 
-    flipped = _gram_mean(haar_unitaries(D, trials, np.random.default_rng(seed)), rows)
+    flipped = _gram_mean(haar_unitaries(D, trials, _seeded_rng(seed)), rows)
     return DensityMatrix(f * rho + (1.0 - f) * flipped)
 
 
@@ -621,11 +617,12 @@ def local_depolarize(
     which is why the protocols above need the global map instead.
 
     Raises:
-        InvalidDimensionError: dA or dB below 2.
+        InvalidDimensionError: dA or dB not an integer >= 2.
         PolarizationOutOfRangeError: either local p outside its CP range.
         DimensionMismatchError.
     """
-    _require_dimension(min(dA, dB), 2, "each subsystem")
+    _require_dimension(dA, 2, "each subsystem")
+    _require_dimension(dB, 2, "each subsystem")
     if rho.dim != dA * dB:
         raise DimensionMismatchError(f"state dim {rho.dim} != dA*dB = {dA * dB}")
     for d, p, name in ((dA, pA, "pA"), (dB, pB, "pB")):
@@ -648,12 +645,12 @@ def random_channel(D: int, kraus_count: int, seed: int) -> KrausChannel:
     """Seeded random channel from a Haar isometry (Stinespring cut).
 
     Raises:
-        InvalidDimensionError: D < 1.
+        InvalidDimensionError: D not an integer >= 1.
         NotTracePreservingError: kraus_count < 1.
+        DomainError: seed not an integer >= 0.
     """
     _require_dimension(D, 1, "a random channel")
     if kraus_count < 1:
         raise NotTracePreservingError("a channel needs at least one Kraus operator")
-    rng = np.random.default_rng(seed)
-    U = haar_unitary(D * kraus_count, rng)
+    U = haar_unitary(D * kraus_count, _seeded_rng(seed))
     return KrausChannel(dim=D, kraus=U[:, :D].reshape(kraus_count, D, D))

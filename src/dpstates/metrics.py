@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    DomainError,
     FOutOfRangeError,
     InequalityViolationError,
     InvalidDimensionError,
@@ -44,19 +45,29 @@ CHAIN_TOL = 1e-9
 
 
 def _require_dimension(D: int, least: int, what: str) -> None:
-    """Raise InvalidDimensionError unless D >= least."""
-    if D < least:
-        raise InvalidDimensionError(f"{what} needs dimension >= {least}, got {D}")
+    """The one dimension rule: D an int or numpy integer >= least (not 3.0, NaN, a bool or a string).
+
+    ``type(D) is int`` comes first: ``make_dps`` and ``p_min`` run per call.
+    """
+    if type(D) is not int and not isinstance(D, np.integer) or D < least:
+        raise InvalidDimensionError(f"{what} needs an integer dimension >= {least}, got {D!r}")
+
+
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """``np.random.default_rng(seed)`` for an int or numpy integer seed >= 0, else DomainError (None too)."""
+    if type(seed) is not int and not isinstance(seed, np.integer) or seed < 0:
+        raise DomainError(f"a seed must be an integer >= 0, got {seed!r}")
+    return np.random.default_rng(seed)
 
 
 def p_min(D: int) -> float:
-    """Lower end of the polarization range, -1/(D-1); D < 2 raises InvalidDimensionError."""
+    """Lower end of the polarization range, -1/(D-1); D not an integer >= 2 raises InvalidDimensionError."""
     _require_dimension(D, 2, "a polarization range")
     return -1.0 / (D - 1)
 
 
 def p_min_cp(D: int) -> float:
-    """Lower end reachable by a CP map, -1/(D^2-1); D < 2 raises InvalidDimensionError."""
+    """Lower end reachable by a CP map, -1/(D^2-1); D not an integer >= 2 raises InvalidDimensionError."""
     _require_dimension(D, 2, "a polarization range")
     return -1.0 / (D * D - 1)
 
@@ -353,7 +364,7 @@ def distance_arrays(D: int, p, q, f) -> DistanceReport:
     whole call.
 
     Raises:
-        InvalidDimensionError: D < 2.
+        InvalidDimensionError: D not an integer >= 2.
         PolarizationOutOfRangeError: some p or q outside its range.
         FOutOfRangeError: some f outside [0, 1].
         InequalityViolationError: some element leaves [0, 1] or breaks the chain.

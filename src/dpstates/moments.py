@@ -28,7 +28,7 @@ from .errors import (
     NonHermitianError,
 )
 from .linalg import EIG_HERM_TOL, DensityMatrix, _as_matrix, _require_square
-from .metrics import _dps_levels, _require_dimension, p_min
+from .metrics import _dps_levels, _require_dimension, _seeded_rng, p_min
 
 RECOVERY_TOL = 1e-8
 
@@ -82,13 +82,13 @@ def moment_montecarlo(rho: DensityMatrix, m: int, shots: int, seed: int) -> Mome
     measured data one would plug the estimate into the same expression.
 
     Raises:
-        DomainError: shots < 1.
+        DomainError: shots < 1, or seed not an integer >= 0.
     """
     if shots < 1:
         raise DomainError(f"shots must be >= 1, got {shots}")
+    rng = _seeded_rng(seed)
     t = moment_exact(rho, m).value
     p_plus = min(max((1.0 + t) / 2.0, 0.0), 1.0)
-    rng = np.random.default_rng(seed)
     hits = int(rng.binomial(shots, p_plus))
     est = 2.0 * hits / shots - 1.0
     err = math.sqrt(max(1.0 - t * t, 0.0) / shots)
@@ -112,7 +112,7 @@ def dps_p_from_moments(t2: float, t3: float, D: int, tol: float = RECOVERY_TOL) 
     Raises:
         InconsistentMomentsError: no p in [-1/(D-1), 1] fits both moments
             (a NaN moment fits none).
-        InvalidDimensionError: D < 2.
+        InvalidDimensionError: D not an integer >= 2.
     """
     _require_dimension(D, 2, "moment recovery")
     num = (D * t2 - 1.0) / (D - 1.0)

@@ -6,7 +6,9 @@ import pytest
 from dpstates import (
     AmbiguousAtPZeroError,
     DensityMatrix,
+    DimensionMismatchError,
     FOutOfRangeError,
+    InvalidDimensionError,
     InvalidSchmidtVectorError,
     NonUnitVectorError,
     NotDPSError,
@@ -63,6 +65,10 @@ class TestSchmidtPure:
         with pytest.raises(NonUnitVectorError):
             schmidt_pure(np.ones(4), 2, 2)
 
+    def test_rejects_length_that_is_not_da_times_db(self):
+        with pytest.raises(DimensionMismatchError):
+            schmidt_pure(bipartite_pure(2, 2, rng_for(51)), 2, 3)
+
 
 class TestSchmidtDps:
     @pytest.mark.parametrize("dA,dB", DIM_PAIRS)
@@ -98,6 +104,12 @@ class TestSchmidtDps:
         with pytest.raises(NotDPSError):
             schmidt_dps(random_non_dps(4, rng_for(53)), 2, 2)
 
+    def test_rejects_dims_that_do_not_factorize_the_state(self):
+        # the CLI's only guard against --dims whose product is not D
+        dps = make_dps(bipartite_pure(2, 2, rng_for(53)), 0.5)
+        with pytest.raises(DimensionMismatchError):
+            schmidt_dps(dps.to_matrix(), 2, 3)
+
     def test_ambiguous_at_p_zero(self):
         dps = make_dps(bipartite_pure(2, 2, rng_for(54)), 0.0)
         with pytest.raises(AmbiguousAtPZeroError):
@@ -122,6 +134,15 @@ class TestReducedSpectrum:
             reduced_spectrum_dps(0.5, [0.9, 0.9], 2)
         with pytest.raises(InvalidSchmidtVectorError):
             reduced_spectrum_dps(0.5, [1.2, -0.1], 2)
+        # NaN fails both the sign and the normalization test
+        for call in (
+            lambda b: reduced_spectrum_dps(0.5, b, 2),
+            lambda b: negativity(0.5, b, 2, 2),
+            lambda b: pair_threshold(b, 2, 2),
+        ):
+            for b in ([math.nan, 1.0], [math.nan, math.nan]):
+                with pytest.raises(InvalidSchmidtVectorError):
+                    call(b)
 
     def test_rejects_out_of_range_p(self):
         # the other factor has dimension >= 2, so p >= p_min(2 dX) is required
@@ -273,6 +294,12 @@ class TestPairThreshold:
 
     def test_product_state_never_negative(self):
         assert math.isinf(pair_threshold([1.0, 0.0], 2, 2))
+
+    def test_rejects_the_splits_negativity_rejects(self):
+        with pytest.raises(InvalidDimensionError):
+            pair_threshold([0.6, 0.8], 2, 1)
+        with pytest.raises(SubsystemOrderError):
+            pair_threshold([0.6, 0.8], 3, 2)
 
 
 class TestTwoQubitCanonical:

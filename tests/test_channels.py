@@ -496,6 +496,8 @@ class TestCliffordGroup:
     def test_unsupported_dimension(self):
         with pytest.raises(UnsupportedDimensionError):
             clifford_group(4)
+        with pytest.raises(UnsupportedDimensionError):
+            twirl(random_channel(4, 1, seed=1), mode="exact-clifford")
 
     @pytest.mark.parametrize("D", [3.0, np.float64(2.0), "3"])
     def test_non_integer_dimension(self, D):
@@ -721,3 +723,8 @@ class TestLocalDepolarize:
         dm = random_mixed(4, rng_for(92))
         with pytest.raises(InvalidDimensionError):
             local_depolarize(dm, dA, dB, 0.5, 0.5)
+
+    def test_rejects_dims_that_do_not_factorize_the_state(self):
+        # the CLI's only guard against --dims whose product is not D
+        with pytest.raises(DimensionMismatchError):
+            local_depolarize(random_mixed(4, rng_for(92)), 2, 3, 0.5, 0.5)

@@ -443,6 +443,11 @@ BOUNDARY_COMMANDS = [
     ["analyze", "{dim1}"],
     ["schmidt", "{baddims}"],
     ["channel", "twirl", "{nokraus}"],
+    # --dims that do not factorize D, refused by schmidt_dps and local_depolarize
+    ["schmidt", "{dps}", "--dims", "2", "3"],
+    ["channel", "local", "{dps}", "--dims", "2", "3", "--pa", "0.5", "--pb", "0.5"],
+    # the exact Clifford twirl exists at D in {2, 3} only
+    ["channel", "twirl", "{ch4}"],
 ]
 
 # inputs whose file breaks the schema, so that they are refused with exit 2
@@ -455,6 +460,8 @@ def write_inputs(tmp_path) -> dict:
     nan[0, 1] = nan[1, 0] = np.nan
     ch = tmp_path / "ch.json"
     ch.write_text(json.dumps({"dim": 2, "kraus": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}))
+    ch4 = tmp_path / "ch4.json"
+    ch4.write_text(json.dumps({"dim": 4, "kraus": [[[[float(i == j), 0.0] for j in range(4)] for i in range(4)]]}))
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     # files that each break one rule of the schema
@@ -477,6 +484,7 @@ def write_inputs(tmp_path) -> dict:
         # top eigenvalue 1 and unit trace, but not positive: not a pure state
         "notpsd": write_state(tmp_path / "notpsd.json", np.diag([1.0, 0.3, -0.3])),
         "ch": str(ch),
+        "ch4": str(ch4),
         "bad": str(bad),
         "missing": str(tmp_path / "missing.json"),
     }

@@ -8,28 +8,48 @@ from hypothesis import strategies as st
 
 from dpstates import (
     ChiState,
+    DensityMatrix,
+    DimensionMismatchError,
+    DomainError,
     FOutOfRangeError,
     InequalityViolationError,
+    InvalidDimensionError,
+    KrausChannel,
     NonUnitVectorError,
     PolarizationOutOfRangeError,
     chi_from_beta2,
+    clifford_group,
     distance_arrays,
     distance_report,
+    dps_moment,
+    dps_p_from_moments,
     fidelity_closed,
     fidelity_oracle,
+    generate_basis,
+    haar_state,
+    isotropic,
     make_dps,
+    maximally_entangled,
+    moment_montecarlo,
+    negativity,
     p_min,
     p_min_cp,
+    pair_threshold,
     pdps_recipe,
     protocol1,
     pure_overlap,
+    random_channel,
     schmidt_pure,
     trace_distance_closed,
     trace_distance_oracle,
+    twirl,
+    twirl_p,
+    weyl_operators,
 )
 
 from dpstates import metrics
-from conftest import random_dps, rng_for
+from dpstates.channels import p_from_overlap
+from conftest import random_dps, random_mixed, rng_for
 
 
 def test_p_bounds():
@@ -368,11 +388,11 @@ class TestDistanceReport:
             assert rep.trace_distance <= math.sqrt(1.0 - rep.fidelity) + 1e-9
 
     def test_dimension_mismatch_raises(self):
-        from dpstates import DimensionMismatchError
-
         rng = rng_for(42)
         with pytest.raises(DimensionMismatchError):
             fidelity_closed(random_dps(2, rng), random_dps(3, rng))
+        with pytest.raises(DimensionMismatchError):
+            trace_distance_oracle(random_mixed(2, rng), random_mixed(3, rng))
 
 
 def test_bures_from_fidelity_floats_and_arrays_agree():
@@ -460,8 +480,6 @@ class TestDistanceArrays:
         assert got.fidelity.tolist() == [distance_report(a, b).fidelity for a, b in pairs]
 
     def test_rejects_dimension_below_two(self):
-        from dpstates import InvalidDimensionError
-
         with pytest.raises(InvalidDimensionError):
             distance_arrays(1, 0.5, 0.5, 0.5)
 
@@ -482,3 +500,49 @@ class TestDistanceArrays:
             distance_arrays(4, 0.5, 0.5, [0.0, 0.3, 0.5, 0.8, 1.0])
         with pytest.raises(InequalityViolationError):
             distance_report(*overlap_pair(4, 0.5, 0.5, 0.5))
+
+
+# every entry point that takes a dimension applies metrics._require_dimension
+DIMENSION_TAKERS = {
+    "p_min": lambda D: p_min(D),
+    "p_min_cp": lambda D: p_min_cp(D),
+    "dps_moment": lambda D: dps_moment(D, 0.5, 2),
+    "dps_p_from_moments": lambda D: dps_p_from_moments(0.5, 0.25, D),
+    "twirl_p": lambda D: twirl_p(D, 0.5),
+    "p_from_overlap": lambda D: p_from_overlap(D, 0.5),
+    "distance_arrays": lambda D: distance_arrays(D, 0.1, 0.2, 0.3),
+    "chi_from_beta2": lambda D: chi_from_beta2(D, 0.5),
+    "ChiState": lambda D: ChiState(D, 1.0, 0.0),
+    "KrausChannel": lambda D: KrausChannel(D, [np.eye(2)]),
+    "weyl_operators": lambda D: weyl_operators(D),
+    "haar_state": lambda D: haar_state(D, rng_for(1)),
+    "isotropic": lambda D: isotropic(D, 0.5),
+    "maximally_entangled": lambda D: maximally_entangled(D),
+    "negativity": lambda D: negativity(0.5, [0.6, 0.8], D, D),
+    "pair_threshold": lambda D: pair_threshold([0.6, 0.8], D, D),
+    "generate_basis": lambda D: generate_basis(D),
+    "clifford_group": lambda D: clifford_group(D),
+}
+
+
+@pytest.mark.parametrize("D", [2.5, math.nan])
+@pytest.mark.parametrize("name", DIMENSION_TAKERS)
+def test_non_integer_dimension_is_refused(name, D):
+    with pytest.raises(InvalidDimensionError):
+        DIMENSION_TAKERS[name](D)
+
+
+# every Monte-Carlo entry point draws from metrics._seeded_rng
+SEED_TAKERS = {
+    "pdps_recipe": lambda seed: pdps_recipe([1.0, 0.0], 0.5, seed, 4),
+    "moment_montecarlo": lambda seed: moment_montecarlo(DensityMatrix(np.eye(2) / 2.0), 2, 10, seed),
+    "random_channel": lambda seed: random_channel(2, 2, seed),
+    "twirl": lambda seed: twirl(KrausChannel(2, [np.eye(2)]), mode="haar-sample", samples=4, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [None, -1, 1.5])
+@pytest.mark.parametrize("name", SEED_TAKERS)
+def test_seed_must_be_a_non_negative_integer(name, seed):
+    with pytest.raises(DomainError):
+        SEED_TAKERS[name](seed)
