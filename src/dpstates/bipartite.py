@@ -107,10 +107,10 @@ def schmidt_dps(rho_d: DensityMatrix, dA: int, dB: int, *, p_tol: float = P_TOL)
     """Recover (p, Schmidt form) of a DPS from its density matrix.
 
     (p, purification) come from ``measure_dps(rho_d).state()``, so
-    membership is decided at the default tolerances and the
-    purification is the eigenvector of the single non-degenerate
-    eigenvalue, read from the eigendecomposition the membership test
-    already made.
+    membership is decided at the default tolerances, p is clamped into
+    [p_min(D), 1] and the purification is the normalised column of
+    rho - (1-p)/D 1 that the rank-one certificate already read; no
+    eigensolve is made, and the one SVD is that of ``schmidt_pure``.
 
     Raises:
         NotDPSError: input fails the DPS membership test.
@@ -124,8 +124,7 @@ def schmidt_dps(rho_d: DensityMatrix, dA: int, dB: int, *, p_tol: float = P_TOL)
     dps = measure_dps(rho_d).state()
     if abs(dps.p) < p_tol:
         raise AmbiguousAtPZeroError(f"|p| = {abs(dps.p):.3e} < {p_tol:.1e}: purification not unique")
-    # renormalized: the eigensolver returns the purification unit only to a few ulp
-    return dps.p, schmidt_pure(dps.pure / np.linalg.norm(dps.pure), dA, dB)
+    return dps.p, schmidt_pure(dps.pure, dA, dB)
 
 
 def _check_schmidt_vector(b, n_slots: int) -> np.ndarray:

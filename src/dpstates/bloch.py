@@ -23,11 +23,18 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatchError, NotDPSError, UndefinedForDim2Error
-from .linalg import DensityMatrix, eig_hermitian
-from .metrics import DpsState, _dps_spectrum, _require_dimension, make_dps
+from .linalg import DensityMatrix
+from .metrics import DpsState, _require_dimension, make_dps, p_min
 
 STAR_TOL = 1e-8
+"""Bound on ||n*n - p n||.  Absolute: unit trace fixes the scale, since ||n|| <= 1 for a state."""
 SPECTRUM_TOL = 1e-8
+"""Bound on the rank-one certificate ||rho - (1-p)/D 1 - p vv^dag||_F, and the slack on p's range.
+
+A Frobenius residual, so at least the largest distance of an
+eigenvalue from the DPS pattern (Weyl).  Absolute: unit trace fixes the
+scale, since every eigenvalue of a state lies in [0, 1].
+"""
 
 
 def c_norm(D: int) -> float:
@@ -173,35 +180,39 @@ class DpsMeasurement:
     ``operator`` is A = n.lambda = (D rho - 1)/c_D, ``norm`` ||n||, ``p``
     ||n|| signed like (n*n).n and ``star_residual`` ||n*n - p n||; at D = 2
     (no star product, and +-n both pure) p = ||n||, residual None.
-    ``spectrum_deviation`` is the largest distance of the ascending
-    ``eigenvalues`` of rho from {(1-p)/D + p, (1-p)/D x(D-1)};
-    ``eigenvectors`` holds the matching columns.  :meth:`verdict` decides
-    membership; :meth:`state` is the one route to the DPS (p, purification).
+    ``purification`` is the unit vector v read from one column of
+    B = rho - (1-p)/D 1, which is p vv^dag for a DPS, and ``certificate``
+    is the rank-one residual ||B - p vv^dag||_F.  By Weyl's inequality it
+    bounds how far every eigenvalue of rho lies from the DPS pattern
+    {(1-p)/D + p, (1-p)/D x(D-1)}.  :meth:`verdict` decides membership;
+    :meth:`state` is the one route to the DPS (p, purification).
     """
 
     operator: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     norm: float
     p: float
     star_residual: float | None
-    spectrum_deviation: float
-
-    @property
-    def purification(self) -> np.ndarray:
-        """The eigenvector of the non-degenerate eigenvalue: the top one for p >= 0, else the bottom."""
-        return self.eigenvectors[:, -1 if self.p >= 0 else 0]
+    certificate: float
+    purification: np.ndarray
 
     def ladder(self, r_max: int) -> list[float]:
         """:func:`invariant_ladder` of this state, from its operator."""
         return _ladder(self.operator, r_max)
 
     def verdict(self, tol_star: float = STAR_TOL, tol_spectrum: float = SPECTRUM_TOL) -> float | None:
-        """p when rho is positive, n*n = p n and the spectrum fits, else None."""
-        if self.eigenvalues[0] >= -tol_spectrum and self.spectrum_deviation <= tol_spectrum:
-            if self.star_residual is None or self.star_residual <= tol_star:
-                return self.p
-        return None
+        """p clamped into [p_min(D), 1], or None.
+
+        Membership needs n*n = p n within ``tol_star`` (D > 2), the
+        certificate within ``tol_spectrum`` and p in [p_min(D), 1]
+        widened by ``tol_spectrum``.  The tests are negated so that a
+        NaN tolerance rejects.
+        """
+        lo = p_min(self.operator.shape[0])
+        if self.star_residual is not None and not self.star_residual <= tol_star:
+            return None
+        if not (self.certificate <= tol_spectrum and lo - tol_spectrum <= self.p <= 1.0 + tol_spectrum):
+            return None
+        return min(max(self.p, lo), 1.0)
 
     def state(self) -> DpsState:
         """``make_dps(purification, p)`` at the p of the default :meth:`verdict`, or NotDPSError."""
@@ -212,36 +223,59 @@ class DpsMeasurement:
 
 
 def measure_dps(rho: DensityMatrix) -> DpsMeasurement:
-    """:class:`DpsMeasurement` of ``rho``: a few D x D products, one eigendecomposition.
+    """:class:`DpsMeasurement` of ``rho``: one D x D product, the rest O(D^2), no eigensolve.
+
+    With A^2 the one product: (n*n).n has the sign of Tr(A^3), and
+    n*n - p n is c_D/(D-2) (A^2 - Tr(A^2)/D 1 - p(D-2)/c_D A), the star
+    operator of A with itself less p A.  The purification is column j of
+    B = rho - (1-p)/D 1 with j maximising p B_jj, signed by p and
+    normalised; where that column vanishes (p = 0 and rho maximally
+    mixed) it is the unit vector e_j.
 
     Raises:
         InvalidDimensionError: D not an integer >= 2.
     """
     D = rho.dim
     _require_dimension(D, 2, "a coherence vector")
-    A = (D * rho.matrix - np.eye(D)) / c_norm(D)
+    c = c_norm(D)
+    eye = np.eye(D)
+    A = (D * rho.matrix - eye) / c
     A.setflags(write=False)
     norm = float(np.linalg.norm(A)) / math.sqrt(2.0)
     p, residual = norm, None
     if D > 2:
-        S = _star_operator(A, A)
-        p = norm if np.vdot(S, A).real >= 0.0 else -norm  # (n*n).n = Tr(S A)/2
-        residual = float(np.linalg.norm(S - p * A)) / math.sqrt(2.0)
-    spec = eig_hermitian(rho.matrix)
-    vals = spec.eigenvalues
-    deviation = float(np.max(np.abs(vals - _dps_spectrum(D, p))))
-    return DpsMeasurement(A, vals, spec.eigenvectors, norm, p, residual, deviation)
+        A2 = A @ A
+        if np.vdot(A2, A).real < 0.0:
+            p = -norm
+        R = A2 - (p * (D - 2) / c) * A - (2.0 * norm * norm / D) * eye
+        residual = c / (D - 2) * math.sqrt(np.vdot(R, R).real / 2.0)
+    B = rho.matrix - ((1.0 - p) / D) * eye
+    d = rho.matrix.diagonal().real  # p B_jj = p rho_jj - p(1-p)/D
+    j = int(d.argmax() if p >= 0.0 else d.argmin())
+    column = B[:, j] if p >= 0.0 else -B[:, j]
+    size = math.sqrt(np.vdot(column, column).real)
+    if size > 0.0:
+        v = column / size
+    else:
+        v = np.zeros(D, dtype=complex)
+        v[j] = 1.0
+    v.setflags(write=False)
+    E = B - (p * v)[:, None] * v.conj()
+    return DpsMeasurement(A, norm, p, residual, math.sqrt(np.vdot(E, E).real), v)
 
 
 def dps_test(rho: DensityMatrix, basis: np.ndarray | None = None) -> float | None:
     """Decide whether ``rho`` is a depolarized pure state; return its p.
 
-    Checks positivity, |p| = sqrt(n.n), the star condition n*n = p n
-    (D >= 3, with the sign of p read off n*n.n = p^3) and the spectrum
-    pattern {(1-p)/D + p, (1-p)/D x(D-1)} within STAR_TOL and
-    SPECTRUM_TOL; returns None if any fails.  At D = 2 the sign is
-    unresolvable and p = ||n|| >= 0.  Other tolerances go through
-    ``measure_dps(rho).verdict(tol_star, tol_spectrum)``, as
+    ``measure_dps(rho).verdict()``: the star condition n*n = p n (D >= 3,
+    with the sign of p read off n*n.n = p^3) within STAR_TOL, the rank-one
+    certificate ||rho - (1-p)/D 1 - p vv^dag||_F within SPECTRUM_TOL, and
+    p in [p_min(D), 1] widened by SPECTRUM_TOL; returns p clamped into
+    [p_min(D), 1], or None if any check fails.  The certificate bounds
+    every eigenvalue's distance from the DPS pattern, so positivity
+    needs no separate check, and no eigensolve is made.  At D = 2 the
+    sign is unresolvable and p = ||n|| >= 0.  Other tolerances go
+    through ``measure_dps(rho).verdict(tol_star, tol_spectrum)``, as
     ``dps analyze --tol-star/--tol-spectrum`` does.
 
     Args:

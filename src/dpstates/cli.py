@@ -47,9 +47,10 @@ from .channels import (
     twirl_p,
 )
 from .errors import DomainError, InternalCheckError
-from .linalg import DensityMatrix, partial_trace
+from .linalg import DensityMatrix, eig_hermitian, partial_trace
 from .metrics import (
     _array_measures,
+    _dps_spectrum,
     bures_from_fidelity,
     distance_report,
     fidelity_oracle,
@@ -277,14 +278,18 @@ def state_document(state: DensityMatrix, dims: list | None = None) -> dict:
 def _pure_vector(state: DensityMatrix, what: str) -> np.ndarray:
     """Extract |psi> from a pure-state density matrix, or exit 3.
 
-    The state must pass the DPS test, which checks positivity, and have
-    its largest eigenvalue within 1e-10 of 1.
+    The state must pass the DPS test, whose certificate bounds every
+    eigenvalue, and its top eigenvalue (1 + (D-1)p)/D must lie within
+    1e-10 of 1.  That bound is absolute because unit trace fixes the
+    scale of the eigenvalues.  Only a refusal diagonalizes the state,
+    to report the span of its eigenvalues.
     """
     m = measure_dps(state)
-    low, top = float(m.eigenvalues[0]), float(m.eigenvalues[-1])
-    if m.verdict() is None or abs(top - 1.0) > 1e-10:
+    p = m.verdict()
+    if p is None or abs((1.0 + (state.dim - 1) * p) / state.dim - 1.0) > 1e-10:
+        vals = np.linalg.eigvalsh(state.matrix)
         raise DomainError(
-            f"{what} requires a pure state; eigenvalues span [{low:.15g}, {top:.15g}], not {{0, 1}}"
+            f"{what} requires a pure state; eigenvalues span [{vals[0]:.15g}, {vals[-1]:.15g}], not {{0, 1}}"
         )
     return m.purification
 
@@ -329,13 +334,15 @@ def cmd_analyze(ns) -> Report:
     D = state.dim
     m = measure_dps(state)
     verdict_p = m.verdict(ns.tol_star, ns.tol_spectrum)
+    # report only: the verdict above makes no eigensolve
+    vals = eig_hermitian(state.matrix).eigenvalues
     results: dict = {
         "dim": D,
         "coherence_norm": m.norm,
-        "positive": bool(m.eigenvalues[0] >= -ns.tol_spectrum),
+        "positive": bool(vals[0] >= -ns.tol_spectrum),
         "invariant_ladder": m.ladder(3) if D >= 3 else None,
         "star_residual": m.star_residual,
-        "spectrum_deviation": m.spectrum_deviation,
+        "spectrum_deviation": float(np.max(np.abs(vals - _dps_spectrum(D, m.p)))),
         "verdict": "DPS" if verdict_p is not None else "NOT_DPS",
         "p": verdict_p,
     }

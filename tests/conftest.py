@@ -1,6 +1,11 @@
 import numpy as np
+from hypothesis import settings
 
 from dpstates import DensityMatrix, haar_state, make_dps, p_min
+
+# selected in CI with --hypothesis-profile=ci: a failure there prints a
+# @reproduce_failure blob that replays the falsifying example anywhere
+settings.register_profile("ci", print_blob=True)
 
 
 def rng_for(*seed_parts) -> np.random.Generator:

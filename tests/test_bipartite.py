@@ -83,7 +83,7 @@ class TestSchmidtDps:
             assert np.max(np.abs(form.b - direct.b)) < 1e-9
 
     @pytest.mark.parametrize("p", [0.6, -0.1])
-    def test_diagonalizes_once(self, p, monkeypatch):
+    def test_makes_no_eigensolve(self, p, monkeypatch):
         calls = []
 
         def counted(solver):
@@ -93,12 +93,12 @@ class TestSchmidtDps:
 
             return call
 
-        for name in ("eigh", "eigvalsh"):
+        for name in ("eigh", "eigvalsh", "eig"):
             monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
         dps = make_dps(bipartite_pure(2, 3, rng_for(56)), p)
         got_p, _ = schmidt_dps(dps.to_matrix(), 2, 3)
         assert got_p == pytest.approx(p, abs=1e-10)
-        assert len(calls) == 1
+        assert calls == []
 
     def test_rejects_non_dps(self):
         with pytest.raises(NotDPSError):
@@ -111,9 +111,11 @@ class TestSchmidtDps:
             schmidt_dps(dps.to_matrix(), 2, 3)
 
     def test_ambiguous_at_p_zero(self):
-        dps = make_dps(bipartite_pure(2, 2, rng_for(54)), 0.0)
-        with pytest.raises(AmbiguousAtPZeroError):
-            schmidt_dps(dps.to_matrix(), 2, 2)
+        for p in (0.0, 1e-13):
+            rho = make_dps(bipartite_pure(2, 2, rng_for(54)), p).to_matrix()
+            assert abs(dps_test(rho)) <= 1e-12
+            with pytest.raises(AmbiguousAtPZeroError):
+                schmidt_dps(rho, 2, 2)
 
 
 class TestReducedSpectrum:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dpstates import (
@@ -15,13 +15,16 @@ from dpstates import (
     dps_test,
     from_coherence,
     generate_basis,
+    haar_state,
     invariant_ladder,
     make_dps,
     p_min,
+    schmidt_dps,
     star,
     to_coherence,
 )
-from dpstates.bloch import measure_dps
+from dpstates.bloch import SPECTRUM_TOL, STAR_TOL, measure_dps
+from dpstates.metrics import _dps_spectrum
 
 from conftest import random_dps, random_mixed, random_non_dps, rng_for
 
@@ -156,9 +159,6 @@ def test_measurement_matches_component_route(D):
         m = measure_dps(state)
         n = to_coherence(state)
         assert m.norm == pytest.approx(n.norm, abs=1e-13)
-        vals, vecs = np.linalg.eigh(state.matrix)
-        assert np.max(np.abs(m.eigenvalues - vals)) == 0.0
-        assert np.max(np.abs(m.eigenvectors - vecs)) == 0.0
         if D == 2:
             assert m.p == m.norm and m.star_residual is None
             continue
@@ -232,9 +232,13 @@ class TestDpsTest:
                 assert dps_test(random_mixed(D, rng), basis) is None
 
     def test_rejects_non_positive(self):
-        M = np.diag([0.6, 0.6, -0.2])
-        for basis in _bases(3):
-            assert dps_test(DensityMatrix(M), basis) is None
+        # both sit exactly on the DPS pattern, with p outside [p_min, 1]:
+        # p = -0.8 at D = 3 and p = 1.2 at D = 4
+        for rho in (DensityMatrix(np.diag([0.6, 0.6, -0.2])), dps_matrix(4, 1.2, 0)):
+            assert measure_dps(rho).certificate <= 1e-15
+            assert eigh_oracle(rho)[0] is None
+            for basis in _bases(rho.dim):
+                assert dps_test(rho, basis) is None
 
     def test_equal_orthogonal_mixture_d3_is_a_dps(self):
         # not a rejection case: (|0><0| + |1><1|)/2 at D=3 sits in the
@@ -262,3 +266,121 @@ def test_dps_test_at_dim16_without_basis():
         assert got == pytest.approx(p, abs=1e-10)
     for _ in range(5):
         assert dps_test(random_non_dps(16, rng)) is None
+
+
+# ---------------------------------------------------------------------------
+# the rank-one certificate against the eigh rule it replaced
+
+
+def eigh_oracle(rho):
+    """The eigh rule: (p or None, [(quantity, tol)] it compared).
+
+    rho is a DPS when its smallest eigenvalue is >= -SPECTRUM_TOL, every
+    eigenvalue is within SPECTRUM_TOL of {(1-p)/D + p, (1-p)/D x(D-1)},
+    and (D > 2) ||n*n - p n|| <= STAR_TOL; p is returned unclamped.
+    """
+    m = measure_dps(rho)
+    vals = np.linalg.eigh(rho.matrix)[0]
+    deviation = float(np.max(np.abs(vals - _dps_spectrum(rho.dim, m.p))))
+    compared = [(-float(vals[0]), SPECTRUM_TOL), (deviation, SPECTRUM_TOL)]
+    if m.star_residual is not None:
+        compared.append((m.star_residual, STAR_TOL))
+    return (m.p if all(x <= tol for x, tol in compared) else None), compared
+
+
+def near_tolerance_edge(rho) -> bool:
+    """Some quantity either rule compares lies within a factor 100 of its tolerance."""
+    m = measure_dps(rho)
+    _, compared = eigh_oracle(rho)
+    ratios = [x / tol for x, tol in compared]
+    ratios += [m.certificate / SPECTRUM_TOL, (p_min(rho.dim) - m.p) / SPECTRUM_TOL, (m.p - 1.0) / SPECTRUM_TOL]
+    return any(1e-2 <= r <= 1e2 for r in ratios)
+
+
+def corpus_state(kind: str, D: int, t: float, rng) -> DensityMatrix:
+    if kind == "dps+":
+        return random_dps(D, rng, p=t).to_matrix()
+    if kind == "dps-":
+        return random_dps(D, rng, p=t * p_min(D)).to_matrix()
+    if kind == "wishart":
+        return random_mixed(D, rng)
+    if kind == "rank1":
+        return random_mixed(D, rng, rank=1)
+    return random_non_dps(D, rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    D=st.integers(min_value=2, max_value=16),
+    kind=st.sampled_from(("dps+", "dps-", "wishart", "rank1", "mixture")),
+    t=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_verdict_matches_eigh_oracle(D, kind, t, seed):
+    rho = corpus_state(kind, D, t, rng_for(31, seed))
+    assume(not near_tolerance_edge(rho))
+    want, _ = eigh_oracle(rho)
+    got = measure_dps(rho).verdict()
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert abs(got - want) <= 1e-12
+
+
+def dps_matrix(D: int, p: float, seed: int) -> DensityMatrix:
+    """(1-p)/D 1 + p vv^dag as given, p outside the DPS range included."""
+    v = haar_state(D, rng_for(32, seed))
+    return DensityMatrix((1.0 - p) / D * np.eye(D) + p * np.outer(v, v.conj()))
+
+
+class TestVerdictEdges:
+    @pytest.mark.parametrize("D", [2, 3, 4, 7])
+    def test_pure(self, D):
+        rho = dps_matrix(D, 1.0, D)
+        got = measure_dps(rho).verdict()
+        assert abs(got - 1.0) <= 1e-12 and got <= 1.0
+        assert abs(got - eigh_oracle(rho)[0]) <= 1e-12
+        assert measure_dps(rho).state().p == got
+
+    @pytest.mark.parametrize("D", [3, 4, 6, 7])
+    def test_at_p_min(self, D):
+        # fl(p_min): at D = 4, 6 and 7, -1/(D-1) is not a float
+        rho = dps_matrix(D, p_min(D), D)
+        got = measure_dps(rho).verdict()
+        assert abs(got - p_min(D)) <= 1e-12 and got >= p_min(D)
+        assert abs(got - eigh_oracle(rho)[0]) <= 1e-12
+        assert measure_dps(rho).state().p == got
+
+    @pytest.mark.parametrize("D,p,want", [(4, 1.0 + 5e-9, 1.0), (4, p_min(4) - 5e-9, p_min(4)), (2, 1.0 + 5e-9, 1.0)])
+    def test_verdict_is_clamped_into_range(self, D, p, want):
+        # p within SPECTRUM_TOL outside [p_min, 1]: accepted, and the p
+        # returned is one that make_dps, state() and schmidt_dps accept
+        rho = dps_matrix(D, p, 1)
+        assert measure_dps(rho).verdict() == want
+        assert dps_test(rho) == want
+        assert measure_dps(rho).state().p == want
+        if D == 4:
+            got_p, _ = schmidt_dps(rho, 2, 2)
+            assert got_p == want
+
+
+@pytest.mark.parametrize("D", [2, 3, 8, 64])
+def test_identification_makes_no_eigensolve(D, monkeypatch):
+    rng = rng_for(34, D)
+    dps = random_dps(D, rng, p=0.4)
+    rho, mixed = dps.to_matrix(), random_mixed(D, rng)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("identification made an eigensolve")
+
+    for name in ("eigh", "eigvalsh", "eig"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert dps_test(rho) == pytest.approx(0.4, abs=1e-10)
+    assert measure_dps(rho).verdict() == pytest.approx(0.4, abs=1e-10)
+    got = measure_dps(rho).state()
+    assert abs(abs(np.vdot(got.pure, dps.pure)) - 1.0) <= 1e-12
+    if D > 2:  # at D = 2 every state is a DPS
+        assert dps_test(mixed) is None
+    if D in (8, 64):  # schmidt_pure's SVD is the one factorization
+        dA = 2 if D == 8 else 8
+        p, _ = schmidt_dps(rho, dA, D // dA)
+        assert p == pytest.approx(0.4, abs=1e-10)

@@ -8,7 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpstates.bloch import SPECTRUM_TOL, measure_dps
 from dpstates.cli import build_parser, main, render_json
+from dpstates.metrics import _dps_spectrum
+
+from conftest import random_dps, random_mixed, random_non_dps, rng_for
 
 
 def run(capsys, *argv):
@@ -75,6 +79,54 @@ class TestGenAnalyze:
         rep = run_json(capsys, "analyze", path)
         assert rep["results"]["verdict"] == "NOT_DPS"
         assert rep["results"]["p"] is None
+
+
+    @pytest.mark.parametrize("D", [2, 3, 4, 5])
+    def test_analyze_reports_eigh_spectrum(self, capsys, tmp_path, D):
+        # positive and spectrum_deviation are report-only fields, read from
+        # one eigh of the loaded state; the verdict makes no eigensolve
+        rng = rng_for(28, D)
+        for i, state in enumerate((random_dps(D, rng).to_matrix(), random_non_dps(D, rng), random_mixed(D, rng))):
+            r = run_json(capsys, "analyze", write_state(tmp_path / f"s{i}.json", state.matrix))["results"]
+            vals = np.linalg.eigh(state.matrix)[0]
+            p = measure_dps(state).p
+            assert r["spectrum_deviation"] == float(np.max(np.abs(vals - _dps_spectrum(D, p))))
+            assert r["positive"] == bool(vals[0] >= -SPECTRUM_TOL)
+
+
+class TestIdentifyCommands:
+    def test_state_just_past_p_one_is_usable(self, capsys, tmp_path):
+        # p = 1 + 5e-9 is within SPECTRUM_TOL of the range: analyze calls it
+        # a DPS with p = 1, so distance and schmidt must accept it too
+        v = np.array([0.6, 0.0, 0.0, 0.8j])
+        p = 1.0 + 5e-9
+        path = write_state(tmp_path / "s.json", (1.0 - p) / 4 * np.eye(4) + p * np.outer(v, v.conj()), dims=(2, 2))
+        rep = run_json(capsys, "analyze", path)["results"]
+        assert rep["verdict"] == "DPS" and rep["p"] == 1.0
+        assert run_json(capsys, "distance", path, path, "--method", "closed")["results"]["closed"]["p"] == 1.0
+        assert run_json(capsys, "schmidt", path)["results"]["p"] == 1.0
+
+    def test_identification_makes_no_eigensolve(self, capsys, tmp_path, monkeypatch):
+        # the eigensolves left are report fields: analyze's spectrum and
+        # schmidt's marginal spectra
+        v = np.array([0.6, 0.0, 0.0, 0.8j])
+        rho = 0.15 * np.eye(4) + 0.4 * np.outer(v, v.conj())
+        state = write_state(tmp_path / "s.json", rho, dims=(2, 2))
+        pure = write_state(tmp_path / "pure.json", np.outer(v, v.conj()), dims=(2, 2))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("identification made an eigensolve")
+
+        for name in ("eigh", "eigvalsh", "eig"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for argv in (
+            ["distance", state, state, "--method", "closed"],
+            ["entanglement", state],
+            ["channel", "local", state, "--pa", "0.5", "--pb", "0.5"],
+            ["channel", "protocol1", pure, "--beta2", "0.5"],
+            ["channel", "recipe", pure, "--f", "0.5", "--seed", "1", "--trials", "10"],
+        ):
+            run_json(capsys, *argv)
 
 
 class TestExitCodes:
