@@ -31,9 +31,14 @@ from .linalg import DensityMatrix
 from .metrics import DpsState, _in_range, _polarization, _require_dimension, _unit_vector, make_dps, p_min
 
 NEG_TOL = 1e-9
+"""Partial-transpose eigenvalues above -NEG_TOL count as 0.  Absolute: unit trace fixes the
+scale, since the partial transpose of a state has its eigenvalues in [-1/2, 1]."""
 P_TOL = 1e-8
+"""Below |p| = P_TOL the purification is not unique.  Absolute: |p| <= 1 fixes the scale."""
 SCHMIDT_SUM_TOL = 1e-10
 CONSISTENCY_TOL = 1e-8
+"""Slack on marginal eigenvalues, degeneracies and b_j^2.  Absolute: unit trace fixes the
+scale, since every marginal eigenvalue lies in [0, 1]."""
 
 PPT_CAVEAT = (
     "entangled=False means no negative partial-transpose eigenvalue was found; "

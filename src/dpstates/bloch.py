@@ -123,6 +123,17 @@ def from_coherence(n: CoherenceVector) -> DensityMatrix:
     return DensityMatrix(rho)
 
 
+def _star_factor(D: int) -> float:
+    """c_D/(D-2), the factor of the star product.
+
+    Raises:
+        UndefinedForDim2Error: at D = 2.
+    """
+    if D == 2:
+        raise UndefinedForDim2Error("the star product carries a 1/(D-2) factor; undefined at D=2")
+    return c_norm(D) / (D - 2)
+
+
 def _star_operator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """c_D/(D-2) ({A, B}/2 - Tr(AB)/D 1), the operator of the star product.
 
@@ -130,11 +141,10 @@ def _star_operator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     into {A, B}/2 - Tr(AB)/D 1; BA = (AB)^dag for Hermitian A and B.
     """
     D = A.shape[0]
-    if D == 2:
-        raise UndefinedForDim2Error("the star product carries a 1/(D-2) factor; undefined at D=2")
+    factor = _star_factor(D)
     AB = A @ B
     S = (AB + AB.conj().T) / 2.0 - (np.trace(AB).real / D) * np.eye(D)
-    return (c_norm(D) / (D - 2)) * S
+    return factor * S
 
 
 def star(a: CoherenceVector, b: CoherenceVector) -> CoherenceVector:
@@ -154,10 +164,12 @@ def star(a: CoherenceVector, b: CoherenceVector) -> CoherenceVector:
 
 
 def _ladder(A: np.ndarray, r_max: int) -> list[float]:
+    _star_factor(A.shape[0])  # D = 2 has no ladder, not even at r_max = 0
     out, V = [], A
-    for _ in range(r_max + 1):
+    for r in range(r_max + 1):
+        if r:
+            V = _star_operator(A, V)
         out.append(0.5 * float(np.vdot(V, A).real))  # v.n = Tr(V A)/2
-        V = _star_operator(A, V)
     return out
 
 
@@ -248,7 +260,7 @@ def measure_dps(rho: DensityMatrix) -> DpsMeasurement:
         if np.vdot(A2, A).real < 0.0:
             p = -norm
         R = A2 - (p * (D - 2) / c) * A - (2.0 * norm * norm / D) * eye
-        residual = c / (D - 2) * math.sqrt(np.vdot(R, R).real / 2.0)
+        residual = _star_factor(D) * math.sqrt(np.vdot(R, R).real / 2.0)
     B = rho.matrix - ((1.0 - p) / D) * eye
     d = rho.matrix.diagonal().real  # p B_jj = p rho_jj - p(1-p)/D
     j = int(d.argmax() if p >= 0.0 else d.argmin())

@@ -465,6 +465,7 @@ class TwirlResult(NamedTuple):
 
 def _kraus_from_choi(C: np.ndarray, D: int) -> np.ndarray:
     vals, vecs = np.linalg.eigh((C + C.conj().T) / 2.0)
+    # absolute, because trace preservation fixes Tr C = D: the eigenvalues lie in [0, D]
     if float(vals[0]) < -1e-10:
         raise InternalCheckError(f"averaged Choi matrix has eigenvalue {vals[0]:.3e}")
     keep = vals > 1e-12

@@ -278,20 +278,16 @@ def state_document(state: DensityMatrix, dims: list | None = None) -> dict:
 def _pure_vector(state: DensityMatrix, what: str) -> np.ndarray:
     """Extract |psi> from a pure-state density matrix, or exit 3.
 
-    The state must pass the DPS test, whose certificate bounds every
-    eigenvalue, and its top eigenvalue (1 + (D-1)p)/D must lie within
-    1e-10 of 1.  That bound is absolute because unit trace fixes the
-    scale of the eigenvalues.  Only a refusal diagonalizes the state,
-    to report the span of its eigenvalues.
+    The state must be a DPS (:meth:`DpsMeasurement.state`, whose
+    certificate bounds every eigenvalue), and its top eigenvalue
+    (1 + (D-1)p)/D must lie within 1e-10 of 1.  That bound is absolute
+    because unit trace fixes the scale of the eigenvalues.
     """
-    m = measure_dps(state)
-    p = m.verdict()
-    if p is None or abs((1.0 + (state.dim - 1) * p) / state.dim - 1.0) > 1e-10:
-        vals = np.linalg.eigvalsh(state.matrix)
-        raise DomainError(
-            f"{what} requires a pure state; eigenvalues span [{vals[0]:.15g}, {vals[-1]:.15g}], not {{0, 1}}"
-        )
-    return m.purification
+    dps = measure_dps(state).state()
+    top = (1.0 + (state.dim - 1) * dps.p) / state.dim
+    if abs(top - 1.0) > 1e-10:
+        raise DomainError(f"{what} requires a pure state; its top eigenvalue is {top:.15g}, not 1")
+    return dps.pure
 
 
 def _refuse_unread(ns, what: str, flags) -> None:

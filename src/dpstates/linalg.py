@@ -5,12 +5,17 @@ Conventions fixed here and relied on everywhere else:
 * composite indices are row-major (A-major): the joint index of subsystem
   states ``|i>_A |j>_B`` is ``i * dB + j``, matching ``numpy.kron``;
 * eigenvalues are returned in ascending order;
-* Hermiticity and trace checks use 1e-12 on density matrices and 1e-10
-  on matrices handed to the eigensolver; reconstruction checks use 1e-10.
+* every check has a stated scale.  A :class:`DensityMatrix` is checked
+  to absolute tolerances (Hermiticity and trace 1e-12, positivity
+  1e-10), since unit trace fixes its scale.  A matrix of any other scale
+  is checked by :func:`_scaled_hermitian` at the scale of its largest
+  entry (Hermiticity, 1e-10), and its spectrum relative to its largest
+  eigenvalue modulus (reconstruction and positivity, 1e-10).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +47,39 @@ def _require_square(M: np.ndarray) -> int:
     return M.shape[0]
 
 
-def _require_hermitian(M: np.ndarray, tol: float) -> None:
-    dev = np.max(np.abs(M - M.conj().T)) if M.size else 0.0
-    if not dev <= tol:  # NaN fails too
-        raise NonHermitianError(f"Hermiticity deviation {dev:.3e} exceeds {tol:.1e}")
+def _scaled_hermitian(M) -> tuple[np.ndarray, int]:
+    """(M / 2^e, e), with 2^e the smallest power of two above max |m_ij|, checked Hermitian.
+
+    The one scale rule for a matrix of arbitrary scale.  The division
+    leaves the largest |m_ij| in [1/2, 1), so no norm or sum formed from
+    the result overflows and a nonzero M keeps a nonzero norm; it is
+    exact unless it takes an entry below the normal range.  The
+    Hermitian check runs on the result, against EIG_HERM_TOL, so M and
+    2^k M get the same verdict wherever the scaling is exact.  A zero
+    (or 0 x 0) matrix has e = 0.
+
+    Raises:
+        NonSquareError.
+        DomainError: an entry is NaN or infinite.
+        NonHermitianError: M deviates from M^dag by more than EIG_HERM_TOL
+            times 2^e.
+    """
+    A = _as_matrix(M)
+    _require_square(A)
+    top = float(np.abs(A).max(initial=0.0))
+    if not math.isfinite(top):
+        raise DomainError("matrix has NaN or infinite entries")
+    # 2^-e is applied in two halves because it overflows for a subnormal
+    # max |m_ij| (e down to -1073)
+    e = math.frexp(top)[1]
+    A = A * math.ldexp(1.0, -(e // 2)) * math.ldexp(1.0, e // 2 - e)
+    dev = float(np.abs(A - A.conj().T).max(initial=0.0))
+    if not dev <= EIG_HERM_TOL:
+        raise NonHermitianError(
+            f"Hermiticity deviation {dev:.3e} of M / 2^{e} exceeds {EIG_HERM_TOL:.1e}, "
+            f"where 2^{e} is the smallest power of two above max |m_ij|"
+        )
+    return A, e
 
 
 class DensityMatrix:
@@ -73,7 +107,9 @@ class DensityMatrix:
         _require_square(M)
         if not np.all(np.isfinite(M)):
             raise DomainError("matrix has NaN or infinite entries")
-        _require_hermitian(M, HERM_TOL)
+        dev = float(np.abs(M - M.conj().T).max(initial=0.0))
+        if not dev <= HERM_TOL:
+            raise NonHermitianError(f"Hermiticity deviation {dev:.3e} exceeds {HERM_TOL:.1e}")
         tr = np.trace(M)
         if abs(tr - 1.0) > TRACE_TOL:
             raise DimensionMismatchError(f"trace {tr:.15g} differs from 1 beyond {TRACE_TOL:.1e}")
@@ -90,7 +126,7 @@ class DensityMatrix:
         return self._matrix.shape[0]
 
     def is_positive(self) -> bool:
-        """True when every eigenvalue is at least -PSD_CLIP_TOL."""
+        """True when every eigenvalue is at least -PSD_CLIP_TOL (absolute: unit trace fixes the scale)."""
         return bool(np.min(np.linalg.eigvalsh(self._matrix)) >= -PSD_CLIP_TOL)
 
     def purity(self) -> float:
@@ -106,7 +142,8 @@ class Spectrum:
     """Eigendecomposition with ascending eigenvalues.
 
     ``eigenvectors`` is unitary with columns aligned to ``eigenvalues``;
-    ``V diag(lam) V^dag`` reconstructs the input within 1e-10.
+    ``V diag(lam) V^dag`` reconstructs the input within 1e-10 times the
+    largest eigenvalue modulus.
     """
 
     eigenvalues: np.ndarray
@@ -118,42 +155,46 @@ class Spectrum:
 
 
 def eig_hermitian(M) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix of any scale.
 
-    Uses the dense symmetric solver; eigenvalues ascend and the
-    reconstruction invariant is verified before returning.
+    The dense symmetric solver runs on M / 2^e from
+    :func:`_scaled_hermitian`, and the eigenvalues are multiplied back by
+    2^e, which is exact; they ascend.  The reconstruction is checked on
+    M / 2^e, to RECON_TOL times its largest eigenvalue modulus.
 
     Raises:
         NonSquareError: if ``M`` is not square.
-        NonHermitianError: if symmetry is violated beyond EIG_HERM_TOL.
+        DomainError: an entry is NaN or infinite.
+        NonHermitianError: symmetry violated beyond EIG_HERM_TOL 2^e, or
+            the reconstruction check failed.
     """
-    A = _as_matrix(M)
-    _require_square(A)
-    _require_hermitian(A, EIG_HERM_TOL)
-    vals, vecs = np.linalg.eigh(A)
-    spec = Spectrum(eigenvalues=vals, eigenvectors=vecs)
-    scale = max(1.0, float(np.max(np.abs(A))))
-    if np.max(np.abs(spec.reconstruct() - A)) > RECON_TOL * scale:
+    A, e = _scaled_hermitian(M)
+    scaled = Spectrum(*np.linalg.eigh(A))
+    top = float(np.abs(scaled.eigenvalues).max(initial=0.0))
+    if np.abs(scaled.reconstruct() - A).max(initial=0.0) > RECON_TOL * top:
         raise NonHermitianError("eigendecomposition failed the reconstruction check")
-    return spec
+    return Spectrum(eigenvalues=np.ldexp(scaled.eigenvalues, e), eigenvectors=scaled.eigenvectors)
 
 
 def sqrt_psd(M) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
+    """Hermitian square root of a positive semidefinite matrix of any scale.
 
-    Eigenvalues in (-PSD_CLIP_TOL, 0) and positive ones at roundoff level
-    (see :func:`psd_roots`) count as zero; anything below -PSD_CLIP_TOL raises.
+    With top the largest eigenvalue modulus, eigenvalues in
+    [-PSD_CLIP_TOL top, 0) and positive ones at roundoff level (see
+    :func:`psd_roots`) count as zero; anything below -PSD_CLIP_TOL top raises.
 
     Raises:
-        NotPSDError: if an eigenvalue lies below -PSD_CLIP_TOL.
+        NonSquareError, DomainError, NonHermitianError: as :func:`eig_hermitian`.
+        NotPSDError: if an eigenvalue lies below -PSD_CLIP_TOL top.
     """
-    A = _as_matrix(M)
-    spec = eig_hermitian(A)
-    vals = spec.eigenvalues
-    if np.min(vals) < -PSD_CLIP_TOL:
-        raise NotPSDError(f"minimum eigenvalue {np.min(vals):.3e} below -{PSD_CLIP_TOL:.1e}")
-    V = spec.eigenvectors
-    S = (V * psd_roots(vals, float(np.max(np.abs(vals))))) @ V.conj().T
+    spec = eig_hermitian(M)
+    vals, V = spec.eigenvalues, spec.eigenvectors
+    top = float(np.abs(vals).max(initial=0.0))
+    if vals.min(initial=0.0) < -PSD_CLIP_TOL * top:
+        raise NotPSDError(
+            f"minimum eigenvalue {vals[0]:.3e} below -{PSD_CLIP_TOL:.1e} times the largest modulus {top:.3e}"
+        )
+    S = (V * psd_roots(vals, top)) @ V.conj().T
     return (S + S.conj().T) / 2.0
 
 

@@ -41,6 +41,8 @@ from .linalg import DensityMatrix, psd_roots, sqrt_psd, trace_norm
 
 UNIT_TOL = 1e-12
 RANGE_SLACK = 1e-12
+"""Slack of :func:`_in_range`.  Absolute: each range it widens (of p, f, F, omega, beta2)
+is fixed and of order 1, and that range sets the scale."""
 CHAIN_TOL = 1e-9
 
 
@@ -233,7 +235,8 @@ def fidelity_oracle(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Brute-force Uhlmann fidelity Tr[sqrt(sqrt(rho) sigma sqrt(rho))]^2.
 
     Raises:
-        NotPSDError: either input has an eigenvalue below -1e-10.
+        NotPSDError: rho has an eigenvalue below -1e-10 times its largest
+            (:func:`sqrt_psd`), or sqrt(rho) sigma sqrt(rho) one below -1e-10.
         DimensionMismatchError.
     """
     if rho.dim != sigma.dim:
@@ -241,9 +244,9 @@ def fidelity_oracle(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     s = sqrt_psd(rho.matrix)
     inner = s @ sigma.matrix @ s
     vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
+    # unit-trace inputs bound ||inner|| by 1, so this check is absolute and its roundoff ~eps
     if float(np.min(vals)) < -1e-10:
         raise NotPSDError(f"inner matrix eigenvalue {np.min(vals):.3e} below -1e-10")
-    # unit-trace inputs bound ||inner|| by 1, and so its roundoff by ~eps
     return _clip(float(np.sum(psd_roots(vals, 1.0))) ** 2, "fidelity")
 
 

@@ -21,16 +21,13 @@ from string import ascii_lowercase
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InconsistentMomentsError,
-    IndeterminateSignCountError,
-    NonHermitianError,
-)
-from .linalg import EIG_HERM_TOL, DensityMatrix, _as_matrix, _require_square
+from .errors import DomainError, InconsistentMomentsError, IndeterminateSignCountError
+from .linalg import DensityMatrix, _scaled_hermitian
 from .metrics import _dps_levels, _require_dimension, _seeded_rng, p_min
 
 RECOVERY_TOL = 1e-8
+"""Slack on p^2 and on t3 in moment recovery.  Absolute: unit trace fixes the scale,
+since every moment of a state lies in [0, 1]."""
 
 
 @dataclass(frozen=True)
@@ -146,14 +143,9 @@ def count_positive_charpoly(M) -> int:
     is refused; so is the zero matrix, whose gap is 0.  A 0 x 0 matrix
     has no eigenvalues and counts 0.
 
-    M is first scaled by the smallest power of two above max |m_ij|, which
-    is exact.  Its entries are then at most 1 in modulus, so neither the
-    norm nor the symmetrisation can overflow, and the gap of a nonzero M
-    is never 0.  Wherever no square of an entry of M over- or underflows,
-    the band is bit for bit the unscaled 1e-10 ||M||_F.  The Hermitian
-    check runs on the scaled matrix, so both it and the band are
-    relative to the size of M, and M and 2^k M get the same verdict
-    wherever the scaling is exact.  The tests
+    Both the Hermitian check and the band are taken on M / 2^e from
+    :func:`~dpstates.linalg._scaled_hermitian`, so M and 2^k M get the
+    same verdict wherever the scaling is exact.  The tests
     check every count against an eigensolve-free one, the positive LDL^T
     pivots of a Householder tridiagonal form (Sylvester's law of
     inertia).  (The name is historical: no characteristic polynomial is
@@ -163,26 +155,11 @@ def count_positive_charpoly(M) -> int:
         NonSquareError.
         DomainError: an entry is NaN or infinite.
         NonHermitianError: M deviates from M^dag by more than 1e-10 times
-            that power of two (between max |m_ij| and twice it).
+            2^e, the smallest power of two above max |m_ij|.
         IndeterminateSignCountError: an eigenvalue lies within 1e-10
             ||M||_F of zero, so the count is ill-defined at that tolerance.
     """
-    A = _as_matrix(M)
-    _require_square(A)
-    top = float(np.abs(A).max(initial=0.0))
-    if not math.isfinite(top):
-        raise DomainError("matrix has NaN or infinite entries")
-    # the factor 2^-e is exact; it is applied in two halves because 2^-e
-    # overflows for a subnormal max |m_ij| (e down to -1073)
-    e = math.frexp(top)[1]
-    A = A * math.ldexp(1.0, -(e // 2)) * math.ldexp(1.0, e // 2 - e)
-    # checked at the scale of the band, so the verdict does not depend on the scale of M
-    dev = float(np.abs(A - A.conj().T).max(initial=0.0))
-    if not dev <= EIG_HERM_TOL:
-        raise NonHermitianError(
-            f"Hermiticity deviation {dev:.3e} of M / 2^{e} exceeds {EIG_HERM_TOL:.1e}, "
-            f"where 2^{e} is the smallest power of two above max |m_ij|"
-        )
+    A, _ = _scaled_hermitian(M)
     vals = np.linalg.eigvalsh((A + A.conj().T) / 2.0)
     gap = 1e-10 * float(np.linalg.norm(A))
     if np.abs(vals).min(initial=math.inf) <= gap:

@@ -173,8 +173,9 @@ def test_star_rejects_dim2():
     n = CoherenceVector(dim=2, n=np.array([0.0, 0.0, 1.0]))
     with pytest.raises(UndefinedForDim2Error):
         star(n, n)
-    with pytest.raises(UndefinedForDim2Error):
-        invariant_ladder(n, 2)
+    for r_max in (0, 2):  # r_max = 0 needs no star product, and is refused all the same
+        with pytest.raises(UndefinedForDim2Error):
+            invariant_ladder(n, r_max)
     with pytest.raises(UndefinedForDim2Error):
         measure_dps(DensityMatrix(np.eye(2) / 2.0)).ladder(2)
 

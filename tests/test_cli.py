@@ -127,6 +127,12 @@ class TestIdentifyCommands:
             ["channel", "recipe", pure, "--f", "0.5", "--seed", "1", "--trials", "10"],
         ):
             run_json(capsys, *argv)
+        # a refusal is worded from the DPS verdict, not from a spectrum
+        for argv in (
+            ["channel", "protocol1", state, "--beta2", "0.5"],
+            ["channel", "recipe", state, "--f", "0.5", "--seed", "1", "--trials", "10"],
+        ):
+            assert main(argv) == 3
 
 
 class TestExitCodes:

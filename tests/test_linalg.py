@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpstates import (
     DensityMatrix,
     DimensionMismatchError,
+    DomainError,
     NonHermitianError,
     NonSquareError,
     NotPSDError,
@@ -72,6 +77,17 @@ class TestEig:
         with pytest.raises(NonSquareError):
             eig_hermitian(np.zeros((2, 3)))
 
+    def test_tiny_non_hermitian_matrix_is_refused(self):
+        # an absolute 1e-10 check passes it, and eigh reads only its lower
+        # triangle: 1e-11 and 3e-11, where its Hermitian part has 5.86e-12 and 3.41e-11
+        with pytest.raises(NonHermitianError):
+            eig_hermitian(1e-11 * np.array([[1.0, 2.0], [0.0, 3.0]]))
+
+    def test_huge_hermitian_matrix_is_solved(self):
+        # its deviation from M^dag is 2^300 1e-12, far above an absolute 1e-10
+        spec = eig_hermitian(2.0**300 * np.array([[2.0, 1.0 + 1e-12], [1.0, 2.0]]))
+        assert np.allclose(spec.eigenvalues, 2.0**300 * np.array([1.0, 3.0]), rtol=1e-15, atol=0.0)
+
 
 class TestSqrtPsd:
     def test_squares_back(self):
@@ -87,6 +103,64 @@ class TestSqrtPsd:
     def test_clips_tiny_negatives(self):
         S = sqrt_psd(np.diag([1.0, -1e-12]))
         assert S[1, 1] == 0.0
+
+    def test_tiny_indefinite_matrix_is_refused(self):
+        # -2^-300 lies above an absolute -1e-10, but is a third of the largest eigenvalue
+        with pytest.raises(NotPSDError):
+            sqrt_psd(2.0**-300 * np.diag([-1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("solve", [eig_hermitian, sqrt_psd])
+def test_non_finite_entry_is_refused(solve):
+    M = np.eye(3, dtype=complex)
+    M[0, 1] = np.nan
+    with pytest.raises(DomainError, match="NaN or infinite"):
+        solve(M)
+
+
+def test_empty_matrix_has_empty_outputs():
+    # like count_positive_charpoly's 0 count, not a ValueError from an empty max
+    assert eig_hermitian(np.zeros((0, 0))).eigenvalues.shape == (0,)
+    assert sqrt_psd(np.zeros((0, 0))).shape == (0, 0)
+
+
+# what each solver returns, brought back from 2^e M to scale 1 (e even)
+UNSCALE = {
+    eig_hermitian: lambda spec, e: (spec.eigenvalues * 2.0**-e, spec.eigenvectors),
+    sqrt_psd: lambda root, e: (root * 2.0 ** (-e // 2),),
+}
+
+
+def solve_verdict(solve, M: np.ndarray, e: int):
+    """solve(2^e M) unscaled, or the class of the error that refuses it."""
+    try:
+        return UNSCALE[solve](solve(math.ldexp(1.0, e) * M), e)
+    except DomainError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("solve", [eig_hermitian, sqrt_psd])
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    skew=st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-3]),
+    square=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_verdict_does_not_depend_on_scale(solve, n, skew, square, seed):
+    # the output, or the class of the refusal, is the same at 2^-300 M and
+    # 2^300 M as at M; squaring makes M positive semidefinite, for sqrt_psd
+    rng = rng_for(109, seed)
+    A = rng.standard_normal((n, n)) + 1.0j * rng.standard_normal((n, n))
+    H = (A + A.conj().T) / 2.0
+    M = (H @ H if square else H) + skew * rng.standard_normal((n, n))
+    want = solve_verdict(solve, M, 0)
+    for e in (-300, 300):
+        got = solve_verdict(solve, M, e)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert not isinstance(got, type) and all(map(np.array_equal, got, want))
 
 
 def test_trace_norm_matches_eigenvalue_magnitudes():
