@@ -6,8 +6,8 @@ range p >= -1/(D^2-1).  The ancilla protocol reaches the same range with
 a single fixed unitary on system + two D-level ancillas, where the
 ancilla amplitude beta sets p = 1 - |beta|^2 and the extremal choice
 lands exactly on the universal-inverter boundary.  Twirling takes any
-channel to a depolarizing one; over the exact Clifford average that is
-an identity, over Haar samples it is an estimate.
+channel to a depolarizing one; over the exact Clifford average (any
+prime D) that is an identity, over Haar samples it is an estimate.
 """
 
 import numpy as np
@@ -52,6 +52,16 @@ exact = twirl(ch, mode="exact-clifford")
 print(f"exact Clifford twirl : p_hat = {exact.p_hat:.12f}")
 print(f"  (D^2 f - 1)/(D^2-1) = {twirl_p(D, f):.12f},"
       f" residual non-depolarizing part {exact.depolarizing_deviation:.1e}")
+
+# the Clifford group is a unitary 2-design at every prime D, so the
+# exact twirl needs no enumeration of its 3000 elements at D = 5
+ch5 = random_channel(5, kraus_count=2, seed=915)
+f5 = jamiolkowski_fidelity(ch5)
+exact5 = twirl(ch5, mode="exact-clifford")
+deficient5 = twirl(ch5, mode="exact-clifford", exclude_identity=True)
+print(f"exact Clifford twirl at D=5: p_hat = {exact5.p_hat:.12f},"
+      f" (D^2 f - 1)/(D^2-1) = {twirl_p(5, f5):.12f}")
+print(f"  without the identity: non-depolarizing part {deficient5.depolarizing_deviation:.1e}")
 
 print("Haar-sampled twirl converges like 1/sqrt(samples):")
 for samples in (64, 256, 1024, 4096):

@@ -11,10 +11,13 @@ which the tests check against the dense D^3 x D^3 unitary.
 A channel is held as its Choi matrix sum_K vec(K) vec(K)^dag, the Gram
 product M^T M^* over the rows vec(K); the Jamiolkowski state is that
 over D and the superoperator its reshuffle.  Every average over
-unitaries, the Clifford and Haar twirls and the recipe, is one Gram
+unitaries that is sampled, the Haar twirl and the recipe, is one Gram
 mean (``_gram_mean``) over a stream of unitary stacks, formed about
 GRAM_ROWS rows at a time, so memory does not grow with the number of
-unitaries.  Every operator set is one read-only complex (n, D, D)
+unitaries.  The exact Clifford twirl is a closed form: the Clifford
+group is a unitary 2-design at prime D, so its average is the
+depolarizing map; the enumerated group (``clifford_group``) is only the
+tests' oracle.  Every operator set is one read-only complex (n, D, D)
 stack: Kraus operators, the Weyl operators X^a Z^b, the Clifford group.
 
 All Monte-Carlo entry points take explicit integer seeds >= 0, checked
@@ -25,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -45,7 +47,12 @@ from .linalg import DensityMatrix, partial_trace
 from .metrics import _in_range, _require_dimension, _seeded_rng, _unit_vector, p_min, p_min_cp
 
 TP_TOL = 1e-10
-TWIRL_CHECK_TOL = 1e-10
+# The exact Clifford twirl splits its D^2 x D^2 Choi matrix into Kraus
+# operators with one eigensolve, O(D^6) time, and `dps channel twirl --out`
+# writes that matrix, whose dim D^2 = 961 at D = 31 is within the CLI's
+# MAX_WRITE_DIM.  At D = 31 the twirl peaks at 96 MB RSS in process, and
+# `dps channel twirl --out` at 304 MB, most of it the JSON text.
+CLIFFORD_TWIRL_MAX_DIM = 31
 GRAM_ROWS = 1024  # rows per block of a Gram mean, and unitaries per Haar draw
 
 
@@ -344,9 +351,12 @@ def _generator_table(D: int) -> tuple[np.ndarray, list[list[tuple[int, int]]]]:
     return gens, [list(zip(qg, kg)) for qg, kg in zip(q.tolist(), k.tolist())]
 
 
-@lru_cache(maxsize=None)
 def clifford_group(D: int) -> np.ndarray:
     """All Clifford unitaries modulo global phase: 24 at D=2, 216 at D=3.
+
+    The oracle of the exact Clifford twirl, which no library path
+    enumerates: the tests average over this group and compare the mean
+    with the closed form ``twirl`` returns.
 
     Returned as one read-only (n, D, D) stack whose entry 0 is the
     identity.  Breadth-first closure from {Hadamard/Fourier, diagonal
@@ -488,19 +498,17 @@ def _gram_mean(stacks: Iterable[np.ndarray], rows: Callable[[np.ndarray], np.nda
     return total / count
 
 
-def _twirl_result(acc: np.ndarray, D: int, p_hat: float, dev: float) -> TwirlResult:
-    kraus = _kraus_from_choi(acc, D)
-    return TwirlResult(channel=KrausChannel(dim=D, kraus=kraus), p_hat=p_hat, depolarizing_deviation=dev)
-
-
-def _depolarizing_deviation(C: np.ndarray, D: int, p_hat: float) -> float:
-    """Max entry deviation of the Choi matrix C from the depolarizing one at p_hat.
-
-    That Choi matrix is (1-p)/D 1 + p |vec 1><vec 1|.
-    """
+def _depolarizing_choi(D: int, p: float) -> np.ndarray:
+    """The Choi matrix of the depolarizing map at p: (1-p)/D 1 + p |vec 1><vec 1|."""
     vec1 = np.eye(D).reshape(-1)
-    want = ((1.0 - p_hat) / D) * np.eye(D * D) + p_hat * np.outer(vec1, vec1)
-    return float(np.max(np.abs(C - want)))
+    return ((1.0 - p) / D) * np.eye(D * D) + p * np.outer(vec1, vec1)
+
+
+def _twirl_result(acc: np.ndarray, D: int, p_hat: float) -> TwirlResult:
+    """The channel of the Choi matrix ``acc`` and its max entry deviation from the depolarizing one at p_hat."""
+    dev = float(np.max(np.abs(acc - _depolarizing_choi(D, p_hat))))
+    channel = KrausChannel(dim=D, kraus=_kraus_from_choi(acc, D))
+    return TwirlResult(channel=channel, p_hat=p_hat, depolarizing_deviation=dev)
 
 
 def twirl(
@@ -512,48 +520,48 @@ def twirl(
 ) -> TwirlResult:
     """Average U^dag . channel . U over unitaries U into a depolarizing map.
 
-    exact-clifford (D in {2, 3}) averages over the full Clifford group
-    and returns p_hat = (D^2 f - 1)/(D^2 - 1) computed from the original
-    channel's Jamiolkowski fidelity; the averaged map is verified
-    depolarizing on a complete operator basis.  haar-sample (D <= 6)
-    averages `samples` seeded Haar conjugations and estimates p_hat from
-    the averaged action on |0><0| (the Jamiolkowski fidelity itself is
-    conjugation-invariant, so it carries no Monte-Carlo information);
-    standard error scales as 1/sqrt(samples).
+    exact-clifford (prime D <= CLIFFORD_TWIRL_MAX_DIM) is the average
+    over the Clifford group, written in closed form: the group is a
+    unitary 2-design at every prime D (Gross, Audenaert & Eisert, J. Math.
+    Phys. 48, 052104 (2007)), so the average of any channel is the
+    depolarizing map at p_hat = (D^2 f - 1)/(D^2 - 1), with f the
+    channel's Jamiolkowski fidelity (Dankert, Cleve, Emerson & Livine,
+    PRA 80, 012304 (2009)).  The tests check it against the Gram mean
+    over ``clifford_group`` at D in {2, 3} and over a brute-force closure
+    at D = 5.  haar-sample (D <= 6) averages `samples` seeded Haar
+    conjugations, as the ``_gram_mean`` of the rows vec(U^dag K U), and
+    estimates p_hat from the averaged action on |0><0| (the Jamiolkowski
+    fidelity itself is conjugation-invariant, so it carries no
+    Monte-Carlo information); standard error scales as 1/sqrt(samples).
 
-    Both modes average Choi matrices as the ``_gram_mean`` of the rows
-    vec(U^dag K U); the tests check it against kron(U^dag, U^T) S kron(U, U^*).
-
-    ``exclude_identity`` averages over the group minus the identity, for
+    ``exclude_identity`` averages over the N - 1 = D^3 (D^2 - 1) - 1
+    elements of the Clifford group modulo phase other than the identity,
+    (N C_dep - C)/(N - 1) with C the channel's own Choi matrix, for
     measuring how far that deficient average is from depolarizing; the
     deviation is reported, never assumed zero.  Each mode takes only its
     own arguments: exact-clifford no samples or seed, haar-sample no
     ``exclude_identity``.
 
     Raises:
+        InvalidDimensionError: D < 2 (exact-clifford).
         UnsupportedDimensionError: dimension outside the mode's support.
         DomainError: unknown mode, samples < 1 or a seed that is not an
             integer >= 0 (haar-sample), or an argument the mode does not use.
     """
     D = ch.dim
-
-    def rows(Us):
-        Us = Us[:, None]
-        return (Us.conj().swapaxes(-1, -2) @ ch.kraus @ Us).reshape(-1, D * D)
-
     if mode == "exact-clifford":
         if samples != 0 or seed is not None:
             raise DomainError("exact-clifford twirl takes no samples or seed")
-        group = clifford_group(D)  # it refuses D outside {2, 3}
-        # the closure seeds from the identity, so group[0] is always 1
-        acc = _gram_mean([group[1:] if exclude_identity else group], rows)
-        p_hat = twirl_p(D, jamiolkowski_fidelity(ch))
-        dev = _depolarizing_deviation(acc, D, p_hat)
-        if not exclude_identity and dev > TWIRL_CHECK_TOL:
-            raise InternalCheckError(
-                f"full-group Clifford twirl deviates from depolarizing by {dev:.3e}"
+        p_hat = twirl_p(D, jamiolkowski_fidelity(ch))  # it refuses D < 2
+        if D > CLIFFORD_TWIRL_MAX_DIM or any(D % k == 0 for k in range(2, math.isqrt(D) + 1)):
+            raise UnsupportedDimensionError(
+                f"exact-clifford twirl needs a prime D <= {CLIFFORD_TWIRL_MAX_DIM} (a unitary 2-design), got {D}"
             )
-        return _twirl_result(acc, D, p_hat, dev)
+        acc = _depolarizing_choi(D, p_hat)
+        if exclude_identity:
+            N = D**3 * (D * D - 1)  # the order of the Clifford group modulo phase
+            acc = (N * acc - _choi(ch.kraus)) / (N - 1)
+        return _twirl_result(acc, D, p_hat)
 
     if mode == "haar-sample":
         if exclude_identity:
@@ -562,10 +570,15 @@ def twirl(
             raise UnsupportedDimensionError(f"haar-sample twirl supports D <= 6, got {D}")
         if samples < 1:
             raise DomainError("haar-sample twirl needs samples >= 1")
+
+        def rows(Us):
+            Us = Us[:, None]
+            return (Us.conj().swapaxes(-1, -2) @ ch.kraus @ Us).reshape(-1, D * D)
+
         acc = _gram_mean(haar_unitaries(D, samples, _seeded_rng(seed)), rows)
         # <0| twirl(|0><0|) |0> is the Choi entry at ((0, 0), (0, 0))
         p_hat = p_from_overlap(D, float(acc[0, 0].real))
-        return _twirl_result(acc, D, p_hat, _depolarizing_deviation(acc, D, p_hat))
+        return _twirl_result(acc, D, p_hat)
 
     raise DomainError(f"unknown twirl mode {mode!r}")
 

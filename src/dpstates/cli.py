@@ -33,6 +33,7 @@ from .bipartite import (
 )
 from .bloch import SPECTRUM_TOL, STAR_TOL, dps_test, measure_dps
 from .channels import (
+    CLIFFORD_TWIRL_MAX_DIM,
     KrausChannel,
     apply_depolarizing,
     chi_from_beta2,
@@ -47,9 +48,10 @@ from .channels import (
     twirl_p,
 )
 from .errors import DomainError, InternalCheckError
-from .linalg import DensityMatrix, eig_hermitian, partial_trace
+from .linalg import DensityMatrix, partial_trace
 from .metrics import (
     _array_measures,
+    _dps_levels,
     _dps_spectrum,
     bures_from_fidelity,
     distance_report,
@@ -284,7 +286,7 @@ def _pure_vector(state: DensityMatrix, what: str) -> np.ndarray:
     because unit trace fixes the scale of the eigenvalues.
     """
     dps = measure_dps(state).state()
-    top = (1.0 + (state.dim - 1) * dps.p) / state.dim
+    top = _dps_levels(state.dim, dps.p)[1]
     if abs(top - 1.0) > 1e-10:
         raise DomainError(f"{what} requires a pure state; its top eigenvalue is {top:.15g}, not 1")
     return dps.pure
@@ -330,8 +332,9 @@ def cmd_analyze(ns) -> Report:
     D = state.dim
     m = measure_dps(state)
     verdict_p = m.verdict(ns.tol_star, ns.tol_spectrum)
-    # report only: the verdict above makes no eigensolve
-    vals = eig_hermitian(state.matrix).eigenvalues
+    # report only: the verdict above makes no eigensolve; unit trace fixes the
+    # scale, so the eigenvalues need no rescaling, as in DensityMatrix.is_positive
+    vals = np.linalg.eigvalsh(state.matrix)
     results: dict = {
         "dim": D,
         "coherence_norm": m.norm,
@@ -625,24 +628,19 @@ def cmd_fig1(ns) -> None:
 def cmd_gen(ns) -> Report | None:
     reads = {"dps": {"dim", "p", "seed"}, "haar-pure": {"dim", "seed"}, "isotropic": {"da", "F"}}[ns.kind]
     _refuse_unread(ns, f"gen {ns.kind}", {"dim", "p", "da", "F", "seed"} - reads)
-    dim = 3 if ns.dim is None else ns.dim
-    if ns.kind != "isotropic":
-        _refuse_large_write("dim", dim, MAX_WRITE_DIM)
     dims = None
-    if ns.kind == "dps":
-        if ns.p is None or ns.seed is None:
-            raise DomainError("gen dps needs --p and --seed")
-        rng = np.random.default_rng(ns.seed)
-        psi = haar_state(dim, rng)
-        state = make_dps(psi, ns.p).to_matrix()
-        meta = {"kind": "dps", "dim": dim, "p": ns.p, "seed": ns.seed}
-    elif ns.kind == "haar-pure":
-        if ns.seed is None:
-            raise DomainError("gen haar-pure needs --seed")
-        rng = np.random.default_rng(ns.seed)
-        psi = haar_state(dim, rng)
-        state = make_dps(psi, 1.0).to_matrix()
-        meta = {"kind": "haar-pure", "dim": dim, "seed": ns.seed}
+    if ns.kind != "isotropic":
+        dim = 3 if ns.dim is None else ns.dim
+        _refuse_large_write("dim", dim, MAX_WRITE_DIM)
+        # haar-pure is gen dps at p = 1, whose parameters have no "p"
+        pure = ns.kind == "haar-pure"
+        p = 1.0 if pure else ns.p
+        if p is None or ns.seed is None:
+            raise DomainError("gen haar-pure needs --seed" if pure else "gen dps needs --p and --seed")
+        state = make_dps(haar_state(dim, np.random.default_rng(ns.seed)), p).to_matrix()
+        meta = {"kind": ns.kind, "dim": dim, "p": p, "seed": ns.seed}
+        if pure:
+            del meta["p"]
     else:
         if ns.F is None:
             raise DomainError("gen isotropic needs --F")
@@ -723,7 +721,8 @@ def build_parser() -> argparse.ArgumentParser:
     c_p1.add_argument("--out")
     c_p1.set_defaults(func=cmd_channel_protocol1)
 
-    c_tw = ch_sub.add_parser("twirl", help="average a channel into a depolarizing one")
+    tw_help = f"average a channel into a depolarizing one (exact-clifford: prime D <= {CLIFFORD_TWIRL_MAX_DIM})"
+    c_tw = ch_sub.add_parser("twirl", help=tw_help)
     c_tw.add_argument("channel")
     c_tw.add_argument("--mode", choices=("exact-clifford", "haar-sample"), default="exact-clifford")
     c_tw.add_argument("--samples", type=int, default=0)

@@ -1,10 +1,14 @@
+import json
 import math
 import tracemalloc
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dpstates
 from dpstates import (
     ChiState,
     DensityMatrix,
@@ -57,6 +61,7 @@ from conftest import random_mixed, rng_for
         lambda: twirl_p(1, 0.5),
         lambda: channels.p_from_overlap(1, 0.5),
         lambda: twirl(KrausChannel(dim=1, kraus=[np.eye(1)]), mode="haar-sample", samples=3, seed=1),
+        lambda: twirl(KrausChannel(dim=1, kraus=[np.eye(1)]), mode="exact-clifford"),
         lambda: ChiState(1, 1.0, 0.0),
         lambda: chi_from_beta2(1, 0.5),
         lambda: protocol1([1.0], ChiState(1, 1.0, 0.0)),
@@ -65,7 +70,8 @@ from conftest import random_mixed, rng_for
     ],
     ids=[
         "p_min", "p_min_cp", "apply_depolarizing", "depolarizing_kraus", "twirl_p", "p_from_overlap",
-        "haar_sample_twirl", "ChiState", "chi_from_beta2", "protocol1", "dps_moment", "KrausChannel",
+        "haar_sample_twirl", "exact_clifford_twirl", "ChiState", "chi_from_beta2", "protocol1", "dps_moment",
+        "KrausChannel",
     ],
 )
 def test_dimension_below_two_is_an_invalid_dimension(call):
@@ -392,18 +398,24 @@ def test_jamiolkowski_matches_kron_oracle(D):
 
 
 def clifford_generators(D: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Fourier (Hadamard) gate F and the diagonal phase gate S."""
+    """The Fourier (Hadamard) gate F and the diagonal phase gate S, at D = 2 or an odd prime D.
+
+    At odd D, S = diag(omega^(j (j-1) / 2)) sends X to X Z; at D = 3 that
+    is diag(1, 1, omega), the library's gate bit for bit.
+    """
     omega = np.exp(2.0j * math.pi / D)
     F = np.array([[omega ** (j * k) for k in range(D)] for j in range(D)]) / math.sqrt(D)
-    S = np.diag([1.0, 1.0j]) if D == 2 else np.diag([1.0, 1.0, omega])
+    S = np.diag([1.0, 1.0j]) if D == 2 else np.diag([omega ** (j * (j - 1) // 2 % D) for j in range(D)])
     return F, S
 
 
+@lru_cache(maxsize=None)
 def clifford_closure_oracle(D: int) -> np.ndarray:
     """Brute-force Clifford closure: each candidate scanned against every member found.
 
     The same breadth-first order and canonical phase as ``clifford_group``,
     with membership by |Tr(W^dag V)| = D over the whole group so far.
+    Read-only, as it is cached; at D = 5 it takes about 2 s.
     """
     F, S = clifford_generators(D)
     group = np.eye(D, dtype=complex)[None]
@@ -420,7 +432,14 @@ def clifford_closure_oracle(D: int) -> np.ndarray:
                     group = np.concatenate([group, W[None]])
                     nxt.append(W)
         frontier = nxt
+    group.setflags(write=False)
     return group
+
+
+def clifford_twirl_oracle(ch: KrausChannel, group: np.ndarray, exclude_identity: bool) -> np.ndarray:
+    """The Choi matrix of the Gram mean over a Clifford group, without its identity if asked."""
+    # both closures start from the identity, so group[0] is always 1
+    return channels._gram_mean([group[1:] if exclude_identity else group], conjugated_rows(ch.kraus))
 
 
 class TestCliffordGroup:
@@ -477,7 +496,7 @@ class TestCliffordGroup:
 
         monkeypatch.setattr(channels, "_generator_table", corrupted)
         with pytest.raises(InternalCheckError, match="composed in integers"):
-            clifford_group.__wrapped__(D)
+            clifford_group(D)
 
     def test_non_clifford_candidate_is_an_internal_error(self):
         U = haar_unitary(3, np.random.default_rng(5))
@@ -496,8 +515,6 @@ class TestCliffordGroup:
     def test_unsupported_dimension(self):
         with pytest.raises(UnsupportedDimensionError):
             clifford_group(4)
-        with pytest.raises(UnsupportedDimensionError):
-            twirl(random_channel(4, 1, seed=1), mode="exact-clifford")
 
     @pytest.mark.parametrize("D", [3.0, np.float64(2.0), "3"])
     def test_non_integer_dimension(self, D):
@@ -506,7 +523,7 @@ class TestCliffordGroup:
 
 
 class TestTwirl:
-    @pytest.mark.parametrize("D", [2, 3])
+    @pytest.mark.parametrize("D", [2, 3, 5, 7])
     def test_exact_clifford_collapses_to_depolarizing(self, D):
         ch = random_channel(D, 3, seed=70 + D)
         result = twirl(ch, mode="exact-clifford")
@@ -516,6 +533,55 @@ class TestTwirl:
         dm = random_mixed(D, rng_for(71, D))
         expect = apply_depolarizing(dm, result.p_hat).state.matrix
         assert np.max(np.abs(result.channel.apply(dm.matrix) - expect)) < 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        D=st.sampled_from([2, 3]),
+        kraus_count=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        exclude=st.booleans(),
+    )
+    def test_closed_form_matches_clifford_group_average(self, D, kraus_count, seed, exclude):
+        ch = random_channel(D, kraus_count, seed=seed)
+        result = twirl(ch, mode="exact-clifford", exclude_identity=exclude)
+        want = clifford_twirl_oracle(ch, clifford_group(D), exclude)
+        assert np.max(np.abs(channels._choi(result.channel.kraus) - want)) < 1e-14
+        dev = np.max(np.abs(want - channels._depolarizing_choi(D, result.p_hat)))
+        assert result.depolarizing_deviation == pytest.approx(dev, abs=1e-14)
+
+    @pytest.mark.parametrize("exclude", [False, True])
+    def test_closed_form_matches_brute_force_group_at_five(self, exclude):
+        # the library enumerates no group at D = 5; the test-side closure
+        # finds all D^3 (D^2 - 1) = 3000 elements modulo phase
+        group = clifford_closure_oracle(5)
+        assert len(group) == 3000
+        ch = random_channel(5, 3, seed=99)
+        result = twirl(ch, mode="exact-clifford", exclude_identity=exclude)
+        want = clifford_twirl_oracle(ch, group, exclude)
+        assert np.max(np.abs(channels._choi(result.channel.kraus) - want)) < 1e-13
+
+    def test_no_library_path_enumerates_the_group(self, monkeypatch, tmp_path):
+        from dpstates.cli import main
+
+        def refuse(D):
+            raise AssertionError("clifford_group is the tests' oracle only")
+
+        monkeypatch.setattr(channels, "clifford_group", refuse)
+        monkeypatch.setattr(dpstates, "clifford_group", refuse)
+        for D in (2, 3, 5):
+            ch = random_channel(D, 2, seed=D)
+            assert twirl(ch, mode="exact-clifford").p_hat == twirl_p(D, jamiolkowski_fidelity(ch))
+            twirl(ch, mode="exact-clifford", exclude_identity=True)
+            kraus = [[[[z.real, z.imag] for z in row] for row in K] for K in ch.kraus]
+            path = tmp_path / f"ch{D}.json"
+            path.write_text(json.dumps({"dim": D, "kraus": kraus}))
+            assert main(["channel", "twirl", str(path), "--out", str(tmp_path / "twirled.json")]) == 0
+
+    @pytest.mark.parametrize("D", [4, 6, 9, 37])
+    def test_exact_clifford_needs_a_prime_below_the_cap(self, D):
+        assert channels.CLIFFORD_TWIRL_MAX_DIM < 37
+        with pytest.raises(UnsupportedDimensionError, match=f"prime D <= {channels.CLIFFORD_TWIRL_MAX_DIM}"):
+            twirl(KrausChannel(dim=D, kraus=[np.eye(D)]), mode="exact-clifford")
 
     def test_exclude_identity_measures_deficiency(self):
         ch = random_channel(2, 2, seed=72)
@@ -593,9 +659,8 @@ class TestTwirl:
         result = twirl(ch, mode="haar-sample", samples=samples, seed=98)
         p_hat = (want[0, 0].real - 1.0 / D) / (1.0 - 1.0 / D)
         assert result.p_hat == pytest.approx(p_hat, abs=1e-13)
-        assert result.depolarizing_deviation == pytest.approx(
-            channels._depolarizing_deviation(reshuffle(want, D), D, p_hat), abs=1e-13
-        )
+        dev = np.max(np.abs(reshuffle(want, D) - channels._depolarizing_choi(D, p_hat)))
+        assert result.depolarizing_deviation == pytest.approx(dev, abs=1e-13)
 
 
 class TestHaar:

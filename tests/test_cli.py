@@ -84,11 +84,11 @@ class TestGenAnalyze:
     @pytest.mark.parametrize("D", [2, 3, 4, 5])
     def test_analyze_reports_eigh_spectrum(self, capsys, tmp_path, D):
         # positive and spectrum_deviation are report-only fields, read from
-        # one eigh of the loaded state; the verdict makes no eigensolve
+        # one eigvalsh of the loaded state; the verdict makes no eigensolve
         rng = rng_for(28, D)
         for i, state in enumerate((random_dps(D, rng).to_matrix(), random_non_dps(D, rng), random_mixed(D, rng))):
             r = run_json(capsys, "analyze", write_state(tmp_path / f"s{i}.json", state.matrix))["results"]
-            vals = np.linalg.eigh(state.matrix)[0]
+            vals = np.linalg.eigvalsh(state.matrix)
             p = measure_dps(state).p
             assert r["spectrum_deviation"] == float(np.max(np.abs(vals - _dps_spectrum(D, p))))
             assert r["positive"] == bool(vals[0] >= -SPECTRUM_TOL)
@@ -263,16 +263,18 @@ class TestChannelCommands:
     def test_twirl_channel_file(self, capsys, tmp_path):
         from dpstates import random_channel
 
-        ch = random_channel(2, 3, seed=33)
-        doc = {
-            "dim": 2,
-            "kraus": [[[[z.real, z.imag] for z in row] for row in K] for K in ch.kraus],
-        }
-        path = tmp_path / "ch.json"
-        path.write_text(json.dumps(doc))
-        rep = run_json(capsys, "channel", "twirl", str(path))
-        assert rep["results"]["p_hat"] == pytest.approx(rep["results"]["p_exact"], abs=1e-12)
-        assert rep["results"]["depolarizing_deviation"] < 1e-10
+        # D = 5 is past the dimensions the enumerated Clifford group reaches
+        for D in (2, 5):
+            ch = random_channel(D, 3, seed=33)
+            doc = {
+                "dim": D,
+                "kraus": [[[[z.real, z.imag] for z in row] for row in K] for K in ch.kraus],
+            }
+            path = tmp_path / f"ch{D}.json"
+            path.write_text(json.dumps(doc))
+            rep = run_json(capsys, "channel", "twirl", str(path))
+            assert rep["results"]["p_hat"] == rep["results"]["p_exact"]
+            assert rep["results"]["depolarizing_deviation"] < 1e-10
 
     def test_twirl_rejects_bad_channel_file(self, tmp_path):
         path = tmp_path / "ch.json"
@@ -504,8 +506,10 @@ BOUNDARY_COMMANDS = [
     # --dims that do not factorize D, refused by schmidt_dps and local_depolarize
     ["schmidt", "{dps}", "--dims", "2", "3"],
     ["channel", "local", "{dps}", "--dims", "2", "3", "--pa", "0.5", "--pb", "0.5"],
-    # the exact Clifford twirl exists at D in {2, 3} only
+    # the exact Clifford twirl needs a prime D <= 31
     ["channel", "twirl", "{ch4}"],
+    ["channel", "twirl", "{ch6}"],
+    ["channel", "twirl", "{ch37}"],
 ]
 
 # inputs whose file breaks the schema, so that they are refused with exit 2
@@ -518,8 +522,10 @@ def write_inputs(tmp_path) -> dict:
     nan[0, 1] = nan[1, 0] = np.nan
     ch = tmp_path / "ch.json"
     ch.write_text(json.dumps({"dim": 2, "kraus": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}))
-    ch4 = tmp_path / "ch4.json"
-    ch4.write_text(json.dumps({"dim": 4, "kraus": [[[[float(i == j), 0.0] for j in range(4)] for i in range(4)]]}))
+    # identity channels at dimensions the exact Clifford twirl refuses
+    for D in (4, 6, 37):
+        identity = [[[float(i == j), 0.0] for j in range(D)] for i in range(D)]
+        (tmp_path / f"ch{D}.json").write_text(json.dumps({"dim": D, "kraus": [identity]}))
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     # files that each break one rule of the schema
@@ -542,7 +548,7 @@ def write_inputs(tmp_path) -> dict:
         # top eigenvalue 1 and unit trace, but not positive: not a pure state
         "notpsd": write_state(tmp_path / "notpsd.json", np.diag([1.0, 0.3, -0.3])),
         "ch": str(ch),
-        "ch4": str(ch4),
+        **{f"ch{D}": str(tmp_path / f"ch{D}.json") for D in (4, 6, 37)},
         "bad": str(bad),
         "missing": str(tmp_path / "missing.json"),
     }
