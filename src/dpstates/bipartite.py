@@ -6,10 +6,15 @@ partial-transpose spectra and negativity of a DPS are closed-form
 functions of (p, Schmidt coefficients, dA, dB).  Each closed form is
 cross-checked against dense partial-trace / partial-transpose oracles
 in the test suite.
+
+A Schmidt vector is checked and evaluated as a list of Python floats,
+with one array built per result: the vectors have a handful of entries,
+where numpy dispatch would cost more than the arithmetic.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -132,19 +137,20 @@ def schmidt_dps(rho_d: DensityMatrix, dA: int, dB: int, *, p_tol: float = P_TOL)
     return dps.p, schmidt_pure(dps.pure, dA, dB)
 
 
-def _check_schmidt_vector(b, n_slots: int) -> np.ndarray:
-    vec = np.asarray(b, dtype=float).reshape(-1)
-    if vec.size > n_slots:
-        raise InvalidSchmidtVectorError(f"{vec.size} Schmidt coefficients exceed {n_slots} slots")
+def _check_schmidt_vector(b, n_slots: int) -> list[float]:
+    """b flattened to Python floats, checked, clipped at 0 and padded with zeros to n_slots."""
+    vec = np.asarray(b, dtype=float).reshape(-1).tolist()
+    if len(vec) > n_slots:
+        raise InvalidSchmidtVectorError(f"{len(vec)} Schmidt coefficients exceed {n_slots} slots")
     # both tests are negated so that NaN fails them
-    if not np.all(vec >= -1e-12):
-        raise InvalidSchmidtVectorError("Schmidt coefficients must be nonnegative")
-    total = float(np.sum(vec * vec))
+    total = 0.0
+    for x in vec:
+        if not x >= -1e-12:
+            raise InvalidSchmidtVectorError("Schmidt coefficients must be nonnegative")
+        total += x * x
     if not abs(total - 1.0) <= SCHMIDT_SUM_TOL:
         raise InvalidSchmidtVectorError(f"sum of b^2 is {total:.15g}, not 1")
-    out = np.zeros(n_slots)
-    out[: vec.size] = np.clip(vec, 0.0, None)
-    return out
+    return [x if x > 0.0 else 0.0 for x in vec] + [0.0] * (n_slots - len(vec))
 
 
 def reduced_spectrum_dps(p: float, b, dX: int) -> np.ndarray:
@@ -161,8 +167,11 @@ def reduced_spectrum_dps(p: float, b, dX: int) -> np.ndarray:
         InvalidSchmidtVectorError.
     """
     _polarization(p, 2 * dX)  # a check only: the caller's p is used unclamped
-    # b comes back padded with zeros to dX slots, which keep the flat value
-    return np.sort((1.0 - p) / dX + p * _check_schmidt_vector(b, dX) ** 2)
+    flat = (1.0 - p) / dX
+    # b comes back padded with zeros to dX slots, which keep the flat value;
+    # p * (b_j * b_j) here and (p * b_j) * b_j in pt_spectrum_closed round
+    # differently, and the tests hold each spectrum to its own bits
+    return np.array(sorted([flat + p * (bj * bj) for bj in _check_schmidt_vector(b, dX)]))
 
 
 @dataclass(frozen=True)
@@ -281,7 +290,8 @@ def pt_spectrum_closed(p: float, b, dA: int, dB: int) -> np.ndarray:
             vals.append(flat + cross)
             vals.append(flat - cross)
     vals.extend([flat] * (D - dA * dA))
-    return np.sort(np.array(vals))
+    vals.sort()
+    return np.array(vals)
 
 
 def negativity(p: float, b, dA: int, dB: int, neg_tol: float = NEG_TOL) -> EntanglementReport:
@@ -297,7 +307,8 @@ def negativity(p: float, b, dA: int, dB: int, neg_tol: float = NEG_TOL) -> Entan
         InvalidSchmidtVectorError.
     """
     spectrum = pt_spectrum_closed(p, b, dA, dB)
-    count = int(np.sum(spectrum < -neg_tol))
+    # the spectrum is ascending, so the count is where -neg_tol would go
+    count = bisect.bisect_left(spectrum.tolist(), -neg_tol)
     bound = dA * (dA - 1) // 2
     if count > bound:
         raise InternalCheckError(
@@ -323,9 +334,8 @@ def pair_threshold(b, dA: int, dB: int) -> float:
     is nonzero (product direction, never entangled).
     """
     _check_bipartite_dims(dA, dB)
-    vec = _check_schmidt_vector(b, dA)
-    sorted_desc = np.sort(vec)[::-1]
-    top = float(sorted_desc[0] * sorted_desc[1])
+    vec = sorted(_check_schmidt_vector(b, dA))
+    top = vec[-1] * vec[-2]
     if top <= 0.0:
         return math.inf
     return 1.0 / (dA * dB * top + 1.0)

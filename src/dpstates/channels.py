@@ -50,8 +50,8 @@ TP_TOL = 1e-10
 # The exact Clifford twirl splits its D^2 x D^2 Choi matrix into Kraus
 # operators with one eigensolve, O(D^6) time, and `dps channel twirl --out`
 # writes that matrix, whose dim D^2 = 961 at D = 31 is within the CLI's
-# MAX_WRITE_DIM.  At D = 31 the twirl peaks at 96 MB RSS in process, and
-# `dps channel twirl --out` at 304 MB, most of it the JSON text.
+# MAX_WRITE_DIM.  At D = 31 the twirl peaks at 90 MB RSS in process, and
+# `dps channel twirl --out` at 148 MB, the rest of it the JSON text.
 CLIFFORD_TWIRL_MAX_DIM = 31
 GRAM_ROWS = 1024  # rows per block of a Gram mean, and unitaries per Haar draw
 

@@ -109,6 +109,8 @@ def _render(obj, ind: int) -> str:
         rows = [f'{pad}  {json.dumps(str(k))}: {_render(v, ind + 1)}' for k, v in obj.items()]
         return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "c" and obj.ndim == 2 and obj.size:
+            return _render_complex_matrix(obj, ind)
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         seq = list(obj)
@@ -119,6 +121,22 @@ def _render(obj, ind: int) -> str:
         rows = [f"{pad}  {_render(v, ind + 1)}" for v in seq]
         return "[\n" + ",\n".join(rows) + f"\n{pad}]"
     raise InternalCheckError(f"unserializable value of type {type(obj).__name__}")
+
+
+def _render_complex_matrix(M: np.ndarray, ind: int) -> str:
+    """M as rows of [re, im] pairs, laid out as ``_render`` lays out those nested lists.
+
+    Each row is one %-format of its interleaved real and imaginary parts
+    ("%.17g" is ``_f17``'s format), so a state file of D^2 entries costs
+    its float formatting, not D^2 nested lists.
+    """
+    if not np.isfinite(M).all():
+        raise InternalCheckError("non-finite value reached the report serializer")
+    pad = "  " * ind
+    row = f",\n{pad}    ".join(["[%.17g, %.17g]"] * M.shape[1])
+    parts = np.ascontiguousarray(M, dtype=complex).view(float)
+    body = f"\n{pad}  ],\n{pad}  [\n{pad}    ".join([row % tuple(r.tolist()) for r in parts])
+    return f"[\n{pad}  [\n{pad}    {body}\n{pad}  ]\n{pad}]"
 
 
 def render_json(obj) -> str:
@@ -198,10 +216,6 @@ def _parse_matrix(entry, dim: int, what: str) -> np.ndarray:
     return arr[..., 0] + 1.0j * arr[..., 1]
 
 
-def _matrix_to_pairs(M: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
-
-
 def _read_doc(ns, arg: str, kind: str, key: str) -> tuple[dict, int, str]:
     """(document, dim, path) of the JSON object named by ``ns.<arg>``, or CliInputError.
 
@@ -273,7 +287,7 @@ def state_document(state: DensityMatrix, dims: list | None = None) -> dict:
     doc: dict = {"dim": state.dim}
     if dims is not None:
         doc["dims"] = [int(dims[0]), int(dims[1])]
-    doc["matrix"] = _matrix_to_pairs(state.matrix)
+    doc["matrix"] = state.matrix
     return doc
 
 
@@ -301,9 +315,9 @@ def _refuse_unread(ns, what: str, flags) -> None:
 
 # A written state is a dense matrix in JSON text.  Peak RSS, measured with
 # fork and wait4: the complex (dim, dim) matrix of gen dps / haar-pure takes
-# about 36 MB + 0.37 KB * dim^2 (171 MB at dim = 600, 536-578 MB at 1200,
-# 1 GB near 1600); the real, mostly zero (da^2, da^2) isotropic matrix about
-# 34 MB + 214 B * da^4 (208 MB at da = 30, 551 MB at 40, 1 GB at 46).
+# about 36 MB + 0.2 KB * dim^2 (106 MB at dim = 600, 327 MB at 1200, 1 GB
+# near 2200); the real, mostly zero (da^2, da^2) isotropic matrix about
+# 34 MB + 84 B * da^4 (97 MB at da = 30, 250 MB at 40, 1 GB near 58).
 MAX_WRITE_DIM = 1200
 MAX_WRITE_DA = 40
 

@@ -12,7 +12,9 @@ expression text evaluates on Python floats (the per-pair entry points)
 and, element by element with the same roundings, on numpy arrays:
 ``distance_arrays`` evaluates a whole grid of (p, q, f) at once and
 applies the per-pair range checks and the Fuchs-van de Graaf chain
-check to every element.
+check to every element.  A scalar is range-checked by one chained
+comparison and never enters the array machinery, so a per-pair call
+pays for its arithmetic, not for numpy dispatch.
 
 Note on the equal-polarization case: the general trace-distance formula
 reduces at p = q to |p| sqrt(1-f) (the eigenvalues of a projector
@@ -125,13 +127,6 @@ def _acos(x):
     return np.fromiter(map(math.acos, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _limit(x, lo: float, hi: float):
-    """min(max(x, lo), hi)."""
-    if type(x) is float:
-        return lo if x < lo else hi if x > hi else x
-    return np.minimum(np.maximum(x, lo), hi)
-
-
 def _first_failure(ok, *values):
     """None where `ok` holds everywhere, else each value at the first failing element."""
     if ok is True:
@@ -147,22 +142,25 @@ def _first_failure(ok, *values):
 def _in_range(x, lo: float, hi: float, error: type, what: str):
     """x clamped into [lo, hi] after a check against [lo, hi] widened by RANGE_SLACK.
 
-    A scalar is checked and returned as a float; an array is checked
-    element by element.  NaN fails, and ``error`` names the first
-    failing value.
+    A scalar is checked by one chained comparison and returned as a
+    float; an array is checked element by element.  NaN fails, and
+    ``error`` names the first failing value.
     """
     if not isinstance(x, np.ndarray):
         x = float(x)
+        if not lo - RANGE_SLACK <= x <= hi + RANGE_SLACK:
+            raise error(f"{what}={x:.17g} outside [{lo:.15g}, {hi:.15g}]")
+        return lo if x < lo else hi if x > hi else x
     bad = _first_failure((x >= lo - RANGE_SLACK) & (x <= hi + RANGE_SLACK), x)
     if bad is not None:
         raise error(f"{what}={bad[0]:.17g} outside [{lo:.15g}, {hi:.15g}]")
-    return _limit(x, lo, hi)
+    return np.minimum(np.maximum(x, lo), hi)
 
 
 def _unit_vector(v) -> np.ndarray:
     """v as a flat complex array, checked to have norm 1 within UNIT_TOL (NaN and inf fail)."""
     v = np.asarray(v, dtype=complex).reshape(-1)
-    nrm = float(np.linalg.norm(v))
+    nrm = math.sqrt(np.vdot(v, v).real)
     if not abs(nrm - 1.0) <= UNIT_TOL:
         raise NonUnitVectorError(f"norm {nrm:.15g} differs from 1 beyond {UNIT_TOL:.1e}")
     return v

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from string import ascii_lowercase
 
 import numpy as np
 
@@ -28,6 +27,9 @@ from .metrics import _dps_levels, _require_dimension, _seeded_rng, p_min
 RECOVERY_TOL = 1e-8
 """Slack on p^2 and on t3 in moment recovery.  Absolute: unit trace fixes the scale,
 since every moment of a state lies in [0, 1]."""
+
+# einsum subscripts of the cyclic shift t -> t + 1 mod m: factor t is rho[i_(t+1), i_t]
+_CYCLE_SUBSCRIPTS = {2: "ba,ab", 3: "ba,cb,ac"}
 
 
 @dataclass(frozen=True)
@@ -63,10 +65,8 @@ def moment_permutation(rho: DensityMatrix, m: int) -> MomentEstimate:
     """
     if m not in (2, 3):
         raise DomainError(f"permutation evaluation is provided for m in {{2, 3}}, got {m}")
-    letters = ascii_lowercase[:m]
-    spec = ",".join(letters[(t + 1) % m] + letters[t] for t in range(m))
-    value = np.einsum(spec, *([rho.matrix] * m))
-    return MomentEstimate(m=m, value=float(np.real(value)), method="permutation")
+    value = np.einsum(_CYCLE_SUBSCRIPTS[m], *([rho.matrix] * m))
+    return MomentEstimate(m=m, value=float(value.real), method="permutation")
 
 
 def moment_montecarlo(rho: DensityMatrix, m: int, shots: int, seed: int) -> MomentEstimate:

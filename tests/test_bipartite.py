@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpstates import (
     AmbiguousAtPZeroError,
@@ -30,6 +32,7 @@ from dpstates import (
     schmidt_pure,
     two_qubit_canonical,
 )
+from dpstates.bipartite import NEG_TOL
 from dpstates.channels import haar_state
 
 from conftest import random_non_dps, rng_for
@@ -302,6 +305,83 @@ class TestPairThreshold:
             pair_threshold([0.6, 0.8], 2, 1)
         with pytest.raises(SubsystemOrderError):
             pair_threshold([0.6, 0.8], 3, 2)
+
+
+# The array expressions these closed forms had before they were evaluated
+# on Python floats: the float route must reproduce every bit of them.
+
+
+def array_schmidt_vector(b, n_slots):
+    vec = np.asarray(b, dtype=float).reshape(-1)
+    out = np.zeros(n_slots)
+    out[: vec.size] = np.clip(vec, 0.0, None)
+    return out
+
+
+def array_reduced_spectrum(p, b, dX):
+    return np.sort((1.0 - p) / dX + p * array_schmidt_vector(b, dX) ** 2)
+
+
+def array_pt_spectrum(p, b, dA, dB):
+    vec = array_schmidt_vector(b, dA)
+    D = dA * dB
+    flat = (1.0 - p) / D
+    vals = [flat + p * bj * bj for bj in vec]
+    for j in range(dA):
+        for k in range(j + 1, dA):
+            cross = p * vec[j] * vec[k]
+            vals.append(flat + cross)
+            vals.append(flat - cross)
+    vals.extend([flat] * (D - dA * dA))
+    return np.sort(np.array(vals))
+
+
+def array_negativity(p, b, dA, dB):
+    spectrum = array_pt_spectrum(p, b, dA, dB)
+    count = int(np.sum(spectrum < -NEG_TOL))
+    neg = 0.0 if count == 0 else float((np.sum(np.abs(spectrum)) - 1.0) / (dA - 1))
+    return spectrum, neg, count
+
+
+def array_pair_threshold(b, dA, dB):
+    sorted_desc = np.sort(array_schmidt_vector(b, dA))[::-1]
+    top = float(sorted_desc[0] * sorted_desc[1])
+    return math.inf if top <= 0.0 else 1.0 / (dA * dB * top + 1.0)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def schmidt_cases(draw):
+    """(p, b, dA, dB): dA <= dB <= 9, b of length 1..dA with zeros, p anywhere in its range."""
+    dB = draw(st.integers(min_value=2, max_value=9))
+    dA = draw(st.integers(min_value=2, max_value=dB))
+    n = draw(st.integers(min_value=1, max_value=dA))
+    entry = st.one_of(st.sampled_from([0.0, -0.0, -5e-13]), st.floats(min_value=0.0, max_value=1.0))
+    raw = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    norm = float(np.linalg.norm(raw))
+    b = raw / norm if norm > 0.5 else np.eye(n)[draw(st.integers(min_value=0, max_value=n - 1))]
+    lo = p_min(dA * dB)
+    t = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)))
+    return lo + t * (1.0 - lo), b, dA, dB
+
+
+class TestFloatRouteMatchesArrays:
+    @settings(max_examples=200, deadline=None)
+    @given(case=schmidt_cases())
+    def test_every_bit(self, case):
+        p, b, dA, dB = case
+        assert same_bits(reduced_spectrum_dps(p, b, dA), array_reduced_spectrum(p, b, dA))
+        assert same_bits(reduced_spectrum_dps(p, b, dB), array_reduced_spectrum(p, b, dB))
+        assert same_bits(pt_spectrum_closed(p, b, dA, dB), array_pt_spectrum(p, b, dA, dB))
+        rep = negativity(p, b, dA, dB)
+        spectrum, neg, count = array_negativity(p, b, dA, dB)
+        assert same_bits(rep.pt_spectrum, spectrum)
+        assert (rep.negativity.hex(), rep.negative_count) == (neg.hex(), count)
+        assert pair_threshold(b, dA, dB).hex() == array_pair_threshold(b, dA, dB).hex()
 
 
 class TestTwoQubitCanonical:

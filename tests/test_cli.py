@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpstates.bloch import SPECTRUM_TOL, measure_dps
-from dpstates.cli import build_parser, main, render_json
+from dpstates.cli import build_parser, main, render_json, state_document
+from dpstates.errors import InternalCheckError
 from dpstates.metrics import _dps_spectrum
 
 from conftest import random_dps, random_mixed, random_non_dps, rng_for
@@ -50,6 +51,33 @@ class TestRenderJson:
     def test_numpy_values(self):
         text = render_json({"v": np.float64(0.5), "n": np.int64(3), "a": np.arange(2)})
         assert json.loads(text) == {"v": 0.5, "n": 3, "a": [0, 1]}
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_complex_matrix_renders_as_its_pairs(self, transpose):
+        # a complex matrix is rendered straight from the array, byte for
+        # byte as the nested [re, im] lists it stands for
+        M = rng_for(90).standard_normal((4, 4)) + 1j * rng_for(91).standard_normal((4, 4))
+        M.real[0, 0], M.imag[0, 1] = -0.0, -0.0
+        M.real[1, 1], M.imag[1, 2] = 5e-324, 2.2250738585072014e-308 / 3
+        M.real[2, 2], M.imag[3, 0] = 1e300, -1e300
+        M = M.T if transpose else M
+        pairs = [[[float(z.real), float(z.imag)] for z in row] for row in M]
+        assert render_json({"dim": 4, "matrix": M, "nested": {"m": M}}) == render_json(
+            {"dim": 4, "matrix": pairs, "nested": {"m": pairs}}
+        )
+
+    def test_state_document_renders_as_its_pairs(self):
+        state = random_mixed(5, rng_for(92))
+        pairs = [[[float(z.real), float(z.imag)] for z in row] for row in state.matrix]
+        text = render_json(state_document(state))
+        assert text == render_json({"dim": 5, "matrix": pairs})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_complex_matrix_refuses_non_finite_entries(self, bad):
+        M = np.eye(2, dtype=complex)
+        M[0, 1] = bad
+        with pytest.raises(InternalCheckError):
+            render_json({"matrix": M})
 
 
 class TestGenAnalyze:

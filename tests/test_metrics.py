@@ -105,6 +105,58 @@ def test_non_finite_purification_is_not_unit(entry, bad):
         NON_FINITE_ENTRY_POINTS[entry](v)
 
 
+@pytest.mark.parametrize(
+    "bad", [math.nan, -math.inf, complex(0.0, -math.inf), 1e200, complex(1e200, -1e200)]
+)
+def test_unit_vector_refuses_non_finite_and_overflowing_entries(bad):
+    # the norm is sqrt(<v, v>): NaN and inf fail the unit check, and
+    # 1e200 overflows <v, v> to inf without a warning
+    with pytest.raises(NonUnitVectorError):
+        metrics._unit_vector(np.array([bad, 0.0, 0.0], dtype=complex))
+
+
+SLACK = metrics.RANGE_SLACK
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        -0.25 - SLACK,
+        np.nextafter(-0.25 - SLACK, -math.inf),
+        -0.25 - SLACK / 2,
+        -0.25,
+        0.3,
+        1.0,
+        1.0 + SLACK / 2,
+        1.0 + SLACK,
+        np.nextafter(1.0 + SLACK, math.inf),
+        math.nan,
+        math.inf,
+        -math.inf,
+        np.float64(1.0 + SLACK / 2),
+        np.float64(math.nan),
+        np.int64(0),
+        np.int64(2),
+        True,
+        False,
+    ],
+)
+def test_in_range_scalar_route_matches_array_route(x):
+    # a scalar skips the array machinery; it must get the array's clamped
+    # value, bit for bit, or the same refusal with the same message
+    def outcome(v):
+        try:
+            return metrics._in_range(v, -0.25, 1.0, PolarizationOutOfRangeError, "p")
+        except DomainError as exc:
+            return type(exc), str(exc)
+
+    scalar, array = outcome(x), outcome(np.array([x], dtype=float))
+    if isinstance(array, tuple):
+        assert scalar == array
+    else:
+        assert type(scalar) is float and scalar.hex() == float(array[0]).hex()
+
+
 def test_pure_overlap():
     a = make_dps(np.array([1.0, 0.0]), 0.5)
     b = make_dps(np.array([1.0, 1.0]) / math.sqrt(2.0), 0.5)
@@ -216,17 +268,21 @@ def factored_fidelity(a, b) -> float:
     seed=st.integers(min_value=0, max_value=2**31),
 )
 def test_closed_forms_match_oracles(D, tp, tq, seed):
-    # the Uhlmann oracle takes matrix square roots, so its own accuracy
-    # degrades to ~sqrt(eps) when a state goes singular at p = p_min;
-    # tolerance is 1e-9 in the interior, 1e-7 within 1e-6 of the edge
+    # a DPS is singular at both ends of its range, p = p_min and p = 1,
+    # and there the Uhlmann oracle takes roots of roundoff eigenvalues and
+    # is off by ~sqrt(eps); within 1e-6 of either end the closed fidelity
+    # is held to the factored oracle at 1e-12, elsewhere to the Uhlmann
+    # oracle at 1e-9
     rng = rng_for(39, seed)
     p = p_min(D) + tp * (1.0 - p_min(D))
     q = p_min(D) + tq * (1.0 - p_min(D))
-    tol = 1e-9 if min(tp, tq) > 1e-6 else 1e-7
     a, b = random_dps(D, rng, p=p), random_dps(D, rng, p=q)
-    assert fidelity_closed(a, b) == pytest.approx(
-        fidelity_oracle(a.to_matrix(), b.to_matrix()), abs=tol
-    )
+    if min(tp, tq) > 1e-6 and max(tp, tq) < 1.0 - 1e-6:
+        assert fidelity_closed(a, b) == pytest.approx(
+            fidelity_oracle(a.to_matrix(), b.to_matrix()), abs=1e-9
+        )
+    else:
+        assert fidelity_closed(a, b) == pytest.approx(factored_fidelity(a, b), abs=1e-12)
     assert trace_distance_closed(a, b) == pytest.approx(
         trace_distance_oracle(a.to_matrix(), b.to_matrix()), abs=1e-9
     )
