@@ -7,8 +7,8 @@ star product (n*n = p n), and generates the whole ladder of invariants
 ([n*]^r n) . n = p^(r+2).  The identification test below uses nothing
 but those facts, so it works without knowing psi or p in advance.  It
 evaluates them on the traceless operator n.lambda, so it needs no basis.
-The coherence-vector functions read the su(D) generators for the
-state's own D, so none of them takes a basis either.
+The coherence-vector functions read n off the entries of rho by index
+arithmetic, in O(D^2), so none of them takes or builds a basis either.
 """
 
 import numpy as np

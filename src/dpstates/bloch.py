@@ -2,23 +2,18 @@
 
 A density matrix is expanded as ``rho = (1/D)(1 + c_D n.lambda)`` with
 ``c_D = sqrt(D(D-1)/2)``; the real vector ``n`` of length D^2-1 is the
-coherence vector.  The symmetric star product, whose fixed points are
-exactly the pure-state vectors, and the DPS conditions ``n.n = p^2``,
-``n*n = p n`` are evaluated on the operator A = n.lambda through
-sum_ij d_ijk a_i b_j = (1/4) Tr({A, B} lambda_k), so no basis is needed.
-The basis is fixed by D: :func:`to_coherence`, :func:`from_coherence`,
-:func:`star` and :func:`invariant_ladder` take only their state or
-vectors and read the cached :func:`generate_basis` stack for its
-dimension.  :func:`generate_basis` builds the generators only; the su(D)
-structure constants c_ijk and d_ijk are computed from them by the tests,
-as an oracle for the operator route.
+coherence vector.  Its components are index arithmetic on rho and n.lambda
+the inverse map, both O(D^2); only :func:`generate_basis` builds the dense
+generator stack, uncached, from the same map.  The star product, whose fixed
+points are exactly the pure-state vectors, and the DPS conditions ``n.n =
+p^2``, ``n*n = p n`` are evaluated on A = n.lambda through sum_ij d_ijk a_i
+b_j = (1/4) Tr({A, B} lambda_k); the tests take d_ijk from the stack.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -66,32 +61,48 @@ class CoherenceVector:
         return float(self.n @ other.n)
 
 
-@lru_cache(maxsize=None)
+def _coordinates(M: np.ndarray) -> np.ndarray:
+    """Re Tr(M lambda_i) of a Hermitian M in the generator order, in O(D^2).
+
+    2 Re M_jk, then -2 Im M_jk, over j < k in the row-major order a mask
+    reads; then sqrt(2/(l(l+1))) (sum_{a<l} M_aa - l M_ll), l = 1..D-1.
+    """
+    r, l = np.arange(M.shape[-1]), np.arange(1.0, M.shape[-1])
+    upper, d = M[r[:, None] < r], M.diagonal().real
+    diagonal = np.sqrt(2.0 / (l * (l + 1.0))) * (np.cumsum(d)[:-1] - l * d[1:])
+    return np.concatenate((2.0 * upper.real, -2.0 * upper.imag, diagonal))
+
+
+def _operator(x: np.ndarray) -> np.ndarray:
+    """sum_i x_i lambda_i over the last axis of x, in O(D^2) per vector.
+
+    The inverse of :func:`_coordinates` up to its factor 2: entry (j, k),
+    j < k, is x_sym - i x_anti and (k, j) its conjugate; diagonal entry a
+    is sum_{l>a} w_l - a w_a, with w_l = sqrt(2/(l(l+1))) x_diag,l.
+    """
+    D = math.isqrt(x.shape[-1] + 1)
+    m, r, l = D * (D - 1) // 2, np.arange(D), np.arange(1.0, D)
+    w = np.sqrt(2.0 / (l * (l + 1.0))) * x[..., 2 * m :]
+    A = np.zeros(x.shape[:-1] + (D, D), dtype=complex)
+    A[..., r[:, None] < r] = x[..., :m] - 1j * x[..., m : 2 * m]
+    A += A.conj().swapaxes(-1, -2)
+    A[..., r[:-1], r[:-1]] = np.cumsum(w[..., ::-1], axis=-1)[..., ::-1]
+    A[..., r[1:], r[1:]] -= l * w
+    return A
+
+
 def generate_basis(D: int) -> np.ndarray:
     """The generalized Gell-Mann generators of su(D), one read-only (D^2-1, D, D) stack.
 
     Generators satisfy Tr(lambda_i lambda_j) = 2 delta_ij.  Ordering: the
     D(D-1)/2 symmetric pair matrices, then the D(D-1)/2 antisymmetric
     pair matrices, then the D-1 diagonal ones; pair blocks run
-    lexicographically in (row, col).  Cached per D; the coherence-vector
-    functions read it for the dimension of their input.
-
-    Raises:
-        InvalidDimensionError: D not an integer >= 2.
+    lexicographically in (row, col).  Built uncached, in O(D^4), by the
+    index map of :func:`from_coherence`; no library function calls it.
+    Raises InvalidDimensionError unless D is an integer >= 2.
     """
     _require_dimension(D, 2, "a basis")
-    G = np.zeros((D * D - 1, D, D), dtype=complex)
-    i = 0
-    for upper in (1.0, -1.0j):
-        for j in range(D):
-            for k in range(j + 1, D):
-                G[i, j, k], G[i, k, j] = upper, np.conj(upper)
-                i += 1
-    for l in range(1, D):
-        scale = math.sqrt(2.0 / (l * (l + 1)))
-        G[i, np.arange(l), np.arange(l)] = scale
-        G[i, l, l] = -l * scale
-        i += 1
+    G = _operator(np.eye(D * D - 1))
     G.setflags(write=False)
     return G
 
@@ -103,13 +114,8 @@ def to_coherence(rho: DensityMatrix) -> CoherenceVector:
         InvalidDimensionError: D not an integer >= 2.
     """
     D = rho.dim
-    G = generate_basis(D)  # first: it raises InvalidDimensionError for D < 2
-    n = math.sqrt(D / (2.0 * (D - 1))) * np.real(np.einsum("ab,iba->i", rho.matrix, G))
-    return CoherenceVector(dim=D, n=n)
-
-
-def _operator(v: CoherenceVector) -> np.ndarray:
-    return np.tensordot(v.n, generate_basis(v.dim), axes=(0, 0))
+    _require_dimension(D, 2, "a coherence vector")
+    return CoherenceVector(dim=D, n=math.sqrt(D / (2.0 * (D - 1))) * _coordinates(rho.matrix))
 
 
 def from_coherence(n: CoherenceVector) -> DensityMatrix:
@@ -119,16 +125,11 @@ def from_coherence(n: CoherenceVector) -> DensityMatrix:
     guaranteed for arbitrary n.
     """
     D = n.dim
-    rho = (np.eye(D, dtype=complex) + c_norm(D) * _operator(n)) / D
-    return DensityMatrix(rho)
+    return DensityMatrix((np.eye(D, dtype=complex) + c_norm(D) * _operator(n.n)) / D)
 
 
 def _star_factor(D: int) -> float:
-    """c_D/(D-2), the factor of the star product.
-
-    Raises:
-        UndefinedForDim2Error: at D = 2.
-    """
+    """c_D/(D-2), the factor of the star product; UndefinedForDim2Error at D = 2."""
     if D == 2:
         raise UndefinedForDim2Error("the star product carries a 1/(D-2) factor; undefined at D=2")
     return c_norm(D) / (D - 2)
@@ -151,7 +152,7 @@ def star(a: CoherenceVector, b: CoherenceVector) -> CoherenceVector:
     """Symmetric star product (a*b)_k = c_D/(D-2) sum d_ijk a_i b_j.
 
     Pure-state vectors are its fixed points: n*n = n.  Evaluated on the
-    operators a.lambda and b.lambda, then expanded back over the basis.
+    operators a.lambda and b.lambda, then read back by the index map.
 
     Raises:
         UndefinedForDim2Error: the 1/(D-2) factor is singular at D=2.
@@ -159,8 +160,8 @@ def star(a: CoherenceVector, b: CoherenceVector) -> CoherenceVector:
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"star product of dim {a.dim} and dim {b.dim} vectors")
-    S = _star_operator(_operator(a), _operator(b))
-    return CoherenceVector(dim=a.dim, n=0.5 * np.real(np.einsum("ab,iba->i", S, generate_basis(a.dim))))
+    S = _star_operator(_operator(a.n), _operator(b.n))
+    return CoherenceVector(dim=a.dim, n=0.5 * _coordinates(S))
 
 
 def _ladder(A: np.ndarray, r_max: int) -> list[float]:
@@ -179,10 +180,9 @@ def invariant_ladder(n: CoherenceVector, r_max: int) -> list[float]:
     For a depolarized pure state with polarization p the r-th entry is
     p^(r+2), so the first two already pin down |p| and its sign.
 
-    Raises:
-        UndefinedForDim2Error.
+    Raises UndefinedForDim2Error.
     """
-    return _ladder(_operator(n), r_max)
+    return _ladder(_operator(n.n), r_max)
 
 
 @dataclass(frozen=True)

@@ -156,9 +156,10 @@ class ChiState:
         D = self.dim
         _require_dimension(D, 2, "a chi state")
         a, b = complex(self.alpha), complex(self.beta)
-        norm_sq = abs(a) ** 2 + abs(b) ** 2 + 2.0 * (a * b.conjugate()).real / D
-        _in_range(norm_sq, 1.0, 1.0, NonUnitVectorError, "chi norm^2")
-        _in_range(abs(b) ** 2, 0.0, D * D / (D * D - 1.0), DomainError, "|beta|^2")
+        # squares by multiplication: a float ** raises OverflowError past 1.3e154, * gives inf
+        a2, b2 = abs(a) * abs(a), abs(b) * abs(b)
+        _in_range(a2 + b2 + 2.0 * (a * b.conjugate()).real / D, 1.0, 1.0, NonUnitVectorError, "chi norm^2")
+        _in_range(b2, 0.0, D * D / (D * D - 1.0), DomainError, "|beta|^2")
 
     def vector(self) -> np.ndarray:
         """The length-D^2 amplitude vector over the two ancillas."""

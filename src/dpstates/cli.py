@@ -320,14 +320,22 @@ def _refuse_unread(ns, what: str, flags) -> None:
 # 34 MB + 84 B * da^4 (97 MB at da = 30, 250 MB at 40, 1 GB near 58).
 MAX_WRITE_DIM = 1200
 MAX_WRITE_DA = 40
+# Commands that write no state still hold O(size) data; measured the same
+# way, under about 550 MB: the isotropic report builds the da^2-entry
+# purification and its da^2 partial-transpose eigenvalues (34 MB + 61 B *
+# da^2: 278 MB at da = 2000, 513 MB at 2800); fig1 holds its p and f grids
+# and their labels and one block of rows (36 MB + 620 B * grid: 220 MB at
+# grid = 300000, 531 MB at 800000).
+MAX_REPORT_DA = 2800
+MAX_FIG1_GRID = 800000
 
 
-def _refuse_large_write(flag: str, value: int, limit: int) -> None:
-    """Exit 3 before building a state matrix too large to write: ``--flag value`` above ``limit``."""
+def _refuse_large(
+    flag: str, value: int, limit: int, why: str = "writing the state builds its dense matrix"
+) -> None:
+    """Exit 3 before allocating what ``why`` names: ``--flag value`` above ``limit``."""
     if value > limit:
-        raise DomainError(
-            f"writing the state builds its dense matrix; --{flag} must be <= {limit}, got {value}"
-        )
+        raise DomainError(f"{why}; --{flag} must be <= {limit}, got {value}")
 
 
 def _require_dims(dims_flag, dims_file) -> tuple[int, int]:
@@ -450,7 +458,8 @@ def cmd_werner2q(ns) -> Report:
 
 def cmd_isotropic(ns) -> Report:
     if ns.out:
-        _refuse_large_write("da", ns.da, MAX_WRITE_DA)
+        _refuse_large("da", ns.da, MAX_WRITE_DA)
+    _refuse_large("da", ns.da, MAX_REPORT_DA, "the report builds the da^2-entry purification and spectrum")
     dps, separable = isotropic(ns.da, ns.F)
     b = np.full(ns.da, 1.0 / math.sqrt(ns.da))
     rep = negativity(dps.p, b, ns.da, ns.da)
@@ -606,6 +615,7 @@ def cmd_fig1(ns) -> None:
     D = ns.dim
     if ns.grid < 2:
         raise DomainError("--grid must be >= 2")
+    _refuse_large("grid", ns.grid, MAX_FIG1_GRID, "fig1 holds O(grid) arrays and labels")
     p = np.linspace(p_min_cp(D), 1.0, ns.grid)
     f = np.linspace(0.0, 1.0, ns.grid)
     # pure_overlap of e0 and sqrt(f) e0 + sqrt(1-f) e1 is sqrt(f)^2, not f
@@ -645,7 +655,7 @@ def cmd_gen(ns) -> Report | None:
     dims = None
     if ns.kind != "isotropic":
         dim = 3 if ns.dim is None else ns.dim
-        _refuse_large_write("dim", dim, MAX_WRITE_DIM)
+        _refuse_large("dim", dim, MAX_WRITE_DIM)
         # haar-pure is gen dps at p = 1, whose parameters have no "p"
         pure = ns.kind == "haar-pure"
         p = 1.0 if pure else ns.p
@@ -659,7 +669,7 @@ def cmd_gen(ns) -> Report | None:
         if ns.F is None:
             raise DomainError("gen isotropic needs --F")
         da = 2 if ns.da is None else ns.da
-        _refuse_large_write("da", da, MAX_WRITE_DA)
+        _refuse_large("da", da, MAX_WRITE_DA)
         dps, _ = isotropic(da, ns.F)
         state, dims = dps.to_matrix(), [da, da]
         meta = {"kind": "isotropic", "da": da, "F": ns.F, "p": dps.p}

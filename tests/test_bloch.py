@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,14 @@ from dpstates import (
     star,
     to_coherence,
 )
-from dpstates.bloch import SPECTRUM_TOL, STAR_TOL, measure_dps
+from dpstates.bloch import (
+    SPECTRUM_TOL,
+    STAR_TOL,
+    _ladder,
+    _operator,
+    _star_operator,
+    measure_dps,
+)
 from dpstates.metrics import _dps_spectrum
 
 from conftest import random_dps, random_mixed, random_non_dps, rng_for
@@ -82,17 +90,95 @@ def test_generators_are_one_read_only_stack():
 
 def test_basis_builds_no_structure_tensors():
     # the D=12 stack takes 0.33 MB; dense (D^2-1)^3 structure tensors would take 47 MB each
-    import tracemalloc
-
-    generate_basis.cache_clear()
     tracemalloc.start()
     try:
         generate_basis(12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        generate_basis.cache_clear()
     assert peak < 2 * 1024 * 1024
+
+
+def test_d3_basis_is_the_gell_mann_matrices():
+    # lambda_1, 4, 6 (symmetric), 2, 5, 7 (antisymmetric), 3, 8 in Gell-Mann's numbering
+    i = 1j
+    gell_mann = [
+        [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+        [[0, 0, 1], [0, 0, 0], [1, 0, 0]],
+        [[0, 0, 0], [0, 0, 1], [0, 1, 0]],
+        [[0, -i, 0], [i, 0, 0], [0, 0, 0]],
+        [[0, 0, -i], [0, 0, 0], [i, 0, 0]],
+        [[0, 0, 0], [0, 0, -i], [0, i, 0]],
+        [[1, 0, 0], [0, -1, 0], [0, 0, 0]],
+        np.diag([1.0, 1.0, -2.0]) * math.sqrt(1.0 / 3.0),
+    ]
+    assert np.array_equal(generate_basis(3), np.array(gell_mann, dtype=complex))
+
+
+def basis_route(D):
+    """The coherence-vector functions as contractions with the dense stack: the route the index maps replaced."""
+    G = generate_basis(D)
+
+    def coordinates(M):
+        return np.real(np.einsum("ab,iba->i", M, G))
+
+    def operator(x):
+        return np.tensordot(x, G, axes=(0, 0))
+
+    return coordinates, operator
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    D=st.integers(min_value=2, max_value=12),
+    kind=st.sampled_from(("dps+", "dps-", "wishart", "rank1")),
+    t=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_index_maps_match_the_basis_contraction(D, kind, t, seed):
+    rng = rng_for(35, seed)
+    rho, other = corpus_state(kind, D, t, rng), random_mixed(D, rng)
+    coordinates, operator = basis_route(D)
+    scale = math.sqrt(D / (2.0 * (D - 1)))
+    n, m = to_coherence(rho), to_coherence(other)
+    assert np.max(np.abs(n.n - scale * coordinates(rho.matrix))) <= 1e-15
+    assert np.max(np.abs(_operator(n.n) - operator(n.n))) <= 1e-15
+    assert np.max(np.abs(from_coherence(n).matrix - rho.matrix)) <= 1e-15
+    if D == 2:
+        return
+    for a, b in ((n, n), (n, m)):
+        S = _star_operator(operator(a.n), operator(b.n))
+        assert np.max(np.abs(star(a, b).n - 0.5 * coordinates(S))) <= 1e-15
+    # rung r applies r star products to operators an ulp apart, so its error grows with r
+    ladder = _ladder(operator(n.n), 3)
+    for r, (got, want) in enumerate(zip(invariant_ladder(n, 3), ladder)):
+        assert abs(got - want) <= (r + 1) * 1e-15
+
+
+def test_coherence_vectors_build_no_basis_at_dim_200(monkeypatch):
+    # the (D^2-1, D, D) stack would take 25.6 GB at D = 200; one D x D matrix takes 0.64 MB
+    import dpstates.bloch as bloch
+
+    def refuse(D):
+        raise AssertionError("the basis was built")
+
+    monkeypatch.setattr(bloch, "generate_basis", refuse)
+    rng = rng_for(36)
+    rho = random_mixed(200, rng)
+    n = to_coherence(rho)
+    for f in (
+        lambda: to_coherence(rho),
+        lambda: from_coherence(n),
+        lambda: star(n, n),
+        lambda: invariant_ladder(n, 2),
+    ):
+        tracemalloc.start()
+        try:
+            f()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 1024 * 1024
 
 
 def test_basis_rejects_bad_dimension():

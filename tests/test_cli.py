@@ -523,6 +523,9 @@ BOUNDARY_COMMANDS = [
     ["gen", "isotropic", "--F", "0.5", "--da", "41"],
     ["gen", "isotropic", "--F", "0.5", "--da", "41", "--out", "{missing}"],
     ["isotropic", "--da", "41", "--F", "0.5", "--out", "{missing}"],
+    # without --out, the isotropic report and fig1 still hold O(da^2) and O(grid) data
+    ["isotropic", "--da", "100000", "--F", "0.5"],
+    ["fig1", "--grid", "100000000"],
     ["gen", "dps", "--dim", "1201", "--p", "0.5", "--seed", "1"],
     ["gen", "haar-pure", "--dim", "1201", "--seed", "1", "--out", "{missing}"],
     ["analyze", "{nonnumeric}"],
@@ -626,19 +629,24 @@ def test_gen_writes_up_to_the_dimension_limit(capsys, monkeypatch):
     assert run(capsys, "gen", "haar-pure", "--dim", "6", "--seed", "1") == (3, "")
 
 
-def test_isotropic_report_without_out_has_no_size_limit(capsys):
+def test_isotropic_report_without_out_passes_the_write_limit(capsys):
     rep = run_json(capsys, "isotropic", "--da", "1000", "--F", "0.5")
     assert rep["results"]["entangled"] is True
 
 
-def test_identifying_commands_build_no_basis(capsys, tmp_path):
-    from dpstates.bloch import generate_basis
+def test_identifying_commands_build_no_basis(capsys, tmp_path, monkeypatch):
+    import dpstates
+    import dpstates.bloch
+
+    def refuse(D):
+        raise AssertionError("the basis was built")
 
     state = str(tmp_path / "s.json")
     other = str(tmp_path / "o.json")
     run_json(capsys, "gen", "dps", "--dim", "6", "--p", "0.4", "--seed", "61", "--out", state)
     run_json(capsys, "gen", "dps", "--dim", "6", "--p", "-0.1", "--seed", "62", "--out", other)
-    generate_basis.cache_clear()
+    for module in (dpstates, dpstates.bloch):
+        monkeypatch.setattr(module, "generate_basis", refuse)
     for argv in (
         ["analyze", state],
         ["distance", state, other, "--method", "both"],
@@ -647,7 +655,6 @@ def test_identifying_commands_build_no_basis(capsys, tmp_path):
         ["channel", "local", state, "--dims", "2", "3", "--pa", "0.8", "--pb", "0.6"],
     ):
         run_json(capsys, *argv)
-    assert generate_basis.cache_info().misses == 0
 
 
 def test_cli_import_loads_no_scipy():

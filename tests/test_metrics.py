@@ -96,10 +96,10 @@ NON_FINITE_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan), 1e200, complex(1e200, -1e200)])
 @pytest.mark.parametrize("entry", sorted(NON_FINITE_ENTRY_POINTS))
 def test_non_finite_purification_is_not_unit(entry, bad):
-    # NaN compares false with everything, so a norm check must fail it
+    # NaN compares false with everything, so a norm check must fail it; 1e200 overflows the norm to inf
     v = np.array([bad, 0.0, 0.0, 0.0], dtype=complex)
     with pytest.raises(NonUnitVectorError):
         NON_FINITE_ENTRY_POINTS[entry](v)
