@@ -344,38 +344,27 @@ def pair_threshold(b, dA: int, dB: int) -> float:
 def two_qubit_canonical(p: float, omega: float) -> tuple[DensityMatrix, tuple[float, float, float, float]]:
     """Two-qubit DPS canonical family and its partial-transpose eigenvalues.
 
-    The state is the DPS over cos(omega/2)|00> + sin(omega/2)|11>,
-    written in its Pauli canonical form.  The returned mu_1..mu_4 are
-    the PT eigenvalues; mu_4 = (1-p)/4 - (p/2) sin(omega) is the only
-    one that can go negative, and does so exactly when p > 1/3 and
+    The state is the DPS over cos(omega/2)|00> + sin(omega/2)|11>, built
+    from its closed form; the tests check it against its Pauli canonical
+    form.  The returned mu_1..mu_4 are the PT eigenvalues;
+    mu_4 = (1-p)/4 - (p/2) sin(omega) is the only one that can go
+    negative, and does so exactly when p > 1/3 and
     sin(omega) > (1-p)/(2p).
 
     Raises:
         PolarizationOutOfRangeError: p outside [-1/3, 1].
         DomainError: omega outside [0, pi/2].
     """
-    _in_range(p, -1.0 / 3.0, 1.0, PolarizationOutOfRangeError, "p")
     _in_range(omega, 0.0, math.pi / 2.0, DomainError, "omega")
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    eye = np.eye(2, dtype=complex)
+    state = make_dps([math.cos(omega / 2.0), 0.0, 0.0, math.sin(omega / 2.0)], p).to_matrix()
     co, si = math.cos(omega), math.sin(omega)
-    M = (
-        np.kron(eye, eye)
-        + p * co * np.kron(sz, eye)
-        + p * co * np.kron(eye, sz)
-        + p * si * np.kron(sx, sx)
-        - p * si * np.kron(sy, sy)
-        + p * np.kron(sz, sz)
-    ) / 4.0
     mu = (
         (1.0 + p) / 4.0 + (p / 2.0) * co,
         (1.0 + p) / 4.0 - (p / 2.0) * co,
         (1.0 - p) / 4.0 + (p / 2.0) * si,
         (1.0 - p) / 4.0 - (p / 2.0) * si,
     )
-    return DensityMatrix(M), mu
+    return state, mu
 
 
 def isotropic(dA: int, F: float) -> tuple[DpsState, bool]:

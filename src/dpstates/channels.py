@@ -5,8 +5,9 @@ state: an ancilla-assisted unitary whose residual system state is
 (1-|beta|^2) rho + |beta|^2 1/D, and twirling, which averages unitary
 conjugations of an arbitrary channel into a depolarizing one with
 p = (D^2 f - 1)/(D^2 - 1) where f is the Jamiolkowski fidelity.  The
-protocol output comes from the unitary's closed action on legal inputs,
-which the tests check against the dense D^3 x D^3 unitary.
+protocol output is that DPS, built from its closed form; the tests
+check it against the marginal of the unitary's closed action and
+against the dense D^3 x D^3 unitary.
 
 A channel is held as its Choi matrix sum_K vec(K) vec(K)^dag, the Gram
 product M^T M^* over the rows vec(K); the Jamiolkowski state is that
@@ -16,9 +17,10 @@ mean (``_gram_mean``) over a stream of unitary stacks, formed about
 GRAM_ROWS rows at a time, so memory does not grow with the number of
 unitaries.  The exact Clifford twirl is a closed form: the Clifford
 group is a unitary 2-design at prime D, so its average is the
-depolarizing map; the enumerated group (``clifford_group``) is only the
-tests' oracle.  Every operator set is one read-only complex (n, D, D)
-stack: Kraus operators, the Weyl operators X^a Z^b, the Clifford group.
+depolarizing map in its Weyl Kraus form; the enumerated group
+(``clifford_group``) is only the tests' oracle.  Every operator set is
+one read-only complex (n, D, D) stack: Kraus operators, the Weyl
+operators X^a Z^b, the Clifford group.
 
 All Monte-Carlo entry points take explicit integer seeds >= 0, checked
 by ``metrics._seeded_rng``; there is no hidden global randomness.
@@ -44,16 +46,16 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .linalg import DensityMatrix, partial_trace
-from .metrics import _in_range, _require_dimension, _seeded_rng, _unit_vector, p_min, p_min_cp
+from .metrics import _in_range, _require_dimension, _seeded_rng, _unit_vector, make_dps, p_min, p_min_cp
 
 TP_TOL = 1e-10
-# The exact Clifford twirl splits its D^2 x D^2 Choi matrix into Kraus
-# operators with one eigensolve, O(D^6) time, and `dps channel twirl --out`
-# writes that matrix, whose dim D^2 = 961 at D = 31 is within the CLI's
-# MAX_WRITE_DIM.  At D = 31 the twirl peaks at 90 MB RSS in process, and
-# `dps channel twirl --out` at 148 MB, the rest of it the JSON text.
+# The cap bounds the exact twirl's D^4-entry stack of Weyl Kraus operators and the
+# D^2 x D^2 Choi matrix that `dps channel twirl --out` forms in O(D^6) and writes
+# (961 x 961 at D = 31, within MAX_WRITE_DIM), which `exclude_identity` also splits
+# by an eigensolve.  Peak RSS at D = 31: 79 MB in process, 108 MB with --out.
 CLIFFORD_TWIRL_MAX_DIM = 31
-GRAM_ROWS = 1024  # rows per block of a Gram mean, and unitaries per Haar draw
+GRAM_ROWS = 1024  # rows per block of a Gram mean
+HAAR_DRAW_ENTRIES = 64 * GRAM_ROWS  # matrix entries per Haar draw: GRAM_ROWS unitaries at D <= 8
 
 
 @dataclass(frozen=True)
@@ -238,9 +240,9 @@ def protocol1(psi, chi: ChiState) -> DensityMatrix:
     The protocol unitary U on system (x) ancilla-1 (x) ancilla-2 leaves
     every |m>|Phi+> alone and sends |m>|0>|uniform> to
     (1/sqrt(D)) sum_l |l>|m>|l>.  The system marginal of U(psi (x) chi)
-    is computed from that closed action in O(D^4) time and O(D^3)
-    memory; the tests check it against the dense D^3 x D^3 unitary.
-    The output equals (1-|beta|^2)|psi><psi| + |beta|^2 1/D.
+    is w |psi><psi| + |beta|^2 1/D, w = |alpha|^2 + 2 Re(alpha beta*)/D =
+    1 - |beta|^2 by chi's normalization: the DPS over psi at p = w, built in
+    O(D^2).  The tests check it against that marginal and the dense unitary.
 
     Raises:
         DimensionMismatchError: len(psi) != chi.dim.
@@ -250,14 +252,8 @@ def protocol1(psi, chi: ChiState) -> DensityMatrix:
     D = chi.dim
     if v.shape[0] != D:
         raise DimensionMismatchError(f"state length {v.shape[0]} != chi dimension {D}")
-    v = _unit_vector(v)
-    # every legal input psi (x) chi lies in the span of the |m>|Phi+> and
-    # |m>|0>|uniform> on which U is fixed, so U(psi (x) chi) is
-    # O[s, a1, a2] = (alpha psi_s delta_{a1 a2} + beta psi_{a1} delta_{s a2}) / sqrt(D)
-    eye = np.eye(D)
-    out = (chi.alpha * v[:, None, None] * eye + chi.beta * eye[:, None, :] * v[:, None]) / math.sqrt(D)
-    out = out.reshape(D, D * D)
-    return DensityMatrix(out @ out.conj().T)
+    a, b = complex(chi.alpha), complex(chi.beta)
+    return make_dps(v, abs(a) * abs(a) + 2.0 * (a * b.conjugate()).real / D).to_matrix()
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +430,10 @@ def haar_unitary(D: int, rng: np.random.Generator) -> np.ndarray:
 def haar_unitaries(D: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
     """``count`` independent Haar unitaries, as (k, D, D) stacks of k <= GRAM_ROWS.
 
-    Each stack draws its real parts and then its imaginary parts from
-    ``rng``, so up to GRAM_ROWS unitaries draw as one stack would.
+    Every stack but the last holds min(GRAM_ROWS, HAAR_DRAW_ENTRIES // D^2)
+    unitaries, at least one, so a draw's memory does not grow with D.  Each
+    draws its real parts and then its imaginary parts from ``rng``, so up
+    to that many unitaries draw as one stack would.
 
     Raises:
         InvalidDimensionError: D not an integer >= 1, at the call, before any draw.
@@ -443,8 +441,9 @@ def haar_unitaries(D: int, count: int, rng: np.random.Generator) -> Iterator[np.
     _require_dimension(D, 1, "a Haar unitary")
 
     def stacks():
-        for start in range(0, count, GRAM_ROWS):
-            k = min(GRAM_ROWS, count - start)
+        size = max(1, min(GRAM_ROWS, HAAR_DRAW_ENTRIES // (D * D)))
+        for start in range(0, count, size):
+            k = min(size, count - start)
             Z = (rng.standard_normal((k, D, D)) + 1.0j * rng.standard_normal((k, D, D))) / math.sqrt(2.0)
             Q, R = np.linalg.qr(Z)
             d = np.diagonal(R, axis1=1, axis2=2)
@@ -469,6 +468,11 @@ def haar_state(D: int, rng: np.random.Generator) -> np.ndarray:
 
 
 class TwirlResult(NamedTuple):
+    """A twirl's channel, p_hat, and max Choi entry deviation from the depolarizing map at p_hat.
+
+    The full-group exact twirl's channel is ``depolarizing_kraus(D, p_hat)``, D^2 Weyl
+    operators of which all but the identity are zero at p_hat = 1, at deviation 0.0."""
+
     channel: KrausChannel
     p_hat: float
     depolarizing_deviation: float
@@ -527,7 +531,8 @@ def twirl(
     Phys. 48, 052104 (2007)), so the average of any channel is the
     depolarizing map at p_hat = (D^2 f - 1)/(D^2 - 1), with f the
     channel's Jamiolkowski fidelity (Dankert, Cleve, Emerson & Livine,
-    PRA 80, 012304 (2009)).  The tests check it against the Gram mean
+    PRA 80, 012304 (2009)), returned as ``depolarizing_kraus(D, p_hat)``
+    with no eigensolve.  The tests check it against the Gram mean
     over ``clifford_group`` at D in {2, 3} and over a brute-force closure
     at D = 5.  haar-sample (D <= 6) averages `samples` seeded Haar
     conjugations, as the ``_gram_mean`` of the rows vec(U^dag K U), and
@@ -558,11 +563,10 @@ def twirl(
             raise UnsupportedDimensionError(
                 f"exact-clifford twirl needs a prime D <= {CLIFFORD_TWIRL_MAX_DIM} (a unitary 2-design), got {D}"
             )
-        acc = _depolarizing_choi(D, p_hat)
-        if exclude_identity:
-            N = D**3 * (D * D - 1)  # the order of the Clifford group modulo phase
-            acc = (N * acc - _choi(ch.kraus)) / (N - 1)
-        return _twirl_result(acc, D, p_hat)
+        if not exclude_identity:
+            return TwirlResult(channel=depolarizing_kraus(D, p_hat), p_hat=p_hat, depolarizing_deviation=0.0)
+        N = D**3 * (D * D - 1)  # the order of the Clifford group modulo phase
+        return _twirl_result((N * _depolarizing_choi(D, p_hat) - _choi(ch.kraus)) / (N - 1), D, p_hat)
 
     if mode == "haar-sample":
         if exclude_identity:

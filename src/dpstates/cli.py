@@ -18,6 +18,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
+from typing import Iterator
 
 import numpy as np
 
@@ -89,58 +91,64 @@ def _is_scalar(v) -> bool:
     return v is None or isinstance(v, (bool, int, float, str, np.integer, np.floating, np.bool_))
 
 
-def _render(obj, ind: int) -> str:
+def _render(obj, ind: int) -> Iterator:
+    """The JSON text of ``obj`` as strings and, for each complex matrix, one checked stream of its rows."""
     pad = "  " * ind
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         obj = obj.item()
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _f17(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [f'{pad}  {json.dumps(str(k))}: {_render(v, ind + 1)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "c" and obj.ndim == 2 and obj.size:
-            return _render_complex_matrix(obj, ind)
+            yield _render_complex_matrix(obj, ind)
+            return
         obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        if all(_is_scalar(v) for v in seq):
-            return "[" + ", ".join(_render(v, 0) for v in seq) + "]"
-        rows = [f"{pad}  {_render(v, ind + 1)}" for v in seq]
-        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-    raise InternalCheckError(f"unserializable value of type {type(obj).__name__}")
+    if obj is None:
+        yield "null"
+    elif isinstance(obj, bool):
+        yield "true" if obj else "false"
+    elif isinstance(obj, int):
+        yield str(obj)
+    elif isinstance(obj, float):
+        yield _f17(obj)
+    elif isinstance(obj, str):
+        yield json.dumps(obj)
+    elif isinstance(obj, (dict, list, tuple)) and not obj:
+        yield "{}" if isinstance(obj, dict) else "[]"
+    elif isinstance(obj, dict):
+        for n, (k, v) in enumerate(obj.items()):
+            yield (",\n" if n else "{\n") + f"{pad}  {json.dumps(str(k))}: "
+            yield from _render(v, ind + 1)
+        yield f"\n{pad}}}"
+    elif isinstance(obj, (list, tuple)) and all(_is_scalar(v) for v in obj):
+        yield "[" + ", ".join(next(_render(v, 0)) for v in obj) + "]"
+    elif isinstance(obj, (list, tuple)):
+        for n, v in enumerate(obj):
+            yield (",\n" if n else "[\n") + f"{pad}  "
+            yield from _render(v, ind + 1)
+        yield f"\n{pad}]"
+    else:
+        raise InternalCheckError(f"unserializable value of type {type(obj).__name__}")
 
 
-def _render_complex_matrix(M: np.ndarray, ind: int) -> str:
+def _render_complex_matrix(M: np.ndarray, ind: int) -> Iterator[str]:
     """M as rows of [re, im] pairs, laid out as ``_render`` lays out those nested lists.
 
-    Each row is one %-format of its interleaved real and imaginary parts
-    ("%.17g" is ``_f17``'s format), so a state file of D^2 entries costs
-    its float formatting, not D^2 nested lists.
+    Checked finite at the call, then formatted one matrix row per chunk
+    as the stream is read.  Each row is one %-format of its interleaved
+    real and imaginary parts ("%.17g" is ``_f17``'s format), so a state
+    file of D^2 entries costs its float formatting, not D^2 nested lists.
     """
     if not np.isfinite(M).all():
         raise InternalCheckError("non-finite value reached the report serializer")
     pad = "  " * ind
     row = f",\n{pad}    ".join(["[%.17g, %.17g]"] * M.shape[1])
     parts = np.ascontiguousarray(M, dtype=complex).view(float)
-    body = f"\n{pad}  ],\n{pad}  [\n{pad}    ".join([row % tuple(r.tolist()) for r in parts])
-    return f"[\n{pad}  [\n{pad}    {body}\n{pad}  ]\n{pad}]"
+    heads = chain([f"[\n{pad}  [\n{pad}    "], repeat(f"\n{pad}  ],\n{pad}  [\n{pad}    "))
+    return chain((head + row % tuple(r.tolist()) for head, r in zip(heads, parts)), [f"\n{pad}  ]\n{pad}]"])
 
 
-def render_json(obj) -> str:
-    return _render(obj, 0) + "\n"
+def render_json(obj) -> Iterator[str]:
+    """The JSON text of ``obj`` and a newline, as chunks for ``_emit``; every check runs in this call."""
+    return chain.from_iterable([c] if isinstance(c, str) else c for c in [*_render(obj, 0), "\n"])
 
 
 def _emit(chunks, path: str | None) -> None:
@@ -196,10 +204,10 @@ def _publish(ns, rep: Report) -> None:
         report["seed"] = rep.seed
     out = getattr(ns, "out", None)
     if out:
-        _emit([render_json(state_document(rep.state, dims=rep.dims))], out)
+        _emit(render_json(state_document(rep.state, dims=rep.dims)), out)
         rep.results["out"] = out
     report["results"] = rep.results
-    sys.stdout.write(render_json(report))
+    _emit(render_json(report), None)
 
 
 # ---------------------------------------------------------------------------
@@ -313,21 +321,19 @@ def _refuse_unread(ns, what: str, flags) -> None:
             raise DomainError(f"{what} does not read --{name}")
 
 
-# A written state is a dense matrix in JSON text.  Peak RSS, measured with
-# fork and wait4: the complex (dim, dim) matrix of gen dps / haar-pure takes
-# about 36 MB + 0.2 KB * dim^2 (106 MB at dim = 600, 327 MB at 1200, 1 GB
-# near 2200); the real, mostly zero (da^2, da^2) isotropic matrix about
-# 34 MB + 84 B * da^4 (97 MB at da = 30, 250 MB at 40, 1 GB near 58).
+# A written state is a dense matrix in JSON text, written row by row.  Peak RSS,
+# measured with fork and wait4: gen dps / haar-pure take about 35 MB + 78 B *
+# dim^2, nearly all of it building the state (63 MB at dim = 600, 147 MB at 1200,
+# where rendering peaks at 1.4 MB in tracemalloc); the real, mostly zero (da^2,
+# da^2) isotropic matrix 34 MB + 84 B * da^4 (97 MB at da = 30, 250 MB at 40).
 MAX_WRITE_DIM = 1200
 MAX_WRITE_DA = 40
-# Commands that write no state still hold O(size) data; measured the same
-# way, under about 550 MB: the isotropic report builds the da^2-entry
-# purification and its da^2 partial-transpose eigenvalues (34 MB + 61 B *
-# da^2: 278 MB at da = 2000, 513 MB at 2800); fig1 holds its p and f grids
-# and their labels and one block of rows (36 MB + 620 B * grid: 220 MB at
-# grid = 300000, 531 MB at 800000).
+# The isotropic report builds the da^2-entry purification and its da^2 PT
+# eigenvalues: 34 MB + 61 B * da^2, under about 550 MB (513 MB at da = 2800).
+# fig1 peaks at 39 MB but writes grid^2 rows of about 100 B at about 2 us each:
+# 100 MB in 2.1 s at grid = 1000, 400 MB in 7.7 s at 2000.
 MAX_REPORT_DA = 2800
-MAX_FIG1_GRID = 800000
+MAX_FIG1_GRID = 2000
 
 
 def _refuse_large(
@@ -615,7 +621,7 @@ def cmd_fig1(ns) -> None:
     D = ns.dim
     if ns.grid < 2:
         raise DomainError("--grid must be >= 2")
-    _refuse_large("grid", ns.grid, MAX_FIG1_GRID, "fig1 holds O(grid) arrays and labels")
+    _refuse_large("grid", ns.grid, MAX_FIG1_GRID, "fig1 writes grid^2 rows")
     p = np.linspace(p_min_cp(D), 1.0, ns.grid)
     f = np.linspace(0.0, 1.0, ns.grid)
     # pure_overlap of e0 and sqrt(f) e0 + sqrt(1-f) e1 is sqrt(f)^2, not f
@@ -674,7 +680,7 @@ def cmd_gen(ns) -> Report | None:
         state, dims = dps.to_matrix(), [da, da]
         meta = {"kind": "isotropic", "da": da, "F": ns.F, "p": dps.p}
     if not ns.out:
-        sys.stdout.write(render_json(state_document(state, dims=dims)))
+        _emit(render_json(state_document(state, dims=dims)), None)
         return None
     return Report({}, meta, state=state, dims=dims)
 

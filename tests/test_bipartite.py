@@ -384,7 +384,43 @@ class TestFloatRouteMatchesArrays:
         assert pair_threshold(b, dA, dB).hex() == array_pair_threshold(b, dA, dB).hex()
 
 
+def pauli_canonical_form(p: float, omega: float) -> np.ndarray:
+    """The two-qubit canonical DPS as its Pauli sum, an oracle for ``two_qubit_canonical``.
+
+    (1 + p cos(omega) (Z1 + Z2) + p sin(omega) (XX - YY) + p ZZ) / 4.
+    """
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+    sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+    eye = np.eye(2, dtype=complex)
+    co, si = math.cos(omega), math.sin(omega)
+    return (
+        np.kron(eye, eye)
+        + p * co * np.kron(sz, eye)
+        + p * co * np.kron(eye, sz)
+        + p * si * np.kron(sx, sx)
+        - p * si * np.kron(sy, sy)
+        + p * np.kron(sz, sz)
+    ) / 4.0
+
+
 class TestTwoQubitCanonical:
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.floats(-1.0 / 3.0, 1.0), omega=st.floats(0.0, math.pi / 2.0))
+    def test_matches_pauli_canonical_form(self, p, omega):
+        state, _ = two_qubit_canonical(p, omega)
+        assert np.max(np.abs(state.matrix - pauli_canonical_form(p, omega))) < 1e-15
+
+    def test_builds_no_pauli_sum(self, capsys, tmp_path, monkeypatch):
+        from dpstates.cli import main
+
+        def refuse(*args):
+            raise AssertionError("the Pauli sum was built")
+
+        monkeypatch.setattr(np, "kron", refuse)
+        two_qubit_canonical(0.55, 0.8)
+        assert main(["werner2q", "--p", "0.8", "--omega", "1.3", "--out", str(tmp_path / "w.json")]) == 0
+
     def test_is_dps_with_matching_p(self):
         basis = generate_basis(4)
         state, _ = two_qubit_canonical(0.55, 0.8)

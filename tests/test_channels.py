@@ -322,6 +322,29 @@ def dense_protocol_unitary(D: int) -> np.ndarray:
     return U
 
 
+def closed_action_marginal(psi, chi: ChiState) -> np.ndarray:
+    """System marginal of U(psi (x) chi) from the protocol unitary's closed action, as an oracle.
+
+    Every legal input lies in the span of the |m>|Phi+> and |m>|0>|uniform>
+    on which U is fixed, so U(psi (x) chi) is the D x D^2 array
+    O[s, (a1, a2)] = (alpha psi_s delta_{a1 a2} + beta psi_{a1} delta_{s a2}) / sqrt(D),
+    and the marginal is O O^dag: O(D^3) memory and O(D^4) time.
+    """
+    D = chi.dim
+    v = np.asarray(psi, dtype=complex)
+    eye = np.eye(D)
+    out = (chi.alpha * v[:, None, None] * eye + chi.beta * eye[:, None, :] * v[:, None]) / math.sqrt(D)
+    out = out.reshape(D, D * D)
+    return out @ out.conj().T
+
+
+def complex_chi(D: int, rng: np.random.Generator) -> ChiState:
+    """A ChiState of complex Gaussian amplitudes, normalized: |beta|^2 anywhere in its range."""
+    a, b = rng.standard_normal(2) + 1.0j * rng.standard_normal(2)
+    norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2 + 2.0 * (a * b.conjugate()).real / D)
+    return ChiState(dim=D, alpha=a / norm, beta=b / norm)
+
+
 class TestProtocol1:
     @pytest.mark.parametrize("D", [2, 3, 4, 5])
     def test_dense_unitary_oracle(self, D):
@@ -336,6 +359,7 @@ class TestProtocol1:
             out = U @ np.kron(psi, chi.vector())
             oracle = partial_trace(np.outer(out, out.conj()), D, D * D, keep="A")
             assert np.max(np.abs(protocol1(psi, chi).matrix - oracle)) < 1e-12
+            assert np.max(np.abs(closed_action_marginal(psi, chi) - oracle)) < 1e-12
 
     def test_complex_amplitudes_match_oracle(self):
         D = 3
@@ -348,11 +372,22 @@ class TestProtocol1:
         oracle = partial_trace(np.outer(out, out.conj()), D, D * D, keep="A")
         assert np.max(np.abs(protocol1(psi, chi).matrix - oracle)) < 1e-12
 
-    def test_memory_stays_cubic(self):
-        D = 12
+    @settings(max_examples=60, deadline=None)
+    @given(D=st.integers(2, 12), seed=st.integers(0, 2**32 - 1), extreme=st.sampled_from([None, 0.0, 1.0]))
+    def test_matches_closed_action_marginal(self, D, seed, extreme):
+        # complex psi and complex chi amplitudes, or the real branch at
+        # |beta|^2 = 0 and at the universal inverter's D^2/(D^2 - 1)
+        rng = rng_for(seed)
+        psi = haar_state(D, rng)
+        chi = complex_chi(D, rng) if extreme is None else chi_from_beta2(D, extreme * D * D / (D * D - 1.0))
+        assert np.max(np.abs(protocol1(psi, chi).matrix - closed_action_marginal(psi, chi))) < 1e-15
+
+    def test_memory_stays_quadratic(self):
+        # the D x D^2 post-unitary state alone would take 128 MB at D = 200
+        D = 200
         psi = haar_state(D, rng_for(94))
         chi = chi_from_beta2(D, 0.5)
-        assert traced_peak(lambda: protocol1(psi, chi)) < 1_000_000
+        assert traced_peak(lambda: protocol1(psi, chi)) < 8_000_000
 
     @pytest.mark.parametrize("D", [2, 3, 4])
     def test_residual_formula(self, D):
@@ -522,6 +557,9 @@ class TestCliffordGroup:
             clifford_group(D)
 
 
+TWIRL_PRIMES = [D for D in range(2, channels.CLIFFORD_TWIRL_MAX_DIM + 1) if all(D % k for k in range(2, D))]
+
+
 class TestTwirl:
     @pytest.mark.parametrize("D", [2, 3, 5, 7])
     def test_exact_clifford_collapses_to_depolarizing(self, D):
@@ -548,6 +586,41 @@ class TestTwirl:
         assert np.max(np.abs(channels._choi(result.channel.kraus) - want)) < 1e-14
         dev = np.max(np.abs(want - channels._depolarizing_choi(D, result.p_hat)))
         assert result.depolarizing_deviation == pytest.approx(dev, abs=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        D=st.sampled_from(TWIRL_PRIMES),
+        kraus_count=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_full_group_choi_is_the_depolarizing_choi(self, D, kraus_count, seed):
+        ch = random_channel(D, kraus_count, seed=seed)
+        result = twirl(ch, mode="exact-clifford")
+        assert result.depolarizing_deviation == 0.0
+        assert len(result.channel.kraus) == D * D
+        want = channels._depolarizing_choi(D, result.p_hat)
+        assert np.max(np.abs(channels._choi(result.channel.kraus) - want)) < 1e-14
+        # the Kraus operators of one eigensolve of that Choi matrix act alike
+        dm = random_mixed(D, rng_for(seed))
+        split = KrausChannel(dim=D, kraus=channels._kraus_from_choi(want, D))
+        assert np.max(np.abs(result.channel.apply(dm.matrix) - split.apply(dm.matrix))) < 1e-14
+
+    def test_full_group_twirl_splits_no_choi_matrix(self, monkeypatch, tmp_path):
+        from dpstates.cli import main
+
+        def refuse(C, D):
+            raise AssertionError("the full-group twirl's Choi matrix was eigendecomposed")
+
+        monkeypatch.setattr(channels, "_kraus_from_choi", refuse)
+        for D in TWIRL_PRIMES:
+            twirl(random_channel(D, 2, seed=D), mode="exact-clifford")
+        ch = random_channel(3, 2, seed=3)
+        kraus = [[[[z.real, z.imag] for z in row] for row in K] for K in ch.kraus]
+        path = tmp_path / "ch.json"
+        path.write_text(json.dumps({"dim": 3, "kraus": kraus}))
+        assert main(["channel", "twirl", str(path), "--out", str(tmp_path / "twirled.json")]) == 0
+        with pytest.raises(AssertionError, match="eigendecomposed"):
+            twirl(ch, mode="exact-clifford", exclude_identity=True)
 
     @pytest.mark.parametrize("exclude", [False, True])
     def test_closed_form_matches_brute_force_group_at_five(self, exclude):
@@ -677,6 +750,12 @@ class TestHaar:
         d = np.diagonal(R, axis1=1, axis2=2)
         assert np.array_equal(Us, Q * (d / np.abs(d))[:, None, :])
 
+    @pytest.mark.parametrize("D, size", [(8, 1024), (9, 809), (32, 64), (300, 1)])
+    def test_stream_caps_the_entries_of_a_draw(self, D, size):
+        assert size == max(1, min(channels.GRAM_ROWS, channels.HAAR_DRAW_ENTRIES // (D * D)))
+        count = 2 * size + 1
+        assert [len(Us) for Us in channels.haar_unitaries(D, count, rng_for(81))] == [size, size, 1]
+
     def test_unitary(self):
         U = haar_unitary(5, rng_for(79))
         assert np.max(np.abs(U @ U.conj().T - np.eye(5))) < 1e-12
@@ -738,6 +817,12 @@ class TestPdpsRecipe:
         # trial count; a whole (trials, D, D) stack here would take 420 MB
         psi = haar_state(8, rng_for(91))
         assert traced_peak(lambda: pdps_recipe(psi, 0.6, seed=92, trials=100_000)) < 16_000_000
+
+    def test_memory_of_a_draw_does_not_grow_with_dimension(self):
+        # 16 unitaries per draw at D = 64, about 8 MB; draws of GRAM_ROWS
+        # unitaries here would peak near 270 MB
+        psi = haar_state(64, rng_for(93))
+        assert traced_peak(lambda: pdps_recipe(psi, 0.6, seed=94, trials=1024)) < 16_000_000
 
 
 class TestLocalDepolarize:

@@ -38,18 +38,23 @@ def write_state(path, matrix, dims=None):
     return str(path)
 
 
+def text_of(obj) -> str:
+    """The whole JSON text that ``render_json`` streams."""
+    return "".join(render_json(obj))
+
+
 class TestRenderJson:
     def test_scalars_and_nesting(self):
-        text = render_json({"a": 1, "b": [1.5, None, True], "c": {"d": "x"}})
+        text = text_of({"a": 1, "b": [1.5, None, True], "c": {"d": "x"}})
         assert json.loads(text) == {"a": 1, "b": [1.5, None, True], "c": {"d": "x"}}
         assert text.endswith("\n")
 
     def test_full_float_precision(self):
-        text = render_json({"x": 0.1 + 0.2})
+        text = text_of({"x": 0.1 + 0.2})
         assert json.loads(text)["x"] == 0.1 + 0.2
 
     def test_numpy_values(self):
-        text = render_json({"v": np.float64(0.5), "n": np.int64(3), "a": np.arange(2)})
+        text = text_of({"v": np.float64(0.5), "n": np.int64(3), "a": np.arange(2)})
         assert json.loads(text) == {"v": 0.5, "n": 3, "a": [0, 1]}
 
     @pytest.mark.parametrize("transpose", [False, True])
@@ -62,15 +67,15 @@ class TestRenderJson:
         M.real[2, 2], M.imag[3, 0] = 1e300, -1e300
         M = M.T if transpose else M
         pairs = [[[float(z.real), float(z.imag)] for z in row] for row in M]
-        assert render_json({"dim": 4, "matrix": M, "nested": {"m": M}}) == render_json(
+        assert text_of({"dim": 4, "matrix": M, "nested": {"m": M}}) == text_of(
             {"dim": 4, "matrix": pairs, "nested": {"m": pairs}}
         )
 
     def test_state_document_renders_as_its_pairs(self):
         state = random_mixed(5, rng_for(92))
         pairs = [[[float(z.real), float(z.imag)] for z in row] for row in state.matrix]
-        text = render_json(state_document(state))
-        assert text == render_json({"dim": 5, "matrix": pairs})
+        text = text_of(state_document(state))
+        assert text == text_of({"dim": 5, "matrix": pairs})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
     def test_complex_matrix_refuses_non_finite_entries(self, bad):
@@ -78,6 +83,29 @@ class TestRenderJson:
         M[0, 1] = bad
         with pytest.raises(InternalCheckError):
             render_json({"matrix": M})
+        # refused in the call, before a chunk of the finite matrix ahead of it exists
+        with pytest.raises(InternalCheckError):
+            render_json({"a": np.eye(3, dtype=complex), "b": M})
+        with pytest.raises(InternalCheckError):
+            render_json({"a": np.eye(3, dtype=complex), "b": float(abs(bad))})
+
+    def test_state_file_streams_one_row_at_a_time(self, tmp_path):
+        import tracemalloc
+
+        from dpstates.cli import _emit
+
+        state = random_mixed(400, rng_for(93))
+        path = tmp_path / "s.json"
+        tracemalloc.start()
+        try:
+            _emit(render_json(state_document(state)), str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the text is about 9 MB; one row of it is about 23 kB
+        assert path.stat().st_size > 8_000_000
+        assert peak < 1_000_000
+        assert path.read_text() == text_of(state_document(state))
 
 
 class TestGenAnalyze:
@@ -523,9 +551,10 @@ BOUNDARY_COMMANDS = [
     ["gen", "isotropic", "--F", "0.5", "--da", "41"],
     ["gen", "isotropic", "--F", "0.5", "--da", "41", "--out", "{missing}"],
     ["isotropic", "--da", "41", "--F", "0.5", "--out", "{missing}"],
-    # without --out, the isotropic report and fig1 still hold O(da^2) and O(grid) data
+    # without --out the isotropic report still holds O(da^2) data; fig1 writes grid^2 rows
     ["isotropic", "--da", "100000", "--F", "0.5"],
     ["fig1", "--grid", "100000000"],
+    ["fig1", "--grid", "2001"],
     ["gen", "dps", "--dim", "1201", "--p", "0.5", "--seed", "1"],
     ["gen", "haar-pure", "--dim", "1201", "--seed", "1", "--out", "{missing}"],
     ["analyze", "{nonnumeric}"],
@@ -627,6 +656,16 @@ def test_gen_writes_up_to_the_dimension_limit(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_WRITE_DIM", 5)
     assert len(run_json(capsys, "gen", "haar-pure", "--dim", "5", "--seed", "1")["matrix"]) == 5
     assert run(capsys, "gen", "haar-pure", "--dim", "6", "--seed", "1") == (3, "")
+
+
+def test_fig1_writes_up_to_the_grid_limit(capsys, tmp_path, monkeypatch):
+    import dpstates.cli as cli
+
+    monkeypatch.setattr(cli, "MAX_FIG1_GRID", 5)
+    assert len(run(capsys, "fig1", "--grid", "5")[1].splitlines()) == 1 + 5 * 5
+    path = tmp_path / "surface.csv"
+    assert run(capsys, "fig1", "--grid", "6", "--out", str(path)) == (3, "")
+    assert not path.exists()
 
 
 def test_isotropic_report_without_out_passes_the_write_limit(capsys):
