@@ -17,10 +17,10 @@ mean (``_gram_mean``) over a stream of unitary stacks, formed about
 GRAM_ROWS rows at a time, so memory does not grow with the number of
 unitaries.  The exact Clifford twirl is a closed form: the Clifford
 group is a unitary 2-design at prime D, so its average is the
-depolarizing map in its Weyl Kraus form; the enumerated group
-(``clifford_group``) is only the tests' oracle.  Every operator set is
-one read-only complex (n, D, D) stack: Kraus operators, the Weyl
-operators X^a Z^b, the Clifford group.
+depolarizing map; the enumerated group (``clifford_group``) is only the
+tests' oracle.  A twirl returns its averaged Choi matrix over D.  Every
+operator set is one read-only complex (n, D, D) stack: Kraus operators,
+the Weyl operators X^a Z^b, the Clifford group.
 
 All Monte-Carlo entry points take explicit integer seeds >= 0, checked
 by ``metrics._seeded_rng``; there is no hidden global randomness.
@@ -49,10 +49,9 @@ from .linalg import DensityMatrix, partial_trace
 from .metrics import _in_range, _require_dimension, _seeded_rng, _unit_vector, make_dps, p_min, p_min_cp
 
 TP_TOL = 1e-10
-# The cap bounds the exact twirl's D^4-entry stack of Weyl Kraus operators and the
-# D^2 x D^2 Choi matrix that `dps channel twirl --out` forms in O(D^6) and writes
-# (961 x 961 at D = 31, within MAX_WRITE_DIM), which `exclude_identity` also splits
-# by an eigensolve.  Peak RSS at D = 31: 79 MB in process, 108 MB with --out.
+# The cap bounds the exact twirl's D^2 x D^2 Choi matrix, which `dps channel twirl --out`
+# writes (961 x 961 at D = 31, within MAX_WRITE_DIM) and `exclude_identity` checks positive
+# by an O(D^6) eigvalsh.  `dps channel twirl` at D = 31 peaks at 92 MB RSS, 108 with the latter.
 CLIFFORD_TWIRL_MAX_DIM = 31
 GRAM_ROWS = 1024  # rows per block of a Gram mean
 HAAR_DRAW_ENTRIES = 64 * GRAM_ROWS  # matrix entries per Haar draw: GRAM_ROWS unitaries at D <= 8
@@ -468,23 +467,14 @@ def haar_state(D: int, rng: np.random.Generator) -> np.ndarray:
 
 
 class TwirlResult(NamedTuple):
-    """A twirl's channel, p_hat, and max Choi entry deviation from the depolarizing map at p_hat.
+    """A twirl's averaged Choi matrix over D, p_hat, and max Choi entry deviation from the depolarizing map at p_hat.
 
-    The full-group exact twirl's channel is ``depolarizing_kraus(D, p_hat)``, D^2 Weyl
-    operators of which all but the identity are zero at p_hat = 1, at deviation 0.0."""
+    ``jamiolkowski`` is what ``jamiolkowski_state`` gives of the averaged channel and ``--out`` writes.  The
+    full group's is the depolarizing map's, at deviation 0.0, whose Kraus form is ``depolarizing_kraus(D, p_hat)``."""
 
-    channel: KrausChannel
+    jamiolkowski: DensityMatrix
     p_hat: float
     depolarizing_deviation: float
-
-
-def _kraus_from_choi(C: np.ndarray, D: int) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((C + C.conj().T) / 2.0)
-    # absolute, because trace preservation fixes Tr C = D: the eigenvalues lie in [0, D]
-    if float(vals[0]) < -1e-10:
-        raise InternalCheckError(f"averaged Choi matrix has eigenvalue {vals[0]:.3e}")
-    keep = vals > 1e-12
-    return (np.sqrt(vals[keep])[:, None] * vecs[:, keep].T).reshape(-1, D, D)
 
 
 def _gram_mean(stacks: Iterable[np.ndarray], rows: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -509,13 +499,6 @@ def _depolarizing_choi(D: int, p: float) -> np.ndarray:
     return ((1.0 - p) / D) * np.eye(D * D) + p * np.outer(vec1, vec1)
 
 
-def _twirl_result(acc: np.ndarray, D: int, p_hat: float) -> TwirlResult:
-    """The channel of the Choi matrix ``acc`` and its max entry deviation from the depolarizing one at p_hat."""
-    dev = float(np.max(np.abs(acc - _depolarizing_choi(D, p_hat))))
-    channel = KrausChannel(dim=D, kraus=_kraus_from_choi(acc, D))
-    return TwirlResult(channel=channel, p_hat=p_hat, depolarizing_deviation=dev)
-
-
 def twirl(
     ch: KrausChannel,
     mode: str = "exact-clifford",
@@ -525,14 +508,15 @@ def twirl(
 ) -> TwirlResult:
     """Average U^dag . channel . U over unitaries U into a depolarizing map.
 
+    Each mode forms the averaged Choi matrix C once and returns C/D.
     exact-clifford (prime D <= CLIFFORD_TWIRL_MAX_DIM) is the average
     over the Clifford group, written in closed form: the group is a
     unitary 2-design at every prime D (Gross, Audenaert & Eisert, J. Math.
     Phys. 48, 052104 (2007)), so the average of any channel is the
     depolarizing map at p_hat = (D^2 f - 1)/(D^2 - 1), with f the
     channel's Jamiolkowski fidelity (Dankert, Cleve, Emerson & Livine,
-    PRA 80, 012304 (2009)), returned as ``depolarizing_kraus(D, p_hat)``
-    with no eigensolve.  The tests check it against the Gram mean
+    PRA 80, 012304 (2009)), whose C is formed in O(D^4) with no
+    eigensolve.  The tests check it against the Gram mean
     over ``clifford_group`` at D in {2, 3} and over a brute-force closure
     at D = 5.  haar-sample (D <= 6) averages `samples` seeded Haar
     conjugations, as the ``_gram_mean`` of the rows vec(U^dag K U), and
@@ -553,6 +537,8 @@ def twirl(
         UnsupportedDimensionError: dimension outside the mode's support.
         DomainError: unknown mode, samples < 1 or a seed that is not an
             integer >= 0 (haar-sample), or an argument the mode does not use.
+        InternalCheckError: C traced over the output is not the identity within
+            TP_TOL, or (off the full group) C has an eigenvalue below -1e-10.
     """
     D = ch.dim
     if mode == "exact-clifford":
@@ -563,12 +549,11 @@ def twirl(
             raise UnsupportedDimensionError(
                 f"exact-clifford twirl needs a prime D <= {CLIFFORD_TWIRL_MAX_DIM} (a unitary 2-design), got {D}"
             )
-        if not exclude_identity:
-            return TwirlResult(channel=depolarizing_kraus(D, p_hat), p_hat=p_hat, depolarizing_deviation=0.0)
-        N = D**3 * (D * D - 1)  # the order of the Clifford group modulo phase
-        return _twirl_result((N * _depolarizing_choi(D, p_hat) - _choi(ch.kraus)) / (N - 1), D, p_hat)
-
-    if mode == "haar-sample":
+        C = _depolarizing_choi(D, p_hat)
+        if exclude_identity:
+            N = D**3 * (D * D - 1)  # the order of the Clifford group modulo phase
+            C = (N * C - _choi(ch.kraus)) / (N - 1)
+    elif mode == "haar-sample":
         if exclude_identity:
             raise DomainError("exclude_identity applies to the exact-clifford twirl only")
         if D > 6:
@@ -580,12 +565,25 @@ def twirl(
             Us = Us[:, None]
             return (Us.conj().swapaxes(-1, -2) @ ch.kraus @ Us).reshape(-1, D * D)
 
-        acc = _gram_mean(haar_unitaries(D, samples, _seeded_rng(seed)), rows)
+        C = _gram_mean(haar_unitaries(D, samples, _seeded_rng(seed)), rows)
         # <0| twirl(|0><0|) |0> is the Choi entry at ((0, 0), (0, 0))
-        p_hat = p_from_overlap(D, float(acc[0, 0].real))
-        return _twirl_result(acc, D, p_hat)
+        p_hat = p_from_overlap(D, float(C[0, 0].real))
+    else:
+        raise DomainError(f"unknown twirl mode {mode!r}")
 
-    raise DomainError(f"unknown twirl mode {mode!r}")
+    tp = float(np.max(np.abs(partial_trace(C, D, D, keep="B") - np.eye(D))))
+    if not tp <= TP_TOL:
+        raise InternalCheckError(f"averaged Choi matrix traced over the output deviates from 1 by {tp:.3e}")
+    state = DensityMatrix(C / D)
+    if mode == "exact-clifford" and not exclude_identity:
+        _in_range(p_hat, p_min_cp(D), 1.0, PolarizationOutOfRangeError, "p")
+        return TwirlResult(jamiolkowski=state, p_hat=p_hat, depolarizing_deviation=0.0)
+    # absolute, because trace preservation fixes Tr C = D: the eigenvalues lie in [0, D]
+    low = D * float(np.linalg.eigvalsh(state.matrix)[0])
+    if low < -1e-10:
+        raise InternalCheckError(f"averaged Choi matrix has eigenvalue {low:.3e}")
+    dev = float(np.max(np.abs(C - _depolarizing_choi(D, p_hat))))
+    return TwirlResult(jamiolkowski=state, p_hat=p_hat, depolarizing_deviation=dev)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ from .channels import (
     chi_from_beta2,
     haar_state,
     jamiolkowski_fidelity,
-    jamiolkowski_state,
     local_depolarize,
     p_from_overlap,
     pdps_recipe,
@@ -216,9 +215,12 @@ def _publish(ns, rep: Report) -> None:
 
 def _parse_matrix(entry, dim: int, what: str) -> np.ndarray:
     try:
-        arr = np.asarray(entry, dtype=float)
-    except (TypeError, ValueError) as exc:
+        arr = np.asarray(entry)
+    except ValueError as exc:  # ragged nesting
         raise CliInputError(f"{what}: matrix entries must be [re, im] number pairs: {exc}")
+    # strings and booleans are no numbers, and an integer beyond 64 bits makes the dtype object
+    if arr.dtype.kind not in "iuf":
+        raise CliInputError(f"{what}: matrix entries must be [re, im] number pairs, not {arr.dtype} entries")
     if arr.shape != (dim, dim, 2):
         raise CliInputError(f"{what}: expected shape ({dim}, {dim}, 2) of [re, im] pairs, got {arr.shape}")
     return arr[..., 0] + 1.0j * arr[..., 1]
@@ -534,8 +536,7 @@ def cmd_channel_twirl(ns) -> Report:
         "samples": ns.samples,
         "exclude_identity": bool(ns.exclude_identity),
     }
-    choi = jamiolkowski_state(result.channel) if ns.out else None
-    return Report(results, parameters, seed=ns.seed, state=choi, dims=[ch.dim, ch.dim])
+    return Report(results, parameters, seed=ns.seed, state=result.jamiolkowski, dims=[ch.dim, ch.dim])
 
 
 def cmd_channel_recipe(ns) -> Report:

@@ -79,10 +79,11 @@ def moment_montecarlo(rho: DensityMatrix, m: int, shots: int, seed: int) -> Mome
     measured data one would plug the estimate into the same expression.
 
     Raises:
-        DomainError: shots < 1, or seed not an integer >= 0.
+        DomainError: shots outside [1, 2^63 - 1] (the binomial draw takes
+            an int64), or seed not an integer >= 0.
     """
-    if shots < 1:
-        raise DomainError(f"shots must be >= 1, got {shots}")
+    if not 1 <= shots <= 2**63 - 1:
+        raise DomainError(f"shots must be in [1, 2^63 - 1], got {shots}")
     rng = _seeded_rng(seed)
     t = moment_exact(rho, m).value
     p_plus = min(max((1.0 + t) / 2.0, 0.0), 1.0)

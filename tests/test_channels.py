@@ -112,6 +112,13 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def write_channel(path, ch: KrausChannel) -> str:
+    """Write ``ch`` as a channel file in the CLI's [re, im] encoding; returns the path."""
+    kraus = [[[[z.real, z.imag] for z in row] for row in K] for K in ch.kraus]
+    path.write_text(json.dumps({"dim": ch.dim, "kraus": kraus}))
+    return str(path)
+
+
 def conjugated_rows(kraus):
     """The rows vec(U^dag K U) of every (U, K), for ``channels._gram_mean``."""
     D = kraus.shape[-1]
@@ -567,10 +574,11 @@ class TestTwirl:
         result = twirl(ch, mode="exact-clifford")
         assert result.depolarizing_deviation < 1e-10
         assert result.p_hat == pytest.approx(twirl_p(D, jamiolkowski_fidelity(ch)), abs=1e-12)
-        # the returned channel acts as the depolarizing map
+        # the returned Choi matrix, reshuffled to a superoperator, acts as the depolarizing map
         dm = random_mixed(D, rng_for(71, D))
         expect = apply_depolarizing(dm, result.p_hat).state.matrix
-        assert np.max(np.abs(result.channel.apply(dm.matrix) - expect)) < 1e-10
+        got = reshuffle(D * result.jamiolkowski.matrix, D) @ dm.matrix.reshape(-1)
+        assert np.max(np.abs(got.reshape(D, D) - expect)) < 1e-10
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -583,9 +591,11 @@ class TestTwirl:
         ch = random_channel(D, kraus_count, seed=seed)
         result = twirl(ch, mode="exact-clifford", exclude_identity=exclude)
         want = clifford_twirl_oracle(ch, clifford_group(D), exclude)
-        assert np.max(np.abs(channels._choi(result.channel.kraus) - want)) < 1e-14
+        assert np.max(np.abs(D * result.jamiolkowski.matrix - want)) < 1e-14
         dev = np.max(np.abs(want - channels._depolarizing_choi(D, result.p_hat)))
         assert result.depolarizing_deviation == pytest.approx(dev, abs=1e-14)
+        # the group average is a Gram mean, hence positive, and so is the closed form to roundoff
+        assert np.linalg.eigvalsh(result.jamiolkowski.matrix)[0] > -1e-14
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -597,30 +607,67 @@ class TestTwirl:
         ch = random_channel(D, kraus_count, seed=seed)
         result = twirl(ch, mode="exact-clifford")
         assert result.depolarizing_deviation == 0.0
-        assert len(result.channel.kraus) == D * D
-        want = channels._depolarizing_choi(D, result.p_hat)
-        assert np.max(np.abs(channels._choi(result.channel.kraus) - want)) < 1e-14
-        # the Kraus operators of one eigensolve of that Choi matrix act alike
-        dm = random_mixed(D, rng_for(seed))
-        split = KrausChannel(dim=D, kraus=channels._kraus_from_choi(want, D))
-        assert np.max(np.abs(result.channel.apply(dm.matrix) - split.apply(dm.matrix))) < 1e-14
+        got = D * result.jamiolkowski.matrix
+        assert np.max(np.abs(got - channels._depolarizing_choi(D, result.p_hat))) < 1e-14
+        # it is the Choi matrix of the D^2 Weyl Kraus operators of depolarizing_kraus
+        assert np.max(np.abs(got - channels._choi(depolarizing_kraus(D, result.p_hat).kraus))) < 1e-14
 
-    def test_full_group_twirl_splits_no_choi_matrix(self, monkeypatch, tmp_path):
+    def test_no_twirl_path_splits_a_choi_matrix(self, monkeypatch, tmp_path):
         from dpstates.cli import main
 
-        def refuse(C, D):
-            raise AssertionError("the full-group twirl's Choi matrix was eigendecomposed")
+        def refuse(*args):
+            raise AssertionError("a twirl formed the Weyl stack or eigendecomposed a Choi matrix")
 
-        monkeypatch.setattr(channels, "_kraus_from_choi", refuse)
+        gram = channels._choi
+
+        def small_gram(ops):
+            assert len(ops) < ops.shape[-1] ** 2, "a twirl formed a Gram product over D^2 operators"
+            return gram(ops)
+
+        monkeypatch.setattr(channels, "weyl_operators", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(channels, "_choi", small_gram)
         for D in TWIRL_PRIMES:
             twirl(random_channel(D, 2, seed=D), mode="exact-clifford")
-        ch = random_channel(3, 2, seed=3)
-        kraus = [[[[z.real, z.imag] for z in row] for row in K] for K in ch.kraus]
-        path = tmp_path / "ch.json"
-        path.write_text(json.dumps({"dim": 3, "kraus": kraus}))
-        assert main(["channel", "twirl", str(path), "--out", str(tmp_path / "twirled.json")]) == 0
-        with pytest.raises(AssertionError, match="eigendecomposed"):
-            twirl(ch, mode="exact-clifford", exclude_identity=True)
+        path = write_channel(tmp_path / "ch.json", random_channel(3, 2, seed=3))
+        out = str(tmp_path / "twirled.json")
+        for flags in ([], ["--exclude-identity"], ["--mode", "haar-sample", "--samples", "50", "--seed", "1"]):
+            assert main(["channel", "twirl", path, *flags, "--out", out]) == 0
+            assert json.loads(open(out).read())["dim"] == 9
+
+    # D = 2 Choi matrices: the depolarizing map at p = -1 < p_min_cp is trace preserving but
+    # not positive; diag(2, 0, 0, 0) is positive with trace D but not trace preserving
+    NOT_PSD = channels._depolarizing_choi(2, -1.0)
+    NOT_TP = np.diag([2.0, 0.0, 0.0, 0.0])
+    HAAR = {"mode": "haar-sample", "samples": 20, "seed": 1}
+
+    @pytest.mark.parametrize(
+        "target, kwargs, bad, message",
+        [
+            ("_depolarizing_choi", {}, NOT_TP, "traced over the output"),
+            ("_depolarizing_choi", {"exclude_identity": True}, NOT_TP, "traced over the output"),
+            ("_depolarizing_choi", {"exclude_identity": True}, NOT_PSD, "has eigenvalue -"),
+            ("_gram_mean", HAAR, NOT_TP, "traced over the output"),
+            ("_gram_mean", HAAR, NOT_PSD, "has eigenvalue -"),
+        ],
+    )
+    def test_failed_self_check_is_an_internal_error(self, target, kwargs, bad, message, monkeypatch, tmp_path, capsys):
+        from dpstates.cli import main
+
+        monkeypatch.setattr(channels, target, lambda *args: bad)
+        ch = random_channel(2, 2, seed=7)
+        with pytest.raises(InternalCheckError, match=message):
+            twirl(ch, **kwargs)
+        flags = [f"--{k.replace('_', '-')}" + ("" if v is True else f"={v}") for k, v in kwargs.items()]
+        assert main(["channel", "twirl", write_channel(tmp_path / "ch.json", ch), *flags]) == 4
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+
+    def test_full_group_refuses_p_hat_outside_the_cp_range(self, monkeypatch):
+        # f = 0 gives p_hat = p_min_cp; a negative f, which no channel has, falls below it
+        monkeypatch.setattr(channels, "jamiolkowski_fidelity", lambda ch: -0.5)
+        with pytest.raises(PolarizationOutOfRangeError):
+            twirl(random_channel(3, 2, seed=7), mode="exact-clifford")
 
     @pytest.mark.parametrize("exclude", [False, True])
     def test_closed_form_matches_brute_force_group_at_five(self, exclude):
@@ -631,7 +678,7 @@ class TestTwirl:
         ch = random_channel(5, 3, seed=99)
         result = twirl(ch, mode="exact-clifford", exclude_identity=exclude)
         want = clifford_twirl_oracle(ch, group, exclude)
-        assert np.max(np.abs(channels._choi(result.channel.kraus) - want)) < 1e-13
+        assert np.max(np.abs(5 * result.jamiolkowski.matrix - want)) < 1e-13
 
     def test_no_library_path_enumerates_the_group(self, monkeypatch, tmp_path):
         from dpstates.cli import main
@@ -645,10 +692,8 @@ class TestTwirl:
             ch = random_channel(D, 2, seed=D)
             assert twirl(ch, mode="exact-clifford").p_hat == twirl_p(D, jamiolkowski_fidelity(ch))
             twirl(ch, mode="exact-clifford", exclude_identity=True)
-            kraus = [[[[z.real, z.imag] for z in row] for row in K] for K in ch.kraus]
-            path = tmp_path / f"ch{D}.json"
-            path.write_text(json.dumps({"dim": D, "kraus": kraus}))
-            assert main(["channel", "twirl", str(path), "--out", str(tmp_path / "twirled.json")]) == 0
+            path = write_channel(tmp_path / f"ch{D}.json", ch)
+            assert main(["channel", "twirl", path, "--out", str(tmp_path / "twirled.json")]) == 0
 
     @pytest.mark.parametrize("D", [4, 6, 9, 37])
     def test_exact_clifford_needs_a_prime_below_the_cap(self, D):
@@ -697,7 +742,7 @@ class TestTwirl:
         b = twirl(ch, mode="haar-sample", samples=1100, seed=78)
         assert a.p_hat == b.p_hat
         assert a.depolarizing_deviation == b.depolarizing_deviation
-        assert all(np.array_equal(Ka, Kb) for Ka, Kb in zip(a.channel.kraus, b.channel.kraus))
+        assert np.array_equal(a.jamiolkowski.matrix, b.jamiolkowski.matrix)
 
     def test_haar_sample_memory_does_not_grow_with_samples(self):
         # about 4 MB at any sample count; the whole (samples, D, D) stack
@@ -730,6 +775,7 @@ class TestTwirl:
         assert np.max(np.abs(got - want)) < 1e-13
         # twirl draws the same unitaries from the same seed
         result = twirl(ch, mode="haar-sample", samples=samples, seed=98)
+        assert np.max(np.abs(reshuffle(D * result.jamiolkowski.matrix, D) - want)) < 1e-13
         p_hat = (want[0, 0].real - 1.0 / D) / (1.0 - 1.0 / D)
         assert result.p_hat == pytest.approx(p_hat, abs=1e-13)
         dev = np.max(np.abs(reshuffle(want, D) - channels._depolarizing_choi(D, p_hat)))

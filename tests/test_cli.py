@@ -563,6 +563,12 @@ BOUNDARY_COMMANDS = [
     ["analyze", "{dim1}"],
     ["schmidt", "{baddims}"],
     ["channel", "twirl", "{nokraus}"],
+    # numeric strings, and a JSON integer beyond float range, are no [re, im] number pairs
+    ["analyze", "{strings}"],
+    ["analyze", "{hugeint}"],
+    ["channel", "twirl", "{hugeint}"],
+    # more shots than the int64 the binomial draw takes
+    ["moments", "{dps}", "--mode", "mc", "--seed", "1", "--shots", "100000000000000000000"],
     # --dims that do not factorize D, refused by schmidt_dps and local_depolarize
     ["schmidt", "{dps}", "--dims", "2", "3"],
     ["channel", "local", "{dps}", "--dims", "2", "3", "--pa", "0.5", "--pb", "0.5"],
@@ -573,7 +579,9 @@ BOUNDARY_COMMANDS = [
 ]
 
 # inputs whose file breaks the schema, so that they are refused with exit 2
-MALFORMED = {"{nan}", "{nonnumeric}", "{misshapen}", "{floatdim}", "{dim1}", "{baddims}", "{nokraus}"}
+MALFORMED = {
+    "{nan}", "{nonnumeric}", "{misshapen}", "{floatdim}", "{dim1}", "{baddims}", "{nokraus}", "{strings}", "{hugeint}"
+}
 
 
 def write_inputs(tmp_path) -> dict:
@@ -588,6 +596,7 @@ def write_inputs(tmp_path) -> dict:
         (tmp_path / f"ch{D}.json").write_text(json.dumps({"dim": D, "kraus": [identity]}))
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
+    huge = [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]]  # an integer beyond float range
     # files that each break one rule of the schema
     docs = {
         "nonnumeric": {"dim": 2, "matrix": [[["x", 0], [0, 0]], [[0, 0], [1, 0]]]},
@@ -595,6 +604,9 @@ def write_inputs(tmp_path) -> dict:
         "floatdim": {"dim": 2.0, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]},
         "dim1": {"dim": 1, "matrix": [[[1, 0]]]},
         "nokraus": {"dim": 2, "kraus": []},
+        "strings": {"dim": 2, "matrix": [[["0.5", 0], [0, 0]], [[0, 0], ["5e-1", 0]]]},
+        # read as a state by analyze and as a channel by channel twirl
+        "hugeint": {"dim": 2, "matrix": huge, "kraus": [huge]},
     }
     for name, doc in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))

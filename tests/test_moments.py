@@ -150,6 +150,11 @@ class TestMomentMonteCarlo:
         dm = random_mixed(2, rng_for(122))
         with pytest.raises(DomainError):
             moment_montecarlo(dm, 2, shots=0, seed=1)
+        # the binomial draw takes an int64: one past its largest value is refused, not an OverflowError
+        assert moment_montecarlo(dm, 2, shots=2**63 - 1, seed=1).shots == 2**63 - 1
+        for shots in (2**63, 10**20):
+            with pytest.raises(DomainError, match=r"2\^63 - 1"):
+                moment_montecarlo(dm, 2, shots=shots, seed=1)
 
 
 @settings(max_examples=25, deadline=None)
