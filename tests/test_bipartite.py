@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpstates import (
@@ -33,7 +33,7 @@ from dpstates import (
     two_qubit_canonical,
 )
 from dpstates.bipartite import NEG_TOL
-from dpstates.channels import haar_state
+from dpstates.channels import haar_state, haar_unitary
 
 from conftest import random_non_dps, rng_for
 
@@ -179,6 +179,17 @@ class TestReducedSpectrum:
         assert np.array_equal(reduced_spectrum_dps(0.5, [0.0, 1.0], 2), [0.25, 0.75])
 
 
+@st.composite
+def dps_marginal_case(draw):
+    """(dA, dB, rank, p, seed): dA <= dB <= 6, Schmidt rank 1..dA, p at an edge, 0 or anywhere in range."""
+    dB = draw(st.integers(2, 6))
+    dA = draw(st.integers(2, dB))
+    rank = draw(st.integers(1, dA))
+    D = dA * dB
+    p = draw(st.sampled_from([p_min(D), 0.0, 1.0]) | st.floats(p_min(D), 1.0))
+    return dA, dB, rank, p, draw(st.integers(0, 2**32 - 1))
+
+
 class TestConsistencyCheck:
     def test_accepts_true_marginal_pair(self):
         rng = rng_for(56)
@@ -207,10 +218,55 @@ class TestConsistencyCheck:
         rhoB = DensityMatrix(np.eye(3) / 3.0)
         assert not consistency_check(rhoA, rhoB).consistent
 
-    def test_rejects_rank_deficient_rho_b(self):
+    @settings(max_examples=60, deadline=None)
+    @given(case=dps_marginal_case())
+    # at |p| = 1e-8 the roundoff of rho_A's spectrum, divided by p, once made b^2 = -3e-8
+    @example(case=(2, 3, 1, 1e-8, 15772))
+    def test_accepts_every_dps_marginal_pair(self, case):
+        dA, dB, rank, p, seed = case
+        rng = rng_for(59, seed)
+        w = rng.uniform(0.05, 1.0, rank)
+        b_sq = np.concatenate([np.sort(w / w.sum())[::-1], np.zeros(dA - rank)])
+        U, V = haar_unitary(dA, rng), haar_unitary(dB, rng)
+        psi = sum(math.sqrt(b_sq[j]) * np.kron(U[:, j], V[:, j]) for j in range(rank))
+        M = make_dps(psi, p).to_matrix().matrix
+        res = consistency_check(
+            DensityMatrix(partial_trace(M, dA, dB, keep="A")), DensityMatrix(partial_trace(M, dA, dB, keep="B"))
+        )
+        assert res.consistent, res.reason
+        if dA == dB:
+            assert res.p is None and res.b is None
+            return
+        assert abs(res.p - p) <= 1e-8
+        if abs(p) >= 0.01:
+            assert np.max(np.abs(res.b**2 - b_sq)) <= 1e-8
+
+    def test_accepts_maximally_entangled_pure_pair(self):
+        # the marginals of (|00> + |11>)/sqrt(2) at 2x3; rho_B is rank-deficient, and p = 1 is a DPS
         res = consistency_check(DensityMatrix(np.eye(2) / 2.0), DensityMatrix(np.diag([0.5, 0.5, 0.0])))
+        assert res.verdict == "CONSISTENT"
+        assert res.p == 1.0
+        assert res.b == pytest.approx([1.0 / math.sqrt(2.0)] * 2, abs=1e-15)
+
+    def test_accepts_product_pure_pair(self):
+        # the marginals of |00> at 2x3
+        res = consistency_check(DensityMatrix(np.diag([1.0, 0.0])), DensityMatrix(np.diag([1.0, 0.0, 0.0])))
+        assert res.consistent
+        assert res.p == 1.0
+        assert np.array_equal(res.b, [1.0, 0.0])
+
+    def test_equal_dimensions_fix_no_polarization(self):
+        rng = rng_for(58)
+        M = make_dps(bipartite_pure(2, 2, rng), 0.6).to_matrix().matrix
+        res = consistency_check(
+            DensityMatrix(partial_trace(M, 2, 2, keep="A")), DensityMatrix(partial_trace(M, 2, 2, keep="B"))
+        )
+        assert res.consistent
+        assert res.p is None and res.b is None
+
+    def test_rejects_unequal_spectra_at_equal_dimensions(self):
+        res = consistency_check(DensityMatrix(np.diag([0.7, 0.3])), DensityMatrix(np.diag([0.6, 0.4])))
         assert res.verdict == "REJECTED"
-        assert res.reason.startswith("rho_B rank-deficient")
         assert res.p is None and res.b is None
 
     @pytest.mark.parametrize("dB", [3, 4])

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -576,11 +577,26 @@ BOUNDARY_COMMANDS = [
     ["channel", "twirl", "{ch4}"],
     ["channel", "twirl", "{ch6}"],
     ["channel", "twirl", "{ch37}"],
+    # an --out that cannot be opened: its directory is missing
+    ["werner2q", "--p", "0.5", "--omega", "0.3", "--out", "{unwritable}"],
+    ["gen", "dps", "--p", "0.5", "--seed", "1", "--out", "{unwritable}"],
+    ["fig1", "--grid", "3", "--out", "{unwritable}"],
+    # --out - would put a state file and the report on stdout as two JSON documents
+    ["werner2q", "--p", "0.5", "--omega", "0.3", "--out", "{stdout}"],
+    ["gen", "dps", "--p", "0.5", "--seed", "1", "--out", "{stdout}"],
+    # an empty --out names no file
+    ["werner2q", "--p", "0.5", "--omega", "0.3", "--out", "{empty}"],
+    # a JSON boolean beside numbers, which np.asarray would read as 1
+    ["analyze", "{boolmix}"],
+    ["analyze", "{boolfalse}"],
+    ["channel", "twirl", "{boolkraus}"],
 ]
 
-# inputs whose file breaks the schema, so that they are refused with exit 2
+# inputs whose file breaks the schema, and --out targets that name no writable file,
+# so that they are refused with exit 2
 MALFORMED = {
-    "{nan}", "{nonnumeric}", "{misshapen}", "{floatdim}", "{dim1}", "{baddims}", "{nokraus}", "{strings}", "{hugeint}"
+    "{nan}", "{nonnumeric}", "{misshapen}", "{floatdim}", "{dim1}", "{baddims}", "{nokraus}", "{strings}", "{hugeint}",
+    "{boolmix}", "{boolfalse}", "{boolkraus}", "{unwritable}", "{stdout}", "{empty}",
 }
 
 
@@ -607,6 +623,11 @@ def write_inputs(tmp_path) -> dict:
         "strings": {"dim": 2, "matrix": [[["0.5", 0], [0, 0]], [[0, 0], ["5e-1", 0]]]},
         # read as a state by analyze and as a channel by channel twirl
         "hugeint": {"dim": 2, "matrix": huge, "kraus": [huge]},
+        # |0><0| and the identity channel, each with its entry 0 written [true, 0],
+        # and |0><0| with its last entry written [0, false]
+        "boolmix": {"dim": 2, "matrix": [[[True, 0], [0, 0]], [[0, 0], [0, 0]]]},
+        "boolkraus": {"dim": 2, "kraus": [[[[True, 0], [0, 0]], [[0, 0], [1, 0]]]]},
+        "boolfalse": {"dim": 2, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, False]]]},
     }
     for name, doc in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
@@ -623,6 +644,9 @@ def write_inputs(tmp_path) -> dict:
         **{f"ch{D}": str(tmp_path / f"ch{D}.json") for D in (4, 6, 37)},
         "bad": str(bad),
         "missing": str(tmp_path / "missing.json"),
+        "unwritable": str(tmp_path / "nodir" / "out.json"),
+        "stdout": "-",
+        "empty": "",
     }
 
 
@@ -636,6 +660,18 @@ def test_non_finite_and_out_of_range_input_is_refused(argv, capsys, tmp_path):
     assert len(captured.err.strip().splitlines()) == 1
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_files_without_a_boolean_token_are_not_walked(capsys, tmp_path, monkeypatch):
+    import dpstates.cli as cli
+
+    def walked(obj):
+        raise AssertionError("the entries were walked for booleans")
+
+    monkeypatch.setattr(cli, "_holds_bool", walked)
+    paths = write_inputs(tmp_path)
+    assert main(["analyze", paths["dps"]]) == 0
+    assert main(["channel", "twirl", paths["ch"]]) == 0
 
 
 @pytest.mark.parametrize(
@@ -851,3 +887,28 @@ def test_fuzzed_command_lines_exit_cleanly(name, fuzz_inputs, data):
         assert rows and all(math.isfinite(float(x)) for row in rows for x in row.split(","))
     else:
         assert _finite(json.loads(out.getvalue()))
+
+
+def _leaf_parsers(parser, path=()):
+    """(subcommand path, parser) of every leaf subcommand under ``parser``."""
+    subs = parser._subparsers
+    if subs is None:
+        yield path, parser
+        return
+    for name, sub in subs._group_actions[0].choices.items():
+        yield from _leaf_parsers(sub, (*path, name))
+
+
+def test_readme_synopsis_names_every_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("The console script is `dps`", 1)[1].split("```", 2)[1]
+    lines = [line.split() for line in block.splitlines() if line.startswith("dps ")]
+    leaves = list(_leaf_parsers(build_parser()))
+    assert len(leaves) == 14
+    for path, sub in leaves:
+        words = {w.strip("[]") for line in lines if tuple(line[1 : 1 + len(path)]) == path for w in line}
+        assert words, f"no synopsis line for dps {' '.join(path)}"
+        for action in sub._actions:
+            for opt in action.option_strings:
+                if opt not in ("-h", "--help"):
+                    assert opt in words, f"README synopsis of dps {' '.join(path)} lacks {opt}"
