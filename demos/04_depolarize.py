@@ -69,7 +69,9 @@ for samples in (64, 256, 1024, 4096):
     print(f"  samples={samples:>5} -> p_hat={est.p_hat:+.6f}  error={est.p_hat - twirl_p(D, f):+.2e}")
 
 # the two-outcome recipe {identity w.p. f, shift w.p. 1-f}, conjugated
-# by a fresh Haar unitary each trial, realizes the physical DPS range
+# by a fresh Haar unitary U each trial, realizes the physical DPS range;
+# a trial needs only U^dag X U psi, drawn from the Haar vector U psi and
+# a uniform direction orthogonal to psi without forming U
 f, trials = 0.7, 20000
 psi2 = haar_state(2, rng)
 out = pdps_recipe(psi2, f, seed=501, trials=trials)

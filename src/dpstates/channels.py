@@ -12,18 +12,21 @@ against the dense D^3 x D^3 unitary.
 A channel is held as its Choi matrix sum_K vec(K) vec(K)^dag, the Gram
 product M^T M^* over the rows vec(K); the Jamiolkowski state is that
 over D and the superoperator its reshuffle.  Every average over
-unitaries that is sampled, the Haar twirl and the recipe, is one Gram
-mean (``_gram_mean``) over a stream of unitary stacks, formed about
-GRAM_ROWS rows at a time, so memory does not grow with the number of
-unitaries.  The exact Clifford twirl is a closed form: the Clifford
-group is a unitary 2-design at prime D, so its average is the
-depolarizing map; the enumerated group (``clifford_group``) is only the
-tests' oracle.  A twirl returns its averaged Choi matrix over D.  Every
-operator set is one read-only complex (n, D, D) stack: Kraus operators,
-the Weyl operators X^a Z^b, the Clifford group.
+unitaries that is sampled is one Gram mean (``_gram_mean``), formed
+about GRAM_ROWS rows at a time, so memory does not grow with the number
+of samples: the Haar twirl's over a stream of Haar unitary stacks, the
+recipe's over rows U^dag X U psi drawn without forming U, from a Haar
+vector u = U psi and a uniform direction in psi^perp.  The exact
+Clifford twirl is a closed form: the Clifford group is a unitary
+2-design at prime D, so its average is the depolarizing map; the
+enumerated group (``clifford_group``) is only the tests' oracle.  A
+twirl returns its averaged Choi matrix over D.  Every operator set is
+one read-only complex (n, D, D) stack: Kraus operators, the Weyl
+operators X^a Z^b, the Clifford group.
 
 All Monte-Carlo entry points take explicit integer seeds >= 0, checked
-by ``metrics._seeded_rng``; there is no hidden global randomness.
+by ``metrics._seeded_rng``, and integer sizes >= 1, checked by
+``metrics._require_count``; there is no hidden global randomness.
 """
 
 from __future__ import annotations
@@ -46,7 +49,16 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .linalg import DensityMatrix, partial_trace
-from .metrics import _in_range, _require_dimension, _seeded_rng, _unit_vector, make_dps, p_min, p_min_cp
+from .metrics import (
+    _in_range,
+    _require_count,
+    _require_dimension,
+    _seeded_rng,
+    _unit_vector,
+    make_dps,
+    p_min,
+    p_min_cp,
+)
 
 TP_TOL = 1e-10
 # The cap bounds the exact twirl's D^2 x D^2 Choi matrix, which `dps channel twirl --out`
@@ -478,10 +490,11 @@ class TwirlResult(NamedTuple):
 
 
 def _gram_mean(stacks: Iterable[np.ndarray], rows: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Mean over unitaries U of M^T M^* with M = rows(U), over a stream of stacks.
+    """Mean over items U of M^T M^* with M = rows(U), over a stream of stacks of items.
 
-    Formed over sub-stacks of about GRAM_ROWS rows (one unitary's, if it
-    has more), so memory does not grow with the number of unitaries.
+    An item is a unitary (the Haar twirl) or a row itself (the recipe).
+    Formed over sub-stacks of about GRAM_ROWS rows (one item's, if it
+    has more), so memory does not grow with the number of items.
     """
     total, count = 0.0, 0
     for Us in stacks:
@@ -535,8 +548,9 @@ def twirl(
     Raises:
         InvalidDimensionError: D < 2 (exact-clifford).
         UnsupportedDimensionError: dimension outside the mode's support.
-        DomainError: unknown mode, samples < 1 or a seed that is not an
-            integer >= 0 (haar-sample), or an argument the mode does not use.
+        DomainError: unknown mode, samples not an integer >= 1 or a seed
+            that is not an integer >= 0 (haar-sample), or an argument the
+            mode does not use.
         InternalCheckError: C traced over the output is not the identity within
             TP_TOL, or (off the full group) C has an eigenvalue below -1e-10.
     """
@@ -558,8 +572,7 @@ def twirl(
             raise DomainError("exclude_identity applies to the exact-clifford twirl only")
         if D > 6:
             raise UnsupportedDimensionError(f"haar-sample twirl supports D <= 6, got {D}")
-        if samples < 1:
-            raise DomainError("haar-sample twirl needs samples >= 1")
+        _require_count(samples, "haar-sample twirl samples")
 
         def rows(Us):
             Us = Us[:, None]
@@ -590,6 +603,42 @@ def twirl(
 # recipe and local depolarization
 
 
+def _flip_rows(v: np.ndarray, u: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Rows y = c v + |Xu - c u| r with c = <u|X|u> and X the shift, one per row of (u, r).
+
+    For a unitary U with u = U v and r the unit vector along
+    U^dag (Xu - c u), y is U^dag X U v: Xu is c u plus a part orthogonal
+    to u, and U^dag takes u to v and u^perp onto v^perp.  For a unit u,
+    |Xu - c u| is sqrt(1 - |c|^2), here formed without the cancellation
+    of 1 - |c|^2 near |c| = 1.
+    """
+    Xu = np.roll(u, 1, axis=1)  # X |j> = |j+1 mod D>
+    c = np.einsum("ij,ij->i", u.conj(), Xu)
+    s = np.linalg.norm(Xu - c[:, None] * u, axis=1)
+    return c[:, None] * v + s[:, None] * r
+
+
+def _flip_stream(v: np.ndarray, trials: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """The rows U^dag X U v of ``trials`` Haar unitaries U, as (k, D) blocks of k <= GRAM_ROWS.
+
+    A row depends on U only through u = U v, a Haar vector, and the
+    direction r of U^dag (Xu - c u), which given u is uniform on the unit
+    sphere of v^perp, since U^dag maps u^perp onto v^perp Haar-uniformly.
+    So each block draws one (2, k, 2D) standard normal array, read as two
+    (k, D) complex Gaussian stacks, and forms u from the first, normalized,
+    and r from the second, projected off v and normalized (zero where the
+    projection is, as at D = 1, where v^perp is empty): O(D) per trial
+    and no unitary.
+    """
+    D = v.shape[0]
+    for start in range(0, trials, GRAM_ROWS):
+        u, w = rng.standard_normal((2, min(GRAM_ROWS, trials - start), 2 * D)).view(complex)
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        w -= np.outer(w @ v.conj(), v)
+        norm = np.linalg.norm(w, axis=1, keepdims=True)
+        yield _flip_rows(v, u, np.divide(w, norm, out=np.zeros_like(w), where=norm > 0.0))
+
+
 def pdps_recipe(psi, f: float, seed: int, trials: int) -> DensityMatrix:
     """Monte-Carlo realization of a physical DPS from a pure state.
 
@@ -599,28 +648,24 @@ def pdps_recipe(psi, f: float, seed: int, trials: int) -> DensityMatrix:
     The trial average converges to the DPS with p = (D^2 f - 1)/(D^2-1).
 
     Each flipped state W rho W^dag, W = U^dag X U, is y y^dag for
-    y = U^dag X U psi, so their mean is the ``_gram_mean`` of the rows y
-    over the Haar draws, whose memory does not grow with ``trials``.
-    The tests check it against the per-trial sum over the same draws.
+    y = U^dag X U psi, so their mean is the ``_gram_mean`` of the rows y,
+    whose memory does not grow with ``trials``.  The rows come from
+    ``_flip_stream``, which draws each y with the distribution it has
+    under Haar U in O(D) and no D x D unitary, so a trial costs the O(D^2)
+    of its rank-one Gram update.  The tests check a row against
+    U^dag X U psi for Haar U, and the mean flipped state against its
+    exact Haar moments.
 
     Raises:
         FOutOfRangeError: f outside [0, 1].
         NonUnitVectorError.
-        DomainError: trials < 1, or seed not an integer >= 0.
+        DomainError: trials not an integer >= 1, or seed not an integer >= 0.
     """
     f = _in_range(f, 0.0, 1.0, FOutOfRangeError, "f")
     v = _unit_vector(psi)
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    D = v.shape[0]
+    _require_count(trials, "trials")
     rho = np.outer(v, v.conj())
-    X = np.roll(np.eye(D), 1, axis=0)  # the shift X |j> = |j+1 mod D>
-
-    def rows(Us):
-        # y^* = (X U psi)^* U needs no conjugated copy of the stack
-        return (((Us @ v) @ X.T).conj()[:, None, :] @ Us)[:, 0, :].conj()
-
-    flipped = _gram_mean(haar_unitaries(D, trials, _seeded_rng(seed)), rows)
+    flipped = _gram_mean(_flip_stream(v, trials, _seeded_rng(seed)), lambda Y: Y)
     return DensityMatrix(f * rho + (1.0 - f) * flipped)
 
 

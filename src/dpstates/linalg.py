@@ -107,13 +107,19 @@ class DensityMatrix:
         _require_square(M)
         if not np.all(np.isfinite(M)):
             raise DomainError("matrix has NaN or infinite entries")
-        dev = float(np.abs(M - M.conj().T).max(initial=0.0))
+        # one full-size complex buffer besides M: H = M^* - M^T, the conjugate transpose of
+        # M - M^dag, formed in place and freed before M is taken in place to (M + M^dag) / 2
+        H = M.conj()
+        H -= M.T
+        dev = float(np.abs(H).max(initial=0.0))
+        del H
         if not dev <= HERM_TOL:
             raise NonHermitianError(f"Hermiticity deviation {dev:.3e} exceeds {HERM_TOL:.1e}")
         tr = np.trace(M)
         if abs(tr - 1.0) > TRACE_TOL:
             raise DimensionMismatchError(f"trace {tr:.15g} differs from 1 beyond {TRACE_TOL:.1e}")
-        M = (M + M.conj().T) / 2.0
+        M += M.conj().T
+        M /= 2.0
         M.setflags(write=False)
         self._matrix = M
 

@@ -64,6 +64,12 @@ def _seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _require_count(n: int, what: str) -> None:
+    """The one Monte-Carlo count rule: n an int or numpy integer >= 1 (not 2.5, 8000.0 or a bool), else DomainError."""
+    if type(n) is not int and not isinstance(n, np.integer) or n < 1:
+        raise DomainError(f"{what} must be an integer >= 1, got {n!r}")
+
+
 def p_min(D: int) -> float:
     """Lower end of the polarization range, -1/(D-1); D not an integer >= 2 raises InvalidDimensionError."""
     _require_dimension(D, 2, "a polarization range")

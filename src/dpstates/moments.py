@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, InconsistentMomentsError, IndeterminateSignCountError
 from .linalg import DensityMatrix, _scaled_hermitian
-from .metrics import _dps_levels, _require_dimension, _seeded_rng, p_min
+from .metrics import _dps_levels, _require_count, _require_dimension, _seeded_rng, p_min
 
 RECOVERY_TOL = 1e-8
 """Slack on p^2 and on t3 in moment recovery.  Absolute: unit trace fixes the scale,
@@ -79,10 +79,11 @@ def moment_montecarlo(rho: DensityMatrix, m: int, shots: int, seed: int) -> Mome
     measured data one would plug the estimate into the same expression.
 
     Raises:
-        DomainError: shots outside [1, 2^63 - 1] (the binomial draw takes
-            an int64), or seed not an integer >= 0.
+        DomainError: shots not an integer in [1, 2^63 - 1] (the binomial
+            draw takes an int64), or seed not an integer >= 0.
     """
-    if not 1 <= shots <= 2**63 - 1:
+    _require_count(shots, "shots")
+    if shots > 2**63 - 1:
         raise DomainError(f"shots must be in [1, 2^63 - 1], got {shots}")
     rng = _seeded_rng(seed)
     t = moment_exact(rho, m).value

@@ -849,24 +849,70 @@ class TestPdpsRecipe:
 
     @pytest.mark.parametrize("D", [2, 3, 5])
     def test_matches_per_trial_oracle(self, D):
-        # mean of the flipped states W rho W^dag, W = U^dag X U, over the same draws
+        # for Haar U, u = U psi and r the unit vector along U^dag (Xu - c u),
+        # c = <u|X|u>, the row construction is U^dag X U psi
         psi = haar_state(D, rng_for(89, D))
-        rho = np.outer(psi, psi.conj())
         X = shift_and_clock(D)[0]
         Us = haar_stream(D, 400, 90)
-        flipped = sum(U.conj().T @ X @ U @ rho @ U.conj().T @ X.conj().T @ U for U in Us) / len(Us)
-        out = pdps_recipe(psi, 0.3, seed=90, trials=400)
-        assert np.max(np.abs(out.matrix - (0.3 * rho + 0.7 * flipped))) < 1e-14
+        u = Us @ psi
+        Xu = u @ X.T
+        c = np.einsum("ni,ni->n", u.conj(), Xu)
+        w = Xu - c[:, None] * u
+        r = np.einsum("nji,nj->ni", Us.conj(), w) / np.linalg.norm(w, axis=1, keepdims=True)
+        want = np.einsum("nji,nj->ni", Us.conj(), Xu)
+        assert np.max(np.abs(channels._flip_rows(psi, u, r) - want)) < 1e-14
+
+    def test_is_the_gram_mean_of_its_rows(self):
+        # 1100 trials span two blocks of rows (1024 + 76) from one seeded stream
+        psi = haar_state(4, rng_for(95))
+        rows = np.concatenate(list(channels._flip_stream(psi, 1100, np.random.default_rng(96))))
+        assert rows.shape == (1100, 4)
+        flipped = sum(np.outer(y, y.conj()) for y in rows) / len(rows)
+        out = pdps_recipe(psi, 0.3, seed=96, trials=1100)
+        assert np.max(np.abs(out.matrix - (0.3 * np.outer(psi, psi.conj()) + 0.7 * flipped))) < 1e-14
+
+    @pytest.mark.parametrize("D", [2, 3, 8])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_flipped_state_has_the_haar_moments(self, D, seed):
+        # at f = 0 the output is the mean flipped state U^dag X U rho U^dag X^dag U; for
+        # Haar U, <psi|.|psi> = E |<u|X|u>|^2 = 1/(D+1), the remaining weight spreads evenly
+        # over psi^perp, and psi^perp's coherences with psi vanish; each within 5 SE
+        trials = 5000
+        rng = rng_for(seed)
+        psi = haar_state(D, rng)
+        e = haar_state(D, rng)
+        e -= np.vdot(psi, e) * psi
+        e /= np.linalg.norm(e)
+        out = pdps_recipe(psi, 0.0, seed=seed, trials=trials).matrix
+        rows = np.concatenate(list(channels._flip_stream(psi, trials, np.random.default_rng(seed))))
+        a, b = rows @ psi.conj(), rows @ e.conj()  # <psi|y> and <e|y> per trial
+        coherence = np.vdot(psi, out @ e)
+        checks = [
+            (np.vdot(psi, out @ psi).real, 1.0 / (D + 1), np.abs(a) ** 2),
+            (np.vdot(e, out @ e).real, D / ((D + 1.0) * (D - 1.0)), np.abs(b) ** 2),
+            (coherence.real, 0.0, (a * b.conj()).real),
+            (coherence.imag, 0.0, (a * b.conj()).imag),
+        ]
+        for got, want, per_trial in checks:
+            assert abs(got - want) <= 5.0 * np.std(per_trial) / math.sqrt(trials)
+
+    @pytest.mark.parametrize("psi", [[1.0], [np.exp(0.3j)], [1.0 + 1e-13]])
+    def test_one_dimensional_state_is_returned(self, psi):
+        # psi^perp is empty at D = 1: every row is c psi with |c| = 1
+        out = pdps_recipe(psi, 0.4, seed=97, trials=3000).matrix
+        assert np.max(np.abs(out - np.outer(psi, np.conj(psi)))) < 1e-15
 
     def test_memory_holds_no_per_trial_states(self):
-        # Haar draws of GRAM_ROWS unitaries set the peak, about 8 MB at any
-        # trial count; a whole (trials, D, D) stack here would take 420 MB
+        # blocks of GRAM_ROWS rows set the peak, about 1 MB at any trial
+        # count; the flipped states as one (trials, D, D) stack would take 102 MB
         psi = haar_state(8, rng_for(91))
         assert traced_peak(lambda: pdps_recipe(psi, 0.6, seed=92, trials=100_000)) < 16_000_000
 
     def test_memory_of_a_draw_does_not_grow_with_dimension(self):
-        # 16 unitaries per draw at D = 64, about 8 MB; draws of GRAM_ROWS
-        # unitaries here would peak near 270 MB
+        # a block of GRAM_ROWS rows of length D and its Gaussian draw peak
+        # near 7 MB at D = 64, where the 1024 Haar unitaries they stand for
+        # would take 67 MB by themselves
         psi = haar_state(64, rng_for(93))
         assert traced_peak(lambda: pdps_recipe(psi, 0.6, seed=94, trials=1024)) < 16_000_000
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,41 @@ class TestDensityMatrix:
         v = np.array([1.0, 1.0j]) / np.sqrt(2.0)
         dm = DensityMatrix(np.outer(v, v.conj()))
         assert dm.purity() == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("D", [1, 3, 8, 40])
+    def test_stores_the_symmetrized_matrix_bit_for_bit(self, D):
+        # (M + M^dag) / 2 out of place, as one expression, is the reference;
+        # signed zeros and a skew part at the tolerance's scale are included
+        rng = rng_for(41, D)
+        M = random_mixed(D, rng).matrix + 1e-13 * (rng.standard_normal((D, D)) + 1.0j * rng.standard_normal((D, D)))
+        M -= (np.trace(M).real - 1.0) / D * np.eye(D)
+        if D > 1:
+            M[0, -1], M[-1, 0] = complex(-0.0, M[0, -1].imag), complex(0.0, M[-1, 0].imag)
+        given = M.copy()
+        got = DensityMatrix(M).matrix
+        want = (M + M.conj().T) / 2.0
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(M.view(np.uint64), given.view(np.uint64))
+
+    def test_reports_the_hermiticity_deviation_of_its_input(self):
+        M = random_mixed(5, rng_for(42)).matrix.copy()
+        M[1, 3] += 3e-12j
+        dev = float(np.abs(M - M.conj().T).max())
+        with pytest.raises(NonHermitianError, match=f"deviation {dev:.3e} exceeds"):
+            DensityMatrix(M)
+
+    def test_validation_peak_memory(self):
+        # a copy of M and one conjugate buffer of 14.8 MB each, and the 7.4 MB
+        # modulus of their difference: about 37 MB at D = 961 (44.5 MB when the
+        # difference and the symmetrization each took a further complex buffer)
+        M = random_mixed(961, rng_for(43)).matrix
+        tracemalloc.start()
+        try:
+            DensityMatrix(M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40_000_000
 
 
 class TestEig:

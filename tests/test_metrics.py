@@ -602,3 +602,25 @@ SEED_TAKERS = {
 def test_seed_must_be_a_non_negative_integer(name, seed):
     with pytest.raises(DomainError):
         SEED_TAKERS[name](seed)
+
+
+# every Monte-Carlo size (trials, samples, shots) is checked by metrics._require_count
+COUNT_TAKERS = {
+    "pdps_recipe": lambda n: pdps_recipe([1.0, 0.0], 0.5, 1, n),
+    "moment_montecarlo": lambda n: moment_montecarlo(DensityMatrix(np.eye(2) / 2.0), 2, n, 1),
+    "twirl": lambda n: twirl(KrausChannel(2, [np.eye(2)]), mode="haar-sample", samples=n, seed=1),
+}
+
+
+@pytest.mark.parametrize("count", [0, -3, 2.5, 10.5, 8000.0, True, np.bool_(True), None, "4"])
+@pytest.mark.parametrize("name", COUNT_TAKERS)
+def test_count_must_be_a_positive_integer(name, count):
+    # neither 10.5 nor True is a count: a binomial draw would take them as 10 and 1
+    with pytest.raises(DomainError):
+        COUNT_TAKERS[name](count)
+
+
+@pytest.mark.parametrize("count", [1, 3, np.int64(3), np.uint8(3)])
+@pytest.mark.parametrize("name", COUNT_TAKERS)
+def test_integer_counts_are_accepted(name, count):
+    COUNT_TAKERS[name](count)
