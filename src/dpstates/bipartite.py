@@ -29,7 +29,6 @@ from .errors import (
     InternalCheckError,
     InvalidSchmidtVectorError,
     FOutOfRangeError,
-    PolarizationOutOfRangeError,
     SubsystemOrderError,
 )
 from .linalg import DensityMatrix

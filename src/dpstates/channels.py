@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -299,64 +298,12 @@ def p_from_overlap(D: int, overlap: float) -> float:
 # Clifford groups
 
 
-def _weyl_images(Ws: np.ndarray, ops: np.ndarray, paulis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integer images (q, k) with W A W^dag = e^{i pi k / D} P_q, as two (m, n) arrays.
-
-    Every operator A in the (n, D, D) stack ``ops`` is conjugated by
-    every W in the (m, D, D) stack ``Ws``: one matrix product forms all
-    W A, and one batched product over the W all W A W^dag.  One
-    contraction with the Weyl stack P_q = ``paulis[q]`` finds each q and k.
-
-    Raises:
-        InternalCheckError: |Tr(P_q^dag W A W^dag)| <= D - 1e-6 at its
-            argmax, so W A W^dag is not a phase times a Weyl operator.
-    """
-    m, D, n = len(Ws), Ws.shape[-1], len(ops)
-    WA = Ws.reshape(m * D, D) @ ops.transpose(1, 0, 2).reshape(D, n * D)  # [(W, i), (A, l)]
-    conjugated = (WA.reshape(m, D * n, D) @ Ws.conj().swapaxes(-1, -2)).reshape(m, D, n, D)
-    overlaps = conjugated.swapaxes(1, 2).reshape(m * n, D * D) @ paulis.reshape(D * D, D * D).conj().T
-    q = np.argmax(np.abs(overlaps), axis=1)
-    top = overlaps[np.arange(len(q)), q]
-    # |Tr(P_q^dag V)| = D iff V = e^{i theta} P_q; a non-Pauli V sits far below D
-    if not np.all(np.abs(top) > D - 1e-6):
-        raise InternalCheckError("Clifford candidate conjugates a Weyl operator out of the Pauli group")
-    k = np.rint(np.angle(top) * D / math.pi).astype(int) % (2 * D)
-    return q.reshape(m, n), k.reshape(m, n)
-
-
-def _xz_keys(Ws: np.ndarray, paulis: np.ndarray) -> list[tuple[int, int, int, int]]:
-    """Exact key (q_X, k_X, q_Z, k_Z) of each Clifford candidate in a (m, D, D) stack.
-
-    W X W^dag = e^{i pi k_X / D} P_{q_X} with P_q = ``paulis[q]`` the
-    Weyl stack, and likewise for Z (``_weyl_images``).  X and Z generate
-    the Weyl group, so a W that conjugates both into it is Clifford, and
-    the key fixes W up to global phase.  ``clifford_group`` composes its
-    keys in integers and calls this once, on the finished group, to
-    certify every element Clifford and to check the composed keys.
-
-    Raises:
-        InternalCheckError: W does not conjugate X or Z into the Pauli group.
-    """
-    D = Ws.shape[-1]
-    q, k = _weyl_images(Ws, paulis[[D, 1]], paulis)  # X = X^1 Z^0 and Z = X^0 Z^1
-    (qx, qz), (kx, kz) = q.T.tolist(), k.T.tolist()
-    return list(zip(qx, kx, qz, kz))
-
-
-def _generator_table(D: int) -> tuple[np.ndarray, list[list[tuple[int, int]]]]:
-    """The Clifford generators and the image of every Weyl operator under each.
-
-    Returns the (2, D, D) stack of the Fourier (Hadamard) and diagonal
-    phase gates, and ``images[g][j] = (q, k)`` with
-    g P_j g^dag = e^{i pi k / D} P_q, from one certified ``_weyl_images``.
-    """
+def _clifford_generators(D: int) -> np.ndarray:
+    """The (2, D, D) stack of the Fourier (Hadamard) gate and the diagonal phase gate, D in {2, 3}."""
     omega = np.exp(2.0j * math.pi / D)
     F = np.array([[omega ** (j * k) for k in range(D)] for j in range(D)]) / math.sqrt(D)
     S = np.diag([1.0, 1.0j]) if D == 2 else np.diag([1.0, 1.0, omega])
-    gens = np.array([F, S])
-    paulis = weyl_operators(D)
-    q, k = _weyl_images(gens, paulis, paulis)
-    return gens, [list(zip(qg, kg)) for qg, kg in zip(q.tolist(), k.tolist())]
+    return np.array([F, S])
 
 
 def clifford_group(D: int) -> np.ndarray:
@@ -370,57 +317,38 @@ def clifford_group(D: int) -> np.ndarray:
     identity.  Breadth-first closure from {Hadamard/Fourier, diagonal
     phase gate}: each layer forms every product g U of a generator g
     with the frontier in one batched matmul, in the order (for U, for g).
-    Each element is keyed by its action on X and Z, (q_X, k_X, q_Z, k_Z)
-    with U X U^dag = e^{i pi k_X / D} P_{q_X} and likewise for Z, which
-    fixes it up to global phase (Gottesman, quant-ph/9807006).  The
-    images g P_q g^dag = e^{i pi k_g[q] / D} P_{q_g[q]} of every Weyl
-    operator under each generator are tabulated once, so g U gets its
-    key from U's in integers: (q_g[q_X], k_X + k_g[q_X] mod 2D, and
-    likewise for Z).  A candidate is new when its key is, and it joins
-    with the phase that makes real and positive its first entry within
-    1e-9 of the largest modulus.  One ``_xz_keys`` over the finished
-    group then certifies every element Clifford and must reproduce the
-    composed keys exactly.
+    |Tr(V^dag W)| = D exactly when W is V up to phase, and W matches
+    itself, so one product of the candidates W against [group; W] finds
+    each one's first match; W is new exactly when that match is W
+    itself.  It joins with the phase that makes real and positive its
+    first entry within 1e-9 of the largest modulus.  The loop stops once
+    the group outgrows its order, so a wrong generator fails fast.
 
     Raises:
         InvalidDimensionError: D not an integer >= 2.
         UnsupportedDimensionError: D not in {2, 3}.
-        InternalCheckError: the group has the wrong order, or the
-            composed keys disagree with the elements' own.
+        InternalCheckError: the closure has the wrong order.
     """
     _require_dimension(D, 2, "Clifford enumeration")
     if D not in (2, 3):
         raise UnsupportedDimensionError(f"Clifford enumeration supports D in {{2, 3}}, got {D}")
-    gens, images = _generator_table(D)
-    keys = [(D, 0, 1, 0)]  # the identity fixes X = P_D and Z = P_1
-    seen = set(keys)
-    frontier = np.eye(D, dtype=complex)[None]
-    layers = [frontier]
-    while True:
-        candidates = (gens @ frontier[:, None]).reshape(-1, D, D)
-        fresh = []
-        for i, ((qx, kx, qz, kz), image) in enumerate(product(keys[-len(frontier) :], images)):
-            (qx2, kx2), (qz2, kz2) = image[qx], image[qz]
-            key = (qx2, (kx + kx2) % (2 * D), qz2, (kz + kz2) % (2 * D))
-            if key not in seen:
-                seen.add(key)
-                keys.append(key)
-                fresh.append(i)
-        if not fresh:
-            break
-        frontier = candidates[fresh]
-        flat = frontier.reshape(len(fresh), D * D)
-        mags = np.abs(flat)
+    gens = _clifford_generators(D)
+    expected = {2: 24, 3: 216}[D]
+    group = np.eye(D, dtype=complex)[None]
+    frontier = group
+    while len(frontier) and len(group) <= expected:
+        W = (gens @ frontier[:, None]).reshape(-1, D * D)
+        rows = np.concatenate([group.reshape(-1, D * D), W])
+        first_match = (np.abs(W.conj() @ rows.T) > D - 1e-6).argmax(axis=1)
+        fresh = W[first_match == len(group) + np.arange(len(W))]
+        mags = np.abs(fresh)
         first_top = (mags >= mags.max(axis=1, keepdims=True) - 1e-9).argmax(axis=1)
         # scalar division: numpy's array division can differ from it in the last bit
-        frontier *= np.array([abs(z) / z for z in flat[np.arange(len(fresh)), first_top]])[:, None, None]
-        layers.append(frontier)
-    group = np.concatenate(layers)
-    expected = {2: 24, 3: 216}[D]
+        fresh *= np.array([abs(z) / z for z in fresh[np.arange(len(fresh)), first_top]])[:, None]
+        frontier = fresh.reshape(-1, D, D)
+        group = np.concatenate([group, frontier])
     if len(group) != expected:
         raise InternalCheckError(f"Clifford closure found {len(group)} elements, expected {expected}")
-    if _xz_keys(group, weyl_operators(D)) != keys:
-        raise InternalCheckError("Clifford keys composed in integers disagree with the elements' own")
     group.setflags(write=False)
     return group
 

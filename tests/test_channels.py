@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import time
 import tracemalloc
 from functools import lru_cache
 
@@ -499,51 +501,33 @@ class TestCliffordGroup:
 
     @pytest.mark.parametrize("D", [2, 3])
     def test_conjugates_every_weyl_operator_into_the_pauli_group(self, D):
-        # the library certifies only X and Z; here every X^a Z^b is checked
         group, paulis = clifford_group(D), weyl_operators(D)
         conjugated = group[:, None] @ paulis @ group.conj().swapaxes(-1, -2)[:, None]
         overlaps = np.abs(np.einsum("upij,qij->upq", conjugated.conj(), paulis))
         assert np.all(np.sum(overlaps > D - 1e-6, axis=-1) == 1)
 
     @pytest.mark.parametrize("D", [2, 3])
-    def test_xz_keys_are_pairwise_distinct(self, D):
-        keys = channels._xz_keys(clifford_group(D), weyl_operators(D))
-        assert len(set(keys)) == len(keys)
-        assert keys[0] == (D, 0, 1, 0)  # the identity fixes X and Z
+    def test_generators_are_the_first_layer(self, D):
+        # the closure's first layer is F and S themselves, each already in its canonical phase
+        assert np.array_equal(clifford_group(D)[1:3], np.array(clifford_generators(D)))
 
-    @pytest.mark.parametrize("D", [2, 3])
-    def test_generator_table_matches_direct_conjugation(self, D):
-        # images[g][j] = (q, k) says g P_j g^dag = e^{i pi k / D} P_q, for all D^2 P_j
-        gens, images = channels._generator_table(D)
-        paulis = weyl_operators(D)
-        assert len(images) == 2
-        for G, built, image in zip(clifford_generators(D), gens, images):
-            assert np.array_equal(built, G)
-            assert len(image) == D * D
-            for P, (q, k) in zip(paulis, image):
-                want = np.exp(1.0j * math.pi * k / D) * paulis[q]
-                assert np.max(np.abs(G @ P @ G.conj().T - want)) < 1e-12
-
-    @pytest.mark.parametrize("D", [2, 3])
-    def test_corrupted_generator_table_fails_the_final_certification(self, D, monkeypatch):
-        # a wrong phase for S Z S^dag still closes on 24 or 216 keys, so
-        # only the final _xz_keys over the group can catch it
-        table = channels._generator_table
-
-        def corrupted(D):
-            gens, images = table(D)
-            q, k = images[1][1]
-            images[1][1] = (q, (k + 2) % (2 * D))
-            return gens, images
-
-        monkeypatch.setattr(channels, "_generator_table", corrupted)
-        with pytest.raises(InternalCheckError, match="composed in integers"):
-            clifford_group(D)
-
-    def test_non_clifford_candidate_is_an_internal_error(self):
-        U = haar_unitary(3, np.random.default_rng(5))
-        with pytest.raises(InternalCheckError):
-            channels._xz_keys(U[None], weyl_operators(3))
+    @pytest.mark.parametrize(
+        "gate, too_many",
+        [
+            (np.diag([1.0, np.exp(0.25j * math.pi)]), True),  # F and T generate an infinite group
+            (np.diag([1.0, -1.0]), False),  # F and Z close on 8 elements
+        ],
+        ids=["T-infinite", "Z-order-8"],
+    )
+    def test_wrong_generator_fails_the_order_guard(self, gate, too_many, monkeypatch):
+        F, _ = clifford_generators(2)
+        monkeypatch.setattr(channels, "_clifford_generators", lambda D: np.array([F, gate]))
+        start = time.perf_counter()
+        with pytest.raises(InternalCheckError, match=r"found (\d+) elements, expected 24") as caught:
+            clifford_group(2)
+        assert time.perf_counter() - start < 1.0
+        found = int(re.search(r"found (\d+)", str(caught.value)).group(1))
+        assert found > 24 if too_many else found == 8
 
     def test_closed_under_product(self):
         # every product U V matches exactly one member up to phase
