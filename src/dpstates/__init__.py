@@ -9,196 +9,18 @@ estimators.  Every closed form has an independent brute-force
 counterpart; disagreement raises, it is never papered over.
 """
 
-from .bipartite import (
-    ConsistencyResult,
-    EntanglementReport,
-    SchmidtForm,
-    consistency_check,
-    isotropic,
-    negativity,
-    pair_threshold,
-    pt_spectrum_closed,
-    reduced_spectrum_dps,
-    schmidt_dps,
-    schmidt_pure,
-    two_qubit_canonical,
-)
-from .bloch import (
-    CoherenceVector,
-    c_norm,
-    dps_test,
-    from_coherence,
-    generate_basis,
-    invariant_ladder,
-    star,
-    to_coherence,
-)
-from .channels import (
-    ChiState,
-    DepolarizedOutput,
-    KrausChannel,
-    TwirlResult,
-    apply_depolarizing,
-    chi_from_beta2,
-    clifford_group,
-    depolarizing_kraus,
-    haar_state,
-    haar_unitary,
-    jamiolkowski_fidelity,
-    jamiolkowski_state,
-    local_depolarize,
-    maximally_entangled,
-    pdps_recipe,
-    protocol1,
-    random_channel,
-    twirl,
-    twirl_p,
-    weyl_operators,
-)
-from .errors import (
-    AmbiguousAtPZeroError,
-    DimensionMismatchError,
-    DomainError,
-    FOutOfRangeError,
-    InconsistentMomentsError,
-    IndeterminateSignCountError,
-    InequalityViolationError,
-    InternalCheckError,
-    InvalidDimensionError,
-    InvalidSchmidtVectorError,
-    NonHermitianError,
-    NonSquareError,
-    NonUnitVectorError,
-    NotDPSError,
-    NotPSDError,
-    NotTracePreservingError,
-    PolarizationOutOfRangeError,
-    SubsystemOrderError,
-    UndefinedForDim2Error,
-    UnsupportedDimensionError,
-)
-from .linalg import (
-    DensityMatrix,
-    Spectrum,
-    eig_hermitian,
-    partial_trace,
-    partial_transpose,
-    sqrt_psd,
-    tensor,
-    trace_norm,
-)
-from .metrics import (
-    DistanceReport,
-    DpsState,
-    distance_arrays,
-    distance_report,
-    fidelity_closed,
-    fidelity_oracle,
-    make_dps,
-    p_min,
-    p_min_cp,
-    pure_overlap,
-    trace_distance_closed,
-    trace_distance_oracle,
-)
-from .moments import (
-    MomentEstimate,
-    count_positive_charpoly,
-    dps_moment,
-    dps_p_from_moments,
-    moment_exact,
-    moment_montecarlo,
-    moment_permutation,
-)
+from . import bipartite, bloch, channels, errors, linalg, metrics, moments
+from .bipartite import *  # noqa: F403
+from .bloch import *  # noqa: F403
+from .channels import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .linalg import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .moments import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbiguousAtPZeroError",
-    "ChiState",
-    "CoherenceVector",
-    "ConsistencyResult",
-    "DensityMatrix",
-    "DepolarizedOutput",
-    "DimensionMismatchError",
-    "DistanceReport",
-    "DomainError",
-    "DpsState",
-    "EntanglementReport",
-    "FOutOfRangeError",
-    "InconsistentMomentsError",
-    "IndeterminateSignCountError",
-    "InequalityViolationError",
-    "InternalCheckError",
-    "InvalidDimensionError",
-    "InvalidSchmidtVectorError",
-    "KrausChannel",
-    "MomentEstimate",
-    "NonHermitianError",
-    "NonSquareError",
-    "NonUnitVectorError",
-    "NotDPSError",
-    "NotPSDError",
-    "NotTracePreservingError",
-    "PolarizationOutOfRangeError",
-    "SchmidtForm",
-    "Spectrum",
-    "SubsystemOrderError",
-    "TwirlResult",
-    "UndefinedForDim2Error",
-    "UnsupportedDimensionError",
-    "apply_depolarizing",
-    "c_norm",
-    "chi_from_beta2",
-    "clifford_group",
-    "consistency_check",
-    "count_positive_charpoly",
-    "depolarizing_kraus",
-    "distance_arrays",
-    "distance_report",
-    "dps_moment",
-    "dps_p_from_moments",
-    "dps_test",
-    "eig_hermitian",
-    "fidelity_closed",
-    "fidelity_oracle",
-    "from_coherence",
-    "generate_basis",
-    "haar_state",
-    "haar_unitary",
-    "invariant_ladder",
-    "isotropic",
-    "jamiolkowski_fidelity",
-    "jamiolkowski_state",
-    "local_depolarize",
-    "make_dps",
-    "maximally_entangled",
-    "moment_exact",
-    "moment_montecarlo",
-    "moment_permutation",
-    "negativity",
-    "p_min",
-    "p_min_cp",
-    "pair_threshold",
-    "partial_trace",
-    "partial_transpose",
-    "pdps_recipe",
-    "protocol1",
-    "pt_spectrum_closed",
-    "pure_overlap",
-    "random_channel",
-    "reduced_spectrum_dps",
-    "schmidt_dps",
-    "schmidt_pure",
-    "sqrt_psd",
-    "star",
-    "tensor",
-    "to_coherence",
-    "trace_distance_closed",
-    "trace_distance_oracle",
-    "trace_norm",
-    "twirl",
-    "twirl_p",
-    "two_qubit_canonical",
-    "weyl_operators",
-]
+__all__ = sorted(
+    bipartite.__all__ + bloch.__all__ + channels.__all__ + errors.__all__
+    + linalg.__all__ + metrics.__all__ + moments.__all__
+)

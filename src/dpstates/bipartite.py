@@ -32,7 +32,31 @@ from .errors import (
     SubsystemOrderError,
 )
 from .linalg import DensityMatrix
-from .metrics import DpsState, _in_range, _polarization, _require_dimension, _unit_vector, make_dps, p_min
+from .metrics import (
+    DpsState,
+    _in_range,
+    _polarization,
+    _require_dimension,
+    _require_tolerance,
+    _unit_vector,
+    make_dps,
+    p_min,
+)
+
+__all__ = [
+    "ConsistencyResult",
+    "EntanglementReport",
+    "SchmidtForm",
+    "consistency_check",
+    "isotropic",
+    "negativity",
+    "pair_threshold",
+    "pt_spectrum_closed",
+    "reduced_spectrum_dps",
+    "schmidt_dps",
+    "schmidt_pure",
+    "two_qubit_canonical",
+]
 
 NEG_TOL = 1e-9
 """Partial-transpose eigenvalues above -NEG_TOL count as 0.  Absolute: unit trace fixes the
@@ -122,11 +146,13 @@ def schmidt_dps(rho_d: DensityMatrix, dA: int, dB: int, *, p_tol: float = P_TOL)
     eigensolve is made, and the one SVD is that of ``schmidt_pure``.
 
     Raises:
+        DomainError: p_tol NaN, infinite or negative.
         NotDPSError: input fails the DPS membership test.
         AmbiguousAtPZeroError: |p| < p_tol, where every purification is
             consistent with the maximally mixed state.
         DimensionMismatchError: dA * dB is not the dimension of rho_d.
     """
+    _require_tolerance(p_tol, "p_tol")
     _check_bipartite_dims(dA, dB)
     if rho_d.dim != dA * dB:
         raise DimensionMismatchError(f"state dim {rho_d.dim} != dA*dB = {dA * dB}")
@@ -281,9 +307,11 @@ def negativity(p: float, b, dA: int, dB: int, neg_tol: float = NEG_TOL) -> Entan
     see the caveat field.
 
     Raises:
+        DomainError: neg_tol NaN, infinite or negative.
         PolarizationOutOfRangeError: p outside [-1/(D-1), 1].
         InvalidSchmidtVectorError.
     """
+    _require_tolerance(neg_tol, "neg_tol")
     spectrum = pt_spectrum_closed(p, b, dA, dB)
     # the spectrum is ascending, so the count is where -neg_tol would go
     count = bisect.bisect_left(spectrum.tolist(), -neg_tol)

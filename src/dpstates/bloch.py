@@ -19,7 +19,20 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NotDPSError, UndefinedForDim2Error
 from .linalg import DensityMatrix
-from .metrics import DpsState, _require_dimension, make_dps, p_min
+from .metrics import DpsState, _require_count, _require_dimension, make_dps, p_min
+
+__all__ = [
+    "CoherenceVector",
+    "DpsMeasurement",
+    "c_norm",
+    "dps_test",
+    "from_coherence",
+    "generate_basis",
+    "invariant_ladder",
+    "measure_dps",
+    "star",
+    "to_coherence",
+]
 
 STAR_TOL = 1e-8
 """Bound on ||n*n - p n||.  Absolute: unit trace fixes the scale, since ||n|| <= 1 for a state."""
@@ -165,6 +178,7 @@ def star(a: CoherenceVector, b: CoherenceVector) -> CoherenceVector:
 
 
 def _ladder(A: np.ndarray, r_max: int) -> list[float]:
+    _require_count(r_max, "ladder depth r_max", 0)
     _star_factor(A.shape[0])  # D = 2 has no ladder, not even at r_max = 0
     out, V = [], A
     for r in range(r_max + 1):
@@ -180,7 +194,9 @@ def invariant_ladder(n: CoherenceVector, r_max: int) -> list[float]:
     For a depolarized pure state with polarization p the r-th entry is
     p^(r+2), so the first two already pin down |p| and its sign.
 
-    Raises UndefinedForDim2Error.
+    Raises:
+        DomainError: r_max not an integer >= 0 (not 2.5 or a bool).
+        UndefinedForDim2Error.
     """
     return _ladder(_operator(n.n), r_max)
 

@@ -59,6 +59,31 @@ from .metrics import (
     p_min_cp,
 )
 
+__all__ = [
+    "ChiState",
+    "DepolarizedOutput",
+    "KrausChannel",
+    "TwirlResult",
+    "apply_depolarizing",
+    "chi_from_beta2",
+    "clifford_group",
+    "depolarizing_kraus",
+    "haar_state",
+    "haar_unitaries",
+    "haar_unitary",
+    "jamiolkowski_fidelity",
+    "jamiolkowski_state",
+    "local_depolarize",
+    "maximally_entangled",
+    "p_from_overlap",
+    "pdps_recipe",
+    "protocol1",
+    "random_channel",
+    "twirl",
+    "twirl_p",
+    "weyl_operators",
+]
+
 TP_TOL = 1e-10
 # The cap bounds the exact twirl's D^2 x D^2 Choi matrix, which `dps channel twirl --out`
 # writes (961 x 961 at D = 31, within MAX_WRITE_DIM) and `exclude_identity` checks positive

@@ -6,6 +6,29 @@ Internal self-check failures derive from :class:`InternalCheckError`
 (a ``RuntimeError``): they signal a bug, never bad input.
 """
 
+__all__ = [
+    "AmbiguousAtPZeroError",
+    "DimensionMismatchError",
+    "DomainError",
+    "FOutOfRangeError",
+    "InconsistentMomentsError",
+    "IndeterminateSignCountError",
+    "InequalityViolationError",
+    "InternalCheckError",
+    "InvalidDimensionError",
+    "InvalidSchmidtVectorError",
+    "NonHermitianError",
+    "NonSquareError",
+    "NonUnitVectorError",
+    "NotDPSError",
+    "NotPSDError",
+    "NotTracePreservingError",
+    "PolarizationOutOfRangeError",
+    "SubsystemOrderError",
+    "UndefinedForDim2Error",
+    "UnsupportedDimensionError",
+]
+
 
 class DomainError(ValueError):
     """Input violates a documented precondition or domain restriction."""

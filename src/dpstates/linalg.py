@@ -28,6 +28,17 @@ from .errors import (
     NotPSDError,
 )
 
+__all__ = [
+    "DensityMatrix",
+    "Spectrum",
+    "eig_hermitian",
+    "partial_trace",
+    "partial_transpose",
+    "sqrt_psd",
+    "tensor",
+    "trace_norm",
+]
+
 HERM_TOL = 1e-12
 EIG_HERM_TOL = 1e-10
 TRACE_TOL = 1e-12
@@ -187,7 +198,7 @@ def sqrt_psd(M) -> np.ndarray:
 
     With top the largest eigenvalue modulus, eigenvalues in
     [-PSD_CLIP_TOL top, 0) and positive ones at roundoff level (see
-    :func:`psd_roots`) count as zero; anything below -PSD_CLIP_TOL top raises.
+    :func:`_psd_roots`) count as zero; anything below -PSD_CLIP_TOL top raises.
 
     Raises:
         NonSquareError, DomainError, NonHermitianError: as :func:`eig_hermitian`.
@@ -200,11 +211,11 @@ def sqrt_psd(M) -> np.ndarray:
         raise NotPSDError(
             f"minimum eigenvalue {vals[0]:.3e} below -{PSD_CLIP_TOL:.1e} times the largest modulus {top:.3e}"
         )
-    S = (V * psd_roots(vals, top)) @ V.conj().T
+    S = (V * _psd_roots(vals, top)) @ V.conj().T
     return (S + S.conj().T) / 2.0
 
 
-def psd_roots(vals: np.ndarray, scale: float) -> np.ndarray:
+def _psd_roots(vals: np.ndarray, scale: float) -> np.ndarray:
     """Roots of the eigenvalues of a matrix of norm <= scale; those <= D eps scale give 0."""
     return np.sqrt(np.where(vals > vals.size * np.finfo(float).eps * scale, vals, 0.0))
 

@@ -39,7 +39,23 @@ from .errors import (
     NotPSDError,
     PolarizationOutOfRangeError,
 )
-from .linalg import DensityMatrix, psd_roots, sqrt_psd, trace_norm
+from .linalg import DensityMatrix, _psd_roots, sqrt_psd, trace_norm
+
+__all__ = [
+    "DistanceReport",
+    "DpsState",
+    "bures_from_fidelity",
+    "distance_arrays",
+    "distance_report",
+    "fidelity_closed",
+    "fidelity_oracle",
+    "make_dps",
+    "p_min",
+    "p_min_cp",
+    "pure_overlap",
+    "trace_distance_closed",
+    "trace_distance_oracle",
+]
 
 UNIT_TOL = 1e-12
 RANGE_SLACK = 1e-12
@@ -64,10 +80,19 @@ def _seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _require_count(n: int, what: str) -> None:
-    """The one Monte-Carlo count rule: n an int or numpy integer >= 1 (not 2.5, 8000.0 or a bool), else DomainError."""
-    if type(n) is not int and not isinstance(n, np.integer) or n < 1:
-        raise DomainError(f"{what} must be an integer >= 1, got {n!r}")
+def _require_count(n: int, what: str, least: int = 1) -> None:
+    """The one count rule: n an int or numpy integer >= least (not 2.5, 8000.0 or a bool), else DomainError.
+
+    Monte-Carlo counts (trials, samples, shots) and moment orders start at 1, a ladder depth at 0.
+    """
+    if type(n) is not int and not isinstance(n, np.integer) or n < least:
+        raise DomainError(f"{what} must be an integer >= {least}, got {n!r}")
+
+
+def _require_tolerance(tol: float, what: str) -> None:
+    """The one tolerance-argument rule: tol finite and >= 0 (not NaN, inf or -0.5), else DomainError."""
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"{what} must be finite and >= 0, got {tol!r}")
 
 
 def p_min(D: int) -> float:
@@ -251,7 +276,7 @@ def fidelity_oracle(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     # unit-trace inputs bound ||inner|| by 1, so this check is absolute and its roundoff ~eps
     if float(np.min(vals)) < -1e-10:
         raise NotPSDError(f"inner matrix eigenvalue {np.min(vals):.3e} below -1e-10")
-    return _clip(float(np.sum(psd_roots(vals, 1.0))) ** 2, "fidelity")
+    return _clip(float(np.sum(_psd_roots(vals, 1.0))) ** 2, "fidelity")
 
 
 def _trace_distance(D: int, p, q, f):

@@ -1,7 +1,7 @@
 """Trace moments Tr(rho^m) three ways, and what they reveal about a DPS.
 
-The permutation route evaluates Tr(S_sigma rho^(x m)) by contracting
-matrix elements along the permutation's cycle, never through an
+The permutation route evaluates Tr(S_sigma rho^(x m)) from matrix
+elements with at most one D x D product, never through an
 eigendecomposition or the tensor-power operator S_sigma, so it is an
 independent check on the direct route at any D.
 The Monte-Carlo route simulates the interferometric swap test at the
@@ -24,12 +24,19 @@ from .errors import DomainError, InconsistentMomentsError, IndeterminateSignCoun
 from .linalg import DensityMatrix, _scaled_hermitian
 from .metrics import _dps_levels, _require_count, _require_dimension, _seeded_rng, p_min
 
+__all__ = [
+    "MomentEstimate",
+    "count_positive_charpoly",
+    "dps_moment",
+    "dps_p_from_moments",
+    "moment_exact",
+    "moment_montecarlo",
+    "moment_permutation",
+]
+
 RECOVERY_TOL = 1e-8
 """Slack on p^2 and on t3 in moment recovery.  Absolute: unit trace fixes the scale,
 since every moment of a state lies in [0, 1]."""
-
-# einsum subscripts of the cyclic shift t -> t + 1 mod m: factor t is rho[i_(t+1), i_t]
-_CYCLE_SUBSCRIPTS = {2: "ba,ab", 3: "ba,cb,ac"}
 
 
 @dataclass(frozen=True)
@@ -44,9 +51,12 @@ class MomentEstimate:
 
 
 def moment_exact(rho: DensityMatrix, m: int) -> MomentEstimate:
-    """Sum of lambda_i^m via the dense eigensolver."""
-    if m < 1:
-        raise DomainError(f"moment order must be >= 1, got {m}")
+    """Sum of lambda_i^m via the dense eigensolver.
+
+    Raises:
+        DomainError: m not an integer >= 1 (not 2.5 or a bool).
+    """
+    _require_count(m, "moment order")
     vals = np.linalg.eigvalsh(rho.matrix)
     return MomentEstimate(m=m, value=float(np.sum(vals**m)), method="exact")
 
@@ -54,19 +64,22 @@ def moment_exact(rho: DensityMatrix, m: int) -> MomentEstimate:
 def moment_permutation(rho: DensityMatrix, m: int) -> MomentEstimate:
     """Tr(S_sigma rho^(x m)) for the cyclic shift sigma(t) = t + 1 mod m.
 
-    The matrix elements are contracted along the cycle,
-    sum rho[i1, i2] rho[i2, i3] ... rho[im, i1], which costs O(D^3) time
-    and O(D^2) memory for m <= 3; the D^m x D^m operator S_sigma is never
-    formed.  Any single m-cycle gives Tr(rho^m); the tests check this one
-    against the dense tensor-power operator of another.
+    The cycle sum rho[i1, i2] rho[i2, i3] ... rho[im, i1] is
+    sum_ij P_ij rho_ji with P = rho (m = 2) or rho rho (m = 3), and
+    rho_ji = conj(rho_ij) makes that ``vdot(rho, P)``: one D x D product
+    at most, and the D^m x D^m operator S_sigma is never formed.  Any
+    single m-cycle gives Tr(rho^m); the tests check this one against the
+    dense tensor-power operator of another.
 
     Raises:
-        DomainError: m not in {2, 3}.
+        DomainError: m not an integer in {2, 3}.
     """
+    _require_count(m, "moment order")
     if m not in (2, 3):
         raise DomainError(f"permutation evaluation is provided for m in {{2, 3}}, got {m}")
-    value = np.einsum(_CYCLE_SUBSCRIPTS[m], *([rho.matrix] * m))
-    return MomentEstimate(m=m, value=float(value.real), method="permutation")
+    A = rho.matrix
+    P = A if m == 2 else A @ A
+    return MomentEstimate(m=m, value=float(np.vdot(A, P).real), method="permutation")
 
 
 def moment_montecarlo(rho: DensityMatrix, m: int, shots: int, seed: int) -> MomentEstimate:
@@ -79,8 +92,9 @@ def moment_montecarlo(rho: DensityMatrix, m: int, shots: int, seed: int) -> Mome
     measured data one would plug the estimate into the same expression.
 
     Raises:
-        DomainError: shots not an integer in [1, 2^63 - 1] (the binomial
-            draw takes an int64), or seed not an integer >= 0.
+        DomainError: m not an integer >= 1, shots not an integer in
+            [1, 2^63 - 1] (the binomial draw takes an int64), or seed not
+            an integer >= 0.
     """
     _require_count(shots, "shots")
     if shots > 2**63 - 1:

@@ -9,6 +9,7 @@ from dpstates import (
     AmbiguousAtPZeroError,
     DensityMatrix,
     DimensionMismatchError,
+    DomainError,
     FOutOfRangeError,
     InvalidDimensionError,
     InvalidSchmidtVectorError,
@@ -119,6 +120,13 @@ class TestSchmidtDps:
             assert abs(dps_test(rho)) <= 1e-12
             with pytest.raises(AmbiguousAtPZeroError):
                 schmidt_dps(rho, 2, 2)
+
+    @pytest.mark.parametrize("p_tol", [math.nan, -0.5, math.inf])
+    def test_rejects_a_tolerance_that_is_not_finite_and_at_least_0(self, p_tol):
+        # NaN used to skip the |p| < p_tol check, -0.5 to pass every p
+        rho = make_dps(bipartite_pure(2, 2, rng_for(54)), 0.5).to_matrix()
+        with pytest.raises(DomainError, match="p_tol must be finite and >= 0"):
+            schmidt_dps(rho, 2, 2, p_tol=p_tol)
 
 
 class TestReducedSpectrum:
@@ -346,6 +354,13 @@ class TestNegativity:
         for p in (math.nan, 2.0, p_min(4) - 1e-9):
             with pytest.raises(PolarizationOutOfRangeError):
                 negativity(p, [1.0, 0.0], 2, 2)
+
+    @pytest.mark.parametrize("neg_tol", [math.nan, -0.5, math.inf])
+    def test_rejects_a_tolerance_that_is_not_finite_and_at_least_0(self, neg_tol):
+        # the state is entangled: NaN and inf used to report no negative eigenvalue,
+        # and -0.5 raised InternalCheckError, the class of a bug in the library
+        with pytest.raises(DomainError, match="neg_tol must be finite and >= 0"):
+            negativity(0.9, [1.0 / math.sqrt(2.0)] * 2, 2, 2, neg_tol=neg_tol)
 
 
 class TestPairThreshold:

@@ -10,6 +10,7 @@ from dpstates import (
     CoherenceVector,
     DensityMatrix,
     DimensionMismatchError,
+    DomainError,
     InvalidDimensionError,
     UndefinedForDim2Error,
     c_norm,
@@ -253,6 +254,14 @@ def test_measurement_matches_component_route(D):
         assert m.p == pytest.approx(p, abs=1e-13)
         assert m.star_residual == pytest.approx(float(np.linalg.norm(nn.n - p * n.n)), abs=1e-13)
         assert np.allclose(m.ladder(3), invariant_ladder(n, 3), rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("r_max", [2.5, True, -1])
+def test_ladder_depth_that_is_not_an_integer_at_least_0_is_a_domain_error(r_max):
+    state = random_dps(3, rng_for(138)).to_matrix()
+    for ladder in (lambda: invariant_ladder(to_coherence(state), r_max), lambda: measure_dps(state).ladder(r_max)):
+        with pytest.raises(DomainError, match="ladder depth r_max must be an integer >= 0"):
+            ladder()
 
 
 def test_star_rejects_dim2():

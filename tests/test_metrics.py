@@ -400,7 +400,7 @@ def test_closed_forms_match_extended_precision(D):
         assert_closed_forms_match_extended_precision(a, b)
 
 
-# the oracle's own error on a singular state: psd_roots zeroes eigenvalues
+# the oracle's own error on a singular state: _psd_roots zeroes eigenvalues
 # at the roundoff level D eps, whose roots would count ~sqrt(eps) toward F
 ORACLE_OWN_TOL = 2.0 * math.sqrt(np.finfo(float).eps)
 

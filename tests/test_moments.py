@@ -69,7 +69,7 @@ class TestMomentExact:
 
 
 class TestMomentPermutation:
-    # the cycle contraction never forms the D^m x D^m operator, so D = 32 is cheap
+    # one D x D product at most, never the D^m x D^m operator, so D = 32 is cheap
     @pytest.mark.parametrize("D", [2, 3, 4, 32])
     @pytest.mark.parametrize("m", [2, 3])
     def test_matches_exact(self, D, m):
@@ -155,6 +155,35 @@ class TestMomentMonteCarlo:
         for shots in (2**63, 10**20):
             with pytest.raises(DomainError, match=r"2\^63 - 1"):
                 moment_montecarlo(dm, 2, shots=shots, seed=1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rho: moment_exact(rho, 2.5),
+        lambda rho: moment_exact(rho, True),
+        lambda rho: moment_permutation(rho, 2.0),
+        lambda rho: moment_montecarlo(rho, 2.5, shots=1000, seed=1),
+    ],
+    ids=["exact-2.5", "exact-True", "permutation-2.0", "montecarlo-2.5"],
+)
+def test_order_that_is_not_an_integer_is_a_domain_error(call):
+    # a p_min DPS: eigvalsh may return its zero eigenvalue as -3e-17, whose 2.5th power is NaN
+    rho = random_dps(3, rng_for(127), p=p_min(3)).to_matrix()
+    with pytest.raises(DomainError, match="moment order must be an integer >= 1"):
+        call(rho)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    D=st.integers(min_value=2, max_value=48),
+    m=st.sampled_from([2, 3]),
+    rank=st.integers(min_value=1, max_value=48),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_permutation_moment_matches_exact(D, m, rank, seed):
+    dm = random_mixed(D, rng_for(137, seed), rank=min(rank, D))
+    assert moment_permutation(dm, m).value == pytest.approx(moment_exact(dm, m).value, abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
