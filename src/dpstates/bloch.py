@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NotDPSError, UndefinedForDim2Error
 from .linalg import DensityMatrix
-from .metrics import DpsState, _require_count, _require_dimension, make_dps, p_min
+from .metrics import DpsState, _require_count, _require_dimension, _require_tolerance, make_dps, p_min
 
 __all__ = [
     "CoherenceVector",
@@ -232,9 +232,13 @@ class DpsMeasurement:
 
         Membership needs n*n = p n within ``tol_star`` (D > 2), the
         certificate within ``tol_spectrum`` and p in [p_min(D), 1]
-        widened by ``tol_spectrum``.  The tests are negated so that a
-        NaN tolerance rejects.
+        widened by ``tol_spectrum``.
+
+        Raises:
+            DomainError: a tolerance NaN, infinite or negative.
         """
+        _require_tolerance(tol_star, "tol_star")
+        _require_tolerance(tol_spectrum, "tol_spectrum")
         lo = p_min(self.operator.shape[0])
         if self.star_residual is not None and not self.star_residual <= tol_star:
             return None

@@ -44,6 +44,7 @@ EIG_HERM_TOL = 1e-10
 TRACE_TOL = 1e-12
 RECON_TOL = 1e-10
 PSD_CLIP_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 
 def _as_matrix(M) -> np.ndarray:
@@ -67,7 +68,8 @@ def _scaled_hermitian(M) -> tuple[np.ndarray, int]:
     exact unless it takes an entry below the normal range.  The
     Hermitian check runs on the result, against EIG_HERM_TOL, so M and
     2^k M get the same verdict wherever the scaling is exact.  A zero
-    (or 0 x 0) matrix has e = 0.
+    (or 0 x 0) matrix has e = 0.  At e = 0 the result is M itself, not a
+    copy: callers must not write to it.
 
     Raises:
         NonSquareError.
@@ -83,8 +85,13 @@ def _scaled_hermitian(M) -> tuple[np.ndarray, int]:
     # 2^-e is applied in two halves because it overflows for a subnormal
     # max |m_ij| (e down to -1073)
     e = math.frexp(top)[1]
-    A = A * math.ldexp(1.0, -(e // 2)) * math.ldexp(1.0, e // 2 - e)
-    dev = float(np.abs(A - A.conj().T).max(initial=0.0))
+    if e:
+        A = A * math.ldexp(1.0, -(e // 2))
+        A *= math.ldexp(1.0, e // 2 - e)
+    # A^* - A^T is conj(A - A^dag) entry by entry: the same moduli from one buffer fewer
+    K = A.conj()
+    K -= A.T
+    dev = float(np.abs(K).max(initial=0.0))
     if not dev <= EIG_HERM_TOL:
         raise NonHermitianError(
             f"Hermiticity deviation {dev:.3e} of M / 2^{e} exceeds {EIG_HERM_TOL:.1e}, "
@@ -116,15 +123,18 @@ class DensityMatrix:
     def __init__(self, matrix) -> None:
         M = np.array(matrix, dtype=complex)
         _require_square(M)
-        if not np.all(np.isfinite(M)):
-            raise DomainError("matrix has NaN or infinite entries")
         # one full-size complex buffer besides M: H = M^* - M^T, the conjugate transpose of
-        # M - M^dag, formed in place and freed before M is taken in place to (M + M^dag) / 2
-        H = M.conj()
-        H -= M.T
-        dev = float(np.abs(H).max(initial=0.0))
+        # M - M^dag, formed in place and freed before M is taken in place to (M + M^dag) / 2.
+        # A NaN or infinite entry makes dev NaN or inf, so finiteness is looked at only
+        # once the Hermitian check fails; errstate keeps inf - inf from warning.
+        with np.errstate(invalid="ignore"):
+            H = M.conj()
+            H -= M.T
+            dev = float(np.abs(H).max(initial=0.0))
         del H
         if not dev <= HERM_TOL:
+            if not np.isfinite(M).all():
+                raise DomainError("matrix has NaN or infinite entries")
             raise NonHermitianError(f"Hermiticity deviation {dev:.3e} exceeds {HERM_TOL:.1e}")
         tr = np.trace(M)
         if abs(tr - 1.0) > TRACE_TOL:
@@ -171,6 +181,28 @@ class Spectrum:
         return (V * self.eigenvalues) @ V.conj().T
 
 
+def _eigh(M) -> tuple[np.ndarray, np.ndarray, float]:
+    """(lam, V, top): the checked eigendecomposition behind every solver here.
+
+    One ``eigh`` of M / 2^e from :func:`_scaled_hermitian`, whose
+    reconstruction is checked to RECON_TOL times its largest eigenvalue
+    modulus.  lam (ascending) and top = max |lam| are then multiplied
+    back by 2^e, which is exact; V is unitary.  top is read off the two
+    ends of lam.
+
+    Raises:
+        NonSquareError, DomainError, NonHermitianError: as :func:`eig_hermitian`.
+    """
+    A, e = _scaled_hermitian(M)
+    vals, V = np.linalg.eigh(A)
+    top = float(max(-vals[0], vals[-1])) if vals.size else 0.0
+    if np.abs((V * vals) @ V.conj().T - A).max(initial=0.0) > RECON_TOL * top:
+        raise NonHermitianError("eigendecomposition failed the reconstruction check")
+    if e:
+        vals, top = np.ldexp(vals, e), math.ldexp(top, e)
+    return vals, V, top
+
+
 def eig_hermitian(M) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix of any scale.
 
@@ -185,12 +217,24 @@ def eig_hermitian(M) -> Spectrum:
         NonHermitianError: symmetry violated beyond EIG_HERM_TOL 2^e, or
             the reconstruction check failed.
     """
-    A, e = _scaled_hermitian(M)
-    scaled = Spectrum(*np.linalg.eigh(A))
-    top = float(np.abs(scaled.eigenvalues).max(initial=0.0))
-    if np.abs(scaled.reconstruct() - A).max(initial=0.0) > RECON_TOL * top:
-        raise NonHermitianError("eigendecomposition failed the reconstruction check")
-    return Spectrum(eigenvalues=np.ldexp(scaled.eigenvalues, e), eigenvectors=scaled.eigenvectors)
+    vals, V, _ = _eigh(M)
+    return Spectrum(eigenvalues=vals, eigenvectors=V)
+
+
+def _psd_factor(M) -> tuple[np.ndarray, np.ndarray]:
+    """(V, r): M = V diag(lam) V^dag checked positive semidefinite, and r the :func:`_psd_roots` of lam.
+
+    sqrt(M) is V diag(r) V^dag.
+
+    Raises:
+        NonSquareError, DomainError, NonHermitianError, NotPSDError: as :func:`sqrt_psd`.
+    """
+    vals, V, top = _eigh(M)
+    if vals.size and vals[0] < -PSD_CLIP_TOL * top:
+        raise NotPSDError(
+            f"minimum eigenvalue {vals[0]:.3e} below -{PSD_CLIP_TOL:.1e} times the largest modulus {top:.3e}"
+        )
+    return V, _psd_roots(vals, top)
 
 
 def sqrt_psd(M) -> np.ndarray:
@@ -204,20 +248,14 @@ def sqrt_psd(M) -> np.ndarray:
         NonSquareError, DomainError, NonHermitianError: as :func:`eig_hermitian`.
         NotPSDError: if an eigenvalue lies below -PSD_CLIP_TOL top.
     """
-    spec = eig_hermitian(M)
-    vals, V = spec.eigenvalues, spec.eigenvectors
-    top = float(np.abs(vals).max(initial=0.0))
-    if vals.min(initial=0.0) < -PSD_CLIP_TOL * top:
-        raise NotPSDError(
-            f"minimum eigenvalue {vals[0]:.3e} below -{PSD_CLIP_TOL:.1e} times the largest modulus {top:.3e}"
-        )
-    S = (V * _psd_roots(vals, top)) @ V.conj().T
+    V, roots = _psd_factor(M)
+    S = (V * roots) @ V.conj().T
     return (S + S.conj().T) / 2.0
 
 
 def _psd_roots(vals: np.ndarray, scale: float) -> np.ndarray:
     """Roots of the eigenvalues of a matrix of norm <= scale; those <= D eps scale give 0."""
-    return np.sqrt(np.where(vals > vals.size * np.finfo(float).eps * scale, vals, 0.0))
+    return np.sqrt(np.where(vals > vals.size * _EPS * scale, vals, 0.0))
 
 
 def trace_norm(M) -> float:

@@ -39,7 +39,7 @@ from .errors import (
     NotPSDError,
     PolarizationOutOfRangeError,
 )
-from .linalg import DensityMatrix, _psd_roots, sqrt_psd, trace_norm
+from .linalg import DensityMatrix, _psd_factor, _psd_roots, trace_norm
 
 __all__ = [
     "DistanceReport",
@@ -116,10 +116,16 @@ class DpsState:
     p: float
 
     def to_matrix(self) -> DensityMatrix:
-        """(1-p) 1/D + p |psi><psi|."""
+        """(1-p) 1/D + p |psi><psi| / <psi|psi>.
+
+        ``pure`` is kept as given, with a norm within 1e-12 of 1; dividing p
+        by that norm squared keeps the trace 1 at every p, and is exact when
+        the norm is.
+        """
         D = self.dim
-        proj = np.outer(self.pure, self.pure.conj())
-        return DensityMatrix((1.0 - self.p) * np.eye(D) / D + self.p * proj)
+        v = self.pure
+        proj = np.outer(v, v.conj())
+        return DensityMatrix((1.0 - self.p) * np.eye(D) / D + (self.p / np.vdot(v, v).real) * proj)
 
     def spectrum(self) -> np.ndarray:
         """Closed-form eigenvalues {(1 + (D-1)p)/D, (1-p)/D x(D-1)}, ascending."""
@@ -263,19 +269,25 @@ def fidelity_closed(rho: DpsState, sigma: DpsState) -> float:
 def fidelity_oracle(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Brute-force Uhlmann fidelity Tr[sqrt(sqrt(rho) sigma sqrt(rho))]^2.
 
+    With rho = V diag(lam) V^dag and W = V diag(sqrt(lam)), so that
+    sqrt(rho) = W V^dag, the inner matrix sqrt(rho) sigma sqrt(rho) is
+    V (W^dag sigma W) V^dag: its eigenvalues are those of W^dag sigma W,
+    and one ``eigvalsh`` of that gives them.
+
     Raises:
         NotPSDError: rho has an eigenvalue below -1e-10 times its largest
-            (:func:`sqrt_psd`), or sqrt(rho) sigma sqrt(rho) one below -1e-10.
+            (as in :func:`~dpstates.linalg.sqrt_psd`), or
+            sqrt(rho) sigma sqrt(rho) one below -1e-10.
         DimensionMismatchError.
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatchError(f"dims {rho.dim} and {sigma.dim} differ")
-    s = sqrt_psd(rho.matrix)
-    inner = s @ sigma.matrix @ s
-    vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
-    # unit-trace inputs bound ||inner|| by 1, so this check is absolute and its roundoff ~eps
-    if float(np.min(vals)) < -1e-10:
-        raise NotPSDError(f"inner matrix eigenvalue {np.min(vals):.3e} below -1e-10")
+    V, roots = _psd_factor(rho.matrix)
+    W = V * roots
+    vals = np.linalg.eigvalsh(W.conj().T @ sigma.matrix @ W)
+    # unit-trace inputs bound ||W^dag sigma W|| by 1, so this check is absolute and its roundoff ~eps
+    if vals.size and vals[0] < -1e-10:
+        raise NotPSDError(f"inner matrix eigenvalue {vals[0]:.3e} below -1e-10")
     return _clip(float(np.sum(_psd_roots(vals, 1.0))) ** 2, "fidelity")
 
 

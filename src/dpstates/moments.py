@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, InconsistentMomentsError, IndeterminateSignCountError
 from .linalg import DensityMatrix, _scaled_hermitian
-from .metrics import _dps_levels, _require_count, _require_dimension, _seeded_rng, p_min
+from .metrics import _dps_levels, _require_count, _require_dimension, _require_tolerance, _seeded_rng, p_min
 
 __all__ = [
     "MomentEstimate",
@@ -109,8 +109,17 @@ def moment_montecarlo(rho: DensityMatrix, m: int, shots: int, seed: int) -> Mome
 
 
 def dps_moment(D: int, p: float, m: int) -> float:
-    """Forward moment of the DPS spectrum, (D-1)((1-p)/D)^m + ((1 + (D-1)p)/D)^m; D >= 2."""
+    """Forward moment of the DPS spectrum, (D-1)((1-p)/D)^m + ((1 + (D-1)p)/D)^m.
+
+    p is not range-checked: :func:`dps_p_from_moments` evaluates it down
+    to tol below p_min(D).
+
+    Raises:
+        InvalidDimensionError: D not an integer >= 2.
+        DomainError: m not an integer >= 1 (not 2.5 or a bool).
+    """
     _require_dimension(D, 2, "a DPS moment")
+    _require_count(m, "moment order")
     flat, top = _dps_levels(D, p)
     return (D - 1) * flat**m + top**m
 
@@ -126,8 +135,10 @@ def dps_p_from_moments(t2: float, t3: float, D: int, tol: float = RECOVERY_TOL) 
         InconsistentMomentsError: no p in [-1/(D-1), 1] fits both moments
             (a NaN moment fits none).
         InvalidDimensionError: D not an integer >= 2.
+        DomainError: tol NaN, infinite or negative.
     """
     _require_dimension(D, 2, "moment recovery")
+    _require_tolerance(tol, "tol")
     num = (D * t2 - 1.0) / (D - 1.0)
     if not -tol <= num <= 1.0 + tol:
         raise InconsistentMomentsError(f"t2={t2:.15g} implies p^2 = {num:.15g} outside [0, 1]")
@@ -165,10 +176,15 @@ def count_positive_charpoly(M) -> int:
             ||M||_F of zero, so the count is ill-defined at that tolerance.
     """
     A, _ = _scaled_hermitian(M)
-    vals = np.linalg.eigvalsh((A + A.conj().T) / 2.0)
-    gap = 1e-10 * float(np.linalg.norm(A))
-    if np.abs(vals).min(initial=math.inf) <= gap:
+    H = A + A.conj().T
+    H /= 2.0
+    vals = np.linalg.eigvalsh(H)
+    gap = 1e-10 * math.sqrt(np.vdot(A, A).real)
+    # the eigenvalues ascend: the k at or below gap come first, and the last of them lies in
+    # [-gap, gap] if any does
+    k = int(vals.searchsorted(gap, side="right"))
+    if k and vals[k - 1] >= -gap:
         raise IndeterminateSignCountError(
             "an eigenvalue is zero at working precision and cannot be counted as positive or not"
         )
-    return int(np.count_nonzero(vals > gap))
+    return vals.size - k

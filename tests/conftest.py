@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 from hypothesis import settings
 
@@ -36,3 +38,16 @@ def random_non_dps(D: int, rng: np.random.Generator) -> DensityMatrix:
     w = float(rng.uniform(0.55, 0.9))
     M = w * np.outer(a, a.conj()) + (1.0 - w) * np.outer(b, b.conj())
     return DensityMatrix(M)
+
+
+def count_solver_calls(monkeypatch) -> collections.Counter:
+    """From here on, the number of calls of each numpy eigensolver and of svd, by name."""
+    calls = collections.Counter()
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+
+        def counted(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls

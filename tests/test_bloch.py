@@ -429,6 +429,14 @@ def dps_matrix(D: int, p: float, seed: int) -> DensityMatrix:
 
 
 class TestVerdictEdges:
+    @pytest.mark.parametrize("tol", [math.nan, -1e-3, math.inf])
+    @pytest.mark.parametrize("which", ["tol_star", "tol_spectrum"])
+    def test_rejects_a_tolerance_that_is_not_finite_and_at_least_0(self, which, tol):
+        # a negative tol_star used to call an exact DPS not a DPS
+        m = measure_dps(dps_matrix(3, 0.5, 3))
+        with pytest.raises(DomainError, match=f"{which} must be finite and >= 0"):
+            m.verdict(**{which: tol})
+
     @pytest.mark.parametrize("D", [2, 3, 4, 7])
     def test_pure(self, D):
         rho = dps_matrix(D, 1.0, D)

@@ -744,17 +744,34 @@ def test_identifying_commands_build_no_basis(capsys, tmp_path, monkeypatch):
         run_json(capsys, *argv)
 
 
-def test_cli_import_loads_no_scipy():
+def run_python(*args: str):
+    """A fresh interpreter on this checkout's src, its output captured as text."""
     import os
     import subprocess
     import sys
-    from pathlib import Path
 
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_cli_import_loads_no_scipy():
     probe = "import sys, dpstates.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = run_python("-c", probe)
+    assert out.returncode == 0 and out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("entries", [{(0, 0): math.inf}, {(0, 1): math.inf, (1, 0): math.inf}], ids=["diagonal", "pair"])
+def test_infinite_entries_are_refused_in_one_line(tmp_path, entries):
+    # a fresh process, so that a RuntimeWarning would reach stderr as it does for a user
+    M = np.eye(3) / 3.0
+    for ij, z in entries.items():
+        M[ij] = z
+    path = write_state(tmp_path / "inf.json", M)
+    assert "Infinity" in Path(path).read_text()
+    out = run_python("-m", "dpstates", "analyze", path)
+    assert out.returncode == 2 and out.stdout == ""
+    assert len(out.stderr.splitlines()) == 1 and "NaN or infinite" in out.stderr, out.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,61 @@ def test_non_finite_entry_is_refused(solve):
     M[0, 1] = np.nan
     with pytest.raises(DomainError, match="NaN or infinite"):
         solve(M)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [{(0, 1): np.nan}, {(0, 0): np.inf}, {(0, 1): np.inf, (1, 0): np.inf}, {(1, 1): complex(np.inf, np.inf)}],
+    ids=["nan", "inf-diagonal", "inf-pair", "complex-inf"],
+)
+def test_density_matrix_refuses_non_finite_entries_without_a_warning(entries):
+    # each makes the Hermiticity deviation NaN or inf (inf - inf on the diagonal and in the pair)
+    M = np.eye(3, dtype=complex) / 3.0
+    for ij, z in entries.items():
+        M[ij] = z
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="NaN or infinite"):
+            DensityMatrix(M)
+
+
+def two_pass_eig(M):
+    """eig_hermitian's arithmetic written out: scale by 2^-e in two halves, eigh, multiply back."""
+    A = np.asarray(M, dtype=complex)
+    e = math.frexp(float(np.abs(A).max(initial=0.0)))[1]
+    vals, V = np.linalg.eigh(A * math.ldexp(1.0, -(e // 2)) * math.ldexp(1.0, e // 2 - e))
+    return np.ldexp(vals, e), V
+
+
+def two_pass_sqrt(M):
+    """sqrt_psd's arithmetic written out, with its own pass for the largest eigenvalue modulus."""
+    vals, V = two_pass_eig(M)
+    top = float(np.abs(vals).max(initial=0.0))
+    S = (V * np.sqrt(np.where(vals > vals.size * np.finfo(float).eps * top, vals, 0.0))) @ V.conj().T
+    return (S + S.conj().T) / 2.0
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 8])
+@pytest.mark.parametrize("e", [-300, -1, 0, 1, 300])
+def test_solvers_match_their_two_pass_arithmetic_bit_for_bit(n, e):
+    # one scaled eigendecomposition serves both solvers and skips the multiply by 2^0;
+    # neither may change a bit, at any scale: a state, H and H^2 at 2^e
+    rng = rng_for(104, n, e + 300)
+    A = rng.standard_normal((n, n)) + 1.0j * rng.standard_normal((n, n))
+    H = (A + A.conj().T) / 2.0
+    corpus = [math.ldexp(1.0, e) * H, math.ldexp(1.0, e) * (H @ H)]
+    if n:
+        corpus.append(math.ldexp(1.0, e) * random_mixed(n, rng).matrix)
+    for M in corpus:
+        spec = eig_hermitian(M)
+        vals, V = two_pass_eig(M)
+        assert same_bits(spec.eigenvalues, vals) and same_bits(spec.eigenvectors, V)
+        if vals.size == 0 or vals[0] >= 0.0:
+            assert same_bits(sqrt_psd(M), two_pass_sqrt(M))
 
 
 def test_empty_matrix_has_empty_outputs():

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dpstates import (
@@ -49,7 +49,7 @@ from dpstates import (
 
 from dpstates import metrics
 from dpstates.channels import p_from_overlap
-from conftest import random_dps, random_mixed, rng_for
+from conftest import count_solver_calls, random_dps, random_mixed, rng_for
 
 
 def test_p_bounds():
@@ -85,6 +85,29 @@ class TestMakeDps:
     def test_purity(self):
         dps = make_dps(np.array([1.0, 0.0, 0.0, 0.0]), -0.2)
         assert dps.to_matrix().purity() == pytest.approx(0.25 + 0.75 * 0.04)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    D=st.integers(min_value=2, max_value=6),
+    norm=st.floats(min_value=1.0 - 1e-12, max_value=1.0 + 1e-12),
+    t=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@example(D=3, norm=1.0 + 0.9e-12, t=1.0, seed=0)
+@example(D=2, norm=1.0 - 0.9e-12, t=0.0, seed=0)
+def test_every_accepted_purification_builds_its_matrix(D, norm, t, seed):
+    # make_dps accepts ||psi|| within 1e-12 of 1; with psi's own projector the trace
+    # (1-p) + p ||psi||^2 of the matrix missed 1 by up to 2e-12 at |p| = 1
+    v = norm * haar_state(D, rng_for(31, seed))
+    try:
+        state = make_dps(v, p_min(D) + t * (1.0 - p_min(D)))
+    except NonUnitVectorError:
+        assume(False)
+    assert np.array_equal(state.pure, v)  # kept as given
+    rho = state.to_matrix()
+    assert abs(np.trace(rho.matrix) - 1.0) <= 1e-12
+    assert np.max(np.abs(np.linalg.eigvalsh(rho.matrix) - state.spectrum())) <= 1e-12
 
 
 NON_FINITE_ENTRY_POINTS = {
@@ -193,6 +216,15 @@ class TestFidelity:
         sigma = DensityMatrix(np.diag([0.4, 0.6]))
         expect = (math.sqrt(0.7 * 0.4) + math.sqrt(0.3 * 0.6)) ** 2
         assert fidelity_oracle(rho, sigma) == pytest.approx(expect, abs=1e-12)
+
+
+    def test_oracle_makes_one_eigh_and_one_eigvalsh(self, monkeypatch):
+        # rho's eigen-factor W gives the inner matrix W^dag sigma W; sqrt(rho) is never formed
+        rng = rng_for(36)
+        rho, sigma = random_mixed(5, rng), random_mixed(5, rng)
+        calls = count_solver_calls(monkeypatch)
+        fidelity_oracle(rho, sigma)
+        assert calls == {"eigh": 1, "eigvalsh": 1}
 
 
 class TestTraceDistance:

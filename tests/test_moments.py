@@ -24,7 +24,7 @@ from dpstates import (
     partial_transpose,
 )
 
-from conftest import random_dps, random_mixed, rng_for
+from conftest import count_solver_calls, random_dps, random_mixed, rng_for
 
 
 def permutation_operator(D: int, permutation: tuple[int, ...]) -> np.ndarray:
@@ -174,6 +174,13 @@ def test_order_that_is_not_an_integer_is_a_domain_error(call):
         call(rho)
 
 
+@pytest.mark.parametrize("m", [True, 0, 2.5])
+def test_dps_moment_refuses_an_order_that_is_not_an_integer_at_least_1(m):
+    # these returned 1.0, 3.0 and 0.386
+    with pytest.raises(DomainError, match="moment order must be an integer >= 1"):
+        dps_moment(3, 0.5, m)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     D=st.integers(min_value=2, max_value=48),
@@ -231,6 +238,12 @@ class TestRecoverP:
     def test_rejects_dimension_below_two(self):
         with pytest.raises(InvalidDimensionError):
             dps_p_from_moments(1.0, 1.0, 1)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_rejects_a_tolerance_that_is_not_finite_and_at_least_0(self, tol):
+        # the moments are exact: NaN and -1 used to raise InconsistentMomentsError, blaming them
+        with pytest.raises(DomainError, match="tol must be finite and >= 0"):
+            dps_p_from_moments(dps_moment(3, 0.5, 2), dps_moment(3, 0.5, 3), 3, tol=tol)
 
 
 def _tridiagonalize(A: np.ndarray) -> tuple[list[float], list[float]]:
@@ -312,6 +325,12 @@ PT_DIMS = [(2, 2), (2, 3), (3, 3), (2, 5), (4, 4), (3, 6), (4, 8), (8, 8), (8, 1
 
 
 class TestCountPositive:
+    def test_makes_one_eigvalsh(self, monkeypatch):
+        H = gaussian_hermitian(32, rng_for(124))
+        calls = count_solver_calls(monkeypatch)
+        count_positive_charpoly(H)
+        assert calls == {"eigvalsh": 1}
+
     def test_matches_eigensolver(self):
         # Faddeev-LeVerrier coefficient signs went wrong from n = 24 on
         rng = rng_for(123)
