@@ -126,7 +126,7 @@ def schmidt_pure(psi, dA: int, dB: int) -> SchmidtForm:
     v = np.asarray(psi, dtype=complex).reshape(-1)
     if v.shape[0] != dA * dB:
         raise DimensionMismatchError(f"state length {v.shape[0]} != dA*dB = {dA * dB}")
-    A = _unit_vector(v).reshape(dA, dB)
+    A = _unit_vector(v)[0].reshape(dA, dB)
     u, s, vh = np.linalg.svd(A, full_matrices=True)
     U = u.conj().T
     V = vh.conj()

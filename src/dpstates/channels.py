@@ -324,10 +324,14 @@ def p_from_overlap(D: int, overlap: float) -> float:
 
 
 def _clifford_generators(D: int) -> np.ndarray:
-    """The (2, D, D) stack of the Fourier (Hadamard) gate and the diagonal phase gate, D in {2, 3}."""
+    """The (2, D, D) stack of the Fourier (Hadamard) gate F and the diagonal phase gate S, at D = 2 or odd D.
+
+    At odd D, S = diag(omega^(j (j-1) / 2)) sends X to X Z; at D = 3 that
+    is diag(1, 1, omega).
+    """
     omega = np.exp(2.0j * math.pi / D)
     F = np.array([[omega ** (j * k) for k in range(D)] for j in range(D)]) / math.sqrt(D)
-    S = np.diag([1.0, 1.0j]) if D == 2 else np.diag([1.0, 1.0, omega])
+    S = np.diag([1.0, 1.0j]) if D == 2 else np.diag([omega ** (j * (j - 1) // 2 % D) for j in range(D)])
     return np.array([F, S])
 
 
@@ -615,7 +619,9 @@ def pdps_recipe(psi, f: float, seed: int, trials: int) -> DensityMatrix:
         DomainError: trials not an integer >= 1, or seed not an integer >= 0.
     """
     f = _in_range(f, 0.0, 1.0, FOutOfRangeError, "f")
-    v = _unit_vector(psi)
+    v, norm2 = _unit_vector(psi)
+    # psi may be up to 1e-12 off unit norm; rho and every flipped row are built from the unit vector
+    v = v / math.sqrt(norm2)
     _require_count(trials, "trials")
     rho = np.outer(v, v.conj())
     flipped = _gram_mean(_flip_stream(v, trials, _seeded_rng(seed)), lambda Y: Y)

@@ -372,11 +372,14 @@ def _refuse_large(
         raise DomainError(f"{why}; --{flag} must be <= {limit}, got {value}")
 
 
-def _require_dims(dims_flag, dims_file) -> tuple[int, int]:
-    dims = dims_flag if dims_flag is not None else dims_file
+def _load_bipartite(ns) -> tuple[DensityMatrix, int, int]:
+    """(state, dA, dB): :func:`load_state`, split by --dims, else by the file's "dims", else exit 3."""
+    state, dims = load_state(ns)
+    if ns.dims is not None:
+        dims = ns.dims
     if dims is None:
         raise DomainError("subsystem dimensions needed: pass --dims dA dB (or put \"dims\" in the file)")
-    return int(dims[0]), int(dims[1])
+    return state, int(dims[0]), int(dims[1])
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +443,7 @@ def cmd_distance(ns) -> Report:
 
 
 def cmd_schmidt(ns) -> Report:
-    state, dims_file = load_state(ns)
-    dA, dB = _require_dims(ns.dims, dims_file)
+    state, dA, dB = _load_bipartite(ns)
     p, form = schmidt_dps(state, dA, dB, p_tol=ns.p_tol)
     specA_closed = reduced_spectrum_dps(p, form.b, dA)
     specB_closed = reduced_spectrum_dps(p, form.b, dB)
@@ -459,14 +461,13 @@ def cmd_schmidt(ns) -> Report:
 
 
 def cmd_entanglement(ns) -> Report:
-    state, dims_file = load_state(ns)
-    dA, dB = _require_dims(ns.dims, dims_file)
+    state, dA, dB = _load_bipartite(ns)
     p, form = schmidt_dps(state, dA, dB)
-    rep = negativity(p, form.b[:dA], dA, dB, neg_tol=ns.neg_tol)
-    pair = pair_threshold(form.b[:dA], dA, dB)
+    rep = negativity(p, form.b, dA, dB, neg_tol=ns.neg_tol)
+    pair = pair_threshold(form.b, dA, dB)
     results = {
         "p": p,
-        "schmidt_coefficients": form.b[:dA],
+        "schmidt_coefficients": form.b,
         "pt_spectrum": rep.pt_spectrum,
         "negativity": rep.negativity,
         "negative_count": rep.negative_count,
@@ -576,8 +577,7 @@ def cmd_channel_recipe(ns) -> Report:
 
 
 def cmd_channel_local(ns) -> Report:
-    state, dims_file = load_state(ns)
-    dA, dB = _require_dims(ns.dims, dims_file)
+    state, dA, dB = _load_bipartite(ns)
     out = local_depolarize(state, dA, dB, ns.pa, ns.pb)
     p = dps_test(out)
     results = {
@@ -594,11 +594,7 @@ def cmd_moments(ns) -> Report:
     else:
         _refuse_unread(ns, f"moments --mode {ns.mode}", ("seed", "shots"))
         shots = 0
-    orders = list(dict.fromkeys(ns.m))
-    if ns.assume_dps:
-        for needed in (2, 3):
-            if needed not in orders:
-                orders.append(needed)
+    orders = sorted({*ns.m, *((2, 3) if ns.assume_dps else ())})
 
     def one(m: int):
         if ns.mode == "exact":
@@ -609,7 +605,7 @@ def cmd_moments(ns) -> Report:
             raise DomainError("--mode mc needs --seed")
         return moment_montecarlo(state, m, shots, ns.seed + m)
 
-    estimates = {m: one(m) for m in sorted(orders)}
+    estimates = {m: one(m) for m in orders}
     results: dict = {
         "moments": [
             {
@@ -631,7 +627,7 @@ def cmd_moments(ns) -> Report:
         except DomainError as exc:
             results["recovered"] = {"p": None, "reason": str(exc)}
     parameters = {
-        "m": sorted(orders),
+        "m": orders,
         "mode": ns.mode,
         "shots": shots,
         "assume_dps": bool(ns.assume_dps),
@@ -651,7 +647,7 @@ def cmd_fig1(ns) -> None:
     _refuse_large("grid", ns.grid, MAX_FIG1_GRID, "fig1 writes grid^2 rows")
     p = np.linspace(p_min_cp(D), 1.0, ns.grid)
     f = np.linspace(0.0, 1.0, ns.grid)
-    # pure_overlap of e0 and sqrt(f) e0 + sqrt(1-f) e1 is sqrt(f)^2, not f
+    # the surfaces are at overlap sqrt(f)^2, |<e0|phi>|^2 for phi = sqrt(f) e0 + sqrt(1-f) e1
     amp = np.sqrt(f)
     overlap = amp * amp
     rows = max(1, FIG1_BLOCK_POINTS // ns.grid)
@@ -725,9 +721,15 @@ def build_parser() -> argparse.ArgumentParser:
     # load_state / load_channel record each file they read here
     parser.set_defaults(inputs={})
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # the arguments that several commands share, each stated once
+    state = argparse.ArgumentParser(add_help=False)
+    state.add_argument("state")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    dims = argparse.ArgumentParser(add_help=False)
+    dims.add_argument("--dims", type=int, nargs=2, metavar=("DA", "DB"))
 
-    p_an = sub.add_parser("analyze", help="coherence vector, invariants, DPS verdict")
-    p_an.add_argument("state")
+    p_an = sub.add_parser("analyze", parents=[state], help="coherence vector, invariants, DPS verdict")
     p_an.add_argument("--tol-star", type=float, default=STAR_TOL)
     p_an.add_argument("--tol-spectrum", type=float, default=SPECTRUM_TOL)
     p_an.set_defaults(func=cmd_analyze)
@@ -738,74 +740,57 @@ def build_parser() -> argparse.ArgumentParser:
     p_di.add_argument("--method", choices=("closed", "oracle", "both"), default="both")
     p_di.set_defaults(func=cmd_distance)
 
-    p_sc = sub.add_parser("schmidt", help="Schmidt form and marginal spectra of a bipartite DPS")
-    p_sc.add_argument("state")
-    p_sc.add_argument("--dims", type=int, nargs=2, metavar=("DA", "DB"))
+    p_sc = sub.add_parser("schmidt", parents=[state, dims], help="Schmidt form and marginal spectra of a bipartite DPS")
     p_sc.add_argument("--p-tol", type=float, default=P_TOL)
     p_sc.set_defaults(func=cmd_schmidt)
 
-    p_en = sub.add_parser("entanglement", help="partial-transpose spectrum and negativity")
-    p_en.add_argument("state")
-    p_en.add_argument("--dims", type=int, nargs=2, metavar=("DA", "DB"))
+    p_en = sub.add_parser("entanglement", parents=[state, dims], help="partial-transpose spectrum and negativity")
     p_en.add_argument("--neg-tol", type=float, default=NEG_TOL)
     p_en.set_defaults(func=cmd_entanglement)
 
-    p_we = sub.add_parser("werner2q", help="two-qubit canonical family (p, omega)")
+    p_we = sub.add_parser("werner2q", parents=[out], help="two-qubit canonical family (p, omega)")
     p_we.add_argument("--p", type=float, required=True)
     p_we.add_argument("--omega", type=float, required=True)
-    p_we.add_argument("--out")
     p_we.set_defaults(func=cmd_werner2q)
 
-    p_is = sub.add_parser("isotropic", help="isotropic state as a DPS; separability verdict")
+    p_is = sub.add_parser("isotropic", parents=[out], help="isotropic state as a DPS; separability verdict")
     p_is.add_argument("--da", type=int, required=True)
     p_is.add_argument("--F", type=float, required=True)
-    p_is.add_argument("--out")
     p_is.set_defaults(func=cmd_isotropic)
 
     p_ch = sub.add_parser("channel", help="depolarization maps and protocols")
     ch_sub = p_ch.add_subparsers(dest="channel_cmd", required=True)
 
-    c_de = ch_sub.add_parser("depolarize", help="apply (1-p) 1/D + p rho")
-    c_de.add_argument("state")
+    c_de = ch_sub.add_parser("depolarize", parents=[state, out], help="apply (1-p) 1/D + p rho")
     c_de.add_argument("--p", type=float, required=True)
     c_de.add_argument("--require-cp", action="store_true")
-    c_de.add_argument("--out")
     c_de.set_defaults(func=cmd_channel_depolarize)
 
-    c_p1 = ch_sub.add_parser("protocol1", help="ancilla-protocol simulation on a pure state")
-    c_p1.add_argument("state")
+    c_p1 = ch_sub.add_parser("protocol1", parents=[state, out], help="ancilla-protocol simulation on a pure state")
     c_p1.add_argument("--beta2", type=float, required=True)
-    c_p1.add_argument("--out")
     c_p1.set_defaults(func=cmd_channel_protocol1)
 
     tw_help = f"average a channel into a depolarizing one (exact-clifford: prime D <= {CLIFFORD_TWIRL_MAX_DIM})"
-    c_tw = ch_sub.add_parser("twirl", help=tw_help)
+    c_tw = ch_sub.add_parser("twirl", parents=[out], help=tw_help)
     c_tw.add_argument("channel")
     c_tw.add_argument("--mode", choices=("exact-clifford", "haar-sample"), default="exact-clifford")
     c_tw.add_argument("--samples", type=int, default=0)
     c_tw.add_argument("--seed", type=int)
     c_tw.add_argument("--exclude-identity", action="store_true")
-    c_tw.add_argument("--out")
     c_tw.set_defaults(func=cmd_channel_twirl)
 
-    c_re = ch_sub.add_parser("recipe", help="Monte-Carlo PDPS from conjugated two-outcome maps")
-    c_re.add_argument("state")
+    c_re = ch_sub.add_parser("recipe", parents=[state, out], help="Monte-Carlo PDPS from conjugated two-outcome maps")
     c_re.add_argument("--f", type=float, required=True)
     c_re.add_argument("--seed", type=int, required=True)
     c_re.add_argument("--trials", type=int, required=True)
-    c_re.add_argument("--out")
     c_re.set_defaults(func=cmd_channel_recipe)
 
-    c_lo = ch_sub.add_parser("local", help="independent depolarization of each subsystem")
-    c_lo.add_argument("state")
-    c_lo.add_argument("--dims", type=int, nargs=2, metavar=("DA", "DB"))
+    c_lo = ch_sub.add_parser("local", parents=[state, dims, out], help="independent depolarization of each subsystem")
     c_lo.add_argument("--pa", type=float, required=True)
     c_lo.add_argument("--pb", type=float, required=True)
-    c_lo.add_argument("--out")
     c_lo.set_defaults(func=cmd_channel_local)
 
-    p_mo = sub.add_parser("moments", help="Tr(rho^m) exactly, by permutation operator, or Monte Carlo")
-    p_mo.add_argument("state")
+    p_mo = sub.add_parser("moments", parents=[state], help="Tr(rho^m) exactly, by permutation operator, or Monte Carlo")
     p_mo.add_argument("--m", type=int, nargs="+", default=[2, 3])
     p_mo.add_argument("--mode", choices=("exact", "perm", "mc"), default="exact")
     p_mo.add_argument("--shots", type=int)
@@ -814,20 +799,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_mo.add_argument("--recovery-tol", type=float, default=RECOVERY_TOL)
     p_mo.set_defaults(func=cmd_moments)
 
-    p_f1 = sub.add_parser("fig1", help="CSV distance surfaces over (p, f)")
+    p_f1 = sub.add_parser("fig1", parents=[out], help="CSV distance surfaces over (p, f)")
     p_f1.add_argument("--dim", type=int, default=9)
     p_f1.add_argument("--grid", type=int, default=50)
-    p_f1.add_argument("--out")
     p_f1.set_defaults(func=cmd_fig1)
 
-    p_ge = sub.add_parser("gen", help="write state files: dps | isotropic | haar-pure")
+    p_ge = sub.add_parser("gen", parents=[out], help="write state files: dps | isotropic | haar-pure")
     p_ge.add_argument("kind", choices=("dps", "isotropic", "haar-pure"))
     p_ge.add_argument("--dim", type=int)
     p_ge.add_argument("--p", type=float)
     p_ge.add_argument("--da", type=int)
     p_ge.add_argument("--F", type=float)
     p_ge.add_argument("--seed", type=int)
-    p_ge.add_argument("--out")
     # gen reads no file, and its report has no "inputs" key
     p_ge.set_defaults(func=cmd_gen, inputs=None)
 

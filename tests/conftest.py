@@ -51,3 +51,17 @@ def count_solver_calls(monkeypatch) -> collections.Counter:
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+def leaf_commands(parser, path=()):
+    """(subcommand path, actions) of every leaf subcommand under ``parser``, help left out.
+
+    The tests' one walk of argparse internals: the README synopsis,
+    golden-coverage and fuzz tests read the `dps` interface from it.
+    """
+    subs = parser._subparsers
+    if subs is None:
+        yield path, [action for action in parser._actions if action.dest != "help"]
+        return
+    for name, sub in subs._group_actions[0].choices.items():
+        yield from leaf_commands(sub, (*path, name))

@@ -226,6 +226,7 @@ class TestConsistencyCheck:
         rhoB = DensityMatrix(np.eye(3) / 3.0)
         assert not consistency_check(rhoA, rhoB).consistent
 
+    @pytest.mark.seed_sweep  # it draws DPS marginal pairs, pure and rank-deficient ones among them
     @settings(max_examples=60, deadline=None)
     @given(case=dps_marginal_case())
     # at |p| = 1e-8 the roundoff of rho_A's spectrum, divided by p, once made b^2 = -3e-8
@@ -476,6 +477,7 @@ def pauli_canonical_form(p: float, omega: float) -> np.ndarray:
 
 
 class TestTwoQubitCanonical:
+    @pytest.mark.seed_sweep  # a closed-form construction test: each seed draws other inputs
     @settings(max_examples=200, deadline=None)
     @given(p=st.floats(-1.0 / 3.0, 1.0), omega=st.floats(0.0, math.pi / 2.0))
     def test_matches_pauli_canonical_form(self, p, omega):

@@ -129,6 +129,7 @@ def basis_route(D):
     return coordinates, operator
 
 
+@pytest.mark.seed_sweep  # it draws its own index-map inputs, other ones on each seed
 @settings(max_examples=60, deadline=None)
 @given(
     D=st.integers(min_value=2, max_value=12),

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dpstates
@@ -381,6 +381,7 @@ class TestProtocol1:
         oracle = partial_trace(np.outer(out, out.conj()), D, D * D, keep="A")
         assert np.max(np.abs(protocol1(psi, chi).matrix - oracle)) < 1e-12
 
+    @pytest.mark.seed_sweep  # a closed-form construction test: each seed draws other inputs
     @settings(max_examples=60, deadline=None)
     @given(D=st.integers(2, 12), seed=st.integers(0, 2**32 - 1), extreme=st.sampled_from([None, 0.0, 1.0]))
     def test_matches_closed_action_marginal(self, D, seed, extreme):
@@ -441,18 +442,6 @@ def test_jamiolkowski_matches_kron_oracle(D):
     assert jamiolkowski_fidelity(ch) == pytest.approx(np.vdot(phi, E @ phi).real, abs=1e-14)
 
 
-def clifford_generators(D: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Fourier (Hadamard) gate F and the diagonal phase gate S, at D = 2 or an odd prime D.
-
-    At odd D, S = diag(omega^(j (j-1) / 2)) sends X to X Z; at D = 3 that
-    is diag(1, 1, omega), the library's gate bit for bit.
-    """
-    omega = np.exp(2.0j * math.pi / D)
-    F = np.array([[omega ** (j * k) for k in range(D)] for j in range(D)]) / math.sqrt(D)
-    S = np.diag([1.0, 1.0j]) if D == 2 else np.diag([omega ** (j * (j - 1) // 2 % D) for j in range(D)])
-    return F, S
-
-
 @lru_cache(maxsize=None)
 def clifford_closure_oracle(D: int) -> np.ndarray:
     """Brute-force Clifford closure: each candidate scanned against every member found.
@@ -461,7 +450,7 @@ def clifford_closure_oracle(D: int) -> np.ndarray:
     with membership by |Tr(W^dag V)| = D over the whole group so far.
     Read-only, as it is cached; at D = 5 it takes about 2 s.
     """
-    F, S = clifford_generators(D)
+    F, S = channels._clifford_generators(D)
     group = np.eye(D, dtype=complex)[None]
     frontier = list(group)
     while frontier:
@@ -509,7 +498,7 @@ class TestCliffordGroup:
     @pytest.mark.parametrize("D", [2, 3])
     def test_generators_are_the_first_layer(self, D):
         # the closure's first layer is F and S themselves, each already in its canonical phase
-        assert np.array_equal(clifford_group(D)[1:3], np.array(clifford_generators(D)))
+        assert np.array_equal(clifford_group(D)[1:3], channels._clifford_generators(D))
 
     @pytest.mark.parametrize(
         "gate, too_many",
@@ -520,7 +509,7 @@ class TestCliffordGroup:
         ids=["T-infinite", "Z-order-8"],
     )
     def test_wrong_generator_fails_the_order_guard(self, gate, too_many, monkeypatch):
-        F, _ = clifford_generators(2)
+        F, _ = channels._clifford_generators(2)
         monkeypatch.setattr(channels, "_clifford_generators", lambda D: np.array([F, gate]))
         start = time.perf_counter()
         with pytest.raises(InternalCheckError, match=r"found (\d+) elements, expected 24") as caught:
@@ -564,6 +553,7 @@ class TestTwirl:
         got = reshuffle(D * result.jamiolkowski.matrix, D) @ dm.matrix.reshape(-1)
         assert np.max(np.abs(got.reshape(D, D) - expect)) < 1e-10
 
+    @pytest.mark.seed_sweep  # a closed-form construction test: each seed draws other inputs
     @settings(max_examples=40, deadline=None)
     @given(
         D=st.sampled_from([2, 3]),
@@ -581,6 +571,7 @@ class TestTwirl:
         # the group average is a Gram mean, hence positive, and so is the closed form to roundoff
         assert np.linalg.eigvalsh(result.jamiolkowski.matrix)[0] > -1e-14
 
+    @pytest.mark.seed_sweep  # a closed-form construction test: each seed draws other inputs
     @settings(max_examples=60, deadline=None)
     @given(
         D=st.sampled_from(TWIRL_PRIMES),
@@ -855,6 +846,7 @@ class TestPdpsRecipe:
         out = pdps_recipe(psi, 0.3, seed=96, trials=1100)
         assert np.max(np.abs(out.matrix - (0.3 * np.outer(psi, psi.conj()) + 0.7 * flipped))) < 1e-14
 
+    @pytest.mark.seed_sweep  # it draws the seeds of its 5-SE checks of the flipped state's moments
     @pytest.mark.parametrize("D", [2, 3, 8])
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -881,11 +873,32 @@ class TestPdpsRecipe:
         for got, want, per_trial in checks:
             assert abs(got - want) <= 5.0 * np.std(per_trial) / math.sqrt(trials)
 
+    @pytest.mark.seed_sweep  # it draws norms within 1e-12 of 1 at every f, and the recipe seeds
+    @settings(max_examples=30, deadline=None)
+    @given(
+        D=st.integers(min_value=2, max_value=6),
+        norm=st.floats(min_value=1.0 - 1e-12, max_value=1.0 + 1e-12),
+        f=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @example(D=3, norm=1.0 + 0.9e-12, f=1.0, seed=0)
+    def test_is_the_recipe_of_the_unit_vector(self, D, norm, f, seed):
+        # the accepted norms are within 1e-12 of 1; built from psi as given, the output's
+        # trace was ||psi||^2 and the DensityMatrix check refused it
+        psi = norm * haar_state(D, rng_for(93, seed))
+        try:
+            out = pdps_recipe(psi, f, seed, trials=20).matrix
+        except NonUnitVectorError:
+            assume(False)
+        unit = pdps_recipe(psi / np.linalg.norm(psi), f, seed, trials=20).matrix
+        assert abs(np.trace(out) - 1.0) <= 1e-12
+        assert np.max(np.abs(out - unit)) < 1e-14
+
     @pytest.mark.parametrize("psi", [[1.0], [np.exp(0.3j)], [1.0 + 1e-13]])
     def test_one_dimensional_state_is_returned(self, psi):
-        # psi^perp is empty at D = 1: every row is c psi with |c| = 1
+        # psi^perp is empty at D = 1: every row is c psi / ||psi|| with |c| = 1
         out = pdps_recipe(psi, 0.4, seed=97, trials=3000).matrix
-        assert np.max(np.abs(out - np.outer(psi, np.conj(psi)))) < 1e-15
+        assert np.max(np.abs(out - np.outer(psi, np.conj(psi)) / np.vdot(psi, psi).real)) < 1e-15
 
     def test_memory_holds_no_per_trial_states(self):
         # blocks of GRAM_ROWS rows set the peak, about 1 MB at any trial

@@ -138,12 +138,11 @@ def test_report_matches_golden(name, tmp_path, monkeypatch):
 
 
 def test_every_subcommand_has_a_golden_case():
+    from conftest import leaf_commands
     from dpstates.cli import build_parser
 
-    sub = build_parser()._subparsers._group_actions[0]
-    commands = {(name,) for name in sub.choices if name != "channel"}
-    commands |= {("channel", name) for name in sub.choices["channel"]._subparsers._group_actions[0].choices}
-    covered = {tuple(argv[:2]) if argv[0] == "channel" else (argv[0],) for argv in CASES.values()}
+    commands = {path for path, _ in leaf_commands(build_parser())}
+    covered = {path for path in commands for argv in CASES.values() if tuple(argv[: len(path)]) == path}
     assert covered == commands
 
 

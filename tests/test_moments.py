@@ -181,6 +181,7 @@ def test_dps_moment_refuses_an_order_that_is_not_an_integer_at_least_1(m):
         dps_moment(3, 0.5, m)
 
 
+@pytest.mark.seed_sweep  # it draws mixed states of every rank at D up to 48
 @settings(max_examples=25, deadline=None)
 @given(
     D=st.integers(min_value=2, max_value=48),
