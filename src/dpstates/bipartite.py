@@ -31,17 +31,8 @@ from .errors import (
     FOutOfRangeError,
     SubsystemOrderError,
 )
-from .linalg import DensityMatrix
-from .metrics import (
-    DpsState,
-    _in_range,
-    _polarization,
-    _require_dimension,
-    _require_tolerance,
-    _unit_vector,
-    make_dps,
-    p_min,
-)
+from .linalg import DensityMatrix, _require_dimension, _require_tolerance
+from .metrics import DpsState, _in_range, _polarization, _unit_vector, make_dps, p_min
 
 __all__ = [
     "ConsistencyResult",
@@ -188,9 +179,11 @@ def reduced_spectrum_dps(p: float, b, dX: int) -> np.ndarray:
     dimension at least 2, so this is the widest range dX alone allows.
 
     Raises:
+        InvalidDimensionError: dX not an integer >= 2.
         PolarizationOutOfRangeError.
         InvalidSchmidtVectorError.
     """
+    _require_dimension(dX, 2, "each subsystem")
     _polarization(p, 2 * dX)  # a check only: the caller's p is used unclamped
     flat = (1.0 - p) / dX
     # b comes back padded with zeros to dX slots, which keep the flat value;

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NotDPSError, UndefinedForDim2Error
-from .linalg import DensityMatrix
-from .metrics import DpsState, _require_count, _require_dimension, _require_tolerance, make_dps, p_min
+from .linalg import DensityMatrix, _require_count, _require_dimension, _require_tolerance
+from .metrics import DpsState, make_dps, p_min
 
 __all__ = [
     "CoherenceVector",
@@ -46,18 +46,25 @@ scale, since every eigenvalue of a state lies in [0, 1].
 
 
 def c_norm(D: int) -> float:
-    """The expansion constant c_D = sqrt(D(D-1)/2)."""
+    """The expansion constant c_D = sqrt(D(D-1)/2); D not an integer >= 2 raises InvalidDimensionError."""
+    _require_dimension(D, 2, "a coherence vector")
     return math.sqrt(D * (D - 1) / 2.0)
 
 
 @dataclass(frozen=True)
 class CoherenceVector:
-    """Real expansion vector of a state over the :func:`generate_basis` generators of su(D)."""
+    """Real expansion vector of a state over the :func:`generate_basis` generators of su(D).
+
+    Raises:
+        InvalidDimensionError: dim not an integer >= 2.
+        DimensionMismatchError: n does not have length dim^2 - 1.
+    """
 
     dim: int
     n: np.ndarray
 
     def __post_init__(self):
+        _require_dimension(self.dim, 2, "a coherence vector")
         v = np.asarray(self.n, dtype=float)
         v.setflags(write=False)
         object.__setattr__(self, "n", v)

@@ -25,8 +25,8 @@ one read-only complex (n, D, D) stack: Kraus operators, the Weyl
 operators X^a Z^b, the Clifford group.
 
 All Monte-Carlo entry points take explicit integer seeds >= 0, checked
-by ``metrics._seeded_rng``, and integer sizes >= 1, checked by
-``metrics._require_count``; there is no hidden global randomness.
+by ``linalg._seeded_rng``, and integer sizes >= 1, checked by
+``linalg._require_count``; there is no hidden global randomness.
 """
 
 from __future__ import annotations
@@ -44,20 +44,10 @@ from .errors import (
     InternalCheckError,
     NonUnitVectorError,
     NotTracePreservingError,
-    PolarizationOutOfRangeError,
     UnsupportedDimensionError,
 )
-from .linalg import DensityMatrix, partial_trace
-from .metrics import (
-    _in_range,
-    _require_count,
-    _require_dimension,
-    _seeded_rng,
-    _unit_vector,
-    make_dps,
-    p_min,
-    p_min_cp,
-)
+from .linalg import DensityMatrix, _require_count, _require_dimension, _seeded_rng, partial_trace
+from .metrics import _cp_polarization, _in_range, _polarization, _unit_vector, make_dps, p_min_cp
 
 __all__ = [
     "ChiState",
@@ -244,7 +234,7 @@ def apply_depolarizing(rho: DensityMatrix, p: float) -> DepolarizedOutput:
         PolarizationOutOfRangeError: p outside the positivity range.
     """
     D = rho.dim
-    _in_range(p, p_min(D), 1.0, PolarizationOutOfRangeError, "p")
+    _polarization(p, D)  # a check only: the caller's p is used unclamped
     out = DensityMatrix((1.0 - p) * np.eye(D) / D + p * rho.matrix)
     return DepolarizedOutput(state=out, physically_realizable=p >= p_min_cp(D) - 1e-12)
 
@@ -258,7 +248,7 @@ def depolarizing_kraus(D: int, p: float) -> KrausChannel:
     Raises:
         PolarizationOutOfRangeError: p outside the CP range.
     """
-    _in_range(p, p_min_cp(D), 1.0, PolarizationOutOfRangeError, "p")
+    _cp_polarization(p, D)  # a check only: the caller's p is used unclamped
     rest = max(1.0 - p, 0.0) / (D * D)
     ops = math.sqrt(rest) * weyl_operators(D)
     ops[0] = math.sqrt(max(p + rest, 0.0)) * np.eye(D)
@@ -308,14 +298,27 @@ def jamiolkowski_fidelity(ch: KrausChannel) -> float:
 
 
 def twirl_p(D: int, f: float) -> float:
-    """The depolarization strength a twirl produces: (D^2 f - 1)/(D^2 - 1); D >= 2."""
+    """The depolarization strength a twirl produces: (D^2 f - 1)/(D^2 - 1).
+
+    Raises:
+        InvalidDimensionError: D not an integer >= 2.
+        FOutOfRangeError: f NaN or outside [0, 1].
+    """
     _require_dimension(D, 2, "a twirl")
+    _in_range(f, 0.0, 1.0, FOutOfRangeError, "f")  # a check only: the caller's f is used unclamped
     return (D * D * f - 1.0) / (D * D - 1.0)
 
 
 def p_from_overlap(D: int, overlap: float) -> float:
-    """The p of a DPS from <psi|rho|psi> = (1-p)/D + p: (overlap - 1/D)/(1 - 1/D); D >= 2."""
+    """The p of a DPS from <psi|rho|psi> = (1-p)/D + p: (overlap - 1/D)/(1 - 1/D).
+
+    Raises:
+        InvalidDimensionError: D not an integer >= 2.
+        FOutOfRangeError: overlap NaN or outside [0, 1].
+    """
     _require_dimension(D, 2, "a polarization")
+    # a check only: the caller's overlap is used unclamped
+    _in_range(overlap, 0.0, 1.0, FOutOfRangeError, "overlap")
     return (overlap - 1.0 / D) / (1.0 - 1.0 / D)
 
 
@@ -405,8 +408,11 @@ def haar_unitaries(D: int, count: int, rng: np.random.Generator) -> Iterator[np.
 
     Raises:
         InvalidDimensionError: D not an integer >= 1, at the call, before any draw.
+        DomainError: count not an integer >= 1, at the call, before any draw.
     """
     _require_dimension(D, 1, "a Haar unitary")
+    _require_count(count, "a Haar unitary count")
+    D = int(D)  # a numpy integer D would wrap D * D, and HAAR_DRAW_ENTRIES // (D * D) would overflow it
 
     def stacks():
         size = max(1, min(GRAM_ROWS, HAAR_DRAW_ENTRIES // (D * D)))
@@ -536,8 +542,6 @@ def twirl(
             return (Us.conj().swapaxes(-1, -2) @ ch.kraus @ Us).reshape(-1, D * D)
 
         C = _gram_mean(haar_unitaries(D, samples, _seeded_rng(seed)), rows)
-        # <0| twirl(|0><0|) |0> is the Choi entry at ((0, 0), (0, 0))
-        p_hat = p_from_overlap(D, float(C[0, 0].real))
     else:
         raise DomainError(f"unknown twirl mode {mode!r}")
 
@@ -546,12 +550,15 @@ def twirl(
         raise InternalCheckError(f"averaged Choi matrix traced over the output deviates from 1 by {tp:.3e}")
     state = DensityMatrix(C / D)
     if mode == "exact-clifford" and not exclude_identity:
-        _in_range(p_hat, p_min_cp(D), 1.0, PolarizationOutOfRangeError, "p")
+        _cp_polarization(p_hat, D)
         return TwirlResult(jamiolkowski=state, p_hat=p_hat, depolarizing_deviation=0.0)
     # absolute, because trace preservation fixes Tr C = D: the eigenvalues lie in [0, D]
     low = D * float(np.linalg.eigvalsh(state.matrix)[0])
     if low < -1e-10:
         raise InternalCheckError(f"averaged Choi matrix has eigenvalue {low:.3e}")
+    if mode == "haar-sample":
+        # <0| twirl(|0><0|) |0> is the Choi entry at ((0, 0), (0, 0)), in [0, 1] once C passed both checks
+        p_hat = p_from_overlap(D, float(C[0, 0].real))
     dev = float(np.max(np.abs(C - _depolarizing_choi(D, p_hat))))
     return TwirlResult(jamiolkowski=state, p_hat=p_hat, depolarizing_deviation=dev)
 
@@ -647,7 +654,7 @@ def local_depolarize(
     if rho.dim != dA * dB:
         raise DimensionMismatchError(f"state dim {rho.dim} != dA*dB = {dA * dB}")
     for d, p, name in ((dA, pA, "pA"), (dB, pB, "pB")):
-        _in_range(p, p_min_cp(d), 1.0, PolarizationOutOfRangeError, name)
+        _cp_polarization(p, d, name)
     M = rho.matrix
     rA = partial_trace(M, dA, dB, keep="A")
     rB = partial_trace(M, dA, dB, keep="B")
@@ -667,10 +674,11 @@ def random_channel(D: int, kraus_count: int, seed: int) -> KrausChannel:
 
     Raises:
         InvalidDimensionError: D not an integer >= 1.
-        NotTracePreservingError: kraus_count < 1.
-        DomainError: seed not an integer >= 0.
+        DomainError: kraus_count not an integer >= 0, or seed not an integer >= 0.
+        NotTracePreservingError: kraus_count 0.
     """
     _require_dimension(D, 1, "a random channel")
+    _require_count(kraus_count, "kraus_count", 0)
     if kraus_count < 1:
         raise NotTracePreservingError("a channel needs at least one Kraus operator")
     U = haar_unitary(D * kraus_count, _seeded_rng(seed))

@@ -49,7 +49,7 @@ from .channels import (
     twirl_p,
 )
 from .errors import DomainError, InternalCheckError
-from .linalg import DensityMatrix, partial_trace
+from .linalg import DensityMatrix, _seeded_rng, partial_trace
 from .metrics import (
     _array_measures,
     _dps_levels,
@@ -690,7 +690,7 @@ def cmd_gen(ns) -> Report | None:
         p = 1.0 if pure else ns.p
         if p is None or ns.seed is None:
             raise DomainError("gen haar-pure needs --seed" if pure else "gen dps needs --p and --seed")
-        state = make_dps(haar_state(dim, np.random.default_rng(ns.seed)), p).to_matrix()
+        state = make_dps(haar_state(dim, _seeded_rng(ns.seed)), p).to_matrix()
         meta = {"kind": ns.kind, "dim": dim, "p": p, "seed": ns.seed}
         if pure:
             del meta["p"]

@@ -10,7 +10,11 @@ Conventions fixed here and relied on everywhere else:
   1e-10), since unit trace fixes its scale.  A matrix of any other scale
   is checked by :func:`_scaled_hermitian` at the scale of its largest
   entry (Hermiticity, 1e-10), and its spectrum relative to its largest
-  eigenvalue modulus (reconstruction and positivity, 1e-10).
+  eigenvalue modulus (reconstruction and positivity, 1e-10);
+* an integer argument (a dimension, a count, a seed) is an ``int`` or a
+  numpy integer at or above its least value, never a float, a bool or a
+  string, and a tolerance argument is finite and >= 0: the rules below,
+  which every public entry point applies.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     DomainError,
+    InvalidDimensionError,
     NonHermitianError,
     NonSquareError,
     NotPSDError,
@@ -45,6 +50,36 @@ TRACE_TOL = 1e-12
 RECON_TOL = 1e-10
 PSD_CLIP_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
+
+
+def _require_dimension(D: int, least: int, what: str) -> None:
+    """The one dimension rule: D an int or numpy integer >= least (not 3.0, NaN, a bool or a string).
+
+    ``type(D) is int`` comes first: ``make_dps`` and ``p_min`` run per call.
+    """
+    if type(D) is not int and not isinstance(D, np.integer) or D < least:
+        raise InvalidDimensionError(f"{what} needs an integer dimension >= {least}, got {D!r}")
+
+
+def _require_count(n: int, what: str, least: int = 1) -> None:
+    """The one count rule: n an int or numpy integer >= least (not 2.5, 8000.0 or a bool), else DomainError.
+
+    Monte-Carlo counts (trials, samples, shots) and moment orders start at 1, a ladder depth and a seed at 0.
+    """
+    if type(n) is not int and not isinstance(n, np.integer) or n < least:
+        raise DomainError(f"{what} must be an integer >= {least}, got {n!r}")
+
+
+def _require_tolerance(tol: float, what: str) -> None:
+    """The one tolerance-argument rule: tol finite and >= 0 (not NaN, inf or -0.5), else DomainError."""
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"{what} must be finite and >= 0, got {tol!r}")
+
+
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """``np.random.default_rng(seed)`` for a seed that passes the count rule at 0, else DomainError (None too)."""
+    _require_count(seed, "a seed", 0)
+    return np.random.default_rng(seed)
 
 
 def _as_matrix(M) -> np.ndarray:
@@ -275,7 +310,9 @@ def tensor(A, B) -> np.ndarray:
 
 def _split_dims(M: np.ndarray, dA: int, dB: int) -> np.ndarray:
     n = _require_square(M)
-    if dA * dB != n or dA < 1 or dB < 1:
+    _require_dimension(dA, 1, "a subsystem")
+    _require_dimension(dB, 1, "a subsystem")
+    if dA * dB != n:
         raise DimensionMismatchError(f"cannot split dimension {n} as {dA}x{dB}")
     return M.reshape(dA, dB, dA, dB)
 
@@ -288,7 +325,8 @@ def partial_trace(M, dA: int, dB: int, keep: str) -> np.ndarray:
         keep: "A" returns the dA x dA marginal, "B" the dB x dB one.
 
     Raises:
-        DimensionMismatchError.
+        InvalidDimensionError: dA or dB not an integer >= 1.
+        DimensionMismatchError: dA * dB is not the size of M, or keep is not "A" or "B".
     """
     r = _split_dims(_as_matrix(M), dA, dB)
     k = keep.upper()
@@ -306,7 +344,8 @@ def partial_transpose(M, dA: int, dB: int, which: str = "B") -> np.ndarray:
     generally indefinite.
 
     Raises:
-        DimensionMismatchError.
+        InvalidDimensionError: dA or dB not an integer >= 1.
+        DimensionMismatchError: dA * dB is not the size of M, or which is not "A" or "B".
     """
     r = _split_dims(_as_matrix(M), dA, dB)
     w = which.upper()

@@ -31,15 +31,13 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    DomainError,
     FOutOfRangeError,
     InequalityViolationError,
-    InvalidDimensionError,
     NonUnitVectorError,
     NotPSDError,
     PolarizationOutOfRangeError,
 )
-from .linalg import DensityMatrix, _psd_factor, _psd_roots, trace_norm
+from .linalg import DensityMatrix, _psd_factor, _psd_roots, _require_dimension, trace_norm
 
 __all__ = [
     "DistanceReport",
@@ -62,37 +60,6 @@ RANGE_SLACK = 1e-12
 """Slack of :func:`_in_range`.  Absolute: each range it widens (of p, f, F, omega, beta2)
 is fixed and of order 1, and that range sets the scale."""
 CHAIN_TOL = 1e-9
-
-
-def _require_dimension(D: int, least: int, what: str) -> None:
-    """The one dimension rule: D an int or numpy integer >= least (not 3.0, NaN, a bool or a string).
-
-    ``type(D) is int`` comes first: ``make_dps`` and ``p_min`` run per call.
-    """
-    if type(D) is not int and not isinstance(D, np.integer) or D < least:
-        raise InvalidDimensionError(f"{what} needs an integer dimension >= {least}, got {D!r}")
-
-
-def _seeded_rng(seed: int) -> np.random.Generator:
-    """``np.random.default_rng(seed)`` for an int or numpy integer seed >= 0, else DomainError (None too)."""
-    if type(seed) is not int and not isinstance(seed, np.integer) or seed < 0:
-        raise DomainError(f"a seed must be an integer >= 0, got {seed!r}")
-    return np.random.default_rng(seed)
-
-
-def _require_count(n: int, what: str, least: int = 1) -> None:
-    """The one count rule: n an int or numpy integer >= least (not 2.5, 8000.0 or a bool), else DomainError.
-
-    Monte-Carlo counts (trials, samples, shots) and moment orders start at 1, a ladder depth at 0.
-    """
-    if type(n) is not int and not isinstance(n, np.integer) or n < least:
-        raise DomainError(f"{what} must be an integer >= {least}, got {n!r}")
-
-
-def _require_tolerance(tol: float, what: str) -> None:
-    """The one tolerance-argument rule: tol finite and >= 0 (not NaN, inf or -0.5), else DomainError."""
-    if not 0.0 <= tol < math.inf:
-        raise DomainError(f"{what} must be finite and >= 0, got {tol!r}")
 
 
 def p_min(D: int) -> float:
@@ -211,6 +178,11 @@ def _unit_vector(v) -> tuple[np.ndarray, float]:
 def _polarization(p, D: int):
     """p checked against [-1/(D-1), 1] and clamped there."""
     return _in_range(p, p_min(D), 1.0, PolarizationOutOfRangeError, "p")
+
+
+def _cp_polarization(p, D: int, what: str = "p"):
+    """p checked against the CP range [-1/(D^2-1), 1] and clamped there."""
+    return _in_range(p, p_min_cp(D), 1.0, PolarizationOutOfRangeError, what)
 
 
 def _clip(x, what: str):
@@ -355,10 +327,15 @@ def _bures(F):
 def bures_from_fidelity(F):
     """(Bures metric sqrt(2 - 2 sqrt F), Bures angle acos sqrt F) of a fidelity F in [0, 1].
 
-    F is a float or an array.  The CLI's oracle report takes its two
-    values from here; the closed-form reports use the same two
-    expressions, and fig1 only the first.
+    F is a float or an array, checked against [0, 1] within 1e-12 and
+    clamped there.  The CLI's oracle report takes its two values from
+    here; the closed-form reports use the same two expressions, and fig1
+    only the first.
+
+    Raises:
+        FOutOfRangeError: F (some element of it) NaN or outside [0, 1].
     """
+    F = _in_range(F, 0.0, 1.0, FOutOfRangeError, "F")
     return _bures(F), _acos(_root(F))
 
 

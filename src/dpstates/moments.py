@@ -21,8 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InconsistentMomentsError, IndeterminateSignCountError
-from .linalg import DensityMatrix, _scaled_hermitian
-from .metrics import _dps_levels, _require_count, _require_dimension, _require_tolerance, _seeded_rng, p_min
+from .linalg import (
+    DensityMatrix,
+    _require_count,
+    _require_dimension,
+    _require_tolerance,
+    _scaled_hermitian,
+    _seeded_rng,
+)
+from .metrics import _dps_levels, p_min
 
 __all__ = [
     "MomentEstimate",

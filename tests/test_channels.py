@@ -639,8 +639,8 @@ class TestTwirl:
         assert message in err and len(err.splitlines()) == 1
 
     def test_full_group_refuses_p_hat_outside_the_cp_range(self, monkeypatch):
-        # f = 0 gives p_hat = p_min_cp; a negative f, which no channel has, falls below it
-        monkeypatch.setattr(channels, "jamiolkowski_fidelity", lambda ch: -0.5)
+        # f = 0 gives p_hat = p_min_cp; twirl_p refuses an f outside [0, 1], so a p_hat below it is injected
+        monkeypatch.setattr(channels, "twirl_p", lambda D, f: p_min_cp(D) - 0.5)
         with pytest.raises(PolarizationOutOfRangeError):
             twirl(random_channel(3, 2, seed=7), mode="exact-clifford")
 

@@ -11,12 +11,8 @@ another BLAS still passes.
 Byte identity of a change is judged against the parent commit's output
 written the same way on the same machine, with `diff -r` between the
 two directories.  The committed files are not that reference: their
-last digits depend on the machine that wrote them (on one 2-core VM
-with numpy 2.4.6, 15 of the 44 outputs differ from them, all within
-1e-12: the `analyze`, `analyze-not-dps`, `entanglement`, `schmidt`,
-`schmidt-dims` and `channel-protocol1` outputs, the six
-`channel-twirl-clifford*` files, `channel-twirl-haar.out` and
-`werner2q.out`).
+last digits depend on the machine that wrote them, and a fresh run on
+another machine may differ from them in some files, within 1e-12.
 """
 
 import contextlib

@@ -628,7 +628,7 @@ class TestDistanceArrays:
             distance_report(*overlap_pair(4, 0.5, 0.5, 0.5))
 
 
-# every entry point that takes a dimension applies metrics._require_dimension
+# every entry point that takes a dimension applies linalg._require_dimension
 DIMENSION_TAKERS = {
     "p_min": lambda D: p_min(D),
     "p_min_cp": lambda D: p_min_cp(D),
@@ -658,7 +658,7 @@ def test_non_integer_dimension_is_refused(name, D):
         DIMENSION_TAKERS[name](D)
 
 
-# every Monte-Carlo entry point draws from metrics._seeded_rng
+# every Monte-Carlo entry point draws from linalg._seeded_rng
 SEED_TAKERS = {
     "pdps_recipe": lambda seed: pdps_recipe([1.0, 0.0], 0.5, seed, 4),
     "moment_montecarlo": lambda seed: moment_montecarlo(DensityMatrix(np.eye(2) / 2.0), 2, 10, seed),
@@ -674,7 +674,7 @@ def test_seed_must_be_a_non_negative_integer(name, seed):
         SEED_TAKERS[name](seed)
 
 
-# every Monte-Carlo size (trials, samples, shots) is checked by metrics._require_count
+# every Monte-Carlo size (trials, samples, shots) is checked by linalg._require_count
 COUNT_TAKERS = {
     "pdps_recipe": lambda n: pdps_recipe([1.0, 0.0], 0.5, 1, n),
     "moment_montecarlo": lambda n: moment_montecarlo(DensityMatrix(np.eye(2) / 2.0), 2, n, 1),
