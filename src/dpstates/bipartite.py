@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +65,7 @@ PPT_CAVEAT = (
 )
 
 
-@dataclass(frozen=True)
-class SchmidtForm:
+class SchmidtForm(NamedTuple):
     """Local unitaries and coefficients diagonalizing a bipartite pure state.
 
     (U (x) V)|psi> = sum_j b_j |j>_A |j>_B with b descending and
@@ -82,8 +81,7 @@ class SchmidtForm:
     V: np.ndarray
 
 
-@dataclass(frozen=True)
-class EntanglementReport:
+class EntanglementReport(NamedTuple):
     """Partial-transpose spectrum summary for one DPS."""
 
     pt_spectrum: np.ndarray
@@ -94,11 +92,13 @@ class EntanglementReport:
     caveat: str = PPT_CAVEAT
 
 
-def _check_bipartite_dims(dA: int, dB: int) -> None:
-    _require_dimension(dA, 2, "each subsystem")
-    _require_dimension(dB, 2, "each subsystem")
+def _check_bipartite_dims(dA: int, dB: int) -> tuple[int, int]:
+    """(dA, dB) as ints, each checked >= 2 and dA <= dB."""
+    dA = _require_dimension(dA, 2, "each subsystem")
+    dB = _require_dimension(dB, 2, "each subsystem")
     if dA > dB:
         raise SubsystemOrderError(f"requires dA <= dB, got ({dA}, {dB}); swap the subsystems")
+    return dA, dB
 
 
 def schmidt_pure(psi, dA: int, dB: int) -> SchmidtForm:
@@ -113,7 +113,7 @@ def schmidt_pure(psi, dA: int, dB: int) -> SchmidtForm:
         SubsystemOrderError: dA > dB.
         NonUnitVectorError.
     """
-    _check_bipartite_dims(dA, dB)
+    dA, dB = _check_bipartite_dims(dA, dB)
     v = np.asarray(psi, dtype=complex).reshape(-1)
     if v.shape[0] != dA * dB:
         raise DimensionMismatchError(f"state length {v.shape[0]} != dA*dB = {dA * dB}")
@@ -144,7 +144,7 @@ def schmidt_dps(rho_d: DensityMatrix, dA: int, dB: int, *, p_tol: float = P_TOL)
         DimensionMismatchError: dA * dB is not the dimension of rho_d.
     """
     _require_tolerance(p_tol, "p_tol")
-    _check_bipartite_dims(dA, dB)
+    dA, dB = _check_bipartite_dims(dA, dB)
     if rho_d.dim != dA * dB:
         raise DimensionMismatchError(f"state dim {rho_d.dim} != dA*dB = {dA * dB}")
     dps = measure_dps(rho_d).state()
@@ -183,7 +183,7 @@ def reduced_spectrum_dps(p: float, b, dX: int) -> np.ndarray:
         PolarizationOutOfRangeError.
         InvalidSchmidtVectorError.
     """
-    _require_dimension(dX, 2, "each subsystem")
+    dX = _require_dimension(dX, 2, "each subsystem")
     _polarization(p, 2 * dX)  # a check only: the caller's p is used unclamped
     flat = (1.0 - p) / dX
     # b comes back padded with zeros to dX slots, which keep the flat value;
@@ -192,8 +192,7 @@ def reduced_spectrum_dps(p: float, b, dX: int) -> np.ndarray:
     return np.array(sorted([flat + p * (bj * bj) for bj in _check_schmidt_vector(b, dX)]))
 
 
-@dataclass(frozen=True)
-class ConsistencyResult:
+class ConsistencyResult(NamedTuple):
     """Outcome of the marginal consistency check."""
 
     verdict: str
@@ -275,7 +274,7 @@ def pt_spectrum_closed(p: float, b, dA: int, dB: int) -> np.ndarray:
         InvalidSchmidtVectorError.
         SubsystemOrderError.
     """
-    _check_bipartite_dims(dA, dB)
+    dA, dB = _check_bipartite_dims(dA, dB)
     _polarization(p, dA * dB)  # a check only: the caller's p is used unclamped
     vec = _check_schmidt_vector(b, dA)
     D = dA * dB
@@ -305,6 +304,7 @@ def negativity(p: float, b, dA: int, dB: int, neg_tol: float = NEG_TOL) -> Entan
         InvalidSchmidtVectorError.
     """
     _require_tolerance(neg_tol, "neg_tol")
+    dA, dB = _check_bipartite_dims(dA, dB)
     spectrum = pt_spectrum_closed(p, b, dA, dB)
     # the spectrum is ascending, so the count is where -neg_tol would go
     count = bisect.bisect_left(spectrum.tolist(), -neg_tol)
@@ -332,7 +332,7 @@ def pair_threshold(b, dA: int, dB: int) -> float:
     1/(D max_{j<j'} b_j b_j' + 1); infinity when at most one coefficient
     is nonzero (product direction, never entangled).
     """
-    _check_bipartite_dims(dA, dB)
+    dA, dB = _check_bipartite_dims(dA, dB)
     vec = sorted(_check_schmidt_vector(b, dA))
     top = vec[-1] * vec[-2]
     if top <= 0.0:
@@ -377,6 +377,6 @@ def isotropic(dA: int, F: float) -> tuple[DpsState, bool]:
         FOutOfRangeError: F outside [0, 1].
         InvalidDimensionError: dA not an integer >= 2.
     """
-    _require_dimension(dA, 2, "an isotropic state")
+    dA = _require_dimension(dA, 2, "an isotropic state")
     F = _in_range(F, 0.0, 1.0, FOutOfRangeError, "F")
     return make_dps(maximally_entangled(dA), twirl_p(dA, F)), F <= 1.0 / dA + 1e-12

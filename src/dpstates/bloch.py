@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +48,7 @@ scale, since every eigenvalue of a state lies in [0, 1].
 
 def c_norm(D: int) -> float:
     """The expansion constant c_D = sqrt(D(D-1)/2); D not an integer >= 2 raises InvalidDimensionError."""
-    _require_dimension(D, 2, "a coherence vector")
+    D = _require_dimension(D, 2, "a coherence vector")
     return math.sqrt(D * (D - 1) / 2.0)
 
 
@@ -64,7 +65,7 @@ class CoherenceVector:
     n: np.ndarray
 
     def __post_init__(self):
-        _require_dimension(self.dim, 2, "a coherence vector")
+        object.__setattr__(self, "dim", _require_dimension(self.dim, 2, "a coherence vector"))
         v = np.asarray(self.n, dtype=float)
         v.setflags(write=False)
         object.__setattr__(self, "n", v)
@@ -121,7 +122,7 @@ def generate_basis(D: int) -> np.ndarray:
     index map of :func:`from_coherence`; no library function calls it.
     Raises InvalidDimensionError unless D is an integer >= 2.
     """
-    _require_dimension(D, 2, "a basis")
+    D = _require_dimension(D, 2, "a basis")
     G = _operator(np.eye(D * D - 1))
     G.setflags(write=False)
     return G
@@ -208,8 +209,7 @@ def invariant_ladder(n: CoherenceVector, r_max: int) -> list[float]:
     return _ladder(_operator(n.n), r_max)
 
 
-@dataclass(frozen=True)
-class DpsMeasurement:
+class DpsMeasurement(NamedTuple):
     """What the DPS test compares with its tolerances.
 
     ``operator`` is A = n.lambda = (D rho - 1)/c_D, ``norm`` ||n||, ``p``

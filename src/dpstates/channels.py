@@ -91,7 +91,7 @@ class KrausChannel:
     kraus: np.ndarray
 
     def __post_init__(self):
-        _require_dimension(self.dim, 1, "a channel")
+        object.__setattr__(self, "dim", _require_dimension(self.dim, 1, "a channel"))
         ops = [np.asarray(K, dtype=complex) for K in self.kraus]
         if not ops:
             raise NotTracePreservingError("a channel needs at least one Kraus operator")
@@ -148,7 +148,7 @@ def weyl_operators(D: int) -> np.ndarray:
     Raises:
         InvalidDimensionError: D not an integer >= 1.
     """
-    _require_dimension(D, 1, "the Weyl group")
+    D = _require_dimension(D, 1, "the Weyl group")
     k = np.arange(D)
     shifts = k[None, :, None] == (k[None, None, :] + k[:, None, None]) % D  # [a, i, j]
     phases = np.exp(2.0j * math.pi * (np.outer(k, k) % D) / D)  # [b, j]
@@ -159,7 +159,7 @@ def weyl_operators(D: int) -> np.ndarray:
 
 def maximally_entangled(D: int) -> np.ndarray:
     """|Phi+> = sum_j |jj>/sqrt(D) as a length-D^2 vector; D not an integer >= 1 raises InvalidDimensionError."""
-    _require_dimension(D, 1, "a maximally entangled state")
+    D = _require_dimension(D, 1, "a maximally entangled state")
     phi = np.zeros(D * D, dtype=complex)
     for j in range(D):
         phi[j * D + j] = 1.0 / math.sqrt(D)
@@ -180,8 +180,8 @@ class ChiState:
     beta: complex
 
     def __post_init__(self):
-        D = self.dim
-        _require_dimension(D, 2, "a chi state")
+        D = _require_dimension(self.dim, 2, "a chi state")
+        object.__setattr__(self, "dim", D)
         a, b = complex(self.alpha), complex(self.beta)
         # squares by multiplication: a float ** raises OverflowError past 1.3e154, * gives inf
         a2, b2 = abs(a) * abs(a), abs(b) * abs(b)
@@ -211,7 +211,7 @@ def chi_from_beta2(D: int, beta2: float) -> ChiState:
         InvalidDimensionError: D not an integer >= 2.
         DomainError: beta2 outside that range.
     """
-    _require_dimension(D, 2, "a chi state")
+    D = _require_dimension(D, 2, "a chi state")
     beta2 = _in_range(beta2, 0.0, D * D / (D * D - 1.0), DomainError, "beta2")
     beta = math.sqrt(beta2)
     alpha = -beta / D + math.sqrt(max(1.0 - beta2 * (1.0 - 1.0 / (D * D)), 0.0))
@@ -246,8 +246,10 @@ def depolarizing_kraus(D: int, p: float) -> KrausChannel:
     weight p + (1-p)/D^2 stays nonnegative.
 
     Raises:
+        InvalidDimensionError: D not an integer >= 2.
         PolarizationOutOfRangeError: p outside the CP range.
     """
+    D = _require_dimension(D, 2, "a polarization range")
     _cp_polarization(p, D)  # a check only: the caller's p is used unclamped
     rest = max(1.0 - p, 0.0) / (D * D)
     ops = math.sqrt(rest) * weyl_operators(D)
@@ -304,7 +306,7 @@ def twirl_p(D: int, f: float) -> float:
         InvalidDimensionError: D not an integer >= 2.
         FOutOfRangeError: f NaN or outside [0, 1].
     """
-    _require_dimension(D, 2, "a twirl")
+    D = _require_dimension(D, 2, "a twirl")
     _in_range(f, 0.0, 1.0, FOutOfRangeError, "f")  # a check only: the caller's f is used unclamped
     return (D * D * f - 1.0) / (D * D - 1.0)
 
@@ -316,7 +318,7 @@ def p_from_overlap(D: int, overlap: float) -> float:
         InvalidDimensionError: D not an integer >= 2.
         FOutOfRangeError: overlap NaN or outside [0, 1].
     """
-    _require_dimension(D, 2, "a polarization")
+    D = _require_dimension(D, 2, "a polarization")
     # a check only: the caller's overlap is used unclamped
     _in_range(overlap, 0.0, 1.0, FOutOfRangeError, "overlap")
     return (overlap - 1.0 / D) / (1.0 - 1.0 / D)
@@ -361,7 +363,7 @@ def clifford_group(D: int) -> np.ndarray:
         UnsupportedDimensionError: D not in {2, 3}.
         InternalCheckError: the closure has the wrong order.
     """
-    _require_dimension(D, 2, "Clifford enumeration")
+    D = _require_dimension(D, 2, "Clifford enumeration")
     if D not in (2, 3):
         raise UnsupportedDimensionError(f"Clifford enumeration supports D in {{2, 3}}, got {D}")
     gens = _clifford_generators(D)
@@ -410,9 +412,8 @@ def haar_unitaries(D: int, count: int, rng: np.random.Generator) -> Iterator[np.
         InvalidDimensionError: D not an integer >= 1, at the call, before any draw.
         DomainError: count not an integer >= 1, at the call, before any draw.
     """
-    _require_dimension(D, 1, "a Haar unitary")
-    _require_count(count, "a Haar unitary count")
-    D = int(D)  # a numpy integer D would wrap D * D, and HAAR_DRAW_ENTRIES // (D * D) would overflow it
+    D = _require_dimension(D, 1, "a Haar unitary")
+    count = _require_count(count, "a Haar unitary count")
 
     def stacks():
         size = max(1, min(GRAM_ROWS, HAAR_DRAW_ENTRIES // (D * D)))
@@ -432,7 +433,7 @@ def haar_state(D: int, rng: np.random.Generator) -> np.ndarray:
     Raises:
         InvalidDimensionError: D not an integer >= 1.
     """
-    _require_dimension(D, 1, "a Haar state")
+    D = _require_dimension(D, 1, "a Haar state")
     v = rng.standard_normal(D) + 1.0j * rng.standard_normal(D)
     return v / np.linalg.norm(v)
 
@@ -649,8 +650,8 @@ def local_depolarize(
         PolarizationOutOfRangeError: either local p outside its CP range.
         DimensionMismatchError.
     """
-    _require_dimension(dA, 2, "each subsystem")
-    _require_dimension(dB, 2, "each subsystem")
+    dA = _require_dimension(dA, 2, "each subsystem")
+    dB = _require_dimension(dB, 2, "each subsystem")
     if rho.dim != dA * dB:
         raise DimensionMismatchError(f"state dim {rho.dim} != dA*dB = {dA * dB}")
     for d, p, name in ((dA, pA, "pA"), (dB, pB, "pB")):
@@ -677,8 +678,8 @@ def random_channel(D: int, kraus_count: int, seed: int) -> KrausChannel:
         DomainError: kraus_count not an integer >= 0, or seed not an integer >= 0.
         NotTracePreservingError: kraus_count 0.
     """
-    _require_dimension(D, 1, "a random channel")
-    _require_count(kraus_count, "kraus_count", 0)
+    D = _require_dimension(D, 1, "a random channel")
+    kraus_count = _require_count(kraus_count, "kraus_count", 0)
     if kraus_count < 1:
         raise NotTracePreservingError("a channel needs at least one Kraus operator")
     U = haar_unitary(D * kraus_count, _seeded_rng(seed))

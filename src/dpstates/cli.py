@@ -17,9 +17,8 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -169,8 +168,7 @@ def _emit(chunks, path: str | None) -> None:
 _NO_SEED = object()
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     """What one report command computed; :func:`_publish` adds the envelope.
 
     ``state``, with its bipartition ``dims``, is what ``--out`` writes.

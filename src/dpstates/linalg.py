@@ -20,7 +20,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,22 +52,35 @@ PSD_CLIP_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 
 
-def _require_dimension(D: int, least: int, what: str) -> None:
+def _require_dimension(D: int, least: int, what: str) -> int:
     """The one dimension rule: D an int or numpy integer >= least (not 3.0, NaN, a bool or a string).
 
-    ``type(D) is int`` comes first: ``make_dps`` and ``p_min`` run per call.
+    Returns D as an ``int``, which callers use from then on: a narrow numpy
+    integer would wrap D * D, a shape or a range formed in its dtype.
+    ``type(D) is int`` comes first and returns D with no conversion:
+    ``make_dps``, ``p_min`` and the moment and spectrum closed forms run
+    it per call, several times over.
     """
-    if type(D) is not int and not isinstance(D, np.integer) or D < least:
-        raise InvalidDimensionError(f"{what} needs an integer dimension >= {least}, got {D!r}")
+    if type(D) is int:
+        if D >= least:
+            return D
+    elif isinstance(D, np.integer) and D >= least:
+        return int(D)
+    raise InvalidDimensionError(f"{what} needs an integer dimension >= {least}, got {D!r}")
 
 
-def _require_count(n: int, what: str, least: int = 1) -> None:
+def _require_count(n: int, what: str, least: int = 1) -> int:
     """The one count rule: n an int or numpy integer >= least (not 2.5, 8000.0 or a bool), else DomainError.
 
     Monte-Carlo counts (trials, samples, shots) and moment orders start at 1, a ladder depth and a seed at 0.
+    Returns n as an ``int``, for the reasons :func:`_require_dimension` gives.
     """
-    if type(n) is not int and not isinstance(n, np.integer) or n < least:
-        raise DomainError(f"{what} must be an integer >= {least}, got {n!r}")
+    if type(n) is int:
+        if n >= least:
+            return n
+    elif isinstance(n, np.integer) and n >= least:
+        return int(n)
+    raise DomainError(f"{what} must be an integer >= {least}, got {n!r}")
 
 
 def _require_tolerance(tol: float, what: str) -> None:
@@ -199,8 +212,7 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Eigendecomposition with ascending eigenvalues.
 
     ``eigenvectors`` is unitary with columns aligned to ``eigenvalues``;
@@ -310,8 +322,8 @@ def tensor(A, B) -> np.ndarray:
 
 def _split_dims(M: np.ndarray, dA: int, dB: int) -> np.ndarray:
     n = _require_square(M)
-    _require_dimension(dA, 1, "a subsystem")
-    _require_dimension(dB, 1, "a subsystem")
+    dA = _require_dimension(dA, 1, "a subsystem")
+    dB = _require_dimension(dB, 1, "a subsystem")
     if dA * dB != n:
         raise DimensionMismatchError(f"cannot split dimension {n} as {dA}x{dB}")
     return M.reshape(dA, dB, dA, dB)

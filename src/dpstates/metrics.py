@@ -25,7 +25,7 @@ common slip and holds only at f in {0, 1}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,18 +64,17 @@ CHAIN_TOL = 1e-9
 
 def p_min(D: int) -> float:
     """Lower end of the polarization range, -1/(D-1); D not an integer >= 2 raises InvalidDimensionError."""
-    _require_dimension(D, 2, "a polarization range")
+    D = _require_dimension(D, 2, "a polarization range")
     return -1.0 / (D - 1)
 
 
 def p_min_cp(D: int) -> float:
     """Lower end reachable by a CP map, -1/(D^2-1); D not an integer >= 2 raises InvalidDimensionError."""
-    _require_dimension(D, 2, "a polarization range")
+    D = _require_dimension(D, 2, "a polarization range")
     return -1.0 / (D * D - 1)
 
 
-@dataclass(frozen=True)
-class DpsState:
+class DpsState(NamedTuple):
     """Polarization p plus the pure state it decorates.
 
     ``pure`` is kept as given, with a norm within 1e-12 of 1, and
@@ -208,6 +207,15 @@ def make_dps(pure, p: float) -> DpsState:
     return DpsState(dim=D, pure=v, p=p, norm2=norm2)
 
 
+def _overlap(rho: DpsState, sigma: DpsState) -> tuple[complex, float]:
+    """(<psi|phi>, f) of two DPS with a shared dimension, from one ``vdot``."""
+    if rho.dim != sigma.dim:
+        raise DimensionMismatchError(f"dims {rho.dim} and {sigma.dim} differ")
+    c = np.vdot(rho.pure, sigma.pure)
+    amp = float(abs(c))
+    return c, amp * amp / (rho.norm2 * sigma.norm2)
+
+
 def pure_overlap(rho: DpsState, sigma: DpsState) -> float:
     """f = |<psi|phi>|^2 / (<psi|psi> <phi|phi>): the overlap of the normalised purifications.
 
@@ -215,10 +223,25 @@ def pure_overlap(rho: DpsState, sigma: DpsState) -> float:
     costs one ``vdot``, and purifications up to 1e-12 off unit norm give
     an f within roundoff of [0, 1].
     """
-    if rho.dim != sigma.dim:
-        raise DimensionMismatchError(f"dims {rho.dim} and {sigma.dim} differ")
-    amp = float(abs(np.vdot(rho.pure, sigma.pure)))
-    return amp * amp / (rho.norm2 * sigma.norm2)
+    return _overlap(rho, sigma)[1]
+
+
+def _overlap_and_gap(rho: DpsState, sigma: DpsState) -> tuple[float, float | None]:
+    """(f, g): f as :func:`pure_overlap` gives it, and g = 1 - f read off the vectors when f > 1/2, else None.
+
+    Near f = 1 the difference 1 - f keeps only the last bits of f, and
+    the trace distance is square-root conditioned there (|p| sqrt(1 - f)
+    at p = q): two purifications of one ray put f an ulp below 1 and T
+    near 1e-8.  g is ||phi - (<psi|phi>/<psi|psi>) psi||^2 / <phi|phi>,
+    the weight of phi off the ray of psi, which is accurate to its own
+    size.  The O(D) pass is paid only above f = 1/2, which a Haar pair
+    reaches with probability 2^-(D-1).
+    """
+    c, f = _overlap(rho, sigma)
+    if f <= 0.5:
+        return f, None
+    perp = sigma.pure - (c / rho.norm2) * rho.pure
+    return f, float(np.vdot(perp, perp).real) / sigma.norm2
 
 
 def _fidelity(D: int, p, q, f):
@@ -274,11 +297,19 @@ def fidelity_oracle(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return _clip(float(np.sum(_psd_roots(vals, 1.0))) ** 2, "fidelity")
 
 
-def _trace_distance(D: int, p, q, f):
-    """Closed-form trace distance of (D, p, q, f), before the range check."""
+def _trace_distance(D: int, p, q, f, g=None):
+    """Closed-form trace distance of (D, p, q, f), before the range check.
+
+    Given g = 1 - f (from :func:`_overlap_and_gap`), the radicand is
+    taken in its form (p-q)^2/4 + pq g, where no term is formed from 1 - f.
+    """
     u = (q - p) * (1.0 - D / 2.0) / D
-    h = (p + q - 2.0 * q * f) / 2.0
-    r = _root(h * h + q * q * (1.0 - f) * f)
+    if g is None:
+        h = (p + q - 2.0 * q * f) / 2.0
+        r2 = h * h + q * q * (1.0 - f) * f
+    else:
+        r2 = (p - q) * (p - q) / 4.0 + p * q * g
+    r = _root(r2)
     return 0.5 * ((D - 2.0) * abs(q - p) / D + abs(u + r) + abs(u - r))
 
 
@@ -288,13 +319,15 @@ def trace_distance_closed(rho: DpsState, sigma: DpsState) -> float:
     (1/2)[(D-2)|q-p|/D + sum_pm |u pm r|] with u = (q-p)(1-D/2)/D and
     r = sqrt(((p+q-2qf)/2)^2 + q^2 (1-f) f); the radicand equals the
     manifestly symmetric (p+q)^2/4 - pqf.  At p = q this collapses to
-    |p| sqrt(1-f).
+    |p| sqrt(1-f).  Above f = 1/2 the radicand is evaluated as
+    (p-q)^2/4 + pq(1-f), with 1 - f read off the purifications, so a
+    pair on one ray gets T at roundoff, not at sqrt(eps).
 
     Raises:
         DimensionMismatchError.
     """
-    f = pure_overlap(rho, sigma)
-    return _clip(_trace_distance(rho.dim, rho.p, sigma.p, f), "trace distance")
+    f, g = _overlap_and_gap(rho, sigma)
+    return _clip(_trace_distance(rho.dim, rho.p, sigma.p, f, g), "trace distance")
 
 
 def trace_distance_oracle(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -308,8 +341,7 @@ def trace_distance_oracle(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return _clip(0.5 * trace_norm(rho.matrix - sigma.matrix), "trace distance")
 
 
-@dataclass(frozen=True)
-class DistanceReport:
+class DistanceReport(NamedTuple):
     """All four measures between one pair of DPS; from ``distance_arrays``,
     each field is an array over the pairs."""
 
@@ -339,15 +371,15 @@ def bures_from_fidelity(F):
     return _bures(F), _acos(_root(F))
 
 
-def _measures(D: int, p, q, f):
-    """(F, T, Bures metric) of (D, p, q, f), after the range and chain checks.
+def _measures(D: int, p, q, f, g=None):
+    """(F, T, Bures metric) of (D, p, q, f), after the range and chain checks; g as in :func:`_trace_distance`.
 
     Raises:
         InequalityViolationError: F or T outside [0, 1], or
         B^2/2 <= T <= sqrt(1-F) broken beyond 1e-9, at some element.
     """
     F = _clip(_fidelity(D, p, q, f), "fidelity")
-    dist = _clip(_trace_distance(D, p, q, f), "trace distance")
+    dist = _clip(_trace_distance(D, p, q, f, g), "trace distance")
     bures = _bures(F)
     lower = bures * bures / 2.0
     # upper bound tested as T^2 <= 1-F: near F = 1 the sqrt turns one
@@ -379,7 +411,7 @@ def distance_report(rho: DpsState, sigma: DpsState) -> DistanceReport:
         InequalityViolationError: chain broken beyond tolerance.
         DimensionMismatchError.
     """
-    return _report(*_measures(rho.dim, rho.p, sigma.p, pure_overlap(rho, sigma)))
+    return _report(*_measures(rho.dim, rho.p, sigma.p, *_overlap_and_gap(rho, sigma)))
 
 
 def distance_arrays(D: int, p, q, f) -> DistanceReport:
@@ -388,9 +420,10 @@ def distance_arrays(D: int, p, q, f) -> DistanceReport:
     p and q are the two polarizations and f = |<psi|phi>|^2; the three
     broadcast against each other and every field of the report is a
     float array of the broadcast shape (at least one-dimensional).  Each
-    element equals, bit for
-    bit, ``distance_report`` on ``make_dps`` states with that p, q and
-    overlap, and passes the same checks: p and q in [-1/(D-1), 1] and f
+    element equals, bit for bit, ``distance_report`` on ``make_dps``
+    states with that p, q and overlap, but for T above f = 1/2, where
+    the per-pair route reads 1 - f off the purifications and this one
+    has only f (within sqrt(eps) near f = 1).  Each passes the same checks: p and q in [-1/(D-1), 1] and f
     in [0, 1] (each within 1e-12, NaN rejected), F and T in [0, 1], and
     the Fuchs-van de Graaf chain.  One failing element raises for the
     whole call.
@@ -406,7 +439,7 @@ def distance_arrays(D: int, p, q, f) -> DistanceReport:
 
 def _array_measures(D: int, p, q, f):
     """(F, T, Bures metric) arrays of ``distance_arrays``, after its checks, without the angle."""
-    _require_dimension(D, 2, "distance_arrays")
+    D = _require_dimension(D, 2, "distance_arrays")
     p, q, f = np.broadcast_arrays(*(np.array(x, dtype=float, ndmin=1) for x in (p, q, f)))
     p, q = _polarization(p, D), _polarization(q, D)
     # f is used as given, as the per-pair route uses pure_overlap's value

@@ -16,7 +16,7 @@ For a DPS the first two nontrivial moments determine the polarization:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ RECOVERY_TOL = 1e-8
 since every moment of a state lies in [0, 1]."""
 
 
-@dataclass(frozen=True)
-class MomentEstimate:
+class MomentEstimate(NamedTuple):
     """One estimate of Tr(rho^m); shots and std_error are 0 when exact."""
 
     m: int
@@ -125,7 +124,7 @@ def dps_moment(D: int, p: float, m: int) -> float:
         InvalidDimensionError: D not an integer >= 2.
         DomainError: m not an integer >= 1 (not 2.5 or a bool).
     """
-    _require_dimension(D, 2, "a DPS moment")
+    D = _require_dimension(D, 2, "a DPS moment")
     _require_count(m, "moment order")
     flat, top = _dps_levels(D, p)
     return (D - 1) * flat**m + top**m
@@ -144,7 +143,7 @@ def dps_p_from_moments(t2: float, t3: float, D: int, tol: float = RECOVERY_TOL) 
         InvalidDimensionError: D not an integer >= 2.
         DomainError: tol NaN, infinite or negative.
     """
-    _require_dimension(D, 2, "moment recovery")
+    D = _require_dimension(D, 2, "moment recovery")
     _require_tolerance(tol, "tol")
     num = (D * t2 - 1.0) / (D - 1.0)
     if not -tol <= num <= 1.0 + tol:

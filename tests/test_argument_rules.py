@@ -2,7 +2,8 @@
 
 The entry points are the functions and classes of ``dpstates.__all__``,
 less the exception classes and the result records that the library
-builds and never validates, plus ``DpsMeasurement.verdict`` and
+builds and never validates (the NamedTuples: a class that subclasses
+``tuple`` and has ``_fields``), plus ``DpsMeasurement.verdict`` and
 ``.ladder``.  Their parameters are read from ``inspect.signature``, so a
 new function or parameter is checked with no edit here.
 
@@ -12,8 +13,11 @@ takes its default, and one without a default fails collection with an
 error that names it.  Each entry point is first called on the world and
 must succeed, so that no refusal passes vacuously.  Each refusal must
 come from the call itself, before any iteration of what it returns.
+A numpy integer is accepted wherever an integer is, and a ``np.uint8``
+dimension whose square wraps gives what the ``int`` gives.
 """
 
+import dataclasses
 import functools
 import inspect
 import math
@@ -24,6 +28,7 @@ import pytest
 
 import dpstates
 from dpstates import (
+    DensityMatrix,
     DomainError,
     FOutOfRangeError,
     InvalidDimensionError,
@@ -36,18 +41,6 @@ from dpstates import (
     to_coherence,
 )
 
-RECORDS = {
-    "ConsistencyResult",
-    "DepolarizedOutput",
-    "DistanceReport",
-    "DpsMeasurement",
-    "DpsState",
-    "EntanglementReport",
-    "MomentEstimate",
-    "SchmidtForm",
-    "Spectrum",
-    "TwirlResult",
-}
 METHODS = ("DpsMeasurement.verdict", "DpsMeasurement.ladder")
 # the world's samples and seed are a Haar-sample twirl's; the exact twirl takes neither
 OVERRIDES = {("twirl", "mode"): "haar-sample"}
@@ -130,11 +123,16 @@ def entry(name: str, by_annotation: dict):
     return getattr(dpstates, name)
 
 
+def is_record(obj) -> bool:
+    """A result record: a NamedTuple class."""
+    return inspect.isclass(obj) and issubclass(obj, tuple) and hasattr(obj, "_fields")
+
+
 def entry_names() -> list[str]:
     names = [
         name
         for name in dpstates.__all__
-        if name not in RECORDS and not (inspect.isclass(obj := getattr(dpstates, name)) and issubclass(obj, Exception))
+        if not is_record(obj := getattr(dpstates, name)) and not (inspect.isclass(obj) and issubclass(obj, Exception))
     ]
     return names + list(METHODS)
 
@@ -192,6 +190,39 @@ def integer_cases():
                     yield pytest.param(name, param.name, kind, id=f"{name}-{param.name}-{kind.__name__}")
 
 
+DIMENSIONS = RULES[0][0]
+WRAPS = np.uint8(16)  # 16 * 16 wraps to 0 in uint8
+
+
+def opened(out):
+    """``out`` with iterators drawn and records, value types and density matrices opened into their fields."""
+    if isinstance(out, Iterator):
+        out = list(out)
+    if isinstance(out, DensityMatrix):
+        return out.matrix
+    if dataclasses.is_dataclass(out):
+        out = dataclasses.astuple(out)
+    if isinstance(out, (tuple, list)):
+        return [opened(x) for x in out]
+    return out
+
+
+def outcome(name: str, **changed):
+    """(what ``name`` returns, opened, or None; the type of what it raises, or None)."""
+    fn, args = bound(name, **changed)
+    try:
+        return opened(fn(**args)), None
+    except (ValueError, RuntimeError) as exc:
+        return None, type(exc)
+
+
+def dimension_cases():
+    for name, params in SIGNATURES.items():
+        for param in params:
+            if param.name in DIMENSIONS:
+                yield pytest.param(name, param.name, id=f"{name}-{param.name}")
+
+
 @pytest.mark.parametrize("name", SIGNATURES)
 def test_entry_point_accepts_the_world(name):
     accepted(name)
@@ -208,6 +239,22 @@ def test_entry_point_refuses_a_value_outside_its_rule(name, param, value, error,
 @pytest.mark.parametrize("name, param, kind", integer_cases())
 def test_entry_point_accepts_a_numpy_integer(name, param, kind):
     accepted(name, **{param: kind(world()[1][param])})
+
+
+@pytest.mark.parametrize("name, param", dimension_cases())
+def test_a_wrapping_numpy_dimension_gives_the_int_result(name, param):
+    # the int D = 16 may be refused by another rule (a world argument of another size, an
+    # unsupported D); the uint8 one is then refused the same way, not by a wrapped product
+    want, refused = outcome(name, **{param: int(WRAPS)})
+    got, got_refused = outcome(name, **{param: WRAPS})
+    assert got_refused is refused
+    np.testing.assert_equal(got, want)
+
+
+def test_a_wrapping_numpy_count_gives_the_int_result():
+    # D * kraus_count, each in range, wraps when both are uint8
+    want = random_channel(int(WRAPS), int(WRAPS), 0).kraus
+    np.testing.assert_equal(random_channel(WRAPS, WRAPS, 0).kraus, want)
 
 
 def test_every_rule_and_exemption_names_a_parameter():

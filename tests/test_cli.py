@@ -406,7 +406,7 @@ class TestFig1:
         for p in np.linspace(p_min_cp(D), 1.0, grid):
             for f in np.linspace(0.0, 1.0, grid):
                 # one point at overlap sqrt(f)^2; at a given overlap distance_arrays is
-                # distance_report bit for bit (TestDistanceArrays)
+                # distance_report bit for bit, but for T above f = 1/2 (TestDistanceArrays)
                 amp = math.sqrt(f)
                 rep = distance_arrays(D, p, p, amp * amp)
                 row = (p, f, rep.bures[0], rep.trace_distance[0], math.sqrt(max(1.0 - rep.fidelity[0], 0.0)))
@@ -419,7 +419,7 @@ class TestFig1:
         exact = metrics._trace_distance
         # T = 0 at one f of the grid breaks the Fuchs chain there alone
         monkeypatch.setattr(
-            metrics, "_trace_distance", lambda D, p, q, f: exact(D, p, q, f) * (np.abs(f - 0.5) > 0.1)
+            metrics, "_trace_distance", lambda D, p, q, f, *g: exact(D, p, q, f, *g) * (np.abs(f - 0.5) > 0.1)
         )
         path = tmp_path / "surf.csv"
         code, out = run(capsys, "fig1", "--dim", "3", "--grid", "5", "--out", str(path))
@@ -455,7 +455,7 @@ class TestFig1:
         # blocks of 2 p rows: the last block is the p = 1 row alone
         monkeypatch.setattr(cli, "FIG1_BLOCK_POINTS", 2 * grid)
         exact = metrics._trace_distance
-        monkeypatch.setattr(metrics, "_trace_distance", lambda D, p, q, f: exact(D, p, q, f) * (p < 1.0))
+        monkeypatch.setattr(metrics, "_trace_distance", lambda D, p, q, f, *g: exact(D, p, q, f, *g) * (p < 1.0))
         path = tmp_path / "surf.csv"
         for out in ([], ["--out", str(path)]):
             assert run(capsys, "fig1", "--dim", "3", "--grid", str(grid), *out) == (4, "")

@@ -358,6 +358,32 @@ def test_closed_forms_hold_for_every_accepted_purification(D, norm_a, norm_b, tp
     assert (rep.fidelity, rep.trace_distance) == (fidelity_closed(a, b), trace_distance_closed(a, b))
 
 
+@pytest.mark.seed_sweep  # it draws the rays, phases and offsets at which 1 - f sits at roundoff
+@settings(max_examples=40, deadline=None)
+@given(
+    D=st.sampled_from([3, 8, 50]),
+    tp=st.floats(min_value=0.0, max_value=1.0),
+    tq=st.floats(min_value=0.0, max_value=1.0),
+    same_p=st.booleans(),
+    theta=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    offset=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3]),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@example(D=3, tp=0.0, tq=0.0, same_p=True, theta=0.3, offset=0.0, seed=0)
+def test_trace_distance_holds_on_one_ray_and_near_it(D, tp, tq, same_p, theta, offset, seed):
+    # phi = e^{i theta} psi puts f an ulp below 1, and T = |p| sqrt(1 - f) at p = q read
+    # ~1e-8 from f alone; phi a small offset from that ray is the nearly-same-ray case
+    rng = rng_for(45, seed)
+    psi = haar_state(D, rng)
+    phi = np.exp(1j * theta) * psi + offset * haar_state(D, rng)
+    p = p_min(D) + tp * (1.0 - p_min(D))
+    q = p if same_p else p_min(D) + tq * (1.0 - p_min(D))
+    a, b = make_dps(psi, p), make_dps(phi / np.linalg.norm(phi), q)
+    oracle = trace_distance_oracle(a.to_matrix(), b.to_matrix())
+    assert trace_distance_closed(a, b) == pytest.approx(oracle, abs=1e-9)
+    assert distance_report(a, b).trace_distance == trace_distance_closed(a, b)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     D=st.integers(min_value=2, max_value=7),
@@ -562,7 +588,15 @@ class TestDistanceArrays:
         got = distance_arrays(D, P, Q, overlaps)
         for field in ("fidelity", "trace_distance", "bures", "angle"):
             want = np.array([getattr(r, field) for r in reports])
-            assert np.array_equal(getattr(got, field).view(np.uint64), want.view(np.uint64)), field
+            if field == "trace_distance":
+                # above f = 1/2 the per-pair T reads 1 - f off the purifications, the arrays'
+                # from f, where an ulp of f moves sqrt(1 - f) by up to sqrt(eps)
+                near = overlaps > 0.5
+                assert np.abs(got.trace_distance[near] - want[near]).max() <= math.sqrt(4.0 * np.finfo(float).eps)
+                got_field, want = got.trace_distance[~near], want[~near]
+            else:
+                got_field = getattr(got, field)
+            assert np.array_equal(got_field.view(np.uint64), want.view(np.uint64)), field
 
     @pytest.mark.parametrize("D", [2, 3, 5])
     def test_matches_oracles(self, D):
@@ -620,7 +654,8 @@ class TestDistanceArrays:
     )
     def test_checks_run_per_element(self, monkeypatch, kernel, breaks):
         exact = getattr(metrics, kernel)
-        monkeypatch.setattr(metrics, kernel, lambda D, p, q, f: breaks(exact(D, p, q, f), f))
+        # the per-pair trace distance also passes g = 1 - f above f = 1/2
+        monkeypatch.setattr(metrics, kernel, lambda D, p, q, f, *g: breaks(exact(D, p, q, f, *g), f))
         assert distance_arrays(4, 0.5, 0.5, [0.0, 0.3, 0.8, 1.0]).fidelity.shape == (4,)
         with pytest.raises(InequalityViolationError):
             distance_arrays(4, 0.5, 0.5, [0.0, 0.3, 0.5, 0.8, 1.0])
