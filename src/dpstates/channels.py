@@ -551,7 +551,6 @@ def twirl(
         raise InternalCheckError(f"averaged Choi matrix traced over the output deviates from 1 by {tp:.3e}")
     state = DensityMatrix(C / D)
     if mode == "exact-clifford" and not exclude_identity:
-        _cp_polarization(p_hat, D)
         return TwirlResult(jamiolkowski=state, p_hat=p_hat, depolarizing_deviation=0.0)
     # absolute, because trace preservation fixes Tr C = D: the eigenvalues lie in [0, D]
     low = D * float(np.linalg.eigvalsh(state.matrix)[0])

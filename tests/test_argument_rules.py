@@ -52,7 +52,10 @@ def fixed_world() -> tuple[dict, dict]:
     """(by annotation, by parameter name): valid arguments, one value per key, all read-only.
 
     A lone dimension is 3 and a bipartite split 2 x 2, around the Bell
-    DPS at p = 0.5; the coherence vector is a D = 3 DPS's.
+    DPS at p = 0.5; the coherence vector is a D = 3 DPS's.  A count and
+    the ladder depth take the least value their rule accepts, so that a
+    lower bound set one too high fails the world call; a moment order
+    is 2, since ``moment_permutation`` takes only 2 and 3.
     """
     bell = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
     bell.setflags(write=False)
@@ -71,7 +74,9 @@ def fixed_world() -> tuple[dict, dict]:
     by_name = {
         **dict.fromkeys(["D", "dim"], 3),
         **dict.fromkeys(["dA", "dB", "dX"], 2),
-        **dict.fromkeys(["m", "count", "kraus_count", "samples", "shots", "trials", "r_max"], 2),
+        **dict.fromkeys(["count", "kraus_count", "samples", "shots", "trials"], 1),
+        "m": 2,
+        "r_max": 0,
         "seed": 0,
         **dict.fromkeys(["p", "q", "pA", "pB", "f", "F", "overlap", "beta2", "omega"], 0.5),
         "t2": dps_moment(3, 0.5, 2),
@@ -98,7 +103,7 @@ COUNTS = {"m", "count", "kraus_count", "samples", "shots", "trials"}
 NOT_A_COUNT = (-1, 2.5, 10.5, 8000.0, True, np.bool_(True), None, "4")
 # (parameter names, refused values, error, message pattern, numpy integers accepted)
 RULES = [
-    ({"D", "dim", "dA", "dB", "dX"}, (2.5, math.nan, True, "3", 0, -1), InvalidDimensionError, None, True),
+    ({"D", "dim", "dA", "dB", "dX"}, (2.5, 3.0, math.nan, True, "3", 0, -1), InvalidDimensionError, None, True),
     (COUNTS | {"r_max"}, NOT_A_COUNT, DomainError, "must be an integer >=", True),
     # a count of 0 is an integer: random_channel refuses it as NotTracePreservingError, a DomainError
     (COUNTS, (0,), DomainError, None, True),

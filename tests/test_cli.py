@@ -756,8 +756,10 @@ def run_python(*args: str):
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
-def test_cli_import_loads_no_scipy():
-    probe = "import sys, dpstates.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def test_cli_import_loads_no_scipy_and_no_numpy_random():
+    # numpy.random costs about 10 ms to import; only the commands that draw should pay it
+    heavy = "('scipy.', 'numpy.random.')"
+    probe = f"import sys, dpstates.cli; print(sorted(m for m in sys.modules if (m + '.').startswith({heavy})))"
     out = run_python("-c", probe)
     assert out.returncode == 0 and out.stdout.strip() == "[]"
 

@@ -14,41 +14,26 @@ from dpstates import (
     FOutOfRangeError,
     InequalityViolationError,
     InvalidDimensionError,
-    KrausChannel,
     NonUnitVectorError,
     PolarizationOutOfRangeError,
     chi_from_beta2,
-    clifford_group,
     distance_arrays,
     distance_report,
-    dps_moment,
-    dps_p_from_moments,
     fidelity_closed,
     fidelity_oracle,
-    generate_basis,
     haar_state,
-    isotropic,
     make_dps,
-    maximally_entangled,
-    moment_montecarlo,
-    negativity,
     p_min,
     p_min_cp,
-    pair_threshold,
     pdps_recipe,
     protocol1,
     pure_overlap,
-    random_channel,
     schmidt_pure,
     trace_distance_closed,
     trace_distance_oracle,
-    twirl,
-    twirl_p,
-    weyl_operators,
 )
 
 from dpstates import metrics
-from dpstates.channels import p_from_overlap
 from conftest import count_solver_calls, random_dps, random_mixed, rng_for
 
 
@@ -661,71 +646,3 @@ class TestDistanceArrays:
             distance_arrays(4, 0.5, 0.5, [0.0, 0.3, 0.5, 0.8, 1.0])
         with pytest.raises(InequalityViolationError):
             distance_report(*overlap_pair(4, 0.5, 0.5, 0.5))
-
-
-# every entry point that takes a dimension applies linalg._require_dimension
-DIMENSION_TAKERS = {
-    "p_min": lambda D: p_min(D),
-    "p_min_cp": lambda D: p_min_cp(D),
-    "dps_moment": lambda D: dps_moment(D, 0.5, 2),
-    "dps_p_from_moments": lambda D: dps_p_from_moments(0.5, 0.25, D),
-    "twirl_p": lambda D: twirl_p(D, 0.5),
-    "p_from_overlap": lambda D: p_from_overlap(D, 0.5),
-    "distance_arrays": lambda D: distance_arrays(D, 0.1, 0.2, 0.3),
-    "chi_from_beta2": lambda D: chi_from_beta2(D, 0.5),
-    "ChiState": lambda D: ChiState(D, 1.0, 0.0),
-    "KrausChannel": lambda D: KrausChannel(D, [np.eye(2)]),
-    "weyl_operators": lambda D: weyl_operators(D),
-    "haar_state": lambda D: haar_state(D, rng_for(1)),
-    "isotropic": lambda D: isotropic(D, 0.5),
-    "maximally_entangled": lambda D: maximally_entangled(D),
-    "negativity": lambda D: negativity(0.5, [0.6, 0.8], D, D),
-    "pair_threshold": lambda D: pair_threshold([0.6, 0.8], D, D),
-    "generate_basis": lambda D: generate_basis(D),
-    "clifford_group": lambda D: clifford_group(D),
-}
-
-
-@pytest.mark.parametrize("D", [2.5, math.nan])
-@pytest.mark.parametrize("name", DIMENSION_TAKERS)
-def test_non_integer_dimension_is_refused(name, D):
-    with pytest.raises(InvalidDimensionError):
-        DIMENSION_TAKERS[name](D)
-
-
-# every Monte-Carlo entry point draws from linalg._seeded_rng
-SEED_TAKERS = {
-    "pdps_recipe": lambda seed: pdps_recipe([1.0, 0.0], 0.5, seed, 4),
-    "moment_montecarlo": lambda seed: moment_montecarlo(DensityMatrix(np.eye(2) / 2.0), 2, 10, seed),
-    "random_channel": lambda seed: random_channel(2, 2, seed),
-    "twirl": lambda seed: twirl(KrausChannel(2, [np.eye(2)]), mode="haar-sample", samples=4, seed=seed),
-}
-
-
-@pytest.mark.parametrize("seed", [None, -1, 1.5])
-@pytest.mark.parametrize("name", SEED_TAKERS)
-def test_seed_must_be_a_non_negative_integer(name, seed):
-    with pytest.raises(DomainError):
-        SEED_TAKERS[name](seed)
-
-
-# every Monte-Carlo size (trials, samples, shots) is checked by linalg._require_count
-COUNT_TAKERS = {
-    "pdps_recipe": lambda n: pdps_recipe([1.0, 0.0], 0.5, 1, n),
-    "moment_montecarlo": lambda n: moment_montecarlo(DensityMatrix(np.eye(2) / 2.0), 2, n, 1),
-    "twirl": lambda n: twirl(KrausChannel(2, [np.eye(2)]), mode="haar-sample", samples=n, seed=1),
-}
-
-
-@pytest.mark.parametrize("count", [0, -3, 2.5, 10.5, 8000.0, True, np.bool_(True), None, "4"])
-@pytest.mark.parametrize("name", COUNT_TAKERS)
-def test_count_must_be_a_positive_integer(name, count):
-    # neither 10.5 nor True is a count: a binomial draw would take them as 10 and 1
-    with pytest.raises(DomainError):
-        COUNT_TAKERS[name](count)
-
-
-@pytest.mark.parametrize("count", [1, 3, np.int64(3), np.uint8(3)])
-@pytest.mark.parametrize("name", COUNT_TAKERS)
-def test_integer_counts_are_accepted(name, count):
-    COUNT_TAKERS[name](count)
