@@ -10,6 +10,7 @@ from dpstates import (
     CoherenceVector,
     DensityMatrix,
     DimensionMismatchError,
+    DomainError,
     InvalidDimensionError,
     UndefinedForDim2Error,
     c_norm,
@@ -256,6 +257,14 @@ def test_measurement_matches_component_route(D):
         assert np.allclose(m.ladder(3), invariant_ladder(n, 3), rtol=1e-12, atol=1e-13)
 
 
+@pytest.mark.parametrize("r_max", [2.5, True, -1])
+def test_ladder_depth_that_is_not_an_integer_at_least_0_is_a_domain_error(r_max):
+    state = random_dps(3, rng_for(138)).to_matrix()
+    for ladder in (lambda: invariant_ladder(to_coherence(state), r_max), lambda: measure_dps(state).ladder(r_max)):
+        with pytest.raises(DomainError, match="ladder depth r_max must be an integer >= 0"):
+            ladder()
+
+
 def test_star_rejects_dim2():
     n = CoherenceVector(dim=2, n=np.array([0.0, 0.0, 1.0]))
     with pytest.raises(UndefinedForDim2Error):
@@ -421,6 +430,14 @@ def dps_matrix(D: int, p: float, seed: int) -> DensityMatrix:
 
 
 class TestVerdictEdges:
+    @pytest.mark.parametrize("tol", [math.nan, -1e-3, math.inf])
+    @pytest.mark.parametrize("which", ["tol_star", "tol_spectrum"])
+    def test_rejects_a_tolerance_that_is_not_finite_and_at_least_0(self, which, tol):
+        # a negative tol_star used to call an exact DPS not a DPS
+        m = measure_dps(dps_matrix(3, 0.5, 3))
+        with pytest.raises(DomainError, match=f"{which} must be finite and >= 0"):
+            m.verdict(**{which: tol})
+
     @pytest.mark.parametrize("D", [2, 3, 4, 7])
     def test_pure(self, D):
         rho = dps_matrix(D, 1.0, D)

@@ -170,6 +170,11 @@ class TestKrausChannel:
         assert ch.kraus.shape == (1, 2, 2)
         assert not ch.kraus.flags.writeable
 
+    @pytest.mark.parametrize("D", [0, -1])
+    def test_random_channel_rejects_empty_or_negative_dimension(self, D):
+        with pytest.raises(InvalidDimensionError):
+            random_channel(D, 1, seed=1)
+
     def test_random_channel_needs_a_kraus_operator(self):
         with pytest.raises(NotTracePreservingError):
             random_channel(2, 0, seed=1)
@@ -210,6 +215,11 @@ class TestWeylBasis:
                     assert tr == pytest.approx(3.0)
                 else:
                     assert abs(tr) < 1e-13
+
+    @pytest.mark.parametrize("D", [0, -2])
+    def test_rejects_empty_or_negative_dimension(self, D):
+        with pytest.raises(InvalidDimensionError):
+            weyl_operators(D)
 
     @pytest.mark.parametrize("D", [2, 3, 5])
     def test_order_matches_matrix_powers(self, D):
@@ -522,6 +532,11 @@ class TestCliffordGroup:
         with pytest.raises(UnsupportedDimensionError):
             clifford_group(4)
 
+    @pytest.mark.parametrize("D", [3.0, np.float64(2.0), "3"])
+    def test_non_integer_dimension(self, D):
+        with pytest.raises(InvalidDimensionError):
+            clifford_group(D)
+
 
 TWIRL_PRIMES = [D for D in range(2, channels.CLIFFORD_TWIRL_MAX_DIM + 1) if all(D % k for k in range(2, D))]
 
@@ -764,6 +779,19 @@ class TestHaar:
     def test_state_normalized(self):
         v = haar_state(6, rng_for(80))
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("D", [0, -3])
+    def test_state_rejects_empty_or_negative_dimension(self, D):
+        with pytest.raises(InvalidDimensionError):
+            haar_state(D, rng_for(80))
+
+    @pytest.mark.parametrize("D", [0, -3])
+    def test_unitaries_reject_empty_or_negative_dimension(self, D):
+        # refused at the call, before any stack is drawn
+        with pytest.raises(InvalidDimensionError):
+            channels.haar_unitaries(D, 5, rng_for(80))
+        with pytest.raises(InvalidDimensionError):
+            haar_unitary(D, rng_for(80))
 
 
 class TestPdpsRecipe:

@@ -14,6 +14,7 @@ from dpstates import (
     FOutOfRangeError,
     InequalityViolationError,
     InvalidDimensionError,
+    KrausChannel,
     NonUnitVectorError,
     PolarizationOutOfRangeError,
     chi_from_beta2,
@@ -23,14 +24,17 @@ from dpstates import (
     fidelity_oracle,
     haar_state,
     make_dps,
+    moment_montecarlo,
     p_min,
     p_min_cp,
     pdps_recipe,
     protocol1,
     pure_overlap,
+    random_channel,
     schmidt_pure,
     trace_distance_closed,
     trace_distance_oracle,
+    twirl,
 )
 
 from dpstates import metrics
@@ -646,3 +650,41 @@ class TestDistanceArrays:
             distance_arrays(4, 0.5, 0.5, [0.0, 0.3, 0.5, 0.8, 1.0])
         with pytest.raises(InequalityViolationError):
             distance_report(*overlap_pair(4, 0.5, 0.5, 0.5))
+
+
+# every Monte-Carlo entry point draws from linalg._seeded_rng
+SEED_TAKERS = {
+    "pdps_recipe": lambda seed: pdps_recipe([1.0, 0.0], 0.5, seed, 4),
+    "moment_montecarlo": lambda seed: moment_montecarlo(DensityMatrix(np.eye(2) / 2.0), 2, 10, seed),
+    "random_channel": lambda seed: random_channel(2, 2, seed),
+    "twirl": lambda seed: twirl(KrausChannel(2, [np.eye(2)]), mode="haar-sample", samples=4, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [None, -1, 1.5])
+@pytest.mark.parametrize("name", SEED_TAKERS)
+def test_seed_must_be_a_non_negative_integer(name, seed):
+    with pytest.raises(DomainError):
+        SEED_TAKERS[name](seed)
+
+
+# every Monte-Carlo size (trials, samples, shots) is checked by linalg._require_count
+COUNT_TAKERS = {
+    "pdps_recipe": lambda n: pdps_recipe([1.0, 0.0], 0.5, 1, n),
+    "moment_montecarlo": lambda n: moment_montecarlo(DensityMatrix(np.eye(2) / 2.0), 2, n, 1),
+    "twirl": lambda n: twirl(KrausChannel(2, [np.eye(2)]), mode="haar-sample", samples=n, seed=1),
+}
+
+
+@pytest.mark.parametrize("count", [0, -3, 2.5, 10.5, 8000.0, True, np.bool_(True), None, "4"])
+@pytest.mark.parametrize("name", COUNT_TAKERS)
+def test_count_must_be_a_positive_integer(name, count):
+    # neither 10.5 nor True is a count: a binomial draw would take them as 10 and 1
+    with pytest.raises(DomainError):
+        COUNT_TAKERS[name](count)
+
+
+@pytest.mark.parametrize("count", [1, 3, np.int64(3), np.uint8(3)])
+@pytest.mark.parametrize("name", COUNT_TAKERS)
+def test_integer_counts_are_accepted(name, count):
+    COUNT_TAKERS[name](count)

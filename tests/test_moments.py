@@ -157,6 +157,30 @@ class TestMomentMonteCarlo:
                 moment_montecarlo(dm, 2, shots=shots, seed=1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rho: moment_exact(rho, 2.5),
+        lambda rho: moment_exact(rho, True),
+        lambda rho: moment_permutation(rho, 2.0),
+        lambda rho: moment_montecarlo(rho, 2.5, shots=1000, seed=1),
+    ],
+    ids=["exact-2.5", "exact-True", "permutation-2.0", "montecarlo-2.5"],
+)
+def test_order_that_is_not_an_integer_is_a_domain_error(call):
+    # a p_min DPS: eigvalsh may return its zero eigenvalue as -3e-17, whose 2.5th power is NaN
+    rho = random_dps(3, rng_for(127), p=p_min(3)).to_matrix()
+    with pytest.raises(DomainError, match="moment order must be an integer >= 1"):
+        call(rho)
+
+
+@pytest.mark.parametrize("m", [True, 0, 2.5])
+def test_dps_moment_refuses_an_order_that_is_not_an_integer_at_least_1(m):
+    # these returned 1.0, 3.0 and 0.386
+    with pytest.raises(DomainError, match="moment order must be an integer >= 1"):
+        dps_moment(3, 0.5, m)
+
+
 @pytest.mark.seed_sweep  # it draws mixed states of every rank at D up to 48
 @settings(max_examples=25, deadline=None)
 @given(
@@ -215,6 +239,12 @@ class TestRecoverP:
     def test_rejects_dimension_below_two(self):
         with pytest.raises(InvalidDimensionError):
             dps_p_from_moments(1.0, 1.0, 1)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_rejects_a_tolerance_that_is_not_finite_and_at_least_0(self, tol):
+        # the moments are exact: NaN and -1 used to raise InconsistentMomentsError, blaming them
+        with pytest.raises(DomainError, match="tol must be finite and >= 0"):
+            dps_p_from_moments(dps_moment(3, 0.5, 2), dps_moment(3, 0.5, 3), 3, tol=tol)
 
 
 def _tridiagonalize(A: np.ndarray) -> tuple[list[float], list[float]]:
