@@ -50,6 +50,7 @@ from .channels import (
 from .errors import DomainError, InternalCheckError
 from .linalg import DensityMatrix, _seeded_rng, partial_trace
 from .metrics import (
+    DistanceReport,
     _array_measures,
     _dps_levels,
     _dps_spectrum,
@@ -413,12 +414,8 @@ def cmd_distance(ns) -> Report:
     results: dict = {}
     if ns.method in ("closed", "both"):
         da, db = measure_dps(a).state(), measure_dps(b).state()
-        rep = distance_report(da, db)
         results["closed"] = {
-            "fidelity": rep.fidelity,
-            "trace_distance": rep.trace_distance,
-            "bures": rep.bures,
-            "angle": rep.angle,
+            **distance_report(da, db)._asdict(),
             "f": pure_overlap(da, db),
             "p": da.p,
             "q": db.p,
@@ -426,13 +423,7 @@ def cmd_distance(ns) -> Report:
         }
     if ns.method in ("oracle", "both"):
         F = fidelity_oracle(a, b)
-        bures, angle = bures_from_fidelity(F)
-        results["oracle"] = {
-            "fidelity": F,
-            "trace_distance": trace_distance_oracle(a, b),
-            "bures": bures,
-            "angle": angle,
-        }
+        results["oracle"] = DistanceReport(F, trace_distance_oracle(a, b), *bures_from_fidelity(F))._asdict()
     if ns.method == "both":
         results["delta"] = {
             k: abs(results["closed"][k] - results["oracle"][k]) for k in ("fidelity", "trace_distance")
@@ -604,18 +595,7 @@ def cmd_moments(ns) -> Report:
         return moment_montecarlo(state, m, shots, ns.seed + m)
 
     estimates = {m: one(m) for m in orders}
-    results: dict = {
-        "moments": [
-            {
-                "m": est.m,
-                "value": est.value,
-                "method": est.method,
-                "shots": est.shots,
-                "std_error": est.std_error,
-            }
-            for est in estimates.values()
-        ]
-    }
+    results: dict = {"moments": [est._asdict() for est in estimates.values()]}
     if ns.assume_dps:
         try:
             p, resolved = dps_p_from_moments(
@@ -655,10 +635,7 @@ def cmd_fig1(ns) -> None:
         """Bures, trace distance and sqrt(1-F) over p rows i to i + rows."""
         pb = p[i : i + rows, None]
         F, dist, bures = _array_measures(D, pb, pb, overlap)  # the angle is never printed
-        cols = (bures, dist, np.sqrt(np.maximum(1.0 - F, 0.0)))
-        if not all(np.isfinite(c).all() for c in cols):
-            raise InternalCheckError("non-finite value reached the report serializer")
-        return cols
+        return bures, dist, np.sqrt(np.maximum(1.0 - F, 0.0))
 
     # nothing is written unless every point passes: a check pass, then an emit pass
     for i in starts:
@@ -677,29 +654,21 @@ def cmd_fig1(ns) -> None:
 
 
 def cmd_gen(ns) -> Report | None:
-    reads = {"dps": {"dim", "p", "seed"}, "haar-pure": {"dim", "seed"}, "isotropic": {"da", "F"}}[ns.kind]
-    _refuse_unread(ns, f"gen {ns.kind}", {"dim", "p", "da", "F", "seed"} - reads)
     dims = None
-    if ns.kind != "isotropic":
-        dim = 3 if ns.dim is None else ns.dim
-        _refuse_large("dim", dim, MAX_WRITE_DIM)
+    if ns.kind == "isotropic":
+        _refuse_large("da", ns.da, MAX_WRITE_DA)
+        dps, _ = isotropic(ns.da, ns.F)
+        state, dims = dps.to_matrix(), [ns.da, ns.da]
+        meta = {"kind": ns.kind, "da": ns.da, "F": ns.F, "p": dps.p}
+    else:
+        _refuse_large("dim", ns.dim, MAX_WRITE_DIM)
         # haar-pure is gen dps at p = 1, whose parameters have no "p"
         pure = ns.kind == "haar-pure"
         p = 1.0 if pure else ns.p
-        if p is None or ns.seed is None:
-            raise DomainError("gen haar-pure needs --seed" if pure else "gen dps needs --p and --seed")
-        state = make_dps(haar_state(dim, _seeded_rng(ns.seed)), p).to_matrix()
-        meta = {"kind": ns.kind, "dim": dim, "p": p, "seed": ns.seed}
+        state = make_dps(haar_state(ns.dim, _seeded_rng(ns.seed)), p).to_matrix()
+        meta = {"kind": ns.kind, "dim": ns.dim, "p": p, "seed": ns.seed}
         if pure:
             del meta["p"]
-    else:
-        if ns.F is None:
-            raise DomainError("gen isotropic needs --F")
-        da = 2 if ns.da is None else ns.da
-        _refuse_large("da", da, MAX_WRITE_DA)
-        dps, _ = isotropic(da, ns.F)
-        state, dims = dps.to_matrix(), [da, da]
-        meta = {"kind": "isotropic", "da": da, "F": ns.F, "p": dps.p}
     if not ns.out:
         _emit(render_json(state_document(state, dims=dims)), None)
         return None
@@ -802,15 +771,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_f1.add_argument("--grid", type=int, default=50)
     p_f1.set_defaults(func=cmd_fig1)
 
-    p_ge = sub.add_parser("gen", parents=[out], help="write state files: dps | isotropic | haar-pure")
-    p_ge.add_argument("kind", choices=("dps", "isotropic", "haar-pure"))
-    p_ge.add_argument("--dim", type=int)
-    p_ge.add_argument("--p", type=float)
-    p_ge.add_argument("--da", type=int)
-    p_ge.add_argument("--F", type=float)
-    p_ge.add_argument("--seed", type=int)
+    p_ge = sub.add_parser("gen", help="write state files: dps | isotropic | haar-pure")
     # gen reads no file, and its report has no "inputs" key
     p_ge.set_defaults(func=cmd_gen, inputs=None)
+    gen_sub = p_ge.add_subparsers(dest="kind", required=True)
+    g_dp = gen_sub.add_parser("dps", parents=[out], help="a Haar-random DPS of polarization p")
+    g_dp.add_argument("--dim", type=int, default=3)
+    g_dp.add_argument("--p", type=float, required=True)
+    g_dp.add_argument("--seed", type=int, required=True)
+    g_hp = gen_sub.add_parser("haar-pure", parents=[out], help="a Haar-random pure state")
+    g_hp.add_argument("--dim", type=int, default=3)
+    g_hp.add_argument("--seed", type=int, required=True)
+    g_is = gen_sub.add_parser("isotropic", parents=[out], help="the isotropic state of fidelity F")
+    g_is.add_argument("--da", type=int, default=2)
+    g_is.add_argument("--F", type=float, required=True)
 
     return parser
 

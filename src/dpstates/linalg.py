@@ -205,8 +205,8 @@ class DensityMatrix:
         return bool(np.min(np.linalg.eigvalsh(self._matrix)) >= -PSD_CLIP_TOL)
 
     def purity(self) -> float:
-        """Tr(rho^2)."""
-        return float(np.real(np.trace(self._matrix @ self._matrix)))
+        """Tr(rho^2), as the sum of |rho_ij|^2 that holds for a Hermitian rho."""
+        return float(np.vdot(self._matrix, self._matrix).real)
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"

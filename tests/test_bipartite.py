@@ -147,6 +147,9 @@ class TestReducedSpectrum:
             reduced_spectrum_dps(0.5, [0.9, 0.9], 2)
         with pytest.raises(InvalidSchmidtVectorError):
             reduced_spectrum_dps(0.5, [1.2, -0.1], 2)
+        # three coefficients for the two slots of a qubit factor
+        with pytest.raises(InvalidSchmidtVectorError):
+            reduced_spectrum_dps(0.5, [0.6, 0.6, np.sqrt(0.28)], 2)
         # NaN fails both the sign and the normalization test
         for call in (
             lambda b: reduced_spectrum_dps(0.5, b, 2),

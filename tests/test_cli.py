@@ -540,13 +540,6 @@ BOUNDARY_COMMANDS = [
     ["channel", "recipe", "{notpsd}", "--f", "0.5", "--trials", "10", "--seed", "1"],
     ["channel", "twirl", "{ch}", "--mode", "haar-sample", "--samples", "50", "--seed", "1", "--exclude-identity"],
     ["channel", "twirl", "{ch}", "--samples", "50", "--seed", "1"],
-    ["gen", "haar-pure", "--dim", "3", "--p", "0.3", "--seed", "1"],
-    ["gen", "haar-pure", "--seed", "1", "--da", "2"],
-    ["gen", "dps", "--p", "0.3", "--seed", "1", "--da", "3"],
-    ["gen", "dps", "--p", "0.3", "--seed", "1", "--F", "0.5"],
-    ["gen", "isotropic", "--F", "0.5", "--seed", "1"],
-    ["gen", "isotropic", "--F", "0.5", "--dim", "3"],
-    ["gen", "isotropic", "--F", "0.5", "--p", "0.3"],
     ["moments", "{dps}", "--mode", "exact", "--seed", "5"],
     ["moments", "{dps}", "--mode", "exact", "--shots", "10"],
     ["moments", "{dps}", "--mode", "perm", "--seed", "5", "--shots", "10"],
@@ -591,13 +584,15 @@ BOUNDARY_COMMANDS = [
     ["analyze", "{boolmix}"],
     ["analyze", "{boolfalse}"],
     ["channel", "twirl", "{boolkraus}"],
+    # rows of unequal length, which np.asarray cannot stack
+    ["analyze", "{ragged}"],
 ]
 
 # inputs whose file breaks the schema, and --out targets that name no writable file,
 # so that they are refused with exit 2
 MALFORMED = {
     "{nan}", "{nonnumeric}", "{misshapen}", "{floatdim}", "{dim1}", "{baddims}", "{nokraus}", "{strings}", "{hugeint}",
-    "{boolmix}", "{boolfalse}", "{boolkraus}", "{unwritable}", "{stdout}", "{empty}",
+    "{boolmix}", "{boolfalse}", "{boolkraus}", "{unwritable}", "{stdout}", "{empty}", "{ragged}",
 }
 
 
@@ -629,6 +624,7 @@ def write_inputs(tmp_path) -> dict:
         "boolmix": {"dim": 2, "matrix": [[[True, 0], [0, 0]], [[0, 0], [0, 0]]]},
         "boolkraus": {"dim": 2, "kraus": [[[[True, 0], [0, 0]], [[0, 0], [1, 0]]]]},
         "boolfalse": {"dim": 2, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, False]]]},
+        "ragged": {"dim": 2, "matrix": [[[1, 0], [0, 0]], [[0, 0]]]},
     }
     for name, doc in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
@@ -661,6 +657,34 @@ def test_non_finite_and_out_of_range_input_is_refused(argv, capsys, tmp_path):
     assert len(captured.err.strip().splitlines()) == 1
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a flag that the kind does not read
+        ["gen", "haar-pure", "--dim", "3", "--p", "0.3", "--seed", "1"],
+        ["gen", "haar-pure", "--seed", "1", "--da", "2"],
+        ["gen", "dps", "--p", "0.3", "--seed", "1", "--da", "3"],
+        ["gen", "dps", "--p", "0.3", "--seed", "1", "--F", "0.5"],
+        ["gen", "isotropic", "--F", "0.5", "--seed", "1"],
+        ["gen", "isotropic", "--F", "0.5", "--dim", "3"],
+        ["gen", "isotropic", "--F", "0.5", "--p", "0.3"],
+        # a flag that the kind needs
+        ["gen", "dps", "--seed", "1"],
+        ["gen", "dps", "--p", "0.3"],
+        ["gen", "haar-pure", "--dim", "3"],
+        ["gen", "isotropic", "--da", "2"],
+    ],
+    ids=lambda a: " ".join(a),
+)
+def test_malformed_gen_command_line_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "usage: dps" in captured.err
 
 
 def test_files_without_a_boolean_token_are_not_walked(capsys, tmp_path, monkeypatch):
@@ -869,7 +893,7 @@ def test_readme_synopsis_names_every_option():
     block = readme.split("The console script is `dps`", 1)[1].split("```", 2)[1]
     lines = [line.split() for line in block.splitlines() if line.startswith("dps ")]
     leaves = list(leaf_commands(build_parser()))
-    assert len(leaves) == 14
+    assert len(leaves) == 16
     for path, actions in leaves:
         words = {w.strip("[]") for line in lines if tuple(line[1 : 1 + len(path)]) == path for w in line}
         assert words, f"no synopsis line for dps {' '.join(path)}"

@@ -306,3 +306,8 @@ class TestPartialOps:
             partial_trace(np.eye(6) / 6.0, 2, 2, keep="A")
         with pytest.raises(DimensionMismatchError):
             partial_transpose(np.eye(4) / 4.0, 2, 3)
+        # a subsystem other than A or B
+        with pytest.raises(DimensionMismatchError):
+            partial_trace(np.eye(4) / 4.0, 2, 2, keep="C")
+        with pytest.raises(DimensionMismatchError):
+            partial_transpose(np.eye(4) / 4.0, 2, 2, which="C")
