@@ -302,6 +302,7 @@ def negativity(p: float, b, dA: int, dB: int, neg_tol: float = NEG_TOL) -> Entan
         DomainError: neg_tol NaN, infinite or negative.
         PolarizationOutOfRangeError: p outside [-1/(D-1), 1].
         InvalidSchmidtVectorError.
+        InternalCheckError: more negative eigenvalues than the pair bound dA(dA-1)/2.
     """
     _require_tolerance(neg_tol, "neg_tol")
     dA, dB = _check_bipartite_dims(dA, dB)

@@ -287,7 +287,7 @@ def measure_dps(rho: DensityMatrix) -> DpsMeasurement:
         if np.vdot(A2, A).real < 0.0:
             p = -norm
         R = A2 - (p * (D - 2) / c) * A - (2.0 * norm * norm / D) * eye
-        residual = _star_factor(D) * math.sqrt(np.vdot(R, R).real / 2.0)
+        residual = c / (D - 2) * math.sqrt(np.vdot(R, R).real / 2.0)
     B = rho.matrix - ((1.0 - p) / D) * eye
     d = rho.matrix.diagonal().real  # p B_jj = p rho_jj - p(1-p)/D
     j = int(d.argmax() if p >= 0.0 else d.argmin())

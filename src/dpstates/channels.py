@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -453,20 +453,17 @@ class TwirlResult(NamedTuple):
     depolarizing_deviation: float
 
 
-def _gram_mean(stacks: Iterable[np.ndarray], rows: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Mean over items U of M^T M^* with M = rows(U), over a stream of stacks of items.
+def _gram_mean(blocks: Iterable[np.ndarray], count: int) -> np.ndarray:
+    """The sum of M^T M^* over a stream of row blocks M, over the ``count`` items whose rows they hold.
 
-    An item is a unitary (the Haar twirl) or a row itself (the recipe).
-    Formed over sub-stacks of about GRAM_ROWS rows (one item's, if it
-    has more), so memory does not grow with the number of items.
+    An item is a unitary, whose rows are its vec(U^dag K U) (the Haar
+    twirl), or one row (the recipe).  The caller cuts the blocks to about
+    GRAM_ROWS rows (one item's, if it has more), so memory does not grow
+    with the number of items.
     """
-    total, count = 0.0, 0
-    for Us in stacks:
-        step = max(1, GRAM_ROWS // len(rows(Us[:1])))
-        for start in range(0, len(Us), step):
-            M = rows(Us[start : start + step])
-            total = total + M.T @ M.conj()
-        count += len(Us)
+    total = 0.0
+    for M in blocks:
+        total = total + M.T @ M.conj()
     return total / count
 
 
@@ -537,12 +534,10 @@ def twirl(
         if D > 6:
             raise UnsupportedDimensionError(f"haar-sample twirl supports D <= 6, got {D}")
         _require_count(samples, "haar-sample twirl samples")
-
-        def rows(Us):
-            Us = Us[:, None]
-            return (Us.conj().swapaxes(-1, -2) @ ch.kraus @ Us).reshape(-1, D * D)
-
-        C = _gram_mean(haar_unitaries(D, samples, _seeded_rng(seed)), rows)
+        step = max(1, GRAM_ROWS // len(ch.kraus))  # unitaries per block of rows
+        stacks = haar_unitaries(D, samples, _seeded_rng(seed))
+        Vs = (Us[i : i + step, None] for Us in stacks for i in range(0, len(Us), step))
+        C = _gram_mean(((V.conj().swapaxes(-1, -2) @ ch.kraus @ V).reshape(-1, D * D) for V in Vs), samples)
     else:
         raise DomainError(f"unknown twirl mode {mode!r}")
 
@@ -631,7 +626,7 @@ def pdps_recipe(psi, f: float, seed: int, trials: int) -> DensityMatrix:
     v = v / math.sqrt(norm2)
     _require_count(trials, "trials")
     rho = np.outer(v, v.conj())
-    flipped = _gram_mean(_flip_stream(v, trials, _seeded_rng(seed)), lambda Y: Y)
+    flipped = _gram_mean(_flip_stream(v, trials, _seeded_rng(seed)), trials)
     return DensityMatrix(f * rho + (1.0 - f) * flipped)
 
 

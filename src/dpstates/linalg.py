@@ -107,6 +107,13 @@ def _require_square(M: np.ndarray) -> int:
     return M.shape[0]
 
 
+def _hermitian_deviation(A: np.ndarray) -> float:
+    """max |a_ij - conj(a_ji)|, from one buffer besides A: A^* - A^T, which is conj(A - A^dag) entry by entry."""
+    K = A.conj()
+    K -= A.T
+    return float(np.abs(K).max(initial=0.0))
+
+
 def _scaled_hermitian(M) -> tuple[np.ndarray, int]:
     """(M / 2^e, e), with 2^e the smallest power of two above max |m_ij|, checked Hermitian.
 
@@ -136,10 +143,7 @@ def _scaled_hermitian(M) -> tuple[np.ndarray, int]:
     if e:
         A = A * math.ldexp(1.0, -(e // 2))
         A *= math.ldexp(1.0, e // 2 - e)
-    # A^* - A^T is conj(A - A^dag) entry by entry: the same moduli from one buffer fewer
-    K = A.conj()
-    K -= A.T
-    dev = float(np.abs(K).max(initial=0.0))
+    dev = _hermitian_deviation(A)
     if not dev <= EIG_HERM_TOL:
         raise NonHermitianError(
             f"Hermiticity deviation {dev:.3e} of M / 2^{e} exceeds {EIG_HERM_TOL:.1e}, "
@@ -171,15 +175,11 @@ class DensityMatrix:
     def __init__(self, matrix) -> None:
         M = np.array(matrix, dtype=complex)
         _require_square(M)
-        # one full-size complex buffer besides M: H = M^* - M^T, the conjugate transpose of
-        # M - M^dag, formed in place and freed before M is taken in place to (M + M^dag) / 2.
-        # A NaN or infinite entry makes dev NaN or inf, so finiteness is looked at only
-        # once the Hermitian check fails; errstate keeps inf - inf from warning.
+        # the deviation's buffer is freed before M is taken in place to (M + M^dag) / 2.  A NaN
+        # or infinite entry makes dev NaN or inf, so finiteness is looked at only once the
+        # Hermitian check fails; errstate keeps inf - inf from warning.
         with np.errstate(invalid="ignore"):
-            H = M.conj()
-            H -= M.T
-            dev = float(np.abs(H).max(initial=0.0))
-        del H
+            dev = _hermitian_deviation(M)
         if not dev <= HERM_TOL:
             if not np.isfinite(M).all():
                 raise DomainError("matrix has NaN or infinite entries")

@@ -11,6 +11,7 @@ from dpstates import (
     DimensionMismatchError,
     DomainError,
     FOutOfRangeError,
+    InternalCheckError,
     InvalidDimensionError,
     InvalidSchmidtVectorError,
     NonUnitVectorError,
@@ -358,6 +359,14 @@ class TestNegativity:
         for p in (math.nan, 2.0, p_min(4) - 1e-9):
             with pytest.raises(PolarizationOutOfRangeError):
                 negativity(p, [1.0, 0.0], 2, 2)
+
+    def test_count_above_the_pair_bound_is_an_internal_error(self, monkeypatch):
+        # at dA = 2 one pair of Schmidt slots allows one negative PT eigenvalue; two mean a bug
+        from dpstates import bipartite
+
+        monkeypatch.setattr(bipartite, "pt_spectrum_closed", lambda *args: np.array([-0.1, -0.1, 0.6, 0.6]))
+        with pytest.raises(InternalCheckError, match="2 negative PT eigenvalues exceed the pair bound 1"):
+            negativity(0.8, [1.0 / math.sqrt(2.0)] * 2, 2, 2)
 
     @pytest.mark.parametrize("neg_tol", [math.nan, -0.5, math.inf])
     def test_rejects_a_tolerance_that_is_not_finite_and_at_least_0(self, neg_tol):

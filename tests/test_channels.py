@@ -122,10 +122,10 @@ def write_channel(path, ch: KrausChannel) -> str:
     return str(path)
 
 
-def conjugated_rows(kraus):
-    """The rows vec(U^dag K U) of every (U, K), for ``channels._gram_mean``."""
+def conjugated_rows(kraus, Us):
+    """The rows vec(U^dag K U) of every (U, K), as one block for ``channels._gram_mean``."""
     D = kraus.shape[-1]
-    return lambda Us: (Us[:, None].conj().swapaxes(-1, -2) @ kraus @ Us[:, None]).reshape(-1, D * D)
+    return (Us[:, None].conj().swapaxes(-1, -2) @ kraus @ Us[:, None]).reshape(-1, D * D)
 
 
 def haar_stream(D: int, count: int, seed: int) -> np.ndarray:
@@ -473,7 +473,8 @@ def clifford_closure_oracle(D: int) -> np.ndarray:
 def clifford_twirl_oracle(ch: KrausChannel, group: np.ndarray, exclude_identity: bool) -> np.ndarray:
     """The Choi matrix of the Gram mean over a Clifford group, without its identity if asked."""
     # both closures start from the identity, so group[0] is always 1
-    return channels._gram_mean([group[1:] if exclude_identity else group], conjugated_rows(ch.kraus))
+    group = group[1:] if exclude_identity else group
+    return channels._gram_mean([conjugated_rows(ch.kraus, group)], len(group))
 
 
 class TestCliffordGroup:
@@ -720,20 +721,29 @@ class TestTwirl:
         ch = random_channel(6, 3, seed=96)
         assert traced_peak(lambda: twirl(ch, mode="haar-sample", samples=20_000, seed=1)) < 16_000_000
 
-    def test_gram_mean_bounds_rows_of_many_kraus_operators(self):
-        # 1500 redundant Kraus operators give 1500 rows per unitary: one
-        # unitary per block, and the mean still matches the dense oracle
+    def test_gram_mean_bounds_rows_of_many_kraus_operators(self, monkeypatch):
+        # 1500 redundant Kraus operators give 1500 rows per unitary: twirl forms
+        # one unitary per block, and the mean still matches the dense oracle
         kraus = random_channel(2, 3, seed=93).kraus / math.sqrt(500)
         ch = KrausChannel(dim=2, kraus=np.repeat(kraus, 500, axis=0))
-        Us = haar_stream(2, 5, 94)
-        got = reshuffle(channels._gram_mean([Us], conjugated_rows(ch.kraus)), 2)
-        assert np.max(np.abs(got - kron_twirl_average(ch.kraus, Us))) < 1e-13
+        gram_mean, sizes = channels._gram_mean, []
+
+        def recorded(blocks, count):
+            blocks = list(blocks)
+            sizes.extend(len(M) for M in blocks)
+            return gram_mean(blocks, count)
+
+        monkeypatch.setattr(channels, "_gram_mean", recorded)
+        result = twirl(ch, mode="haar-sample", samples=5, seed=94)
+        assert sizes == [1500] * 5
+        want = kron_twirl_average(ch.kraus, haar_stream(2, 5, 94))
+        assert np.max(np.abs(reshuffle(2 * result.jamiolkowski.matrix, 2) - want)) < 1e-13
 
     @pytest.mark.parametrize("D, exclude", [(2, False), (2, True), (3, False), (3, True)])
     def test_clifford_average_matches_kron_oracle(self, D, exclude):
         ch = random_channel(D, 3, seed=95 + D)
         group = clifford_group(D)[1:] if exclude else clifford_group(D)
-        got = reshuffle(channels._gram_mean([group], conjugated_rows(ch.kraus)), D)
+        got = reshuffle(channels._gram_mean([conjugated_rows(ch.kraus, group)], len(group)), D)
         assert np.max(np.abs(got - kron_twirl_average(ch.kraus, group))) < 1e-13
 
     @pytest.mark.parametrize("D, samples", [(4, 300), (6, 1100)])
@@ -741,7 +751,7 @@ class TestTwirl:
         ch = random_channel(D, 2, seed=97 + D)
         want = kron_twirl_average(ch.kraus, haar_stream(D, samples, 98))
         stream = channels.haar_unitaries(D, samples, np.random.default_rng(98))
-        got = reshuffle(channels._gram_mean(stream, conjugated_rows(ch.kraus)), D)
+        got = reshuffle(channels._gram_mean((conjugated_rows(ch.kraus, Us) for Us in stream), samples), D)
         assert np.max(np.abs(got - want)) < 1e-13
         # twirl draws the same unitaries from the same seed
         result = twirl(ch, mode="haar-sample", samples=samples, seed=98)

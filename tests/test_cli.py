@@ -90,6 +90,10 @@ class TestRenderJson:
         with pytest.raises(InternalCheckError):
             render_json({"a": np.eye(3, dtype=complex), "b": float(abs(bad))})
 
+    def test_unserializable_value_is_an_internal_error(self):
+        with pytest.raises(InternalCheckError, match="unserializable value of type set"):
+            render_json({"results": {"a": {1, 2}}})
+
     def test_state_file_streams_one_row_at_a_time(self, tmp_path):
         import tracemalloc
 
@@ -527,6 +531,10 @@ BOUNDARY_COMMANDS = [
     ["gen", "dps", "--p", "0.5", "--seed", "-1"],
     ["gen", "haar-pure", "--seed", "-1"],
     ["moments", "{dps}", "--mode", "mc", "--seed", "-5"],
+    # moments checks these two itself: order m is seeded with seed + m, which is 0 here,
+    # and --recovery-tol is echoed in the report though only --assume-dps reads it
+    ["moments", "{dps}", "--mode", "mc", "--seed", "-2", "--m", "2"],
+    ["moments", "{dps}", "--recovery-tol", "nan"],
     ["channel", "recipe", "{pure}", "--f", "0.5", "--trials", "10", "--seed", "-1"],
     ["channel", "twirl", "{ch}", "--mode", "haar-sample", "--samples", "10", "--seed", "-1"],
     ["entanglement", "{dps}", "--neg-tol", "-1"],
@@ -538,6 +546,8 @@ BOUNDARY_COMMANDS = [
     ["channel", "local", "{dps}", "--dims", "4", "1", "--pa", "0.5", "--pb", "0.5"],
     ["channel", "protocol1", "{notpsd}", "--beta2", "0.5"],
     ["channel", "recipe", "{notpsd}", "--f", "0.5", "--trials", "10", "--seed", "1"],
+    # a unit-trace Hermitian file that is not positive, refused by the fidelity oracle
+    ["distance", "{mm3}", "{notpsd}", "--method", "oracle"],
     ["channel", "twirl", "{ch}", "--mode", "haar-sample", "--samples", "50", "--seed", "1", "--exclude-identity"],
     ["channel", "twirl", "{ch}", "--samples", "50", "--seed", "1"],
     ["moments", "{dps}", "--mode", "exact", "--seed", "5"],
@@ -633,6 +643,7 @@ def write_inputs(tmp_path) -> dict:
         "nan": write_state(tmp_path / "nan.json", nan),
         "baddims": write_state(tmp_path / "baddims.json", np.eye(4) / 4.0, dims=(2, 3)),
         "mm": write_state(tmp_path / "mm.json", np.eye(4) / 4.0),
+        "mm3": write_state(tmp_path / "mm3.json", np.eye(3) / 3.0),
         "dps": write_state(tmp_path / "dps.json", np.diag([0.625, 0.125, 0.125, 0.125]), dims=(2, 2)),
         "pure": write_state(tmp_path / "pure.json", np.diag([1.0, 0.0, 0.0])),
         # top eigenvalue 1 and unit trace, but not positive: not a pure state

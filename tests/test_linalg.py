@@ -120,6 +120,18 @@ class TestEig:
         with pytest.raises(NonHermitianError):
             eig_hermitian(1e-11 * np.array([[1.0, 2.0], [0.0, 3.0]]))
 
+    def test_failed_reconstruction_is_refused(self, monkeypatch):
+        # eigenvectors out of step with their eigenvalues give diag(2, 1) back for diag(1, 2)
+        eigh = np.linalg.eigh
+
+        def swapped(A):
+            vals, V = eigh(A)
+            return vals, V[:, ::-1]
+
+        monkeypatch.setattr(np.linalg, "eigh", swapped)
+        with pytest.raises(NonHermitianError, match="reconstruction check"):
+            eig_hermitian(np.diag([1.0, 2.0]))
+
     def test_huge_hermitian_matrix_is_solved(self):
         # its deviation from M^dag is 2^300 1e-12, far above an absolute 1e-10
         spec = eig_hermitian(2.0**300 * np.array([[2.0, 1.0 + 1e-12], [1.0, 2.0]]))

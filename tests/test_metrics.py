@@ -16,6 +16,7 @@ from dpstates import (
     InvalidDimensionError,
     KrausChannel,
     NonUnitVectorError,
+    NotPSDError,
     PolarizationOutOfRangeError,
     chi_from_beta2,
     distance_arrays,
@@ -206,6 +207,14 @@ class TestFidelity:
         sigma = DensityMatrix(np.diag([0.4, 0.6]))
         expect = (math.sqrt(0.7 * 0.4) + math.sqrt(0.3 * 0.6)) ** 2
         assert fidelity_oracle(rho, sigma) == pytest.approx(expect, abs=1e-12)
+
+    def test_oracle_refuses_an_indefinite_sigma(self):
+        # sigma is Hermitian with unit trace, so a DensityMatrix, but not positive:
+        # at rho = 1/3 the inner matrix sqrt(rho) sigma sqrt(rho) is sigma / 3
+        rho = DensityMatrix(np.eye(3) / 3.0)
+        sigma = DensityMatrix(np.diag([0.8, 0.4, -0.2]))
+        with pytest.raises(NotPSDError, match="inner matrix eigenvalue -6.667e-02 below -1e-10"):
+            fidelity_oracle(rho, sigma)
 
 
     def test_oracle_makes_one_eigh_and_one_eigvalsh(self, monkeypatch):
